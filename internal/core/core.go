@@ -31,6 +31,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/clock"
 	"repro/internal/emotion"
+	"repro/internal/keyspace"
 	"repro/internal/lifelog"
 	"repro/internal/messaging"
 	"repro/internal/store"
@@ -94,6 +95,8 @@ type SPA struct {
 
 	shards []*shard
 	mask   uint64
+	// bucketShift places a user in its shard snapshot's buckets (place).
+	bucketShift uint
 	// users mirrors the total profile count so Users() never touches the
 	// shard locks — health probes must answer even while a commit holds a
 	// shard write-locked through a slow fsync.
@@ -164,9 +167,10 @@ func New(opts Options) (*SPA, error) {
 	}
 	n := shardCount(opts.Shards)
 	s.mask = uint64(n - 1)
+	s.bucketShift = bucketShift(n)
 	s.shards = make([]*shard, n)
 	for i := range s.shards {
-		s.shards[i] = newShard()
+		s.shards[i] = newShard(keyspace.NumSlots >> s.bucketShift)
 	}
 	if opts.DataDir != "" {
 		db, err := store.Open(opts.DataDir, opts.Store)
@@ -174,17 +178,22 @@ func New(opts Options) (*SPA, error) {
 			return nil, err
 		}
 		s.db = db
+		loaded := make([][]profChange, n)
 		if err := sum.ForEach(db, func(p *sum.Profile) bool {
-			sh := s.shardFor(p.UserID)
-			sh.profiles[p.UserID] = p
-			s.users.Add(1)
+			i := s.shardIndexFor(p.UserID)
+			loaded[i] = append(loaded[i], profChange{id: p.UserID, p: p})
 			return true
 		}); err != nil {
 			db.Close()
 			return nil, fmt.Errorf("core: loading profiles: %w", err)
 		}
+		// Nothing else can see s yet, so the shards need no locking.
+		for i, sh := range s.shards {
+			s.publishShardLocked(sh, loaded[i], nil)
+		}
 	}
-	s.seedSnapshots()
+	// The replay's publishes do not count: a fresh process starts at 1.
+	s.epoch.Store(1)
 	return s, nil
 }
 
@@ -226,28 +235,47 @@ func (s *SPA) Register(userID uint64, objective []float64) error {
 	if userID == 0 {
 		return errors.New("core: zero user id")
 	}
-	sh := s.shardFor(userID)
+	sh, c := s.locate(userID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, dup := sh.profiles[userID]; dup {
+	if sh.snap.Load().profile(c, userID) != nil {
 		return fmt.Errorf("%w: %d", ErrAlreadyRegistered, userID)
 	}
 	p := sum.NewProfile(userID, s.clk.Now())
 	p.Objective = append([]float64(nil), objective...)
 	p.Subjective = make([]float64, lifelog.DenseLen)
-	sh.profiles[userID] = p
-	s.users.Add(1)
-	s.publishShardLocked(sh, []uint64{userID}, nil)
-	return s.persist(p)
+	return s.persistAndPublishLocked(sh, p)
 }
 
-// persist write-throughs one profile; the caller holds the owning shard's
-// write lock, which orders store writes for that user.
-func (s *SPA) persist(p *sum.Profile) error {
-	if s.db == nil {
-		return nil
+// persistAndPublishLocked is the single-profile commit: write the new
+// profile through to the store, and only once that succeeded install it in
+// the shard's next snapshot — a failed write leaves the read state exactly
+// as it was. The caller holds sh.mu, which orders store writes for the user.
+func (s *SPA) persistAndPublishLocked(sh *shard, p *sum.Profile) error {
+	if s.db != nil {
+		if err := sum.Save(s.db, p); err != nil {
+			return err
+		}
 	}
-	return sum.Save(s.db, p)
+	s.publishShardLocked(sh, []profChange{{id: p.UserID, p: p}}, nil)
+	return nil
+}
+
+// updateProfile runs a single-profile mutation on a private copy of the
+// user's current profile, then persists and installs the copy.
+func (s *SPA) updateProfile(userID uint64, mutate func(p *sum.Profile) error) error {
+	sh, c := s.locate(userID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cur := sh.snap.Load().profile(c, userID)
+	if cur == nil {
+		return fmt.Errorf("%w: %d", ErrNoProfile, userID)
+	}
+	p := *cur
+	if err := mutate(&p); err != nil {
+		return err
+	}
+	return s.persistAndPublishLocked(sh, &p)
 }
 
 // Users returns the number of registered profiles. Lock-free by design:
@@ -297,47 +325,26 @@ func (s *SPA) NextQuestion(userID uint64) (emotion.Item, error) {
 
 // SubmitAnswer applies a Gradual EIT answer to the user's SUM.
 func (s *SPA) SubmitAnswer(userID uint64, ans emotion.Answer) error {
-	sh := s.shardFor(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	p, ok := sh.profiles[userID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoProfile, userID)
-	}
-	if err := s.model.ApplyEITAnswer(p, ans, s.clk.Now()); err != nil {
-		return err
-	}
-	s.publishShardLocked(sh, []uint64{userID}, nil)
-	return s.persist(p)
+	return s.updateProfile(userID, func(p *sum.Profile) error {
+		return s.model.ApplyEITAnswer(p, ans, s.clk.Now())
+	})
 }
 
 // Reward applies positive reinforcement for the given attributes (the user
 // acted on a recommendation built on them).
 func (s *SPA) Reward(userID uint64, attrs []emotion.Attribute) error {
-	sh := s.shardFor(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	p, ok := sh.profiles[userID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoProfile, userID)
-	}
-	s.model.Reward(p, attrs, s.clk.Now())
-	s.publishShardLocked(sh, []uint64{userID}, nil)
-	return s.persist(p)
+	return s.updateProfile(userID, func(p *sum.Profile) error {
+		s.model.Reward(p, attrs, s.clk.Now())
+		return nil
+	})
 }
 
 // Punish applies negative reinforcement (recommendation ignored/rejected).
 func (s *SPA) Punish(userID uint64, attrs []emotion.Attribute) error {
-	sh := s.shardFor(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	p, ok := sh.profiles[userID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoProfile, userID)
-	}
-	s.model.Punish(p, attrs, s.clk.Now())
-	s.publishShardLocked(sh, []uint64{userID}, nil)
-	return s.persist(p)
+	return s.updateProfile(userID, func(p *sum.Profile) error {
+		s.model.Punish(p, attrs, s.clk.Now())
+		return nil
+	})
 }
 
 // Sensibilities returns the user's absolute sensibility weights, indexed by

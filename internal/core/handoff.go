@@ -3,11 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/keyspace"
 	"repro/internal/store"
-	"repro/internal/sum"
 )
 
 // Shard handoff (DESIGN.md §10). Moving a set of keyspace slots between
@@ -108,137 +107,65 @@ func (s *SPA) ApplyHandoffWave(annotation []byte, entries []store.LogEntry) erro
 	if err != nil {
 		return fmt.Errorf("core: handoff wave: %w", err)
 	}
-	type shardWork struct {
-		install map[uint64]*sum.Profile
-		drop    []uint64
-		events  []taggedEvent
-	}
-	work := make(map[int]*shardWork)
-	get := func(idx int) *shardWork {
-		w := work[idx]
-		if w == nil {
-			w = &shardWork{}
-			work[idx] = w
-		}
-		return w
+	work, err := s.groupShipped(entries, events, true)
+	if err != nil {
+		return fmt.Errorf("core: handoff wave: %w", err)
 	}
 	batch := new(store.WriteBatch)
 	batch.SetAnnotation(annotation)
 	for _, e := range entries {
-		id, ok := sumKeyUser(e.Key)
-		if !ok {
-			return fmt.Errorf("core: handoff wave entry outside profile key space: %q", e.Key)
-		}
-		w := get(s.shardIndexFor(id))
 		if e.Tombstone {
 			batch.Delete(e.Key)
-			w.drop = append(w.drop, id)
-			continue
-		}
-		p, err := sum.Decode(e.Value)
-		if err != nil {
-			return fmt.Errorf("core: handoff wave profile %d: %w", id, err)
-		}
-		if p.UserID != id {
-			return fmt.Errorf("core: handoff wave key/profile user mismatch: %d vs %d", id, p.UserID)
-		}
-		batch.Put(e.Key, e.Value)
-		if w.install == nil {
-			w.install = make(map[uint64]*sum.Profile)
-		}
-		w.install[id] = p
-	}
-	for _, te := range events {
-		w := get(s.shardIndexFor(te.UserID))
-		w.events = append(w.events, te)
-	}
-
-	idxs := make([]int, 0, len(work))
-	for idx := range work {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		s.shards[idx].mu.Lock()
-	}
-	unlock := func() {
-		for i := len(idxs) - 1; i >= 0; i-- {
-			s.shards[idxs[i]].mu.Unlock()
+		} else {
+			batch.Put(e.Key, e.Value)
 		}
 	}
-	if err := s.db.Apply(batch); err != nil {
-		unlock()
-		return err
-	}
-	recorded := 0
-	for _, idx := range idxs {
-		sh := s.shards[idx]
-		w := work[idx]
-		changed := make([]uint64, 0, len(w.install)+len(w.drop))
-		for id, p := range w.install {
-			if _, exists := sh.profiles[id]; !exists {
-				s.users.Add(1)
-			}
-			sh.profiles[id] = p
-			changed = append(changed, id)
-		}
-		for _, id := range w.drop {
-			if _, exists := sh.profiles[id]; exists {
-				s.users.Add(-1)
-				delete(sh.profiles, id)
-				changed = append(changed, id)
-			}
-		}
-		recorded += s.publishShardLocked(sh, changed, w.events)
-	}
-	unlock()
-	if recorded > 0 {
-		s.invalidateRecommender()
-	}
-	return nil
+	return s.installShipped(work, func() error { return s.db.Apply(batch) })
 }
 
-// DropSlotUsers removes every resident user of the given slots from shard
-// memory and publishes fresh read snapshots — the source's final step after
-// ownership flips to the target. Durable records of the dropped users stay
-// in the source's log (rewriting history would break its own followers);
-// they are dead weight until compaction and are filtered out again if the
-// slots ever hand back. Returns the number of users dropped.
+// DropSlotUsers removes every resident user of the given slots — profiles
+// and CF interaction rows — from shard memory and publishes fresh read
+// snapshots: the source's final step after ownership flips to the target.
+// Durable records of the dropped users stay in the source's log (rewriting
+// history would break its own followers); they are dead weight until
+// compaction and are filtered out again if the slots ever hand back.
+// Returns the number of users dropped.
 func (s *SPA) DropSlotUsers(slots *keyspace.SlotSet) int {
-	// With shards ≤ NumSlots a slot's users share one shard (shard index =
-	// slot & mask), so only those shards need their write lock; with more
-	// shards than slots every shard may hold slot users.
-	candidates := make(map[int]bool)
-	if len(s.shards) <= keyspace.NumSlots {
-		for _, slot := range slots.Slots() {
-			candidates[slot&int(s.mask)] = true
-		}
-	} else {
-		for idx := range s.shards {
-			candidates[idx] = true
+	// A slot is exactly one snapshot bucket in each shard that holds it —
+	// shard slot&mask for S ≤ NumSlots shards, every shard ≡ slot (mod
+	// NumSlots) above that — so dropping it swaps those buckets for the
+	// empty one: O(slots), whatever the population.
+	byShard := make(map[int][]int)
+	for _, slot := range slots.Slots() {
+		for idx := slot & int(s.mask); idx < len(s.shards); idx += keyspace.NumSlots {
+			byShard[idx] = append(byShard[idx], slot>>s.bucketShift)
 		}
 	}
-	dropped := 0
-	for idx, sh := range s.shards {
-		if !candidates[idx] {
-			continue
-		}
+	dropped, changed := 0, false
+	for idx, buckets := range byShard {
+		sh := s.shards[idx]
 		sh.mu.Lock()
-		var changed []uint64
-		for id := range sh.profiles {
-			if slots.Has(keyspace.Partition(id)) {
-				delete(sh.profiles, id)
-				s.users.Add(-1)
-				changed = append(changed, id)
+		prev := sh.snap.Load()
+		var next *shardSnap
+		for _, b := range buckets {
+			if prev.buckets[b] == emptyBucket {
+				continue
 			}
+			if next == nil {
+				next = &shardSnap{buckets: slices.Clone(prev.buckets)}
+			}
+			n := prev.buckets[b].residents()
+			dropped += n
+			s.users.Add(-int64(n))
+			next.buckets[b] = emptyBucket
 		}
-		if len(changed) > 0 {
-			dropped += len(changed)
-			s.publishShardLocked(sh, changed, nil)
+		if next != nil {
+			s.installSnapLocked(sh, next)
+			changed = true
 		}
 		sh.mu.Unlock()
 	}
-	if dropped > 0 {
+	if changed {
 		s.invalidateRecommender()
 	}
 	return dropped

@@ -306,8 +306,8 @@ func (s *SPA) groupByShard(batches [][]lifelog.Event) (map[int]*preparedGroup, t
 // restarts over the survivors — dropping events can never introduce a new
 // per-user ordering violation between the remaining ones, so the loop only
 // ever shrinks and terminates after at most one retry per batch. The caller
-// holds the shard's lock (read suffices: only sh.profiles membership is
-// consulted).
+// holds the shard's lock (read suffices: only snapshot membership is
+// consulted, and no publish can land while the lock is held).
 func (s *SPA) prepareShardLocked(g *preparedGroup, nbatches int, now time.Time) {
 	sh := s.shards[g.shardIdx]
 	g.res = multiResult{
@@ -324,7 +324,7 @@ func (s *SPA) prepareShardLocked(g *preparedGroup, nbatches int, now time.Time) 
 			if g.excluded[te.batch] {
 				continue
 			}
-			if _, ok := sh.profiles[te.UserID]; !ok {
+			if s.residentLocked(sh, te.UserID) == nil {
 				g.res.skipped[te.batch]++
 				continue
 			}
@@ -350,7 +350,7 @@ func (s *SPA) prepareShardLocked(g *preparedGroup, nbatches int, now time.Time) 
 		if g.excluded[te.batch] {
 			continue
 		}
-		if _, ok := sh.profiles[te.UserID]; ok {
+		if s.residentLocked(sh, te.UserID) != nil {
 			g.interactions = append(g.interactions, te)
 		}
 	}
@@ -374,14 +374,13 @@ func (s *SPA) commitShardLocked(g *preparedGroup) {
 	}
 	if s.unbatched {
 		// Compatibility/measurement mode: the seed's one-write-per-profile
-		// persistence (see Options.UnbatchedWrites). Each profile installs
-		// right after its own save succeeds, so memory never diverges from
-		// durable state; on the first failure the rest of the group stays
-		// unapplied (and uninstalled). One snapshot publish covers whatever
-		// was installed, so readers see the same prefix the live map holds.
-		installed := make([]uint64, 0, len(g.vectors))
+		// persistence (see Options.UnbatchedWrites). Each profile is saved on
+		// its own; on the first failure the rest of the group stays
+		// unapplied. One snapshot publish covers whatever was saved, so
+		// readers see exactly the durable prefix.
+		installed := make([]profChange, 0, len(g.vectors))
 		for id, vec := range g.vectors {
-			p := sh.profiles[id]
+			p := s.residentLocked(sh, id)
 			if p == nil {
 				continue
 			}
@@ -394,8 +393,7 @@ func (s *SPA) commitShardLocked(g *preparedGroup) {
 				}
 				return
 			}
-			p.Subjective = vec
-			installed = append(installed, id)
+			installed = append(installed, profChange{id: id, p: &cp})
 		}
 		if s.publishShardLocked(sh, installed, g.interactions) > 0 {
 			g.res.interactions = true
@@ -417,15 +415,15 @@ func (s *SPA) commitShardLocked(g *preparedGroup) {
 }
 
 // buildShardBatchLocked encodes the staged profile states into one store
-// WriteBatch without touching the live profiles: each record is the profile
-// as it will look after install. The caller holds the shard's write lock,
+// WriteBatch without touching the snapshot: each record is the profile as
+// it will look after install. The caller holds the shard's write lock,
 // which it keeps until after the batch is applied — nothing can move under
 // the encoded bytes.
 func (s *SPA) buildShardBatchLocked(g *preparedGroup) (*store.WriteBatch, error) {
 	sh := s.shards[g.shardIdx]
 	var batch store.WriteBatch
 	for id, vec := range g.vectors {
-		p := sh.profiles[id]
+		p := s.residentLocked(sh, id)
 		if p == nil {
 			continue
 		}
@@ -445,20 +443,22 @@ func (s *SPA) buildShardBatchLocked(g *preparedGroup) (*store.WriteBatch, error)
 	return &batch, nil
 }
 
-// installShardLocked makes the staged updates live in shard memory and
-// publishes the shard's next read snapshot — the epoch installation point
-// of the commit stage (DESIGN.md §8). The caller holds the shard's write
-// lock and has already made the updates durable (or runs non-durably).
+// installShardLocked makes the staged updates live: each updated profile
+// is installed as a modified copy in the shard's next read snapshot — the
+// epoch installation point of the commit stage (DESIGN.md §8). The caller
+// holds the shard's write lock and has already made the updates durable
+// (or runs non-durably).
 func (s *SPA) installShardLocked(g *preparedGroup) {
 	sh := s.shards[g.shardIdx]
-	changed := make([]uint64, 0, len(g.vectors))
+	changes := make([]profChange, 0, len(g.vectors))
 	for id, vec := range g.vectors {
-		if p := sh.profiles[id]; p != nil {
-			p.Subjective = vec
-			changed = append(changed, id)
+		if p := s.residentLocked(sh, id); p != nil {
+			cp := *p
+			cp.Subjective = vec
+			changes = append(changes, profChange{id: id, p: &cp})
 		}
 	}
-	if s.publishShardLocked(sh, changed, g.interactions) > 0 {
+	if s.publishShardLocked(sh, changes, g.interactions) > 0 {
 		g.res.interactions = true
 	}
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/emotion"
 	"repro/internal/lifelog"
 	"repro/internal/store"
 	"repro/internal/sum"
@@ -256,5 +258,91 @@ func TestPreparedCommitConcurrent(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// TestSingleProfileWriteFailureLeavesReadStateUnchanged is the single-profile
+// twin of TestIngestStoreFailureLeavesMemoryUnchanged: Register,
+// SubmitAnswer, Reward and Punish used to change the live profile and
+// publish before persisting, so a failed Put left a read-visible change
+// that was not durable — and a retried Register failed with
+// ErrAlreadyRegistered. Each now installs only after its write succeeds.
+func TestSingleProfileWriteFailureLeavesReadStateUnchanged(t *testing.T) {
+	s, fo, dir := newFaultyCore(t, false, 4)
+	for u := uint64(1); u <= 2; u++ {
+		if err := s.Register(u, []float64{float64(u)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := map[uint64][]byte{}
+	for u := uint64(1); u <= 2; u++ {
+		p, err := s.Profile(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[u] = sum.Encode(&p)
+	}
+	users, epoch := s.Users(), s.SnapshotEpoch()
+	item, err := s.NextQuestion(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fo.Kill()
+	attrs := []emotion.Attribute{emotion.Attribute(0), emotion.Attribute(1)}
+	writes := map[string]func() error{
+		"register": func() error { return s.Register(3, nil) },
+		"answer":   func() error { return s.SubmitAnswer(1, emotion.Answer{ItemID: item.ID, Option: 0}) },
+		"reward":   func() error { return s.Reward(1, attrs) },
+		"punish":   func() error { return s.Punish(2, attrs) },
+	}
+	for name, write := range writes {
+		if err := write(); err == nil {
+			t.Fatalf("%s: store failure not reported", name)
+		}
+		if got := s.Users(); got != users {
+			t.Fatalf("%s: Users() %d after a failed write, want %d", name, got, users)
+		}
+		if got := s.SnapshotEpoch(); got != epoch {
+			t.Fatalf("%s: SnapshotEpoch() %d after a failed write, want %d", name, got, epoch)
+		}
+		if _, err := s.Profile(3); !errors.Is(err, ErrNoProfile) {
+			t.Fatalf("%s: failed registration visible: %v", name, err)
+		}
+		for u, want := range before {
+			p, err := s.Profile(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sum.Encode(&p), want) {
+				t.Fatalf("%s: user %d changed by a failed write", name, u)
+			}
+		}
+	}
+	// The retry is not refused as a duplicate: the failed registration left
+	// nothing behind (the log stays disabled until reopen, so it fails for
+	// the store's reason) ...
+	if err := s.Register(3, nil); err == nil || errors.Is(err, ErrAlreadyRegistered) {
+		t.Fatalf("retried registration: %v, want the store's error", err)
+	}
+	// ... and succeeds once the store is healthy again.
+	fo.Revive()
+	s.Close() // may report the failed log again; the reopen below is the check
+	s2, err := New(Options{DataDir: dir, Shards: 4, Clock: clock.NewSimulated(t0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := s2.Register(3, nil); err != nil {
+		t.Fatalf("registration after recovery: %v", err)
+	}
+	for u, want := range before {
+		p, err := s2.Profile(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sum.Encode(&p), want) {
+			t.Fatalf("user %d: durable state differs from what reads showed", u)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cf"
@@ -19,9 +21,9 @@ import (
 // "activation or inhibition of excitatory attributes from each domain"
 // applied to the action catalogue.
 //
-// Interaction counts live in the shard snapshots (snapshot.go): the ingest
-// publish folds each wave's events into copy-on-write rows, so the kNN
-// build iterates frozen state without a single lock. The frozen model
+// Interaction counts live in the shard snapshots' buckets (snapshot.go): the
+// ingest publish folds each wave's events into copy-on-write rows, so the
+// kNN build iterates frozen state without a single lock. The frozen model
 // itself is rebuilt single-flight per invalidation generation: the first
 // reader to observe a stale model rebuilds it under recBuildMu while
 // concurrent readers keep serving the previous model (bounded staleness —
@@ -137,23 +139,22 @@ func (sh *shard) cacheInsert(snap *shardSnap, knn *cf.KNN, userID uint64, n int,
 
 // buildKNN freezes the shard snapshots' accumulated interactions into a
 // kNN model. Lock-free: snapshots are immutable, so no shard lock is taken
-// and no lock order exists between the model build and the write path.
+// and no lock order exists between the model build and the write path
+// (lockShards is the LockedReads twin). The rows already exist sorted by
+// action, so they go straight into a cf.Builder in user order instead of
+// through per-user maps.
 func (s *SPA) buildKNN(lockShards bool) (*cf.KNN, error) {
-	m := cf.NewInteractions(lifelog.ActionUniverse)
-	rows := 0
+	rows := make([]rowEntry, 0, s.users.Load())
+	nnz := 0
 	for _, sh := range s.shards {
 		if lockShards {
 			sh.mu.RLock()
 		}
-		snap := sh.snap.Load()
-		for user, row := range snap.interactions {
-			rows++
-			for action, w := range row {
-				if err := m.Add(user, action, w); err != nil {
-					if lockShards {
-						sh.mu.RUnlock()
-					}
-					return nil, err
+		for _, bk := range sh.snap.Load().buckets {
+			for _, pg := range bk.rows {
+				rows = append(rows, pg...)
+				for _, r := range pg {
+					nnz += len(r.row)
 				}
 			}
 		}
@@ -161,11 +162,19 @@ func (s *SPA) buildKNN(lockShards bool) (*cf.KNN, error) {
 			sh.mu.RUnlock()
 		}
 	}
-	if rows == 0 {
+	if len(rows) == 0 {
 		return nil, ErrNoInteractions
 	}
-	m.Freeze()
-	return cf.NewKNN(m, 25)
+	slices.SortFunc(rows, func(a, b rowEntry) int { return cmp.Compare(a.id, b.id) })
+	b := cf.NewBuilder(lifelog.ActionUniverse, len(rows), nnz)
+	for _, r := range rows {
+		for _, aw := range r.row {
+			if err := b.Add(r.id, aw.action, aw.w); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cf.NewKNN(b.Freeze(), 25)
 }
 
 // currentKNN returns a model no staler than the newest finished build:
@@ -226,10 +235,10 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	// a cold system where the kNN build would fail with ErrNoInteractions —
 	// callers (and the serving layer's 404-vs-409 mapping) must not see a
 	// registration question answered with a model answer.
-	sh := s.shardFor(userID)
+	sh, c := s.locate(userID)
 	snap := sh.snap.Load()
-	p, ok := snap.profiles[userID]
-	if !ok {
+	p := snap.profile(c, userID)
+	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
 	}
 	knn, err := s.currentKNN()
@@ -257,15 +266,15 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 // while holding the build mutex and the shard read locks, exactly the
 // contention the snapshot path removes. No cache.
 func (s *SPA) recommendActionsLocked(userID uint64, n int) ([]cf.Recommendation, error) {
-	sh := s.shardFor(userID)
+	sh, c := s.locate(userID)
 	sh.mu.RLock()
-	p, ok := sh.profiles[userID]
+	p := sh.snap.Load().profile(c, userID)
 	var cp sum.Profile
-	if ok {
+	if p != nil {
 		cp = *p
 	}
 	sh.mu.RUnlock()
-	if !ok {
+	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
 	}
 	s.recBuildMu.Lock()

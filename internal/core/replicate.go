@@ -161,13 +161,29 @@ func (s *SPA) ApplyReplicatedWave(lsn uint64, annotation []byte, entries []store
 	if err != nil {
 		return fmt.Errorf("core: wave %d: %w", lsn, err)
 	}
-	type shardWork struct {
-		install map[uint64]*sum.Profile
-		drop    []uint64
-		events  []taggedEvent
+	work, err := s.groupShipped(entries, events, false)
+	if err != nil {
+		return fmt.Errorf("core: wave %d: %w", lsn, err)
 	}
+	return s.installShipped(work, func() error {
+		return s.db.ApplyReplicated(lsn, annotation, entries)
+	})
+}
+
+// shardWork is one shipped record's effect on one shard.
+type shardWork struct {
+	changes []profChange
+	events  []taggedEvent
+}
+
+// groupShipped decodes a shipped record's profile entries (puts and
+// tombstones) and its annotation's interaction events and groups both by
+// owning shard. Keys outside the profile key space are skipped, or refused
+// when strict.
+func (s *SPA) groupShipped(entries []store.LogEntry, events []taggedEvent, strict bool) (map[int]*shardWork, error) {
 	work := make(map[int]*shardWork)
-	get := func(idx int) *shardWork {
+	get := func(id uint64) *shardWork {
+		idx := s.shardIndexFor(id)
 		w := work[idx]
 		if w == nil {
 			w = &shardWork{}
@@ -178,31 +194,37 @@ func (s *SPA) ApplyReplicatedWave(lsn uint64, annotation []byte, entries []store
 	for _, e := range entries {
 		id, ok := sumKeyUser(e.Key)
 		if !ok {
-			// A foreign key space: persisted below, nothing to install.
+			if strict {
+				return nil, fmt.Errorf("entry outside profile key space: %q", e.Key)
+			}
+			// A foreign key space: persisted, nothing to install.
 			continue
 		}
-		w := get(s.shardIndexFor(id))
-		if e.Tombstone {
-			w.drop = append(w.drop, id)
-			continue
+		var p *sum.Profile
+		if !e.Tombstone {
+			var err error
+			if p, err = sum.Decode(e.Value); err != nil {
+				return nil, fmt.Errorf("profile %d: %w", id, err)
+			}
+			if p.UserID != id {
+				return nil, fmt.Errorf("key/profile user mismatch: %d vs %d", id, p.UserID)
+			}
 		}
-		p, err := sum.Decode(e.Value)
-		if err != nil {
-			return fmt.Errorf("core: wave %d profile %d: %w", lsn, id, err)
-		}
-		if p.UserID != id {
-			return fmt.Errorf("core: wave %d key/profile user mismatch: %d vs %d", lsn, id, p.UserID)
-		}
-		if w.install == nil {
-			w.install = make(map[uint64]*sum.Profile)
-		}
-		w.install[id] = p
+		w := get(id)
+		w.changes = append(w.changes, profChange{id: id, p: p})
 	}
 	for _, te := range events {
-		w := get(s.shardIndexFor(te.UserID))
+		w := get(te.UserID)
 		w.events = append(w.events, te)
 	}
+	return work, nil
+}
 
+// installShipped write-locks the touched shards in index order, runs the
+// store write, and only if it succeeded publishes every shard's changes —
+// the install half PreparedMulti.Commit runs for a local wave, shared by
+// follower applies and handoff targets.
+func (s *SPA) installShipped(work map[int]*shardWork, write func() error) error {
 	idxs := make([]int, 0, len(work))
 	for idx := range work {
 		idxs = append(idxs, idx)
@@ -211,39 +233,19 @@ func (s *SPA) ApplyReplicatedWave(lsn uint64, annotation []byte, entries []store
 	for _, idx := range idxs {
 		s.shards[idx].mu.Lock()
 	}
-	unlock := func() {
-		for i := len(idxs) - 1; i >= 0; i-- {
-			s.shards[idxs[i]].mu.Unlock()
-		}
-	}
-	if err := s.db.ApplyReplicated(lsn, annotation, entries); err != nil {
-		unlock()
-		return err
-	}
+	err := write()
 	recorded := 0
-	for _, idx := range idxs {
-		sh := s.shards[idx]
-		w := work[idx]
-		changed := make([]uint64, 0, len(w.install)+len(w.drop))
-		for id, p := range w.install {
-			if _, exists := sh.profiles[id]; !exists {
-				s.users.Add(1)
-			}
-			sh.profiles[id] = p
-			changed = append(changed, id)
+	if err == nil {
+		for _, idx := range idxs {
+			w := work[idx]
+			recorded += s.publishShardLocked(s.shards[idx], w.changes, w.events)
 		}
-		for _, id := range w.drop {
-			if _, exists := sh.profiles[id]; exists {
-				s.users.Add(-1)
-				delete(sh.profiles, id)
-				changed = append(changed, id)
-			}
-		}
-		recorded += s.publishShardLocked(sh, changed, w.events)
 	}
-	unlock()
+	for i := len(idxs) - 1; i >= 0; i-- {
+		s.shards[idxs[i]].mu.Unlock()
+	}
 	if recorded > 0 {
 		s.invalidateRecommender()
 	}
-	return nil
+	return err
 }

@@ -140,105 +140,70 @@ func (s *SPA) rebuildPropIndexLocked(pm *propModel) *propIndex {
 	if ix := s.prop.Load(); ix != nil && ix.model == pm && ix.epoch == epoch {
 		return ix
 	}
-	type scored struct {
-		id    uint64
-		score float64
-	}
-	all := make([]scored, 0, int(s.users.Load()))
-	skipped := 0
-	var cause error
-	for _, sh := range s.shards {
-		snap := sh.snap.Load()
-		for id, p := range snap.profiles {
-			x := p.FeatureVector(true, true, true)
-			if _, err := pm.scaler.Transform(x); err != nil {
-				skipped++
-				if cause == nil {
-					cause = err
-				}
-				continue
-			}
-			v, err := pm.scorer.Score(x)
-			if err != nil {
-				skipped++
-				if cause == nil {
-					cause = err
-				}
-				continue
-			}
-			all = append(all, scored{id, v})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].id < all[j].id
-	})
-	ids := make([]uint64, len(all))
-	for i, sc := range all {
-		ids[i] = sc.id
-	}
+	ids, skipped, cause := s.rankPopulation(pm, false)
 	ix := &propIndex{epoch: epoch, model: pm, ids: ids, skipped: skipped, cause: cause}
 	s.prop.Store(ix)
 	return ix
 }
 
 // selectTopLocked is the pre-snapshot selection path (Options.LockedReads):
-// O(shards) read locks to collect the population, then one feature
-// materialization per user under its shard's read lock. The scorer pair is
-// still taken once per call, not once per user — that fix predates the
-// index. Skip-and-count semantics match the snapshot path.
+// every user is scored under its shard's read lock, with no materialized
+// index, so selection contends with writers as it did before snapshots.
+// The scorer pair is still taken once per call, not once per user — that
+// fix predates the index. Skip-and-count semantics match the snapshot path.
 func (s *SPA) selectTopLocked(k int) ([]uint64, error) {
 	pm := s.pmodel.Load()
 	if pm == nil {
 		return nil, ErrNoModel
 	}
-	var ids []uint64
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id := range sh.profiles {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
+	ids, skipped, cause := s.rankPopulation(pm, true)
+	out := ids[:min(k, len(ids))]
+	if skipped > 0 {
+		return out, &PartialSelectionError{Skipped: skipped, Cause: cause}
 	}
+	return out, nil
+}
+
+// rankPopulation scores every resident profile with pm and returns the
+// ids best first (ties by ascending id), skipping — and counting — the
+// profiles pm cannot score. With lockShards each shard is scored under its
+// read lock (the LockedReads twin); otherwise from its snapshot, lock-free.
+func (s *SPA) rankPopulation(pm *propModel, lockShards bool) (ids []uint64, skipped int, cause error) {
 	type scored struct {
 		id    uint64
 		score float64
 	}
-	all := make([]scored, 0, len(ids))
-	skipped := 0
-	var cause error
-	for _, id := range ids {
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		p := sh.profiles[id]
-		var x []float64
-		if p != nil {
-			// Materialize under the shard lock: a concurrent ingest may be
-			// rewriting the profile's slices.
-			x = p.FeatureVector(true, true, true)
+	all := make([]scored, 0, int(s.users.Load()))
+	fail := func(err error) {
+		skipped++
+		if cause == nil {
+			cause = err
 		}
-		sh.mu.RUnlock()
-		if p == nil {
-			continue // racing deregistration can't happen today; be safe
+	}
+	for _, sh := range s.shards {
+		if lockShards {
+			sh.mu.RLock()
 		}
-		if _, err := pm.scaler.Transform(x); err != nil {
-			skipped++
-			if cause == nil {
-				cause = err
+		for _, bk := range sh.snap.Load().buckets {
+			for _, pg := range bk.profiles {
+				for _, e := range pg {
+					x := e.p.FeatureVector(true, true, true)
+					if _, err := pm.scaler.Transform(x); err != nil {
+						fail(err)
+						continue
+					}
+					v, err := pm.scorer.Score(x)
+					if err != nil {
+						fail(err)
+						continue
+					}
+					all = append(all, scored{e.id, v})
+				}
 			}
-			continue
 		}
-		v, err := pm.scorer.Score(x)
-		if err != nil {
-			skipped++
-			if cause == nil {
-				cause = err
-			}
-			continue
+		if lockShards {
+			sh.mu.RUnlock()
 		}
-		all = append(all, scored{id, v})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].score != all[j].score {
@@ -246,15 +211,9 @@ func (s *SPA) selectTopLocked(k int) ([]uint64, error) {
 		}
 		return all[i].id < all[j].id
 	})
-	if k > len(all) {
-		k = len(all)
+	ids = make([]uint64, len(all))
+	for i, sc := range all {
+		ids[i] = sc.id
 	}
-	out := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].id
-	}
-	if skipped > 0 {
-		return out, &PartialSelectionError{Skipped: skipped, Cause: cause}
-	}
-	return out, nil
+	return ids, skipped, cause
 }

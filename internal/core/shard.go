@@ -1,21 +1,21 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/keyspace"
 	"repro/internal/lifelog"
-	"repro/internal/sum"
 	"repro/internal/values"
 )
 
 // shard is one hash partition of the user population. Everything keyed by
-// user id lives here: the live (writer-owned) profile map under one
-// read-write mutex per partition, and the immutable read snapshot behind an
-// atomic pointer. Writers mutate the live map under mu and publish a fresh
-// snapshot before unlocking; readers only ever load snap and never touch mu
-// (see snapshot.go and DESIGN.md §8).
+// user id lives here: the immutable read snapshot behind an atomic pointer —
+// the one copy of the shard's profiles and CF rows — and the session-scoped
+// values trackers, under one read-write mutex per partition. Writers build
+// and publish the next snapshot under mu; readers only ever load snap and
+// never touch mu (see snapshot.go and DESIGN.md §8).
 //
 // The partition function is a fixed bit-mixer over the user id, so a
 // profile's shard is stable across restarts and independent of shard count
@@ -23,7 +23,6 @@ import (
 // value is fine, because shards are a memory layout, not a storage layout.
 type shard struct {
 	mu       sync.RWMutex
-	profiles map[uint64]*sum.Profile
 	trackers map[uint64]*values.Tracker // Human Values Scale, session-scoped
 
 	// snap is the current immutable read snapshot; never nil after newShard.
@@ -34,9 +33,9 @@ type shard struct {
 	cache atomic.Pointer[recCache]
 }
 
-func newShard() *shard {
-	sh := &shard{profiles: make(map[uint64]*sum.Profile)}
-	sh.snap.Store(&shardSnap{profiles: map[uint64]*sum.Profile{}})
+func newShard(nbuckets int) *shard {
+	sh := &shard{}
+	sh.snap.Store(newShardSnap(nbuckets))
 	sh.cache.Store(&recCache{})
 	return sh
 }
@@ -55,6 +54,14 @@ func shardCount(n int) int {
 		p <<= 1
 	}
 	return p
+}
+
+// bucketShift is how many low slot bits the shard index already consumes:
+// log2(shards), capped at log2(NumSlots). A shard's snapshot holds
+// NumSlots >> bucketShift buckets.
+func bucketShift(shards int) uint {
+	shift := uint(bits.TrailingZeros(uint(shards)))
+	return min(shift, uint(bits.TrailingZeros(keyspace.NumSlots)))
 }
 
 // shardFor mixes the user id (splitmix64 finalizer) before masking, so

@@ -15,7 +15,7 @@ import (
 // tracker returns the user's values tracker; the caller holds the shard's
 // write lock.
 func (s *SPA) tracker(sh *shard, userID uint64, create bool) (*values.Tracker, error) {
-	if _, ok := sh.profiles[userID]; !ok {
+	if s.residentLocked(sh, userID) == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
 	}
 	tr, ok := sh.trackers[userID]

@@ -21,13 +21,14 @@ package server
 //      waits out in-flight writers via the cluster guard, flushes the
 //      coalescer with a sentinel wave, and ships what those last commits
 //      appended. After the target has acked everything shipped, the
-//      source flips ownership at a freshly minted topology epoch and
-//      sends the handoff-commit frame (0x0F) carrying the final LSN and
-//      the new epoch.
-//   4. The target installs itself as the slots' owner at that epoch; the
-//      source unfences (the slots now bounce 421 to the target) and drops
-//      the moved users from shard memory. Gossip spreads the new epoch to
-//      the other nodes.
+//      source flips ownership at a freshly minted topology epoch, unfences
+//      (the slots now bounce 421 to the target), counts the move, and
+//      drops the moved users from shard memory.
+//   4. Only then does the source send the handoff-commit frame (0x0F)
+//      carrying the final LSN and the new epoch, so by the time the target
+//      installs itself as the slots' owner at that epoch — and its caller
+//      can look — the source already reads as moved. Gossip spreads the
+//      new epoch to the other nodes.
 //
 // No acked write is lost: a write is acknowledged only after its commit,
 // every commit to the moving slots lands before the fence barrier or not
@@ -246,18 +247,22 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 		}
 	}
 
-	// Phase 4: flip ownership at a fresh epoch and tell the target. If the
-	// commit frame is lost the target still converges: gossip carries the
-	// source's higher-epoch map, which already names the target as owner.
+	// Phase 4: flip ownership at a fresh epoch, finish the source's own
+	// bookkeeping — unfence (the slots now bounce 421), count the move, drop
+	// the moved users — and only then tell the target. Once the target has
+	// the commit frame its caller may observe the source, so the source must
+	// already look moved. If the frame is lost the target still converges:
+	// gossip carries the source's higher-epoch map, which already names the
+	// target as owner.
 	moved := hs.Slots.Count()
 	epoch := c.flipTo(&hs.Slots, hs.NodeID, hs.Addr)
-	if err := sess.writeFrames(wire.EncodeHandoffCommit(wire.HandoffCommit{LSN: final, Epoch: epoch})); err != nil {
-		s.logf("spad: handoff: commit frame to %s lost (epoch %d stands): %v", hs.NodeID, epoch, err)
-	}
 	c.setFence(&hs.Slots, false)
 	fenced = false
 	s.met.slotMoves.Add(uint64(moved))
 	dropped := s.spa.DropSlotUsers(&hs.Slots)
+	if err := sess.writeFrames(wire.EncodeHandoffCommit(wire.HandoffCommit{LSN: final, Epoch: epoch})); err != nil {
+		s.logf("spad: handoff: commit frame to %s lost (epoch %d stands): %v", hs.NodeID, epoch, err)
+	}
 	s.logf("spad: handoff: moved %d slots (%d users) to node %s at epoch %d", moved, dropped, hs.NodeID, epoch)
 }
 
