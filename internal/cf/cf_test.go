@@ -2,8 +2,6 @@ package cf
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -383,54 +381,5 @@ func BenchmarkMFScore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mf.Score(uint64(i%200+1), uint32(i%984))
-	}
-}
-
-// TestBuilderMatchesAddFreeze: the bulk builder must reproduce Add+Freeze
-// exactly — every frozen array, bit for bit — so a model built either way
-// ranks identically.
-func TestBuilderMatchesAddFreeze(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	ref := NewInteractions(50)
-	rows := map[uint64]map[uint32]float64{}
-	for i := 0; i < 400; i++ {
-		u, a, w := uint64(1+r.Intn(40)), uint32(r.Intn(50)), 0.5+r.Float64()*3
-		if err := ref.Add(u, a, w); err != nil {
-			t.Fatal(err)
-		}
-		if rows[u] == nil {
-			rows[u] = map[uint32]float64{}
-		}
-		rows[u][a] += w
-	}
-	ref.Freeze()
-
-	b := NewBuilder(50, 0, 0)
-	for _, u := range ref.UserIDs() {
-		actions, _, _ := ref.Row(u)
-		for _, a := range actions {
-			if err := b.Add(u, a, rows[u][a]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := b.Freeze(); !reflect.DeepEqual(got, ref) {
-		t.Fatalf("builder diverges from Add+Freeze:\n%+v\n%+v", got, ref)
-	}
-
-	bad := NewBuilder(50, 0, 0)
-	if err := bad.Add(2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []struct {
-		u uint64
-		a uint32
-	}{{2, 3}, {2, 1}, {1, 9}} {
-		if err := bad.Add(e.u, e.a, 1); err == nil {
-			t.Fatalf("out-of-order entry (%d, %d) accepted", e.u, e.a)
-		}
-	}
-	if err := bad.Add(3, 60, 1); err == nil {
-		t.Fatal("out-of-universe action accepted")
 	}
 }

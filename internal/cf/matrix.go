@@ -249,79 +249,3 @@ func (m *Interactions) rowDot(ia, ib int) float64 {
 func (m *Interactions) UserIDs() []uint64 {
 	return append([]uint64(nil), m.userIDs...)
 }
-
-// Builder assembles a frozen matrix from rows that already exist, without
-// Add's per-user maps: entries arrive in strictly ascending (user, action)
-// order and go straight into the compact representation. The result is
-// identical to Add-ing every entry and calling Freeze — same values, same
-// norms and popularity sums in the same summation order.
-type Builder struct {
-	m    *Interactions
-	norm float64 // running squared norm of the open row
-}
-
-// NewBuilder starts a matrix over nActions; users and nnz size the arrays
-// (hints, not limits).
-func NewBuilder(nActions, users, nnz int) *Builder {
-	if nActions <= 0 {
-		panic("cf: non-positive action universe")
-	}
-	return &Builder{m: &Interactions{
-		nActions: nActions,
-		userIDs:  make([]uint64, 0, users),
-		userIdx:  make(map[uint64]int, users),
-		rowPtr:   append(make([]int, 0, users+1), 0),
-		colIdx:   make([]uint32, 0, nnz),
-		val:      make([]float64, 0, nnz),
-		rowNorm:  make([]float64, 0, users),
-		actPop:   make([]float64, nActions),
-	}}
-}
-
-// Add appends one entry. Errors match Interactions.Add, plus an ordering
-// error when (user, action) does not strictly follow the previous entry.
-func (b *Builder) Add(user uint64, action uint32, weight float64) error {
-	m := b.m
-	if user == 0 {
-		return errors.New("cf: zero user id")
-	}
-	if int(action) >= m.nActions {
-		return fmt.Errorf("cf: action %d outside universe %d", action, m.nActions)
-	}
-	if weight <= 0 {
-		return errors.New("cf: non-positive weight")
-	}
-	n := len(m.userIDs)
-	switch {
-	case n == 0 || user > m.userIDs[n-1]:
-		b.closeRow()
-		m.userIdx[user] = n
-		m.userIDs = append(m.userIDs, user)
-	case user < m.userIDs[n-1] || action <= m.colIdx[len(m.colIdx)-1]:
-		return fmt.Errorf("cf: builder entry (%d, %d) out of order", user, action)
-	}
-	m.colIdx = append(m.colIdx, action)
-	m.val = append(m.val, weight)
-	b.norm += weight * weight
-	m.actPop[action] += weight
-	m.totalPop += weight
-	return nil
-}
-
-// closeRow seals the open row, if any.
-func (b *Builder) closeRow() {
-	m := b.m
-	if len(m.userIDs) == 0 {
-		return
-	}
-	m.rowPtr = append(m.rowPtr, len(m.colIdx))
-	m.rowNorm = append(m.rowNorm, math.Sqrt(b.norm))
-	b.norm = 0
-}
-
-// Freeze seals the matrix; the builder must not be used afterwards.
-func (b *Builder) Freeze() *Interactions {
-	b.closeRow()
-	b.m.frozen = true
-	return b.m
-}

@@ -60,9 +60,9 @@ type Options struct {
 	// the old architecture; production should leave it off.
 	UnbatchedWrites bool
 	// LockedReads restores the pre-snapshot read path: every read takes
-	// its shard's read lock (and RecommendActions rebuilds the kNN under a
-	// stampeding mutex), so reads contend with writers exactly as they did
-	// before the epoch-snapshot refactor. The measurement twin of
+	// its shard's read lock (RecommendActions every shard's, one at a time,
+	// and bypasses the recommend cache), so reads contend with writers as
+	// they did before the epoch-snapshot refactor. The measurement twin of
 	// UnbatchedWrites — spabench [S7] quantifies the snapshot win with it;
 	// production should leave it off.
 	LockedReads bool
@@ -114,18 +114,15 @@ type SPA struct {
 	prop        atomic.Pointer[propIndex]
 	propBuildMu sync.Mutex
 
-	// Recommendation-function state (see recommend.go): the frozen kNN
-	// model tagged with its invalidation generation, rebuilt single-flight
-	// under recBuildMu while concurrent readers serve the previous model.
-	recGen     atomic.Uint64
-	rec        atomic.Pointer[recState]
-	recBuildMu sync.Mutex
-	tagger     atomic.Pointer[ActionTagger]
+	// Recommendation-function state (see recommend.go): the generation the
+	// recommend caches key on, bumped by every CF-row publish and tagger
+	// swap, and the action tagger.
+	recGen atomic.Uint64
+	tagger atomic.Pointer[ActionTagger]
 
 	// Read-path counters (snapshot.go ReadStats).
 	readCacheHits   atomic.Uint64
 	readCacheMisses atomic.Uint64
-	knnRebuilds     atomic.Uint64
 }
 
 // ErrNoProfile is returned for operations on unregistered users.

@@ -464,15 +464,14 @@ func (s *SPA) installShardLocked(g *preparedGroup) {
 }
 
 // finishMulti folds the shard groups' accounting into the per-batch
-// outcomes and invalidates the frozen recommender if any group recorded
-// interactions (a lock-free generation bump; the rebuild happens
-// single-flight on the next read, from snapshots, with no shard locks).
+// outcomes and, if any group recorded interactions, bumps the recommend
+// generation (lock-free) so no cached ranking outlives the new rows.
 func (s *SPA) finishMulti(out []IngestOutcome, groups []*preparedGroup) {
-	staleKNN := false
+	newRows := false
 	for _, g := range groups {
-		staleKNN = staleKNN || g.res.interactions
+		newRows = newRows || g.res.interactions
 	}
-	if staleKNN {
+	if newRows {
 		s.invalidateRecommender()
 	}
 	for _, g := range groups {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cf"
 	"repro/internal/emotion"
@@ -22,16 +21,14 @@ import (
 // applied to the action catalogue.
 //
 // Interaction counts live in the shard snapshots' buckets (snapshot.go): the
-// ingest publish folds each wave's events into copy-on-write rows, so the
-// kNN build iterates frozen state without a single lock. The frozen model
-// itself is rebuilt single-flight per invalidation generation: the first
-// reader to observe a stale model rebuilds it under recBuildMu while
-// concurrent readers keep serving the previous model (bounded staleness —
-// at most the waves ingested since that build), so an ingest can never
-// stampede the read path into N parallel rebuilds. On top of the model, a
-// small per-shard cache remembers finished rankings; it is keyed to the
-// exact (snapshot, model) pair, so any write to the shard or model rebuild
-// invalidates it wholesale.
+// ingest publish folds each wave's events into copy-on-write rows, each with
+// its norm. A recommend ranks straight from the rows published at that
+// moment — one pass over them, no model to build, nothing stale, no lock —
+// and answers exactly what cf.KNN (k = neighbourK) built from the same
+// events would. On top of that, a small per-shard cache remembers finished
+// rankings, keyed to the exact (snapshot, generation) pair they were
+// computed under: any write to the shard, any CF-weighted write anywhere and
+// any tagger swap invalidate it wholesale.
 
 // ErrNoInteractions is returned by RecommendActions before any interaction
 // has been ingested — there is nothing for collaborative filtering to rank
@@ -40,23 +37,25 @@ import (
 // server is broken".
 var ErrNoInteractions = errors.New("core: no interactions ingested yet")
 
+// neighbourK is the user-kNN neighbourhood size.
+const neighbourK = 25
+
 // ActionTagger maps an action ordinal to the emotional attributes its
 // content exercises (e.g. a fast-paced bootcamp page → stimulated,
 // impatient). A nil tagger disables emotional re-weighting.
 type ActionTagger func(action uint32) []emotion.Attribute
 
 // SetActionTagger installs the tagger used by RecommendActions. Cached
-// rankings were computed with the previous tagger, so every shard's
-// recommend cache is dropped.
+// rankings were computed with the previous tagger, so the generation is
+// bumped after the store: a ranking still running under the old tagger
+// loaded the generation before it, and its cache entry never matches again.
 func (s *SPA) SetActionTagger(t ActionTagger) {
 	if t == nil {
 		s.tagger.Store(nil)
 	} else {
 		s.tagger.Store(&t)
 	}
-	for _, sh := range s.shards {
-		sh.cache.Store(&recCache{})
-	}
+	s.invalidateRecommender()
 }
 
 // actionTagger loads the installed tagger (nil when none).
@@ -67,9 +66,9 @@ func (s *SPA) actionTagger() ActionTagger {
 	return nil
 }
 
-// invalidateRecommender marks the frozen kNN model stale; the next
-// RecommendActions call rebuilds it (single-flight) from the shard
-// snapshots' interaction counts.
+// invalidateRecommender bumps the recommend generation: every ranking
+// cached before it stops matching. Writers call it after publishing the CF
+// rows it covers.
 func (s *SPA) invalidateRecommender() {
 	s.recGen.Add(1)
 }
@@ -91,20 +90,13 @@ func interactionWeight(t lifelog.EventType) float64 {
 	}
 }
 
-// recState is one frozen kNN model tagged with the invalidation generation
-// it was built at.
-type recState struct {
-	knn *cf.KNN
-	gen uint64
-}
-
 // recCache is one shard's recommend cache: finished rankings valid only
-// for the exact snapshot and model identity they were computed under. The
-// maps are immutable after publish; inserts CAS a rebuilt cache in and
-// simply give up on contention (the cache is best-effort).
+// for the exact snapshot and generation they were computed under. The maps
+// are immutable after publish; inserts CAS a rebuilt cache in and simply
+// give up on contention (the cache is best-effort).
 type recCache struct {
 	snap    *shardSnap
-	knn     *cf.KNN
+	gen     uint64
 	entries map[uint64]recEntry
 }
 
@@ -120,12 +112,12 @@ type recEntry struct {
 const recCacheCap = 128
 
 // cacheInsert publishes a ranking into the shard cache, keyed to the
-// snapshot and model it was computed from. Lock-free: lost CAS races and
-// stale snapshots just skip the insert.
-func (sh *shard) cacheInsert(snap *shardSnap, knn *cf.KNN, userID uint64, n int, recs []cf.Recommendation) {
+// snapshot and generation it was computed under. Lock-free: lost CAS races
+// just skip the insert, and an entry under a superseded key is never read.
+func (sh *shard) cacheInsert(snap *shardSnap, gen uint64, userID uint64, n int, recs []cf.Recommendation) {
 	cur := sh.cache.Load()
-	next := &recCache{snap: snap, knn: knn}
-	if cur != nil && cur.snap == snap && cur.knn == knn && len(cur.entries) < recCacheCap {
+	next := &recCache{snap: snap, gen: gen}
+	if cur.snap == snap && cur.gen == gen && len(cur.entries) < recCacheCap {
 		next.entries = make(map[uint64]recEntry, len(cur.entries)+1)
 		for id, e := range cur.entries {
 			next.entries[id] = e
@@ -135,89 +127,6 @@ func (sh *shard) cacheInsert(snap *shardSnap, knn *cf.KNN, userID uint64, n int,
 	}
 	next.entries[userID] = recEntry{n: n, recs: append([]cf.Recommendation(nil), recs...)}
 	sh.cache.CompareAndSwap(cur, next)
-}
-
-// buildKNN freezes the shard snapshots' accumulated interactions into a
-// kNN model. Lock-free: snapshots are immutable, so no shard lock is taken
-// and no lock order exists between the model build and the write path
-// (lockShards is the LockedReads twin). The rows already exist sorted by
-// action, so they go straight into a cf.Builder in user order instead of
-// through per-user maps.
-func (s *SPA) buildKNN(lockShards bool) (*cf.KNN, error) {
-	rows := make([]rowEntry, 0, s.users.Load())
-	nnz := 0
-	for _, sh := range s.shards {
-		if lockShards {
-			sh.mu.RLock()
-		}
-		for _, bk := range sh.snap.Load().buckets {
-			for _, pg := range bk.rows {
-				rows = append(rows, pg...)
-				for _, r := range pg {
-					nnz += len(r.row)
-				}
-			}
-		}
-		if lockShards {
-			sh.mu.RUnlock()
-		}
-	}
-	if len(rows) == 0 {
-		return nil, ErrNoInteractions
-	}
-	slices.SortFunc(rows, func(a, b rowEntry) int { return cmp.Compare(a.id, b.id) })
-	b := cf.NewBuilder(lifelog.ActionUniverse, len(rows), nnz)
-	for _, r := range rows {
-		for _, aw := range r.row {
-			if err := b.Add(r.id, aw.action, aw.w); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return cf.NewKNN(b.Freeze(), 25)
-}
-
-// currentKNN returns a model no staler than the newest finished build:
-// fresh when this reader wins the rebuild (or nobody is rebuilding),
-// otherwise the previous generation's model — bounded staleness, never a
-// stampede.
-func (s *SPA) currentKNN() (*cf.KNN, error) {
-	gen := s.recGen.Load()
-	if st := s.rec.Load(); st != nil && st.gen == gen {
-		return st.knn, nil
-	}
-	if s.recBuildMu.TryLock() {
-		knn, err := s.rebuildKNNLocked()
-		s.recBuildMu.Unlock()
-		return knn, err
-	}
-	// A rebuild is in flight: serve the previous model.
-	if st := s.rec.Load(); st != nil {
-		return st.knn, nil
-	}
-	// No model has ever been built; wait for the builder and recheck.
-	s.recBuildMu.Lock()
-	knn, err := s.rebuildKNNLocked()
-	s.recBuildMu.Unlock()
-	return knn, err
-}
-
-// rebuildKNNLocked builds (or reuses, when a racing builder got there
-// first) the model for the current generation. Caller holds recBuildMu.
-func (s *SPA) rebuildKNNLocked() (*cf.KNN, error) {
-	// Generation before snapshots: a publish landing mid-build makes the
-	// result conservatively stale, never wrongly fresh.
-	gen := s.recGen.Load()
-	if st := s.rec.Load(); st != nil && st.gen == gen {
-		return st.knn, nil
-	}
-	knn, err := s.buildKNN(false)
-	if err != nil {
-		return nil, err
-	}
-	s.rec.Store(&recState{knn: knn, gen: gen})
-	s.knnRebuilds.Add(1)
-	return knn, nil
 }
 
 // RecommendActions returns the top-n actions for the user: the CF ranking
@@ -231,9 +140,13 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	if s.lockedReads {
 		return s.recommendActionsLocked(userID, n)
 	}
-	// Identity before model state: an unknown user is ErrNoProfile even on
-	// a cold system where the kNN build would fail with ErrNoInteractions —
-	// callers (and the serving layer's 404-vs-409 mapping) must not see a
+	// Generation before snapshots and tagger: a publish or tagger swap that
+	// lands mid-ranking bumps it past gen, so the result is cached under a
+	// key no later read matches — never wrongly fresh.
+	gen := s.recGen.Load()
+	// Identity before CF state: an unknown user is ErrNoProfile even on a
+	// cold system where ranking would fail with ErrNoInteractions — callers
+	// (and the serving layer's 404-vs-409 mapping) must not see a
 	// registration question answered with a model answer.
 	sh, c := s.locate(userID)
 	snap := sh.snap.Load()
@@ -241,34 +154,30 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
 	}
-	knn, err := s.currentKNN()
-	if err != nil {
-		return nil, err
-	}
-	if c := sh.cache.Load(); c != nil && c.snap == snap && c.knn == knn {
-		if e, hit := c.entries[userID]; hit && e.n == n {
+	if rc := sh.cache.Load(); rc.snap == snap && rc.gen == gen {
+		if e, hit := rc.entries[userID]; hit && e.n == n {
 			s.readCacheHits.Add(1)
 			return append([]cf.Recommendation(nil), e.recs...), nil
 		}
 	}
 	s.readCacheMisses.Add(1)
-	recs, err := s.rankActions(knn, p, userID, n)
+	recs, err := s.rankActions(snap, c, p, userID, n, false)
 	if err != nil {
 		return nil, err
 	}
-	sh.cacheInsert(snap, knn, userID, n, recs)
+	sh.cacheInsert(snap, gen, userID, n, recs)
 	return recs, nil
 }
 
 // recommendActionsLocked is the pre-snapshot read path (Options.
-// LockedReads): profile and advice under the shard read lock, then a
-// stampeding rebuild — every reader that finds the model stale rebuilds it
-// while holding the build mutex and the shard read locks, exactly the
-// contention the snapshot path removes. No cache.
+// LockedReads): profile under the shard read lock, then the same ranking
+// pass taking each shard's read lock while it loads that shard's snapshot,
+// so reads contend with writers. No cache.
 func (s *SPA) recommendActionsLocked(userID uint64, n int) ([]cf.Recommendation, error) {
 	sh, c := s.locate(userID)
 	sh.mu.RLock()
-	p := sh.snap.Load().profile(c, userID)
+	snap := sh.snap.Load()
+	p := snap.profile(c, userID)
 	var cp sum.Profile
 	if p != nil {
 		cp = *p
@@ -277,40 +186,22 @@ func (s *SPA) recommendActionsLocked(userID uint64, n int) ([]cf.Recommendation,
 	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
 	}
-	s.recBuildMu.Lock()
-	gen := s.recGen.Load()
-	st := s.rec.Load()
-	if st == nil || st.gen != gen {
-		knn, err := s.buildKNN(true)
-		if err != nil {
-			s.recBuildMu.Unlock()
-			return nil, err
-		}
-		st = &recState{knn: knn, gen: gen}
-		s.rec.Store(st)
-		s.knnRebuilds.Add(1)
-	}
-	knn := st.knn
-	s.recBuildMu.Unlock()
-	return s.rankActions(knn, &cp, userID, n)
+	return s.rankActions(snap, c, &cp, userID, n, true)
 }
 
-// rankActions runs the model query and the emotional re-weighting for one
-// frozen profile.
-func (s *SPA) rankActions(knn *cf.KNN, p *sum.Profile, userID uint64, n int) ([]cf.Recommendation, error) {
-	adv := s.model.Advise(p, "training")
+// rankActions runs the CF ranking and the emotional re-weighting for one
+// frozen profile; snap is the user's shard snapshot at cell c.
+func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64, n int, lockShards bool) ([]cf.Recommendation, error) {
 	tagger := s.actionTagger()
 
 	// Over-fetch so emotional re-ranking has candidates to promote.
-	fetch := n * 3
-	if fetch < 10 {
-		fetch = 10
-	}
-	recs, err := knn.RecommendTopN(userID, fetch)
+	fetch := max(n*3, 10)
+	recs, err := s.rankCF(snap, c, userID, fetch, lockShards)
 	if err != nil {
 		return nil, err
 	}
 	if tagger != nil {
+		adv := s.model.Advise(p, "training")
 		for i := range recs {
 			boost := 0.0
 			for _, attr := range tagger(recs[i].Action) {
@@ -326,7 +217,7 @@ func (s *SPA) rankActions(knn *cf.KNN, p *sum.Profile, userID uint64, n int) ([]
 			}
 			recs[i].Score *= factor
 		}
-		sortRecs(recs)
+		slices.SortFunc(recs, cmpRec)
 	}
 	if len(recs) > n {
 		recs = recs[:n]
@@ -334,11 +225,186 @@ func (s *SPA) rankActions(knn *cf.KNN, p *sum.Profile, userID uint64, n int) ([]
 	return recs, nil
 }
 
-func sortRecs(recs []cf.Recommendation) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Score != recs[j].Score {
-			return recs[i].Score > recs[j].Score
+// rankCF is cf.KNN.RecommendTopN with k = neighbourK for the user's row in
+// snap at cell c, answered from the CF rows published right now (each
+// shard's snapshot loaded under its read lock when lockShards).
+//
+// The user's row is scattered into a dense vector, so scoring another row
+// is a gather over that row alone; the k best neighbours and the fetch best
+// actions are selected by bounded heaps instead of sorting every candidate.
+// Every interaction weight is a multiple of 0.5, so dot products, norms and
+// popularity sums are exact in float64: the answer is bit-identical to
+// cf.KNN's whatever order the shards are walked in
+// (TestRecommendMatchesFrozenKNN).
+func (s *SPA) rankCF(snap *shardSnap, c cell, userID uint64, fetch int, lockShards bool) ([]cf.Recommendation, error) {
+	var snapBuf [16]*shardSnap
+	snaps := snapBuf[:0]
+	for _, sh := range s.shards {
+		if lockShards {
+			sh.mu.RLock()
 		}
-		return recs[i].Action < recs[j].Action
-	})
+		snaps = append(snaps, sh.snap.Load())
+		if lockShards {
+			sh.mu.RUnlock()
+		}
+	}
+	pg := snap.buckets[c.bucket].rows[c.page]
+	i, ok := slices.BinarySearchFunc(pg, userID, cmpRow)
+	if !ok {
+		return popular(snaps, fetch)
+	}
+	me := &pg[i]
+
+	// q is the user's row, dense; q[a] > 0 marks a seen action.
+	var q [lifelog.ActionUniverse]float64
+	for _, aw := range me.row {
+		q[aw.action] = aw.w
+	}
+	var nbuf [neighbourK]neighbour
+	best := topK[neighbour]{h: nbuf[:], cmp: cmpNeighbour}
+	for _, sn := range snaps {
+		for _, bk := range sn.buckets {
+			for _, pg := range bk.rows {
+				for i := range pg {
+					r := &pg[i]
+					if r.id == userID {
+						continue
+					}
+					var d float64
+					for _, aw := range r.row {
+						d += q[aw.action] * aw.w
+					}
+					if d != 0 {
+						best.offer(neighbour{sim: d / (me.norm * r.norm), id: r.id, row: r.row})
+					}
+				}
+			}
+		}
+	}
+
+	// Score unseen actions in neighbour order, as RecommendTopN does.
+	var scores [lifelog.ActionUniverse]float64
+	var touched [lifelog.ActionUniverse]uint32
+	nt := 0
+	var simSum float64
+	for _, nb := range best.sorted() {
+		simSum += nb.sim
+		for _, aw := range nb.row {
+			if q[aw.action] > 0 {
+				continue
+			}
+			if scores[aw.action] == 0 {
+				touched[nt] = aw.action
+				nt++
+			}
+			scores[aw.action] += nb.sim * aw.w
+		}
+	}
+	top := topK[cf.Recommendation]{h: make([]cf.Recommendation, min(nt, fetch)), cmp: cmpRec}
+	for _, a := range touched[:nt] {
+		sc := scores[a]
+		if simSum > 0 {
+			sc /= simSum
+		}
+		top.offer(cf.Recommendation{Action: a, Score: sc})
+	}
+	return top.sorted(), nil
+}
+
+// popular is the cold-start answer for a user without a row: global
+// popularity (an action's share of all interaction weight), summed over the
+// rows on demand — cf.Interactions.TopPopular scored by Popularity.
+func popular(snaps []*shardSnap, fetch int) ([]cf.Recommendation, error) {
+	var pop [lifelog.ActionUniverse]float64
+	var total float64
+	for _, sn := range snaps {
+		for _, bk := range sn.buckets {
+			for _, pg := range bk.rows {
+				for _, r := range pg {
+					for _, aw := range r.row {
+						pop[aw.action] += aw.w
+						total += aw.w
+					}
+				}
+			}
+		}
+	}
+	if total == 0 {
+		return nil, ErrNoInteractions
+	}
+	// Rank on the raw sums, then normalize, exactly as the reference does.
+	top := topK[cf.Recommendation]{h: make([]cf.Recommendation, fetch), cmp: cmpRec}
+	for a, w := range pop {
+		if w > 0 {
+			top.offer(cf.Recommendation{Action: uint32(a), Score: w})
+		}
+	}
+	out := top.sorted()
+	for i := range out {
+		out[i].Score /= total
+	}
+	return out, nil
+}
+
+// neighbour is one candidate row of the kNN selection.
+type neighbour struct {
+	sim float64
+	id  uint64
+	row []actionWeight
+}
+
+// cmpNeighbour is cf.KNN.Neighbors' order: higher similarity first, then
+// lower id.
+func cmpNeighbour(a, b neighbour) int {
+	return cmp.Or(cmp.Compare(b.sim, a.sim), cmp.Compare(a.id, b.id))
+}
+
+// cmpRec is the ranking order: higher score first, then lower action.
+func cmpRec(a, b cf.Recommendation) int {
+	return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Action, b.Action))
+}
+
+// topK keeps the len(h) best items offered to it — best first by cmp, a
+// strict total order — in a binary heap h[:n] whose root is the worst kept.
+type topK[T any] struct {
+	h   []T
+	n   int
+	cmp func(a, b T) int
+}
+
+func (t *topK[T]) offer(c T) {
+	h, i := t.h, 0
+	if t.n < len(h) {
+		i, t.n = t.n, t.n+1
+		h[i] = c
+		for p := (i - 1) / 2; i > 0 && t.cmp(h[p], h[i]) < 0; i, p = p, (p-1)/2 {
+			h[p], h[i] = h[i], h[p]
+		}
+		return
+	}
+	if t.cmp(c, h[0]) >= 0 {
+		return
+	}
+	h[0] = c
+	for {
+		w := 2*i + 1 // the worse child
+		if w >= t.n {
+			return
+		}
+		if w+1 < t.n && t.cmp(h[w], h[w+1]) < 0 {
+			w++
+		}
+		if t.cmp(h[i], h[w]) > 0 {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
+}
+
+// sorted returns the kept items best first, in the heap's own storage.
+func (t *topK[T]) sorted() []T {
+	kept := t.h[:t.n]
+	slices.SortFunc(kept, t.cmp)
+	return kept
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/lifelog"
 	"repro/internal/store"
@@ -172,25 +173,19 @@ func (s *SPA) ApplyReplicatedWave(lsn uint64, annotation []byte, entries []store
 
 // shardWork is one shipped record's effect on one shard.
 type shardWork struct {
+	idx     int
 	changes []profChange
 	events  []taggedEvent
 }
 
 // groupShipped decodes a shipped record's profile entries (puts and
 // tombstones) and its annotation's interaction events and groups both by
-// owning shard. Keys outside the profile key space are skipped, or refused
+// owning shard, ascending. Groups are windows of stably shard-sorted slices
+// (events is sorted in place), so a single-shard record costs no per-shard
+// allocation. Keys outside the profile key space are skipped, or refused
 // when strict.
-func (s *SPA) groupShipped(entries []store.LogEntry, events []taggedEvent, strict bool) (map[int]*shardWork, error) {
-	work := make(map[int]*shardWork)
-	get := func(id uint64) *shardWork {
-		idx := s.shardIndexFor(id)
-		w := work[idx]
-		if w == nil {
-			w = &shardWork{}
-			work[idx] = w
-		}
-		return w
-	}
+func (s *SPA) groupShipped(entries []store.LogEntry, events []taggedEvent, strict bool) ([]shardWork, error) {
+	changes := make([]profChange, 0, len(entries))
 	for _, e := range entries {
 		id, ok := sumKeyUser(e.Key)
 		if !ok {
@@ -210,12 +205,32 @@ func (s *SPA) groupShipped(entries []store.LogEntry, events []taggedEvent, stric
 				return nil, fmt.Errorf("key/profile user mismatch: %d vs %d", id, p.UserID)
 			}
 		}
-		w := get(id)
-		w.changes = append(w.changes, profChange{id: id, p: p})
+		changes = append(changes, profChange{id: id, p: p})
 	}
-	for _, te := range events {
-		w := get(te.UserID)
-		w.events = append(w.events, te)
+	slices.SortStableFunc(changes, func(a, b profChange) int {
+		return cmp.Compare(s.shardIndexFor(a.id), s.shardIndexFor(b.id))
+	})
+	slices.SortStableFunc(events, func(a, b taggedEvent) int {
+		return cmp.Compare(s.shardIndexFor(a.UserID), s.shardIndexFor(b.UserID))
+	})
+	var work []shardWork
+	for ci, ei := 0, 0; ci < len(changes) || ei < len(events); {
+		idx := len(s.shards)
+		if ci < len(changes) {
+			idx = s.shardIndexFor(changes[ci].id)
+		}
+		if ei < len(events) {
+			idx = min(idx, s.shardIndexFor(events[ei].UserID))
+		}
+		ce, ee := ci, ei
+		for ce < len(changes) && s.shardIndexFor(changes[ce].id) == idx {
+			ce++
+		}
+		for ee < len(events) && s.shardIndexFor(events[ee].UserID) == idx {
+			ee++
+		}
+		work = append(work, shardWork{idx: idx, changes: changes[ci:ce], events: events[ei:ee]})
+		ci, ei = ce, ee
 	}
 	return work, nil
 }
@@ -223,26 +238,20 @@ func (s *SPA) groupShipped(entries []store.LogEntry, events []taggedEvent, stric
 // installShipped write-locks the touched shards in index order, runs the
 // store write, and only if it succeeded publishes every shard's changes —
 // the install half PreparedMulti.Commit runs for a local wave, shared by
-// follower applies and handoff targets.
-func (s *SPA) installShipped(work map[int]*shardWork, write func() error) error {
-	idxs := make([]int, 0, len(work))
-	for idx := range work {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		s.shards[idx].mu.Lock()
+// follower applies and handoff targets. work is in ascending shard index.
+func (s *SPA) installShipped(work []shardWork, write func() error) error {
+	for _, w := range work {
+		s.shards[w.idx].mu.Lock()
 	}
 	err := write()
 	recorded := 0
 	if err == nil {
-		for _, idx := range idxs {
-			w := work[idx]
-			recorded += s.publishShardLocked(s.shards[idx], w.changes, w.events)
+		for _, w := range work {
+			recorded += s.publishShardLocked(s.shards[w.idx], w.changes, w.events)
 		}
 	}
-	for i := len(idxs) - 1; i >= 0; i-- {
-		s.shards[idxs[i]].mu.Unlock()
+	for i := len(work) - 1; i >= 0; i-- {
+		s.shards[work[i].idx].mu.Unlock()
 	}
 	if recorded > 0 {
 		s.invalidateRecommender()

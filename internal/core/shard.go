@@ -28,8 +28,8 @@ type shard struct {
 	// snap is the current immutable read snapshot; never nil after newShard.
 	snap atomic.Pointer[shardSnap]
 	// cache is the per-shard recommend cache (recommend.go); entries are
-	// valid only for the exact (snapshot, kNN model) pair they were
-	// computed under. Never nil after newShard.
+	// valid only for the exact (snapshot, recommend generation) pair they
+	// were computed under. Never nil after newShard.
 	cache atomic.Pointer[recCache]
 }
 

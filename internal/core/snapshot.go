@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/keyspace"
@@ -52,8 +53,8 @@ type shardSnap struct {
 type bucket struct {
 	profiles [bucketPages][]profEntry
 	// rows is the cumulative user → action → weight matrix the recommender
-	// freezes into a kNN model. There is no mutable copy anywhere: a publish
-	// clones only the rows its wave touched.
+	// ranks from. There is no mutable copy anywhere: a publish clones only
+	// the rows its wave touched.
 	rows [bucketPages][]rowEntry
 }
 
@@ -63,8 +64,9 @@ type profEntry struct {
 }
 
 type rowEntry struct {
-	id  uint64
-	row []actionWeight // sorted by action
+	id   uint64
+	row  []actionWeight // sorted by action
+	norm float64        // √Σw², summed in action order (as cf.Interactions.Freeze)
 }
 
 type actionWeight struct {
@@ -293,7 +295,11 @@ func mergeRows(prev []rowEntry, deltas []rowDelta) []rowEntry {
 				row = slices.Insert(row, j, actionWeight{action: d.action, w: d.w})
 			}
 		}
-		out = append(out, rowEntry{id: id, row: row})
+		var sq float64
+		for _, aw := range row {
+			sq += aw.w * aw.w
+		}
+		out = append(out, rowEntry{id: id, row: row, norm: math.Sqrt(sq)})
 		i = end
 	}
 	return append(out, prev[k:]...)
@@ -341,9 +347,6 @@ type ReadStats struct {
 	// outcomes. Process-local, reset to zero on restart.
 	ReadCacheHits   uint64
 	ReadCacheMisses uint64
-	// KNNRebuilds counts single-flight kNN model builds — with healthy
-	// caching this grows with invalidation epochs, not with read traffic.
-	KNNRebuilds uint64
 }
 
 // ReadStats reports the read-path counters.
@@ -352,6 +355,5 @@ func (s *SPA) ReadStats() ReadStats {
 		SnapshotEpoch:   s.epoch.Load(),
 		ReadCacheHits:   s.readCacheHits.Load(),
 		ReadCacheMisses: s.readCacheMisses.Load(),
-		KNNRebuilds:     s.knnRebuilds.Load(),
 	}
 }

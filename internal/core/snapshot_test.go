@@ -381,11 +381,11 @@ func TestSnapshotEpochAcrossReopen(t *testing.T) {
 
 // TestReadStatsCounters pins the read-path gauge hygiene: a fresh core
 // starts with zeroed cache counters, a repeated recommendation is a cache
-// hit, and an ingest invalidates both the cache and the frozen kNN.
+// hit, and an ingest invalidates the cache.
 func TestReadStatsCounters(t *testing.T) {
 	s := newSPA(t, "")
 	rs := s.ReadStats()
-	if rs.ReadCacheHits != 0 || rs.ReadCacheMisses != 0 || rs.KNNRebuilds != 0 {
+	if rs.ReadCacheHits != 0 || rs.ReadCacheMisses != 0 {
 		t.Fatalf("fresh core counters not zero: %+v", rs)
 	}
 	if rs.SnapshotEpoch != 1 {
@@ -399,14 +399,14 @@ func TestReadStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs = s.ReadStats()
-	if rs.ReadCacheMisses != 1 || rs.ReadCacheHits != 0 || rs.KNNRebuilds != 1 {
+	if rs.ReadCacheMisses != 1 || rs.ReadCacheHits != 0 {
 		t.Fatalf("after first read: %+v", rs)
 	}
 	if _, err := s.RecommendActions(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	rs = s.ReadStats()
-	if rs.ReadCacheHits != 1 || rs.ReadCacheMisses != 1 || rs.KNNRebuilds != 1 {
+	if rs.ReadCacheHits != 1 || rs.ReadCacheMisses != 1 {
 		t.Fatalf("repeat read not a cache hit: %+v", rs)
 	}
 
@@ -415,8 +415,8 @@ func TestReadStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs = s.ReadStats()
-	if rs.ReadCacheMisses != 2 || rs.KNNRebuilds != 2 {
-		t.Fatalf("ingest did not invalidate cache and model: %+v", rs)
+	if rs.ReadCacheMisses != 2 || rs.ReadCacheHits != 1 {
+		t.Fatalf("ingest did not invalidate the cache: %+v", rs)
 	}
 }
 

@@ -227,6 +227,10 @@ func (f *follower) session() error {
 	f.setState("streaming", "")
 	maxFrame := hello.MaxFrameBytes
 
+	// Reused across waves: the apply keeps no reference to either slice
+	// (entries point into the wave's own frame, which is fresh per read).
+	var entries []store.LogEntry
+	var ack []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(replReadTimeout))
 		frame, err := wire.ReadStreamFrame(br, maxFrame)
@@ -248,9 +252,9 @@ func (f *follower) session() error {
 			if err != nil {
 				return err
 			}
-			entries := make([]store.LogEntry, len(wv.Entries))
-			for i, e := range wv.Entries {
-				entries[i] = store.LogEntry{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}
+			entries = entries[:0]
+			for _, e := range wv.Entries {
+				entries = append(entries, store.LogEntry(e))
 			}
 			applyStart := time.Now()
 			if err := f.srv.spa.ApplyReplicatedWave(wv.LSN, wv.Annotation, entries); err != nil {
@@ -259,7 +263,8 @@ func (f *follower) session() error {
 			f.srv.met.obs().stage("repl_apply", time.Since(applyStart))
 			f.noteWave(wv.LSN)
 			conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-			if err := wire.WriteStreamFrame(bw, wire.EncodeReplAck(wv.LSN)); err != nil {
+			ack = wire.AppendReplAck(ack[:0], wv.LSN)
+			if err := wire.WriteStreamFrame(bw, ack); err != nil {
 				return err
 			}
 			if err := bw.Flush(); err != nil {

@@ -67,7 +67,7 @@ func writePromMetrics(w io.Writer, m wire.Metrics) error {
 			Samples: []obs.PromSample{{Value: float64(m.ReadCacheHits)}}},
 		{Name: "spad_read_cache_misses_total", Help: "Recommend-cache misses on the lock-free read path.", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(m.ReadCacheMisses)}}},
-		{Name: "spad_knn_rebuilds_total", Help: "Single-flight CF kNN model rebuilds.", Type: "counter",
+		{Name: "spad_knn_rebuilds_total", Help: "Retired, always 0: recommendations rank from the snapshot rows and no CF model is rebuilt.", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(m.KNNRebuilds)}}},
 		{Name: "spad_durable", Help: "1 when the core runs on a durable store.", Type: "gauge",
 			Samples: []obs.PromSample{{Value: bool01(m.Durable)}}},

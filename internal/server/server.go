@@ -830,7 +830,6 @@ func (s *Server) snapshotMetrics() wire.Metrics {
 	m.SnapshotEpoch = rs.SnapshotEpoch
 	m.ReadCacheHits = rs.ReadCacheHits
 	m.ReadCacheMisses = rs.ReadCacheMisses
-	m.KNNRebuilds = rs.KNNRebuilds
 	if s.co != nil {
 		m.QueueDepth = s.co.depth()
 		m.QueueCapacity = s.co.capacity()

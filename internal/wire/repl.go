@@ -350,7 +350,12 @@ func DecodeReplSnapshotEnd(frame []byte) (uint64, error) {
 
 // EncodeReplAck frames a cumulative applied-through acknowledgement.
 func EncodeReplAck(appliedLSN uint64) []byte {
-	buf := make([]byte, 0, binaryHeaderLen+binary.MaxVarintLen64)
+	return AppendReplAck(make([]byte, 0, binaryHeaderLen+binary.MaxVarintLen64), appliedLSN)
+}
+
+// AppendReplAck is EncodeReplAck appending to buf, for callers that reuse
+// one buffer across acks.
+func AppendReplAck(buf []byte, appliedLSN uint64) []byte {
 	buf = appendBinaryHeader(buf, KindReplAck)
 	return binary.AppendUvarint(buf, appliedLSN)
 }

@@ -96,9 +96,14 @@ func FrameKind(frame []byte) (byte, error) {
 // WriteStreamFrame writes one length-prefixed frame. The caller flushes
 // any buffering; a frame is not on the wire until its writer is.
 func WriteStreamFrame(w io.Writer, frame []byte) error {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(frame)))
-	if _, err := w.Write(lenBuf[:n]); err != nil {
+	var prefix []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		// The prefix goes into the writer's spare buffer: no allocation.
+		prefix = binary.AppendUvarint(bw.AvailableBuffer(), uint64(len(frame)))
+	} else {
+		prefix = binary.AppendUvarint(nil, uint64(len(frame)))
+	}
+	if _, err := w.Write(prefix); err != nil {
 		return err
 	}
 	_, err := w.Write(frame)

@@ -312,8 +312,10 @@ type Metrics struct {
 	// Read path (core epoch snapshots, DESIGN.md §8). SnapshotEpoch is the
 	// current read-snapshot generation (1 after open, +1 per shard
 	// publish; process-local). ReadCacheHits/Misses count per-shard
-	// recommend-cache outcomes; KNNRebuilds counts single-flight CF model
-	// builds — it should track invalidation epochs, not read traffic.
+	// recommend-cache outcomes. KNNRebuilds is retired and always 0: the
+	// recommender ranks straight from the snapshot rows and has no model to
+	// rebuild. The field and its series stay so existing scrapers keep
+	// parsing.
 	SnapshotEpoch   uint64 `json:"snapshot_epoch"`
 	ReadCacheHits   uint64 `json:"read_cache_hits"`
 	ReadCacheMisses uint64 `json:"read_cache_misses"`
