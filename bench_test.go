@@ -163,61 +163,40 @@ func BenchmarkAblationRewardPunish(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedIngest measures the tentpole end to end: eight
+// BenchmarkShardedIngest measures the ingest facade end to end: eight
 // goroutines pushing 64-user event bursts through a durable, fsync-on SPA
-// core (the workload lives in internal/scalebench, shared with spabench's
-// [S1] table).
-//
-//   - single-mutex/unbatched is the seed architecture: one shard (the old
-//     global RWMutex) and one synchronous store write — hence one fsync —
-//     per updated profile.
-//   - sharded/batched is this PR: 16 hash partitions processed
-//     concurrently, each persisting its group of profiles as one
-//     WriteBatch (group commit: one WAL record, one fsync per group).
-//
-// The batched path must sustain ≥ 2x the unbatched throughput from fsync
-// amortization alone (64 fsyncs vs ≤ 16 per burst); on multi-core hardware
-// the shard parallelism adds its own factor on top.
+// core with 16 hash partitions (the workload lives in internal/scalebench).
+// Each burst is prepared shard-parallel and committed as one wave: one
+// WriteBatch per touched shard, one WAL sync for the burst.
 func BenchmarkShardedIngest(b *testing.B) {
 	bursts := scalebench.MakeBursts()
-	cases := []struct {
-		name      string
-		shards    int
-		unbatched bool
-	}{
-		{"single-mutex-unbatched", 1, true},
-		{"sharded-batched", 16, false},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			spa, err := core.New(core.Options{
-				DataDir:         b.TempDir(),
-				Store:           store.Options{SyncWrites: true},
-				Shards:          c.shards,
-				UnbatchedWrites: c.unbatched,
-				Clock:           clock.NewSimulated(clock.Epoch),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer spa.Close()
-			for u := 0; u < scalebench.Users; u++ {
-				if err := spa.Register(uint64(u+1), nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			err = scalebench.RunWorkers(int64(b.N), func(i int64) error {
-				_, _, err := spa.IngestEvents(bursts[i%int64(len(bursts))])
-				return err
-			})
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(scalebench.EventsPerBurst), "events/op")
+	b.Run("sharded-batched", func(b *testing.B) {
+		spa, err := core.New(core.Options{
+			DataDir: b.TempDir(),
+			Store:   store.Options{SyncWrites: true},
+			Shards:  16,
+			Clock:   clock.NewSimulated(clock.Epoch),
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer spa.Close()
+		for u := 0; u < scalebench.Users; u++ {
+			if err := spa.Register(uint64(u+1), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		err = scalebench.RunWorkers(int64(b.N), func(i int64) error {
+			_, _, err := spa.IngestEvents(bursts[i%int64(len(bursts))])
+			return err
+		})
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(scalebench.EventsPerBurst), "events/op")
+	})
 }
 
 // BenchmarkStoreBatchPut measures the persistence half in isolation: 128

@@ -8,7 +8,16 @@
 // Usage: spabench [-users N] [-seed S] [-skip-ablations] [-skip-scale]
 //
 //	[-json] [-clients K] [-requests N] [-loadgen URL] [-no-register]
-//	[-stream] [-stream-smoke URL]
+//	[-stream] [-stream-smoke URL] [-stages] [-check-metrics URL]
+//	[-torture [-torture-budget D] [-torture-schedules N]]
+//
+// The scale sections measure the serving stack with the paper's workload
+// shapes: [S3] wire framing (binary vs JSON), [S5] streamed vs per-request
+// ingest, [S6] a zipf + diurnal mixed-endpoint scenario, [S8] read scaling
+// with one replication follower, [S9] a three-node slot-partitioned
+// cluster with a live handoff. Every section boots the stack `spad -data D`
+// runs; the end-to-end serving benchmark with a checked-in contract is
+// bench/ (`go run ./bench`).
 //
 // -json switches the output to machine-readable results: one JSON object
 // per section on stdout (the human table is suppressed), so a bench
@@ -17,7 +26,7 @@
 // -loadgen URL skips the paper sections entirely and drives an already
 // running spad (cmd/spad) over its wire API with -clients concurrent
 // clients, reporting throughput and latency percentiles — the same
-// measurement the self-hosted [S2] section makes. -no-register reuses a
+// measurement the self-hosted [S3] and [S5] sections make. -no-register reuses a
 // previous run's population instead of registering (a re-run against the
 // same data dir would otherwise count 409s as errors). -stream switches
 // the loadgen onto the persistent binary stream transport ([S5]).
@@ -66,10 +75,10 @@ func main() {
 	users := flag.Int("users", 5000, "population per campaign (paper: 1,340,432)")
 	seed := flag.Uint64("seed", 7, "experiment seed")
 	skipAblations := flag.Bool("skip-ablations", false, "skip A1-A3")
-	skipScale := flag.Bool("skip-scale", false, "skip the S1-S9 scale sections")
+	skipScale := flag.Bool("skip-scale", false, "skip the S3, S5, S6, S8 and S9 scale sections")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per section instead of the table")
-	clients := flag.Int("clients", scalebench.Workers, "concurrent clients for S2/loadgen")
-	requests := flag.Int("requests", 2048, "total ingest requests for S2/loadgen")
+	clients := flag.Int("clients", scalebench.Workers, "concurrent clients for the scale sections and -loadgen")
+	requests := flag.Int("requests", 2048, "total ingest requests for S3/S5 and -loadgen")
 	loadgen := flag.String("loadgen", "", "drive a running spad at this base URL and exit (e.g. http://127.0.0.1:8372)")
 	stream := flag.Bool("stream", false, "with -loadgen: speak the persistent binary stream instead of per-request HTTP")
 	noRegister := flag.Bool("no-register", false, "with -loadgen: skip user registration (reuse a previous run's population)")
@@ -77,7 +86,7 @@ func main() {
 	tortureMode := flag.Bool("torture", false, "run the storage torture sweep and exit; with an explicit -seed N, replay that one fault schedule")
 	tortureBudget := flag.Duration("torture-budget", 30*time.Second, "with -torture: wall-clock budget for the sweep")
 	tortureSchedules := flag.Int("torture-schedules", 0, "with -torture: max fault schedules (0 = budget-bound)")
-	stages := flag.Bool("stages", false, "after [S4]/[S5], rerun the favored mode once instrumented and print the per-stage latency breakdown from /metrics")
+	stages := flag.Bool("stages", false, "after [S5], rerun the streamed mode once instrumented and print the per-stage latency breakdown from /metrics")
 	checkMetrics := flag.String("check-metrics", "", "scrape a running spad's /metrics in both formats, cross-check them, and exit (CI smoke)")
 	flag.Parse()
 
@@ -268,35 +277,18 @@ func run(em *emitter, users int, seed uint64, ablations, scale bool, clients, re
 		}
 	}
 	if scale {
-		if err := runScale(em); err != nil {
-			return err
-		}
-		if err := runScaleServe(em, clients, requests); err != nil {
-			return err
-		}
 		if err := runScaleServeWire(em, clients, requests); err != nil {
 			return err
-		}
-		if err := runScaleServePipeline(em, clients, requests); err != nil {
-			return err
-		}
-		if stages {
-			if err := runStagesPass(em, "S4", clients, requests, false); err != nil {
-				return err
-			}
 		}
 		if err := runScaleServeStream(em, clients, requests); err != nil {
 			return err
 		}
 		if stages {
-			if err := runStagesPass(em, "S5", clients, requests, true); err != nil {
+			if err := runStagesPass(em, clients, requests); err != nil {
 				return err
 			}
 		}
 		if err := runScaleServeScenario(em, seed, clients); err != nil {
-			return err
-		}
-		if err := runScaleServeMixed(em, seed, clients); err != nil {
 			return err
 		}
 		if err := runScaleServeRepl(em, seed, clients); err != nil {
@@ -310,106 +302,30 @@ func run(em *emitter, users int, seed uint64, ablations, scale bool, clients, re
 	return nil
 }
 
-// runScale is the systems-side comparison: the seed architecture (one
-// global mutex, one synchronous store write per profile) against the
-// sharded core with per-shard group commit, both durable with fsync on.
-// The workload is internal/scalebench, shared with BenchmarkShardedIngest.
-func runScale(em *emitter) error {
-	const bursts = 48
-	em.printf("\n[S1] Sharded core + batched write-through (%d ingest workers, fsync on)\n",
-		scalebench.Workers)
-
-	burstEvents := scalebench.MakeBursts()
-	measure := func(shards int, unbatched bool) (float64, error) {
-		dir, err := os.MkdirTemp("", "spabench-scale-*")
-		if err != nil {
-			return 0, err
-		}
-		defer os.RemoveAll(dir)
-		spa, err := core.New(core.Options{
-			DataDir:         dir,
-			Store:           store.Options{SyncWrites: true},
-			Shards:          shards,
-			UnbatchedWrites: unbatched,
-			Clock:           clock.NewSimulated(clock.Epoch),
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer spa.Close()
-		for u := 0; u < scalebench.Users; u++ {
-			if err := spa.Register(uint64(u+1), nil); err != nil {
-				return 0, err
-			}
-		}
-		start := time.Now()
-		if err := scalebench.RunWorkers(bursts, func(i int64) error {
-			_, _, err := spa.IngestEvents(burstEvents[i%int64(len(burstEvents))])
-			return err
-		}); err != nil {
-			return 0, err
-		}
-		return float64(bursts*scalebench.EventsPerBurst) / time.Since(start).Seconds(), nil
-	}
-
-	seedRate, err := measure(1, true)
-	if err != nil {
-		return err
-	}
-	newRate, err := measure(16, false)
-	if err != nil {
-		return err
-	}
-	em.printf("  single mutex + per-profile writes : %8.0f events/s\n", seedRate)
-	em.printf("  16 shards + group commit          : %8.0f events/s   (%.1fx)   %s\n",
-		newRate, newRate/seedRate, okIf(newRate >= 2*seedRate))
-	em.emit("S1", map[string]any{
-		"seed_events_per_sec":    seedRate,
-		"sharded_events_per_sec": newRate,
-		"speedup":                newRate / seedRate,
-		"ok":                     newRate >= 2*seedRate,
-	})
-	return nil
-}
-
 // serveStack boots one durable spad stack on loopback — HTTP server,
-// coalescer (optional, optionally pipelined), sharded core, fsync on — and
-// hands the base URL to fn, tearing everything down afterwards. Shared by
-// [S2], [S3] and [S4] so all measure the identical serving configuration.
-func serveStack(coalesce, pipeline bool, shards int, fn func(baseURL string) error) error {
-	return serveStackCore(coalesce, pipeline, shards, false, func(baseURL string, _ *core.SPA) error {
-		return fn(baseURL)
-	})
-}
-
-// serveStackCore is serveStack with the core handle exposed and the
-// locked-reads baseline selectable. [S7] needs both: the propensity model
-// has no training endpoint on the wire (training is an offline batch job,
-// per the paper), so the section trains in-process before driving the
-// mixed load, and the read-path comparison flips Options.LockedReads.
-func serveStackCore(coalesce, pipeline bool, shards int, lockedReads bool, fn func(baseURL string, spa *core.SPA) error) error {
+// pipelined coalescer, sharded core, fsync on — and hands the base URL and
+// the core to fn, tearing everything down afterwards. Every serving section
+// measures this identical configuration. The core handle is for what the
+// wire cannot do: the propensity model has no training endpoint (training
+// is an offline batch job, per the paper), so [S8] trains in-process.
+func serveStack(shards int, fn func(baseURL string, spa *core.SPA) error) error {
 	dir, err := os.MkdirTemp("", "spabench-serve-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	spa, err := core.New(core.Options{
-		DataDir:     dir,
-		Store:       store.Options{SyncWrites: true},
-		Shards:      shards,
-		LockedReads: lockedReads,
-		Clock:       clock.NewSimulated(clock.Epoch),
+		DataDir: dir,
+		Store:   store.Options{SyncWrites: true},
+		Shards:  shards,
+		Clock:   clock.NewSimulated(clock.Epoch),
 	})
 	if err != nil {
 		return err
 	}
 	// A short linger lets the dispatcher gather the full client wave
-	// into each group commit; the off-mode server ignores it.
-	srv := server.New(spa, server.Options{
-		DisableCoalescing: !coalesce,
-		Pipeline:          pipeline,
-		MaxDelay:          2 * time.Millisecond,
-	})
+	// into each group commit.
+	srv := server.New(spa, server.Options{MaxDelay: 2 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		spa.Close()
@@ -425,74 +341,9 @@ func serveStackCore(coalesce, pipeline bool, shards int, lockedReads bool, fn fu
 	return fn("http://"+ln.Addr().String(), spa)
 }
 
-// runScaleServe is the serving-side comparison [S2]: a live spad stack on
-// loopback (HTTP server, coalescer, sharded durable core, fsync on) driven
-// by concurrent wire clients, with cross-request coalescing on versus off.
-// The coalesced run should batch many requests into each group commit and
-// win accordingly.
-func runScaleServe(em *emitter, clients, requests int) error {
-	em.printf("\n[S2] Serving layer: spad over loopback (%d clients, %d requests of %d events, fsync on)\n",
-		clients, requests, 32*scalebench.PerUser)
-
-	measure := func(coalesce bool) (res scalebench.LoadgenResult, err error) {
-		// More shards than [S1]: a serving core is sized for many
-		// concurrent callers, and the uncoalesced baseline pays one
-		// group commit per shard a request touches either way.
-		err = serveStack(coalesce, false, 32, func(baseURL string) error {
-			res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
-				BaseURL:         baseURL,
-				Clients:         clients,
-				Requests:        requests,
-				Register:        true,
-				UsersPerRequest: 32,
-			})
-			return err
-		})
-		return res, err
-	}
-
-	// fsync latency on shared storage is noisy between runs; interleave the
-	// modes and keep each one's best of two windows so the comparison
-	// reflects the architecture, not which run drew the slow disk.
-	var off, on scalebench.LoadgenResult
-	for round := 0; round < 2; round++ {
-		o, err := measure(false)
-		if err != nil {
-			return err
-		}
-		if o.EventsPerSec > off.EventsPerSec {
-			off = o
-		}
-		c, err := measure(true)
-		if err != nil {
-			return err
-		}
-		if c.EventsPerSec > on.EventsPerSec {
-			on = c
-		}
-	}
-	speedup := 0.0
-	if off.EventsPerSec > 0 {
-		speedup = on.EventsPerSec / off.EventsPerSec
-	}
-	em.printf("  coalescing off : %8.0f events/s   p50 %6s  p99 %6s  (%d errors)\n",
-		off.EventsPerSec, off.P50.Round(time.Microsecond), off.P99.Round(time.Microsecond), off.Errors)
-	em.printf("  coalescing on  : %8.0f events/s   p50 %6s  p99 %6s  (%d errors, mean batch %.1f, max %d)\n",
-		on.EventsPerSec, on.P50.Round(time.Microsecond), on.P99.Round(time.Microsecond),
-		on.Errors, on.MeanCoalesced, on.MaxCoalesced)
-	em.printf("  speedup        : %.1fx   %s\n", speedup, okIf(speedup >= 2 && on.Errors == 0 && off.Errors == 0))
-	em.emit("S2", map[string]any{
-		"coalesce_off": off,
-		"coalesce_on":  on,
-		"speedup":      speedup,
-		"ok":           speedup >= 2 && on.Errors == 0 && off.Errors == 0,
-	})
-	return nil
-}
-
-// runScaleServeWire is the wire-format comparison [S3]: the same live
-// serving stack as the coalesced [S2] run (spad on loopback, coalescing
-// and fsync on), with the loadgen clients speaking JSON versus the
+// runScaleServeWire is the wire-format comparison [S3]: the live serving
+// stack (spad on loopback, fsync on), with the loadgen clients speaking
+// JSON versus the
 // length-prefixed binary framing. The codec overhead is per event, so the
 // comparison uses bulk-upload-sized requests (128 users x PerUser events —
 // a device syncing a day's LifeLog, not a live trickle) and a stack whose
@@ -505,7 +356,7 @@ func runScaleServeWire(em *emitter, clients, requests int) error {
 		clients, requests, usersPerRequest*scalebench.PerUser)
 
 	measure := func(jsonOnly bool) (res scalebench.LoadgenResult, err error) {
-		err = serveStack(true, false, 8, func(baseURL string) error {
+		err = serveStack(8, func(baseURL string, _ *core.SPA) error {
 			res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
 				BaseURL:         baseURL,
 				Clients:         clients,
@@ -519,9 +370,9 @@ func runScaleServeWire(em *emitter, clients, requests int) error {
 		return res, err
 	}
 
-	// Same discipline as [S2]: interleave the modes and keep each one's
-	// best of two windows, so shared-storage fsync noise cannot masquerade
-	// as a protocol difference.
+	// fsync latency on shared storage is noisy between runs: interleave the
+	// modes and keep each one's best of two windows, so the noise cannot
+	// masquerade as a protocol difference.
 	var jsonRes, binRes scalebench.LoadgenResult
 	for round := 0; round < 2; round++ {
 		j, err := measure(true)
@@ -559,74 +410,9 @@ func runScaleServeWire(em *emitter, clients, requests int) error {
 	return nil
 }
 
-// runScaleServePipeline is the dispatcher comparison [S4]: the same stack
-// as the coalesced [S2] run (spad on loopback, coalescing and fsync on, 32
-// shards), with the coalescer's serialized dispatcher versus the two-stage
-// pipeline. The pipeline wins on two counts: wave N+1's CPU-bound prepare
-// (validation + extraction) overlaps wave N's fsync, and each wave's shard
-// WriteBatches commit as one ordered store sequence paying a single WAL
-// sync where the serialized per-shard commits pay one per touched shard.
-func runScaleServePipeline(em *emitter, clients, requests int) error {
-	em.printf("\n[S4] Commit pipelining: pipelined vs serialized dispatcher (%d clients, %d requests of %d events, fsync on)\n",
-		clients, requests, 32*scalebench.PerUser)
-
-	measure := func(pipeline bool) (res scalebench.LoadgenResult, err error) {
-		err = serveStack(true, pipeline, 32, func(baseURL string) error {
-			res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
-				BaseURL:         baseURL,
-				Clients:         clients,
-				Requests:        requests,
-				Register:        true,
-				UsersPerRequest: 32,
-			})
-			return err
-		})
-		return res, err
-	}
-
-	// Same discipline as [S2]/[S3]: interleave the modes and keep each
-	// one's best of two windows, so shared-storage fsync noise cannot
-	// masquerade as a dispatcher difference.
-	var serial, piped scalebench.LoadgenResult
-	for round := 0; round < 2; round++ {
-		s, err := measure(false)
-		if err != nil {
-			return err
-		}
-		if s.EventsPerSec > serial.EventsPerSec {
-			serial = s
-		}
-		p, err := measure(true)
-		if err != nil {
-			return err
-		}
-		if p.EventsPerSec > piped.EventsPerSec {
-			piped = p
-		}
-	}
-	speedup := 0.0
-	if serial.EventsPerSec > 0 {
-		speedup = piped.EventsPerSec / serial.EventsPerSec
-	}
-	ok := speedup >= 1.2 && piped.Errors == 0 && serial.Errors == 0
-	em.printf("  serialized     : %8.0f events/s   p50 %6s  p99 %6s  (%d errors)\n",
-		serial.EventsPerSec, serial.P50.Round(time.Microsecond), serial.P99.Round(time.Microsecond), serial.Errors)
-	em.printf("  pipelined      : %8.0f events/s   p50 %6s  p99 %6s  (%d errors, mean batch %.1f)\n",
-		piped.EventsPerSec, piped.P50.Round(time.Microsecond), piped.P99.Round(time.Microsecond),
-		piped.Errors, piped.MeanCoalesced)
-	em.printf("  speedup        : %.2fx   %s\n", speedup, okIf(ok))
-	em.emit("S4", map[string]any{
-		"serialized": serial,
-		"pipelined":  piped,
-		"speedup":    speedup,
-		"ok":         ok,
-	})
-	return nil
-}
-
-// runScaleServeStream is the transport comparison [S5]: the same stack as
-// the pipelined [S4] run (spad on loopback, coalescing, pipelining and
-// fsync on, 32 shards), with the clients speaking per-request binary HTTP
+// runScaleServeStream is the transport comparison [S5]: the serving stack
+// (spad on loopback, fsync on, 32 shards), with the clients speaking
+// per-request binary HTTP
 // versus persistent binary streams. The stream removes the per-request
 // HTTP cycle AND pipelines: each of the K clients keeps a 4-frame credit
 // window in flight on its one connection, so the coalescer sees K×4
@@ -639,7 +425,7 @@ func runScaleServeStream(em *emitter, clients, requests int) error {
 		clients, requests, 32*scalebench.PerUser, streamWindow)
 
 	measure := func(stream bool) (res scalebench.LoadgenResult, err error) {
-		err = serveStack(true, true, 32, func(baseURL string) error {
+		err = serveStack(32, func(baseURL string, _ *core.SPA) error {
 			res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
 				BaseURL:         baseURL,
 				Clients:         clients,
@@ -654,9 +440,9 @@ func runScaleServeStream(em *emitter, clients, requests int) error {
 		return res, err
 	}
 
-	// Same discipline as [S2]-[S4]: interleave the modes and keep each
-	// one's best of two windows, so shared-storage fsync noise cannot
-	// masquerade as a transport difference.
+	// Same discipline as [S3]: interleave the modes and keep each one's
+	// best of two windows, so shared-storage fsync noise cannot masquerade
+	// as a transport difference.
 	var perReq, streamed scalebench.LoadgenResult
 	for round := 0; round < 2; round++ {
 		p, err := measure(false)
@@ -694,32 +480,27 @@ func runScaleServeStream(em *emitter, clients, requests int) error {
 	return nil
 }
 
-// runStagesPass (spabench -stages) reruns a section's favored mode once
-// more — [S4]'s pipelined dispatcher over per-request HTTP, [S5]'s over
-// the persistent stream — on a fresh stack, then scrapes /metrics and
-// prints the per-stage latency breakdown next to the loadgen's end-to-end
-// percentiles. The cross-check: the medians of the stages a request
+// runStagesPass (spabench -stages) reruns [S5]'s streamed mode once more
+// on a fresh stack, then scrapes /metrics and prints the per-stage latency
+// breakdown next to the loadgen's end-to-end percentiles. The cross-check: the medians of the stages a request
 // traverses (decode, queue, gather, prepare, commit) should sum to
 // roughly the e2e p50, within the histogram's ±9% bucket error plus the
 // fan-back/transport overhead the stages don't cover.
-func runStagesPass(em *emitter, section string, clients, requests int, stream bool) error {
+func runStagesPass(em *emitter, clients, requests int) error {
 	const streamWindow = 4
 	var res scalebench.LoadgenResult
 	var stats []scalebench.StageStat
-	err := serveStack(true, true, 32, func(baseURL string) error {
-		cfg := scalebench.LoadgenConfig{
+	err := serveStack(32, func(baseURL string, _ *core.SPA) error {
+		var err error
+		res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
 			BaseURL:         baseURL,
 			Clients:         clients,
 			Requests:        requests,
 			Register:        true,
 			UsersPerRequest: 32,
-		}
-		if stream {
-			cfg.Stream = true
-			cfg.StreamWindow = streamWindow
-		}
-		var err error
-		res, err = scalebench.RunLoadgen(cfg)
+			Stream:          true,
+			StreamWindow:    streamWindow,
+		})
 		if err != nil {
 			return err
 		}
@@ -733,16 +514,12 @@ func runStagesPass(em *emitter, section string, clients, requests int, stream bo
 	if err != nil {
 		return err
 	}
-	mode := "per-request binary HTTP"
-	if stream {
-		mode = fmt.Sprintf("persistent stream, window %d", streamWindow)
-	}
-	em.printf("\n[%s-stages] Stage breakdown: pipelined dispatcher, %s (instrumented pass)\n", section, mode)
+	em.printf("\n[S5-stages] Stage breakdown: persistent stream, window %d (instrumented pass)\n", streamWindow)
 	em.printf("%s", scalebench.FormatStages(stats))
 	sum := scalebench.SumStageP50(stats)
 	em.printf("  sum of request-path stage p50s: %s   e2e p50: %s   e2e p99: %s\n",
 		sum.Round(time.Microsecond), res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond))
-	em.emit(section+"-stages", map[string]any{
+	em.emit("S5-stages", map[string]any{
 		"stages":         stats,
 		"sum_stage_p50":  sum.Nanoseconds(),
 		"e2e_p50":        res.P50.Nanoseconds(),
@@ -753,7 +530,7 @@ func runStagesPass(em *emitter, section string, clients, requests int, stream bo
 }
 
 // runScaleServeScenario is the workload-realism section [S6]: instead of
-// the uniform ingest bursts of [S2]-[S5], it replays a seed-derived
+// the uniform ingest bursts of [S3] and [S5], it replays a seed-derived
 // scenario — zipf-skewed users, diurnal session sizing, mixed-endpoint
 // sessions (ingest, recommendation pulls, Gradual EIT question/answer,
 // campaign reward) — against the full pipelined stack, so the read path
@@ -765,7 +542,7 @@ func runScaleServeScenario(em *emitter, seed uint64, clients int) error {
 		sessions, clients, seed)
 
 	var res scalebench.ScenarioResult
-	err := serveStack(true, true, 32, func(baseURL string) error {
+	err := serveStack(32, func(baseURL string, _ *core.SPA) error {
 		var err error
 		res, err = scalebench.RunScenario(scalebench.ScenarioConfig{
 			BaseURL:  baseURL,
@@ -801,125 +578,9 @@ func runScaleServeScenario(em *emitter, seed uint64, clients int) error {
 	return nil
 }
 
-// runScaleServeMixed is the read-path section [S7]: a 90/10 read-heavy
+// runScaleServeRepl is the replication section [S8]: a 90/10 read-heavy
 // mixed workload (recommendation pulls, advice, propensity, select-top
-// against concurrent ingest bursts) over the full pipelined stack, with
-// the epoch-snapshot read path versus the -locked-reads baseline. Under
-// the baseline a read that lands on a committing shard waits out the
-// fsync the commit holds the shard write lock across, so the read tail
-// inherits disk latency; under snapshots reads never take a shard lock
-// and the tail stays at in-memory scale while write throughput holds.
-func runScaleServeMixed(em *emitter, seed uint64, clients int) error {
-	const ops = 1200
-	em.printf("\n[S7] Mixed read/write: epoch-snapshot reads vs locked reads (90/10 mix, %d ops, %d clients, fsync on, seed %d)\n",
-		ops, clients, seed)
-
-	measure := func(locked bool) (res scalebench.MixedResult, err error) {
-		err = serveStackCore(true, true, 32, locked, func(baseURL string, spa *core.SPA) error {
-			// Warm population + CF interactions (a near-write-only pass),
-			// then train the propensity model in-process so every read in
-			// the measured mix is answerable.
-			warm, err := scalebench.RunMixed(scalebench.MixedConfig{
-				BaseURL: baseURL, Seed: seed, Clients: clients,
-				Ops: 64, ReadFraction: 0.01, Register: true,
-			})
-			if err != nil {
-				return err
-			}
-			if warm.Errors > 0 {
-				return fmt.Errorf("warmup: %d errors", warm.Errors)
-			}
-			var feats [][]float64
-			var labels []bool
-			for id := uint64(1); id <= scalebench.Users; id++ {
-				fv, err := spa.FeatureVector(id)
-				if err != nil {
-					return err
-				}
-				feats = append(feats, fv)
-				labels = append(labels, id%2 == 0)
-			}
-			if err := spa.TrainPropensity(feats, labels); err != nil {
-				return err
-			}
-			res, err = scalebench.RunMixed(scalebench.MixedConfig{
-				BaseURL: baseURL,
-				Seed:    seed,
-				Clients: clients,
-				Ops:     ops,
-			})
-			return err
-		})
-		return res, err
-	}
-
-	// Same discipline as [S2]-[S5]: interleave the modes and keep each
-	// one's best of two windows — here the window with the best read tail,
-	// since the read p99 is the number under test.
-	var locked, snap scalebench.MixedResult
-	better := func(a, b scalebench.MixedResult) bool {
-		if b.ReadP99 == 0 {
-			return true
-		}
-		return a.ReadP99 > 0 && a.ReadP99 < b.ReadP99
-	}
-	for round := 0; round < 2; round++ {
-		l, err := measure(true)
-		if err != nil {
-			return err
-		}
-		if better(l, locked) {
-			locked = l
-		}
-		s, err := measure(false)
-		if err != nil {
-			return err
-		}
-		if better(s, snap) {
-			snap = s
-		}
-	}
-	gainP99 := 0.0
-	if snap.ReadP99 > 0 {
-		gainP99 = float64(locked.ReadP99) / float64(snap.ReadP99)
-	}
-	gainP50 := 0.0
-	if snap.ReadP50 > 0 {
-		gainP50 = float64(locked.ReadP50) / float64(snap.ReadP50)
-	}
-	writeRatio := 0.0
-	if locked.WriteEventsPerSec > 0 {
-		writeRatio = snap.WriteEventsPerSec / locked.WriteEventsPerSec
-	}
-	// The lock-free read path must beat the locked baseline ≥3x somewhere in
-	// the latency distribution while holding write throughput. On a host
-	// with spare cores the p99 carries the signal (locked reads wait out
-	// fsync-length lock windows; snapshot reads never do); on a saturated
-	// single-core host the p99 of both modes floors at scheduler queueing
-	// and the median carries it instead — so either gain qualifies.
-	ok := (gainP99 >= 3 || gainP50 >= 3) && gainP99 > 1 &&
-		snap.Errors == 0 && locked.Errors == 0 && writeRatio >= 0.9
-	em.printf("  locked reads   : reads %8.0f ops/s  p50 %6s  p99 %6s | writes %8.0f events/s  p99 %6s  (%d errors)\n",
-		locked.ReadOpsPerSec, locked.ReadP50.Round(time.Microsecond), locked.ReadP99.Round(time.Microsecond),
-		locked.WriteEventsPerSec, locked.WriteP99.Round(time.Microsecond), locked.Errors)
-	em.printf("  snapshot reads : reads %8.0f ops/s  p50 %6s  p99 %6s | writes %8.0f events/s  p99 %6s  (%d errors)\n",
-		snap.ReadOpsPerSec, snap.ReadP50.Round(time.Microsecond), snap.ReadP99.Round(time.Microsecond),
-		snap.WriteEventsPerSec, snap.WriteP99.Round(time.Microsecond), snap.Errors)
-	em.printf("  read gain      : p50 %.1fx  p99 %.1fx   write throughput held: %.0f%%   %s\n",
-		gainP50, gainP99, writeRatio*100, okIf(ok))
-	em.emit("S7", map[string]any{
-		"locked_reads":   locked,
-		"snapshot_reads": snap,
-		"read_p50_gain":  gainP50,
-		"read_p99_gain":  gainP99,
-		"write_ratio":    writeRatio,
-		"ok":             ok,
-	})
-	return nil
-}
-
-// runScaleServeRepl is the replication section [S8]: the same 90/10 mixed
-// read/write workload as [S7], against a leader plus one streaming
+// against concurrent ingest bursts), against a leader plus one streaming
 // follower (the WAL-shipping pair of DESIGN.md §9). Writes land on the
 // leader; the routed clients spread reads round-robin across both nodes,
 // gated on the follower's reported staleness. The section reports the
@@ -938,7 +599,7 @@ func runScaleServeRepl(em *emitter, seed uint64, clients int) error {
 
 	var single, dual scalebench.MixedResult
 	var stale scalebench.Staleness
-	err := serveStackCore(true, true, 32, false, func(baseURL string, spa *core.SPA) error {
+	err := serveStack(32, func(baseURL string, spa *core.SPA) error {
 		leaderAddr := strings.TrimPrefix(baseURL, "http://")
 
 		// Boot the follower before any traffic, so the whole population
@@ -1015,8 +676,8 @@ func runScaleServeRepl(em *emitter, seed uint64, clients int) error {
 			}
 		}
 
-		// Single-node baseline: every read on the leader ([S7]'s snapshot
-		// configuration, follower attached but idle on the read side).
+		// Single-node baseline: every read on the leader (follower attached
+		// but idle on the read side).
 		single, err = scalebench.RunMixed(scalebench.MixedConfig{
 			BaseURL: baseURL, Seed: seed, Clients: clients, Ops: ops,
 		})
@@ -1108,7 +769,7 @@ func runScaleServeCluster(em *emitter, seed uint64, clients int) error {
 
 	// Single-node baseline: the same scenario on the same stack shape.
 	var single scalebench.ScenarioResult
-	err := serveStack(true, true, 32, func(baseURL string) error {
+	err := serveStack(32, func(baseURL string, _ *core.SPA) error {
 		var err error
 		single, err = scalebench.RunScenario(scalebench.ScenarioConfig{
 			BaseURL: baseURL, Seed: seed, Clients: clients,
@@ -1246,7 +907,6 @@ func clusterStack(n int, fn func(ids, urls []string) error) error {
 			return err
 		}
 		srv := server.New(spa, server.Options{
-			Pipeline:      true,
 			MaxDelay:      2 * time.Millisecond,
 			ClusterNodeID: ids[i],
 			ClusterAddr:   peers[ids[i]],
@@ -1292,7 +952,7 @@ func clusterHandoffCheck(ids, urls []string) (wire.HandoffResponse, int, int, er
 	if err != nil {
 		return fail(err)
 	}
-	ssrv := server.New(sspa, server.Options{Pipeline: true})
+	ssrv := server.New(sspa, server.Options{})
 	sln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		ssrv.Close()
@@ -1530,7 +1190,7 @@ func runTorture(seed uint64, replayOne bool, budget time.Duration, schedules int
 	return nil
 }
 
-// runLoadgen drives an external spad and reports one S2-style record.
+// runLoadgen drives an external spad and reports one loadgen record.
 func runLoadgen(em *emitter, baseURL string, clients, requests int, stream, register bool) error {
 	transport := "per-request"
 	if stream {

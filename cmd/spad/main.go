@@ -6,15 +6,19 @@
 //
 // Usage:
 //
-//	spad [-addr :8372] [-stream-addr ADDR] [-data DIR] [-shards 16] [-sync]
-//	     [-queue 256] [-max-batch 64] [-max-delay 0s] [-no-coalesce]
-//	     [-no-binary] [-pipeline] [-debug-addr ADDR] [-access-log]
-//	     [-slow-wave 1s] [-follow LEADER] [-repl-window 256]
+//	spad [-addr :8372] [-stream-addr ADDR] [-data DIR] [-shards 16] [-sync=true]
+//	     [-queue 256] [-max-batch 64] [-max-delay 0s] [-no-binary]
+//	     [-debug-addr ADDR] [-access-log] [-slow-wave 1s]
+//	     [-follow LEADER] [-repl-window 256]
 //	     [-cluster] [-node-id ID] [-cluster-addr HOST:PORT] [-peers ID=HOST:PORT,...]
 //
 // An empty -data serves an in-memory (non-durable) instance, useful for
-// load experiments; production points -data at a directory and usually
-// adds -sync so every group commit is fsynced before it is acknowledged.
+// load experiments; production points -data at a directory. Every group
+// commit is fsynced before it is acknowledged; -sync=false acknowledges
+// before the fsync, trading the tail of the log on a crash for latency.
+// `spad -data D` is exactly the configuration the benchmark (bench/)
+// measures: ingest requests merge into waves whose CPU-bound prepare
+// overlaps the previous wave's commit, one WAL sync per wave.
 //
 // -cluster makes this spad one node of a slot-partitioned cluster
 // (internal/server cluster.go): users hash to 256 fixed slots, each slot
@@ -85,10 +89,7 @@ type config struct {
 	queue       int
 	maxBatch    int
 	maxDelay    time.Duration
-	noCoalesce  bool
 	noBinary    bool
-	pipeline    bool
-	lockedReads bool
 	accessLog   bool
 	slowWave    time.Duration
 	follow      string
@@ -106,14 +107,11 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "separate net/http/pprof listener address (empty: profiling off; bind to localhost)")
 	flag.StringVar(&cfg.data, "data", "", "profile store directory (empty: in-memory, non-durable)")
 	flag.IntVar(&cfg.shards, "shards", 16, "profile shard count (rounded up to a power of two)")
-	flag.BoolVar(&cfg.sync, "sync", false, "fsync the WAL on every group commit")
+	flag.BoolVar(&cfg.sync, "sync", true, "fsync the WAL on every group commit before acknowledging it")
 	flag.IntVar(&cfg.queue, "queue", 256, "pending ingest queue depth (full queue answers 503)")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max requests merged into one group commit")
 	flag.DurationVar(&cfg.maxDelay, "max-delay", 0, "linger before committing a partial batch (0: commit whatever is pending)")
-	flag.BoolVar(&cfg.noCoalesce, "no-coalesce", false, "commit every ingest request on its own (measurement baseline)")
 	flag.BoolVar(&cfg.noBinary, "no-binary", false, "refuse the binary ingest framing (clients fall back to JSON)")
-	flag.BoolVar(&cfg.pipeline, "pipeline", false, "pipeline the coalescer: overlap a wave's CPU-bound prepare with the previous wave's store commit")
-	flag.BoolVar(&cfg.lockedReads, "locked-reads", false, "serve reads under shard locks instead of epoch snapshots (measurement baseline)")
 	flag.BoolVar(&cfg.accessLog, "access-log", false, "log one line per completed HTTP request")
 	flag.DurationVar(&cfg.slowWave, "slow-wave", time.Second, "log any coalescer wave slower than this gather-to-commit (0: off)")
 	flag.StringVar(&cfg.follow, "follow", "", "replicate from this leader (host:port or URL) and serve reads only; requires -data")
@@ -170,22 +168,19 @@ func run(cfg config) error {
 		}
 	}
 	spa, err := core.New(core.Options{
-		DataDir:     cfg.data,
-		Store:       stOpts,
-		Shards:      cfg.shards,
-		LockedReads: cfg.lockedReads,
+		DataDir: cfg.data,
+		Store:   stOpts,
+		Shards:  cfg.shards,
 	})
 	if err != nil {
 		return err
 	}
 
 	srv := server.New(spa, server.Options{
-		DisableCoalescing:      cfg.noCoalesce,
 		QueueDepth:             cfg.queue,
 		MaxBatch:               cfg.maxBatch,
 		MaxDelay:               cfg.maxDelay,
 		DisableBinary:          cfg.noBinary,
-		Pipeline:               cfg.pipeline,
 		AccessLog:              cfg.accessLog,
 		SlowWave:               cfg.slowWave,
 		FollowerOf:             cfg.follow,
@@ -241,8 +236,8 @@ func run(cfg config) error {
 		if cfg.cluster {
 			role = fmt.Sprintf(" cluster-node=%s advertised=%s peers=%d", cfg.nodeID, clusterAddr, len(peers))
 		}
-		log.Printf("spad: serving on %s (data=%q shards=%d sync=%v coalesce=%v pipeline=%v%s, %d users loaded)",
-			cfg.addr, cfg.data, cfg.shards, cfg.sync, !cfg.noCoalesce, cfg.pipeline && !cfg.noCoalesce, role, spa.Users())
+		log.Printf("spad: serving on %s (data=%q shards=%d sync=%v%s, %d users loaded)",
+			cfg.addr, cfg.data, cfg.shards, cfg.sync, role, spa.Users())
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -280,19 +280,14 @@ func runParity(t *testing.T, shards int, seed int64, universe uint64, ops int) {
 				t.Fatalf("op %d: register %d (member=%v): %v", op, id, m.members[id], err)
 			}
 			m.members[id] = true
-		case k < 60: // ingest, merged batches, either commit shape
+		case k < 60: // ingest, merged batches
 			batches := make([][]lifelog.Event, 1+rng.Intn(3))
 			for b := range batches {
 				for e := rng.Intn(6); e >= 0; e-- {
 					batches[b] = append(batches[b], randEvent(randUser()))
 				}
 			}
-			var outs []IngestOutcome
-			if rng.Intn(2) == 0 {
-				outs = s.MultiIngest(batches)
-			} else {
-				outs = s.PrepareMulti(batches).Commit()
-			}
+			outs := s.PrepareMulti(batches).Commit()
 			for b, evs := range batches {
 				known := 0
 				for _, e := range evs {

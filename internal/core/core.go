@@ -17,8 +17,9 @@
 // Profiles live in hash-partitioned shards, each guarded by its own
 // read-write mutex, so mutations of different users proceed in parallel
 // (see shard.go and DESIGN.md). Profiles are write-through: every mutation
-// is persisted to the embedded store — batched per shard on the ingest path
-// — so a restarted process resumes with the same Smart User Models.
+// is persisted to the embedded store — one WriteBatch per shard and one WAL
+// sync per wave on the ingest path — so a restarted process resumes with the
+// same Smart User Models.
 package core
 
 import (
@@ -52,20 +53,6 @@ type Options struct {
 	// round up to the next power of two. One shard reproduces the old
 	// single-mutex behavior exactly.
 	Shards int
-	// UnbatchedWrites restores the pre-sharding persistence behavior on
-	// the ingest path: one store write per updated profile instead of one
-	// WriteBatch per shard group. With store.Options.SyncWrites that means
-	// one fsync per profile versus one per group. It exists so spabench
-	// and BenchmarkShardedIngest can quantify the group-commit win against
-	// the old architecture; production should leave it off.
-	UnbatchedWrites bool
-	// LockedReads restores the pre-snapshot read path: every read takes
-	// its shard's read lock (RecommendActions every shard's, one at a time,
-	// and bypasses the recommend cache), so reads contend with writers as
-	// they did before the epoch-snapshot refactor. The measurement twin of
-	// UnbatchedWrites — spabench [S7] quantifies the snapshot win with it;
-	// production should leave it off.
-	LockedReads bool
 	// Params tune the SUM learning dynamics; zero value selects defaults.
 	Params sum.Params
 	// Clock is the time source; nil selects the wall clock.
@@ -87,11 +74,6 @@ type SPA struct {
 	clk       clock.Clock
 	threshold float64
 	policy    messaging.Policy
-	unbatched bool
-	// lockedReads routes reads through the legacy shard-lock path (see
-	// Options.LockedReads); snapshots are still published so the mode can
-	// be compared against the default on the same build.
-	lockedReads bool
 
 	shards []*shard
 	mask   uint64
@@ -153,14 +135,12 @@ func New(opts Options) (*SPA, error) {
 		threshold = 0.30
 	}
 	s := &SPA{
-		model:       model,
-		msgdb:       messaging.NewDB(),
-		registry:    defaultRegistry(),
-		clk:         clk,
-		threshold:   threshold,
-		policy:      opts.Policy,
-		unbatched:   opts.UnbatchedWrites,
-		lockedReads: opts.LockedReads,
+		model:     model,
+		msgdb:     messaging.NewDB(),
+		registry:  defaultRegistry(),
+		clk:       clk,
+		threshold: threshold,
+		policy:    opts.Policy,
 	}
 	n := shardCount(opts.Shards)
 	s.mask = uint64(n - 1)
@@ -300,8 +280,8 @@ func (s *SPA) Profile(userID uint64) (sum.Profile, error) {
 // (sessionization + feature extraction) and folds the digests into the
 // profiles' subjective blocks. Events of unregistered users are counted and
 // skipped, mirroring the deployment's handling of anonymous traffic.
-// IngestEvents is BatchIngest: work is partitioned by shard and processed
-// in parallel.
+// IngestEvents is BatchIngest: work is partitioned by shard and prepared
+// in parallel, then committed as one wave.
 func (s *SPA) IngestEvents(events []lifelog.Event) (processed, skippedUnknown int, err error) {
 	return s.BatchIngest(events)
 }

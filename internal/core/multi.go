@@ -18,33 +18,48 @@ import (
 // everything else on an IngestOutcome is the server's fault.
 var ErrBadStream = errors.New("core: malformed event stream")
 
-// The group-commit ingest path comes in two shapes built on the same
-// machinery:
+// The group-commit ingest path is split at the CPU/IO boundary, so the
+// serving layer's coalescer can overlap the two halves of successive waves:
 //
-//   - MultiIngest: prepare + commit in one call, each shard group committing
-//     independently (its own store WriteBatch, its own failure domain) —
-//     the serialized dispatcher's path, and what BatchIngest delegates to.
-//   - PrepareMulti / PreparedMulti.Commit: the same work split at the
-//     CPU/IO boundary, for the serving layer's pipelined dispatcher.
-//     Prepare runs the event validation, sessionization and feature
-//     extraction under shard READ locks, mutating nothing; Commit persists
-//     every shard's staged updates as one ordered store.ApplyAll sequence
-//     (one WAL sync for the whole wave, instead of one per touched shard)
-//     and only then installs the staged state in shard memory. The next
-//     wave's prepare can run while this wave's commit waits on the disk —
-//     fully so when the waves touch disjoint shards; a prepare needing a
-//     shard the commit holds write-locked waits at that shard's RLock.
+//   - PrepareMulti runs event validation, sessionization and feature
+//     extraction under shard READ locks, mutating nothing.
+//   - PreparedMulti.Commit persists every shard's staged updates as one
+//     ordered store.ApplyAll sequence (one WAL sync for the whole wave)
+//     and only then installs the staged state in shard memory.
 //
-// Both shapes stage updates and install them only after the store write
-// succeeds: a failed write leaves shard memory exactly as it was, so the
-// reported "not applied" outcome is true in memory as well as on disk.
+// The next wave's prepare can run while this wave's commit waits on the
+// disk — fully so when the waves touch disjoint shards; a prepare needing a
+// shard the commit holds write-locked waits at that shard's RLock.
+//
+// Updates are staged and installed only after the store write succeeds: a
+// failed write leaves shard memory exactly as it was, so the reported "not
+// applied" outcome is true in memory as well as on disk.
 
-// MultiIngest applies several independently submitted event batches
+// BatchIngest is the high-throughput ingest facade: events are grouped by
+// owning shard (preserving per-user order, which sessionization requires),
+// the groups are prepared concurrently, and the whole batch commits as one
+// store sequence with one WAL sync.
+//
+// Semantics match a sequential IngestEvents call: per-user results depend
+// only on that user's events, so the fan-out is invisible in the profiles
+// (see TestShardedMatchesSingleShard). A store failure applies nothing, in
+// any shard. Events of unregistered users are counted and skipped.
+func (s *SPA) BatchIngest(events []lifelog.Event) (processed, skippedUnknown int, err error) {
+	if len(events) == 0 {
+		return 0, 0, nil
+	}
+	out := s.PrepareMulti([][]lifelog.Event{events}).Commit()
+	return out[0].Processed, out[0].SkippedUnknown, out[0].Err
+}
+
+// PrepareMulti applies several independently submitted event batches
 // (typically concurrent network requests, merged by the serving layer's
-// coalescer) as one fan-out over the shards, so durable updates of a shard
-// still commit as a single store WriteBatch no matter how many submitters
-// contributed events to it. Each input batch gets its own IngestOutcome,
-// as if the batches had been ingested separately:
+// coalescer) as one fan-out over the shards; its CPU-bound half runs here —
+// validation, sessionization, feature extraction, per-batch attribution —
+// without mutating anything: shards are only read-locked and the store is
+// not touched. The staged result commits later via PreparedMulti.Commit.
+// Each input batch gets its own IngestOutcome, as if the batches had been
+// ingested separately:
 //
 //   - Counts are attributed per batch: an event is processed or
 //     skipped-as-unknown on behalf of the batch that carried it.
@@ -52,55 +67,6 @@ var ErrBadStream = errors.New("core: malformed event stream")
 //     (out-of-order timestamps, invalid events) is excluded and charged the
 //     error; the surviving batches are re-validated and applied without it.
 //     The prepare pass mutates nothing, so exclusion is a pure retry.
-//   - A store write failure is charged to every batch that contributed a
-//     profile update to the failing shard group, since none of their events
-//     in that shard were durably applied — and, since updates are staged,
-//     none of them are visible in shard memory either.
-//
-// As with BatchIngest, a batch that fails in one shard group may still have
-// been applied in others; Processed counts only what was applied.
-func (s *SPA) MultiIngest(batches [][]lifelog.Event) []IngestOutcome {
-	out := make([]IngestOutcome, len(batches))
-	groups, now := s.groupByShard(batches)
-	if len(groups) == 0 {
-		return out
-	}
-	results := make([]*preparedGroup, 0, len(groups))
-	if len(groups) == 1 {
-		// Single-shard merges (including every call on a 1-shard core) skip
-		// the fan-out machinery entirely.
-		for _, g := range groups {
-			sh := s.shards[g.shardIdx]
-			sh.mu.Lock()
-			s.prepareShardLocked(g, len(batches), now)
-			s.commitShardLocked(g)
-			sh.mu.Unlock()
-			results = append(results, g)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, g := range groups {
-			wg.Add(1)
-			go func(g *preparedGroup) {
-				defer wg.Done()
-				sh := s.shards[g.shardIdx]
-				sh.mu.Lock()
-				s.prepareShardLocked(g, len(batches), now)
-				s.commitShardLocked(g)
-				sh.mu.Unlock()
-			}(g)
-			results = append(results, g)
-		}
-		wg.Wait()
-	}
-	s.finishMulti(out, results)
-	return out
-}
-
-// PrepareMulti runs the CPU-bound half of MultiIngest — validation,
-// sessionization, feature extraction, per-batch attribution — without
-// mutating anything: shards are only read-locked and the store is not
-// touched. The staged result commits later via PreparedMulti.Commit.
 func (s *SPA) PrepareMulti(batches [][]lifelog.Event) *PreparedMulti {
 	pm := &PreparedMulti{s: s, out: make([]IngestOutcome, len(batches))}
 	groups, now := s.groupByShard(batches)
@@ -157,8 +123,7 @@ func (pm *PreparedMulti) SetWaveID(id uint64) { pm.wave = id }
 func (pm *PreparedMulti) Shards() int { return len(pm.groups) }
 
 // Commit persists and installs the staged wave, returning the per-batch
-// outcomes (same shape and, on success, byte-identical profile state to a
-// MultiIngest of the same batches).
+// outcomes.
 //
 // The durable path commits every shard's WriteBatch as one ordered
 // store.ApplyAll sequence: one WAL sync for the whole wave, with the
@@ -166,14 +131,15 @@ func (pm *PreparedMulti) Shards() int { return len(pm.groups) }
 // crash replay recovers a prefix. All touched shards stay write-locked
 // across the sequence, so no other writer's store record can interleave
 // with the wave's and memory-vs-durable ordering per user is preserved.
-// Unlike MultiIngest's per-shard commits, a store failure here fails the
-// whole wave (every contributing batch is charged); staged state is then
-// discarded, leaving shard memory untouched.
+// A store failure fails the whole wave (every contributing batch is
+// charged); staged state is then discarded, leaving shard memory untouched.
 //
 // Callers that overlap several PreparedMulti instances must Commit them in
-// prepare order when their batches may share users — the coalescer's
-// pipelined dispatcher does (single committer, FIFO waves). Commit must be
-// called at most once.
+// prepare order when their batches may share users — the coalescer does
+// (single committer, FIFO waves). Independent callers (concurrent
+// BatchIngest) need no coordination: a staged digest depends only on its
+// own batch's events, and the install re-reads each resident profile under
+// the write lock. Commit must be called at most once.
 func (pm *PreparedMulti) Commit() []IngestOutcome {
 	if pm.committed {
 		panic("core: PreparedMulti committed twice")
@@ -183,29 +149,35 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 	if len(pm.groups) == 0 {
 		return pm.out
 	}
-	if s.db == nil || s.unbatched {
-		// No cross-shard store sequence to order: commit shard by shard,
-		// exactly as MultiIngest does.
-		for _, g := range pm.groups {
-			sh := s.shards[g.shardIdx]
-			sh.mu.Lock()
-			s.commitShardLocked(g)
-			sh.mu.Unlock()
-		}
-		s.finishMulti(pm.out, pm.groups)
-		return pm.out
-	}
 	for _, g := range pm.groups {
 		s.shards[g.shardIdx].mu.Lock()
 	}
+	if s.db == nil {
+		for _, g := range pm.groups {
+			s.installShardLocked(g)
+		}
+	} else {
+		pm.persistAndInstallLocked()
+	}
+	for i := len(pm.groups) - 1; i >= 0; i-- {
+		s.shards[pm.groups[i].shardIdx].mu.Unlock()
+	}
+	s.finishMulti(pm.out, pm.groups)
+	return pm.out
+}
+
+// persistAndInstallLocked is Commit's durable half: one store sequence for
+// the wave, then the install. The caller holds every touched shard's write
+// lock.
+func (pm *PreparedMulti) persistAndInstallLocked() {
+	s := pm.s
 	seq := make([]*store.WriteBatch, 0, len(pm.groups))
 	contributing := make([]*preparedGroup, 0, len(pm.groups))
 	for _, g := range pm.groups {
 		batch, err := s.buildShardBatchLocked(g)
 		if err != nil {
 			// A profile that fails validation charges its own shard group
-			// and drops it from the wave; the other shards still commit —
-			// identical to MultiIngest's handling.
+			// and drops it from the wave; the other shards still commit.
 			g.res.failStore(g.excluded, err)
 			continue
 		}
@@ -221,26 +193,22 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 		for _, g := range contributing {
 			g.res.failStore(g.excluded, err)
 		}
-	} else {
-		for _, g := range contributing {
-			s.installShardLocked(g)
-		}
+		return
 	}
-	for i := len(pm.groups) - 1; i >= 0; i-- {
-		s.shards[pm.groups[i].shardIdx].mu.Unlock()
+	for _, g := range contributing {
+		s.installShardLocked(g)
 	}
-	s.finishMulti(pm.out, pm.groups)
-	return pm.out
 }
 
-// IngestOutcome is one batch's result from MultiIngest.
+// IngestOutcome is one batch's result from PreparedMulti.Commit.
 type IngestOutcome struct {
 	// Processed counts the batch's events applied to registered profiles.
 	Processed int
 	// SkippedUnknown counts the batch's events of unregistered users.
 	SkippedUnknown int
 	// Err is the batch's failure, if any. A failed batch's events were not
-	// applied in the shard group that reported the error.
+	// applied in the shard group that reported the error (a store failure
+	// reports it from every group of the wave).
 	Err error
 }
 
@@ -359,59 +327,6 @@ func (s *SPA) prepareShardLocked(g *preparedGroup, nbatches int, now time.Time) 
 	for id, fv := range fvs {
 		g.vectors[id] = fv.Dense()
 	}
-}
-
-// commitShardLocked persists and installs one prepared shard group under
-// its own store commit (the MultiIngest / serialized-dispatcher path). The
-// caller holds the shard's write lock. Updates are staged first and only
-// installed once durable: a store failure leaves shard memory untouched, so
-// the "not applied" outcome is true everywhere.
-func (s *SPA) commitShardLocked(g *preparedGroup) {
-	sh := s.shards[g.shardIdx]
-	if s.db == nil {
-		s.installShardLocked(g)
-		return
-	}
-	if s.unbatched {
-		// Compatibility/measurement mode: the seed's one-write-per-profile
-		// persistence (see Options.UnbatchedWrites). Each profile is saved on
-		// its own; on the first failure the rest of the group stays
-		// unapplied. One snapshot publish covers whatever was saved, so
-		// readers see exactly the durable prefix.
-		installed := make([]profChange, 0, len(g.vectors))
-		for id, vec := range g.vectors {
-			p := s.residentLocked(sh, id)
-			if p == nil {
-				continue
-			}
-			cp := *p
-			cp.Subjective = vec
-			if err := sum.Save(s.db, &cp); err != nil {
-				g.res.failStore(g.excluded, err)
-				if len(installed) > 0 {
-					s.publishShardLocked(sh, installed, nil)
-				}
-				return
-			}
-			installed = append(installed, profChange{id: id, p: &cp})
-		}
-		if s.publishShardLocked(sh, installed, g.interactions) > 0 {
-			g.res.interactions = true
-		}
-		return
-	}
-	batch, err := s.buildShardBatchLocked(g)
-	if err != nil {
-		g.res.failStore(g.excluded, err)
-		return
-	}
-	if batch.Len() > 0 {
-		if err := s.db.Apply(batch); err != nil {
-			g.res.failStore(g.excluded, err)
-			return
-		}
-	}
-	s.installShardLocked(g)
 }
 
 // buildShardBatchLocked encodes the staged profile states into one store

@@ -17,16 +17,15 @@ import (
 
 // newFaultyCore opens a durable, fsync-on core whose WAL goes through the
 // store's killable fault seam.
-func newFaultyCore(t *testing.T, unbatched bool, shards int) (*SPA, *store.KillableFileOps, string) {
+func newFaultyCore(t *testing.T, shards int) (*SPA, *store.KillableFileOps, string) {
 	t.Helper()
 	fo := &store.KillableFileOps{}
 	dir := t.TempDir()
 	s, err := New(Options{
-		DataDir:         dir,
-		Store:           store.Options{SyncWrites: true, DisableAutoCompaction: true, FileOps: fo},
-		Shards:          shards,
-		UnbatchedWrites: unbatched,
-		Clock:           clock.NewSimulated(t0),
+		DataDir: dir,
+		Store:   store.Options{SyncWrites: true, DisableAutoCompaction: true, FileOps: fo},
+		Shards:  shards,
+		Clock:   clock.NewSimulated(t0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,72 +40,68 @@ func newFaultyCore(t *testing.T, unbatched bool, shards int) (*SPA, *store.Killa
 // TestIngestStoreFailureLeavesMemoryUnchanged is the divergence regression:
 // previously ingestShardMulti wrote the extractor output into the profiles
 // BEFORE db.Apply ran, so a store failure reported "not applied" while
-// shard memory already carried the new digest (and the unbatched sum.Save
-// path mutated every profile before the first failing save). Updates are
-// now staged and installed only after the write succeeds — the failed
-// outcome must be true in memory too, for both persistence modes.
+// shard memory already carried the new digest. Updates are now staged and
+// installed only after the write succeeds — the failed outcome must be
+// true in memory too. The case keeps the subtest name of the batched
+// group commit, now the only persistence layout.
 func TestIngestStoreFailureLeavesMemoryUnchanged(t *testing.T) {
-	for _, unbatched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("unbatched=%v", unbatched), func(t *testing.T) {
-			s, fo, _ := newFaultyCore(t, unbatched, 1)
-			for u := uint64(1); u <= 4; u++ {
-				if err := s.Register(u, nil); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("unbatched=false", func(t *testing.T) {
+		s, fo, _ := newFaultyCore(t, 1)
+		for u := uint64(1); u <= 4; u++ {
+			if err := s.Register(u, nil); err != nil {
+				t.Fatal(err)
 			}
-			at := t0.Add(-time.Hour)
-			// A first healthy ingest gives the profiles a non-trivial state
-			// to diverge from. Searches carry no CF interaction weight, so
-			// any interaction evidence would have to come from the failed
-			// wave below.
-			searchAt := func(user uint64, at time.Time) lifelog.Event {
-				return lifelog.Event{UserID: user, Time: at, Type: lifelog.EventSearch}
+		}
+		at := t0.Add(-time.Hour)
+		// A first healthy ingest gives the profiles a non-trivial state to
+		// diverge from. Searches carry no CF interaction weight, so any
+		// interaction evidence would have to come from the failed wave below.
+		searchAt := func(user uint64, at time.Time) lifelog.Event {
+			return lifelog.Event{UserID: user, Time: at, Type: lifelog.EventSearch}
+		}
+		if _, _, err := s.BatchIngest([]lifelog.Event{searchAt(1, at), searchAt(2, at)}); err != nil {
+			t.Fatal(err)
+		}
+		before := map[uint64][]byte{}
+		for u := uint64(1); u <= 4; u++ {
+			p, err := s.Profile(u)
+			if err != nil {
+				t.Fatal(err)
 			}
-			outs := s.MultiIngest([][]lifelog.Event{{searchAt(1, at), searchAt(2, at)}})
-			if outs[0].Err != nil {
-				t.Fatal(outs[0].Err)
-			}
-			before := map[uint64][]byte{}
-			for u := uint64(1); u <= 4; u++ {
-				p, err := s.Profile(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				before[u] = sum.Encode(&p)
-			}
+			before[u] = sum.Encode(&p)
+		}
 
-			fo.Kill()
-			outs = s.MultiIngest([][]lifelog.Event{
-				{clickAt(1, at.Add(time.Minute), 7), clickAt(3, at.Add(time.Minute), 8)},
-				{clickAt(4, at.Add(time.Minute), 9)},
-			})
-			for b, out := range outs {
-				if out.Err == nil {
-					t.Fatalf("batch %d: store failure not reported: %+v", b, out)
-				}
+		fo.Kill()
+		outs := s.PrepareMulti([][]lifelog.Event{
+			{clickAt(1, at.Add(time.Minute), 7), clickAt(3, at.Add(time.Minute), 8)},
+			{clickAt(4, at.Add(time.Minute), 9)},
+		}).Commit()
+		for b, out := range outs {
+			if out.Err == nil {
+				t.Fatalf("batch %d: store failure not reported: %+v", b, out)
 			}
-			for u := uint64(1); u <= 4; u++ {
-				p, err := s.Profile(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sum.Encode(&p), before[u]) {
-					t.Fatalf("user %d: failed store write still mutated shard memory", u)
-				}
+		}
+		for u := uint64(1); u <= 4; u++ {
+			p, err := s.Profile(u)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// The staged CF interactions must not have been installed either.
-			if _, err := s.RecommendActions(1, 3); err == nil {
-				t.Fatal("failed ingest installed interaction counts")
+			if !bytes.Equal(sum.Encode(&p), before[u]) {
+				t.Fatalf("user %d: failed store write still mutated shard memory", u)
 			}
-		})
-	}
+		}
+		// The staged CF interactions must not have been installed either.
+		if _, err := s.RecommendActions(1, 3); err == nil {
+			t.Fatal("failed ingest installed interaction counts")
+		}
+	})
 }
 
 // TestPreparedCommitStoreFailure: the wave-atomic commit path charges every
 // contributing batch on an ApplyAll failure and leaves every shard's memory
 // untouched.
 func TestPreparedCommitStoreFailure(t *testing.T) {
-	s, fo, _ := newFaultyCore(t, false, 8)
+	s, fo, _ := newFaultyCore(t, 8)
 	for u := uint64(1); u <= 8; u++ {
 		if err := s.Register(u, nil); err != nil {
 			t.Fatal(err)
@@ -142,78 +137,6 @@ func TestPreparedCommitStoreFailure(t *testing.T) {
 			t.Fatalf("user %d: failed wave commit mutated shard memory", u)
 		}
 	}
-}
-
-// TestPrepareCommitMatchesMultiIngest: the split path must be
-// indistinguishable from MultiIngest — same per-batch outcomes (including
-// bad-batch exclusion) and byte-identical profiles, durably.
-func TestPrepareCommitMatchesMultiIngest(t *testing.T) {
-	base := t0.Add(-2 * time.Hour)
-	batches := [][]lifelog.Event{
-		{clickAt(1, base, 5), clickAt(1, base.Add(time.Second), 6), clickAt(3, base, 7)},
-		// Internally out-of-order: excluded wherever it lands.
-		{clickAt(2, base.Add(time.Hour), 8), clickAt(2, base, 9)},
-		{clickAt(1, base.Add(2*time.Second), 10), clickAt(2, base.Add(time.Minute), 11)},
-		{clickAt(99, base, 12)}, // unknown user only
-		nil,
-	}
-	open := func(dir string) *SPA {
-		s, err := New(Options{DataDir: dir, Shards: 4, Clock: clock.NewSimulated(t0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	register := func(s *SPA) {
-		for u := uint64(1); u <= 3; u++ {
-			if err := s.Register(u, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a, b := open(dirA), open(dirB)
-	register(a)
-	register(b)
-	outsA := a.MultiIngest(batches)
-	outsB := b.PrepareMulti(batches).Commit()
-	for i := range outsA {
-		if outsA[i].Processed != outsB[i].Processed || outsA[i].SkippedUnknown != outsB[i].SkippedUnknown {
-			t.Fatalf("batch %d: counts diverge: %+v vs %+v", i, outsA[i], outsB[i])
-		}
-		errA, errB := fmt.Sprint(outsA[i].Err), fmt.Sprint(outsB[i].Err)
-		if errA != errB {
-			t.Fatalf("batch %d: errors diverge: %q vs %q", i, errA, errB)
-		}
-	}
-	compare := func(a, b *SPA, what string) {
-		t.Helper()
-		for u := uint64(1); u <= 3; u++ {
-			pa, err := a.Profile(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pb, err := b.Profile(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sum.Encode(&pa), sum.Encode(&pb)) {
-				t.Fatalf("%s: user %d: MultiIngest and Prepare+Commit diverge", what, u)
-			}
-		}
-	}
-	compare(a, b, "live")
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	a2, b2 := open(dirA), open(dirB)
-	defer a2.Close()
-	defer b2.Close()
-	compare(a2, b2, "reopened")
 }
 
 // TestPreparedCommitConcurrent: overlapping Prepare+Commit calls touching
@@ -268,7 +191,7 @@ func TestPreparedCommitConcurrent(t *testing.T) {
 // that was not durable — and a retried Register failed with
 // ErrAlreadyRegistered. Each now installs only after its write succeeds.
 func TestSingleProfileWriteFailureLeavesReadStateUnchanged(t *testing.T) {
-	s, fo, dir := newFaultyCore(t, false, 4)
+	s, fo, dir := newFaultyCore(t, 4)
 	for u := uint64(1); u <= 2; u++ {
 		if err := s.Register(u, []float64{float64(u)}); err != nil {
 			t.Fatal(err)

@@ -15,7 +15,7 @@ func clickAt(user uint64, at time.Time, action uint32) lifelog.Event {
 }
 
 // TestMultiIngestMatchesConcatenated is the coalescing equivalence: merging
-// K batches into one MultiIngest call must leave every profile
+// K batches into one PrepareMulti wave must leave every profile
 // byte-identical to one BatchIngest over the concatenated stream — no event
 // lost, no reordering — while attributing counts per batch. (Sequential
 // per-batch calls are NOT the reference: each ingest call replaces the
@@ -64,7 +64,7 @@ func TestMultiIngestMatchesConcatenated(t *testing.T) {
 	}
 
 	merged := newCore()
-	outs := merged.MultiIngest(batches)
+	outs := merged.PrepareMulti(batches).Commit()
 	gotTotal := 0
 	for b, out := range outs {
 		if out.Err != nil || out.SkippedUnknown != 0 || out.Processed != len(batches[b]) {
@@ -102,11 +102,11 @@ func TestMultiIngestAttribution(t *testing.T) {
 	s.Register(1, nil)
 	s.Register(2, nil)
 	at := t0.Add(-time.Hour)
-	outs := s.MultiIngest([][]lifelog.Event{
+	outs := s.PrepareMulti([][]lifelog.Event{
 		{clickAt(1, at, 5), clickAt(2, at, 6)},
 		{clickAt(99, at, 7), clickAt(1, at.Add(time.Second), 8)},
 		nil,
-	})
+	}).Commit()
 	if outs[0].Processed != 2 || outs[0].SkippedUnknown != 0 || outs[0].Err != nil {
 		t.Fatalf("batch 0: %+v", outs[0])
 	}
@@ -142,7 +142,7 @@ func TestMultiIngestBadBatchExcluded(t *testing.T) {
 	}
 
 	s := newCore()
-	outs := s.MultiIngest([][]lifelog.Event{good1, bad, good2})
+	outs := s.PrepareMulti([][]lifelog.Event{good1, bad, good2}).Commit()
 	if outs[0].Err != nil || outs[0].Processed != 2 {
 		t.Fatalf("good batch 0: %+v", outs[0])
 	}
@@ -184,10 +184,10 @@ func TestMultiIngestConflictingBatches(t *testing.T) {
 	}
 	defer s.Close()
 	s.Register(1, nil)
-	outs := s.MultiIngest([][]lifelog.Event{
+	outs := s.PrepareMulti([][]lifelog.Event{
 		{clickAt(1, base.Add(time.Hour), 5)},
 		{clickAt(1, base, 6)}, // rewinds user 1 within the merged stream
-	})
+	}).Commit()
 	if outs[0].Err != nil || outs[0].Processed != 1 {
 		t.Fatalf("first batch: %+v", outs[0])
 	}
@@ -214,7 +214,7 @@ func TestMultiIngestDurable(t *testing.T) {
 	for u := uint64(1); u <= 8; u++ {
 		batches = append(batches, []lifelog.Event{clickAt(u, at, uint32(u)), clickAt(u, at.Add(time.Second), uint32(u+1))})
 	}
-	for b, out := range s.MultiIngest(batches) {
+	for b, out := range s.PrepareMulti(batches).Commit() {
 		if out.Err != nil || out.Processed != 2 {
 			t.Fatalf("batch %d: %+v", b, out)
 		}

@@ -137,9 +137,6 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	if n < 1 {
 		return nil, errors.New("core: n must be >= 1")
 	}
-	if s.lockedReads {
-		return s.recommendActionsLocked(userID, n)
-	}
 	// Generation before snapshots and tagger: a publish or tagger swap that
 	// lands mid-ranking bumps it past gen, so the result is cached under a
 	// key no later read matches — never wrongly fresh.
@@ -161,7 +158,7 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 		}
 	}
 	s.readCacheMisses.Add(1)
-	recs, err := s.rankActions(snap, c, p, userID, n, false)
+	recs, err := s.rankActions(snap, c, p, userID, n)
 	if err != nil {
 		return nil, err
 	}
@@ -169,34 +166,14 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	return recs, nil
 }
 
-// recommendActionsLocked is the pre-snapshot read path (Options.
-// LockedReads): profile under the shard read lock, then the same ranking
-// pass taking each shard's read lock while it loads that shard's snapshot,
-// so reads contend with writers. No cache.
-func (s *SPA) recommendActionsLocked(userID uint64, n int) ([]cf.Recommendation, error) {
-	sh, c := s.locate(userID)
-	sh.mu.RLock()
-	snap := sh.snap.Load()
-	p := snap.profile(c, userID)
-	var cp sum.Profile
-	if p != nil {
-		cp = *p
-	}
-	sh.mu.RUnlock()
-	if p == nil {
-		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
-	}
-	return s.rankActions(snap, c, &cp, userID, n, true)
-}
-
 // rankActions runs the CF ranking and the emotional re-weighting for one
 // frozen profile; snap is the user's shard snapshot at cell c.
-func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64, n int, lockShards bool) ([]cf.Recommendation, error) {
+func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64, n int) ([]cf.Recommendation, error) {
 	tagger := s.actionTagger()
 
 	// Over-fetch so emotional re-ranking has candidates to promote.
 	fetch := max(n*3, 10)
-	recs, err := s.rankCF(snap, c, userID, fetch, lockShards)
+	recs, err := s.rankCF(snap, c, userID, fetch)
 	if err != nil {
 		return nil, err
 	}
@@ -226,8 +203,7 @@ func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64
 }
 
 // rankCF is cf.KNN.RecommendTopN with k = neighbourK for the user's row in
-// snap at cell c, answered from the CF rows published right now (each
-// shard's snapshot loaded under its read lock when lockShards).
+// snap at cell c, answered from the CF rows published right now.
 //
 // The user's row is scattered into a dense vector, so scoring another row
 // is a gather over that row alone; the k best neighbours and the fetch best
@@ -236,17 +212,11 @@ func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64
 // popularity sums are exact in float64: the answer is bit-identical to
 // cf.KNN's whatever order the shards are walked in
 // (TestRecommendMatchesFrozenKNN).
-func (s *SPA) rankCF(snap *shardSnap, c cell, userID uint64, fetch int, lockShards bool) ([]cf.Recommendation, error) {
+func (s *SPA) rankCF(snap *shardSnap, c cell, userID uint64, fetch int) ([]cf.Recommendation, error) {
 	var snapBuf [16]*shardSnap
 	snaps := snapBuf[:0]
 	for _, sh := range s.shards {
-		if lockShards {
-			sh.mu.RLock()
-		}
 		snaps = append(snaps, sh.snap.Load())
-		if lockShards {
-			sh.mu.RUnlock()
-		}
 	}
 	pg := snap.buckets[c.bucket].rows[c.page]
 	i, ok := slices.BinarySearchFunc(pg, userID, cmpRow)

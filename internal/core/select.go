@@ -85,9 +85,6 @@ func (s *SPA) SelectTop(k int) ([]uint64, error) {
 	if k < 1 {
 		return nil, errors.New("core: k must be >= 1")
 	}
-	if s.lockedReads {
-		return s.selectTopLocked(k)
-	}
 	ix, err := s.currentPropIndex()
 	if err != nil {
 		return nil, err
@@ -140,35 +137,17 @@ func (s *SPA) rebuildPropIndexLocked(pm *propModel) *propIndex {
 	if ix := s.prop.Load(); ix != nil && ix.model == pm && ix.epoch == epoch {
 		return ix
 	}
-	ids, skipped, cause := s.rankPopulation(pm, false)
+	ids, skipped, cause := s.rankPopulation(pm)
 	ix := &propIndex{epoch: epoch, model: pm, ids: ids, skipped: skipped, cause: cause}
 	s.prop.Store(ix)
 	return ix
 }
 
-// selectTopLocked is the pre-snapshot selection path (Options.LockedReads):
-// every user is scored under its shard's read lock, with no materialized
-// index, so selection contends with writers as it did before snapshots.
-// The scorer pair is still taken once per call, not once per user — that
-// fix predates the index. Skip-and-count semantics match the snapshot path.
-func (s *SPA) selectTopLocked(k int) ([]uint64, error) {
-	pm := s.pmodel.Load()
-	if pm == nil {
-		return nil, ErrNoModel
-	}
-	ids, skipped, cause := s.rankPopulation(pm, true)
-	out := ids[:min(k, len(ids))]
-	if skipped > 0 {
-		return out, &PartialSelectionError{Skipped: skipped, Cause: cause}
-	}
-	return out, nil
-}
-
 // rankPopulation scores every resident profile with pm and returns the
 // ids best first (ties by ascending id), skipping — and counting — the
-// profiles pm cannot score. With lockShards each shard is scored under its
-// read lock (the LockedReads twin); otherwise from its snapshot, lock-free.
-func (s *SPA) rankPopulation(pm *propModel, lockShards bool) (ids []uint64, skipped int, cause error) {
+// profiles pm cannot score. Each shard is scored from its snapshot,
+// lock-free.
+func (s *SPA) rankPopulation(pm *propModel) (ids []uint64, skipped int, cause error) {
 	type scored struct {
 		id    uint64
 		score float64
@@ -181,9 +160,6 @@ func (s *SPA) rankPopulation(pm *propModel, lockShards bool) (ids []uint64, skip
 		}
 	}
 	for _, sh := range s.shards {
-		if lockShards {
-			sh.mu.RLock()
-		}
 		for _, bk := range sh.snap.Load().buckets {
 			for _, pg := range bk.profiles {
 				for _, e := range pg {
@@ -200,9 +176,6 @@ func (s *SPA) rankPopulation(pm *propModel, lockShards bool) (ids []uint64, skip
 					all = append(all, scored{e.id, v})
 				}
 			}
-		}
-		if lockShards {
-			sh.mu.RUnlock()
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/keyspace"
-	"repro/internal/lifelog"
 	"repro/internal/values"
 )
 
@@ -70,36 +69,12 @@ func (s *SPA) shardFor(userID uint64) *shard {
 	return s.shards[s.shardIndexFor(userID)]
 }
 
-// shardIndexFor is shardFor by index — the multi-shard ingest paths key
-// their groups by index so lock acquisition can follow a deterministic
+// shardIndexFor is shardFor by index — the ingest path keys its groups
+// by index so lock acquisition can follow a deterministic
 // (index-ascending) order. The mixer is keyspace.Mix64, shared with the
 // cluster slot map: shard counts and keyspace.NumSlots are both powers of
 // two, so a slot's users always share a shard (for Shards ≤ NumSlots) and a
 // handoff can filter log records by slot.
 func (s *SPA) shardIndexFor(userID uint64) int {
 	return int(keyspace.Mix64(userID) & s.mask)
-}
-
-// BatchIngest is the high-throughput ingest facade: events are grouped by
-// owning shard (preserving per-user order, which sessionization requires)
-// and the groups run concurrently, each under its own shard lock with its
-// own extractor. Durable profile updates of one shard group commit as a
-// single store WriteBatch — one WAL record instead of one per profile.
-//
-// Semantics match a sequential IngestEvents call: per-user results depend
-// only on that user's events, so the fan-out is invisible in the profiles
-// (see TestShardedMatchesSingleShard). On error the failing shard group is
-// not applied; groups of other shards may be, exactly as two separate
-// IngestEvents calls could interleave. Events of unregistered users are
-// counted and skipped.
-//
-// BatchIngest is the one-submitter case of MultiIngest (multi.go), which
-// additionally merges independently submitted batches — the serving layer's
-// coalesced network requests — into the same per-shard group commits.
-func (s *SPA) BatchIngest(events []lifelog.Event) (processed, skippedUnknown int, err error) {
-	if len(events) == 0 {
-		return 0, 0, nil
-	}
-	out := s.MultiIngest([][]lifelog.Event{events})
-	return out[0].Processed, out[0].SkippedUnknown, out[0].Err
 }

@@ -13,8 +13,8 @@ import (
 
 // Epoch-based immutable read snapshots (DESIGN.md §8). The snapshot is the
 // only copy of a shard's user state: every write path — Register,
-// SubmitAnswer, Reward, Punish, both ingest commit shapes, replicated and
-// handoff waves, slot drops — builds the shard's next snapshot from the
+// SubmitAnswer, Reward, Punish, the ingest commit, replicated and handoff
+// waves, slot drops — builds the shard's next snapshot from the
 // current one while holding the shard's write lock, and every read path
 // loads the current snapshot through an atomic pointer and never touches
 // sh.mu. A snapshot is immutable after publish, and so is every profile it
@@ -305,26 +305,10 @@ func mergeRows(prev []rowEntry, deltas []rowDelta) []rowEntry {
 	return append(out, prev[k:]...)
 }
 
-// viewProfile returns a stable profile for reading. In snapshot mode (the
-// default) it is a lock-free load: the returned profile is frozen, safe to
-// read concurrently with any writer. With Options.LockedReads it reproduces
-// the pre-snapshot read path — shard read lock, copy out — so benchmarks
-// can measure what the snapshot buys.
+// viewProfile returns a stable profile for reading: a lock-free load whose
+// result is frozen, safe to read concurrently with any writer.
 func (s *SPA) viewProfile(userID uint64) (*sum.Profile, error) {
 	sh, c := s.locate(userID)
-	if s.lockedReads {
-		sh.mu.RLock()
-		p := sh.snap.Load().profile(c, userID)
-		var cp sum.Profile
-		if p != nil {
-			cp = *p
-		}
-		sh.mu.RUnlock()
-		if p == nil {
-			return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
-		}
-		return &cp, nil
-	}
 	p := sh.snap.Load().profile(c, userID)
 	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)

@@ -76,7 +76,7 @@ func TestSelectTopPartialSelection(t *testing.T) {
 }
 
 // TestConcurrentReadsDuringIngest runs every read endpoint against
-// concurrent MultiIngest and pipelined PrepareMulti/Commit writers (run
+// concurrent BatchIngest and split PrepareMulti/Commit writers (run
 // with -race). Afterward the epoch must have advanced and — extending
 // TestRecommendActionsInvalidatedByNewIngest — a read issued after fresh
 // neighbor evidence must reflect it.
@@ -96,7 +96,7 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writer A: MultiIngest over its own users; writer B: the pipelined
+	// Writer A: BatchIngest over its own users; writer B: the
 	// prepare/commit split over a disjoint span. Neither touches the
 	// actions that decide user 1's recommendations (10, 20, 21).
 	makeBatch := func(base uint64, round int) []lifelog.Event {
@@ -119,11 +119,9 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 				return
 			default:
 			}
-			for _, o := range s.MultiIngest([][]lifelog.Event{makeBatch(10, round)}) {
-				if o.Err != nil {
-					t.Errorf("multi ingest: %v", o.Err)
-					return
-				}
+			if _, _, err := s.BatchIngest(makeBatch(10, round)); err != nil {
+				t.Errorf("batch ingest: %v", err)
+				return
 			}
 		}
 	}()
@@ -417,52 +415,5 @@ func TestReadStatsCounters(t *testing.T) {
 	rs = s.ReadStats()
 	if rs.ReadCacheMisses != 2 || rs.ReadCacheHits != 1 {
 		t.Fatalf("ingest did not invalidate the cache: %+v", rs)
-	}
-}
-
-// TestLockedReadsParity: the -locked-reads measurement baseline must be
-// behaviorally identical to the snapshot path — same recommendations,
-// same ranking, same partial-selection accounting.
-func TestLockedReadsParity(t *testing.T) {
-	build := func(locked bool) *SPA {
-		s, err := New(Options{Clock: clock.NewSimulated(t0), LockedReads: locked})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		for id := uint64(1); id <= 6; id++ {
-			if err := s.Register(id, []float64{float64(id % 3), 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ingestClicks(t, s, map[uint64][]uint32{1: {10}, 2: {10, 20}, 3: {10, 21}, 4: {40}})
-		trainOn(t, s, 1, 2, 3, 4, 5, 6)
-		if err := s.Register(99, []float64{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	snap, locked := build(false), build(true)
-
-	rSnap, err := snap.RecommendActions(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rLocked, err := locked.RecommendActions(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(rSnap) != fmt.Sprint(rLocked) {
-		t.Fatalf("recommendations diverge: %v vs %v", rSnap, rLocked)
-	}
-
-	idsSnap, errSnap := snap.SelectTop(10)
-	idsLocked, errLocked := locked.SelectTop(10)
-	if fmt.Sprint(idsSnap) != fmt.Sprint(idsLocked) {
-		t.Fatalf("rankings diverge: %v vs %v", idsSnap, idsLocked)
-	}
-	var pSnap, pLocked *PartialSelectionError
-	if !errors.As(errSnap, &pSnap) || !errors.As(errLocked, &pLocked) || pSnap.Skipped != pLocked.Skipped {
-		t.Fatalf("partial accounting diverges: %v vs %v", errSnap, errLocked)
 	}
 }

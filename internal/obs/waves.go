@@ -12,8 +12,6 @@ import (
 // the pipelined handoff stall (prepared, waiting for the previous wave's
 // commit to finish), and WALSync is the slice of Commit spent in the
 // store's fsync, attributed back through the store observer by wave ID.
-// Under the serialized dispatcher Prepare and CommitWait are zero and
-// Commit covers the whole MultiIngest call.
 type WaveTrace struct {
 	ID       uint64
 	Start    time.Time // gather began (first request of the wave left the queue)

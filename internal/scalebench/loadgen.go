@@ -13,11 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// The [S2] harness: drive a live spad over its real wire protocol with K
-// concurrent clients and measure what the serving layer delivers —
-// throughput, per-request latency percentiles, and how well the
-// cross-request coalescer is batching. The workload is the same burst shape
-// as [S1] (MakeBursts), shifted so each client owns a disjoint user range:
+// The loadgen harness behind [S3], [S5] and spabench -loadgen: drive a live
+// spad over its real wire protocol with K concurrent clients and measure
+// what the serving layer delivers — throughput, per-request latency
+// percentiles, and how well the cross-request coalescer is batching. The
+// workload is the shared burst shape (MakeBursts), shifted so each client
+// owns a disjoint user range:
 // cross-client coalescing then can never violate per-user event order, the
 // same contract production traffic has when each device uploads its own
 // user's LifeLog.
@@ -29,13 +30,13 @@ type LoadgenConfig struct {
 	// Clients is the number of concurrent clients (default Workers).
 	Clients int
 	// Requests is the total ingest-request budget, split evenly across
-	// clients (default 48, matching the [S1] burst count).
+	// clients (default 48).
 	Requests int
 	// Register creates each client's user range first. Conflicts (already
 	// registered, e.g. on a second run against the same daemon) are fine.
 	Register bool
 	// UsersPerRequest is the burst width of one ingest request (default 8
-	// users × PerUser events — a device-upload-sized payload; [S1]'s wide
+	// users × PerUser events — a device-upload-sized payload; the wide
 	// 64-user bursts are an in-process shape, not a wire shape).
 	UsersPerRequest int
 	// Timeout bounds each request (default 30 s — a full queue with sync

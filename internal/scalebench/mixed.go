@@ -14,16 +14,14 @@ import (
 	"repro/internal/spaclient"
 )
 
-// The [S7] harness: a read-heavy mixed workload. The scenario replay [S6]
+// The read-heavy mixed workload behind [S8]. The scenario replay [S6]
 // interleaves reads and writes in session order, which measures a deployed
-// traffic shape but ties the read rate to the session script. [S7] instead
-// pins the mix at a fixed read fraction (90/10 per the roadmap) and drives
-// both sides as fast as the daemon allows, so the read tail directly
+// traffic shape but ties the read rate to the session script. RunMixed
+// instead pins the mix at a fixed read fraction (90/10 per the roadmap) and
+// drives both sides as fast as the daemon allows, so the read tail directly
 // exposes whether reads wait behind writers: under the epoch-snapshot read
 // path (DESIGN.md §8) a read never takes a shard lock and its p99 stays at
-// in-memory scale even while commits hold shard write locks across fsync;
-// under the -locked-reads baseline every read that lands on a committing
-// shard inherits the fsync latency.
+// in-memory scale even while commits hold shard write locks across fsync.
 //
 // Each client lane owns a disjoint user span for writes (per-user event
 // order stays monotone without cross-lane coordination, exactly the
@@ -235,7 +233,7 @@ func runMixedLane(cfg MixedConfig, c *spaclient.Client, lane, span int, st *mixe
 	}
 }
 
-// mixedRead issues one read from the [S7] mix: recommendation pulls
+// mixedRead issues one read from the mixed workload: recommendation pulls
 // dominate, with advice, propensity, and select-top filling out the
 // non-ingest read surface.
 func mixedRead(c *spaclient.Client, r *rng.RNG, user uint64, topK int) error {

@@ -15,7 +15,7 @@ func TestS7Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(spa, server.Options{Pipeline: true})
+	srv := server.New(spa, server.Options{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()
@@ -29,7 +29,7 @@ func TestS7Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Train the propensity model in-process so the select-top / propensity
-	// reads in the mix are warm, as the spabench [S7] section does.
+	// reads in the mix are warm, as the spabench [S8] section does.
 	var feats [][]float64
 	var labels []bool
 	for id := uint64(1); id <= users; id++ {

@@ -25,7 +25,7 @@ func TestS8Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(spa, server.Options{Pipeline: true})
+	srv := server.New(spa, server.Options{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()

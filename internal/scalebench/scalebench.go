@@ -1,12 +1,12 @@
 // Package scalebench is the shared workload harness behind
 // BenchmarkShardedIngest and spabench's scale sections, so every consumer
 // measures the exact same ingest shape: fixed-size multi-user event bursts
-// over disjoint user ranges. [S1] pushes the bursts through the in-process
-// facade with a worker pool (RunWorkers); [S2] pushes them through a live
-// spad daemon over the wire with concurrent clients (RunLoadgen,
-// loadgen.go). Keeping the workload in one place means a change to it
-// (burst sizing, event mix) cannot silently diverge between the benchmark,
-// the CLI table, and the load generator.
+// over disjoint user ranges. BenchmarkShardedIngest pushes the bursts
+// through the in-process facade with a worker pool (RunWorkers); [S3], [S5]
+// and spabench -loadgen push them through a live spad daemon over the wire
+// with concurrent clients (RunLoadgen, loadgen.go). Keeping the workload in
+// one place means a change to it (burst sizing, event mix) cannot silently
+// diverge between the benchmark, the CLI table, and the load generator.
 package scalebench
 
 import (
@@ -36,7 +36,7 @@ func MakeBursts() [][]lifelog.Event {
 }
 
 // MakeBurstsFor builds the canonical burst set over a shifted user range
-// [offset+1, offset+Users]. The S2 loadgen gives every concurrent client
+// [offset+1, offset+Users]. The loadgen gives every concurrent client
 // its own offset, so clients never interleave events of a shared user and
 // per-user order is preserved no matter how their requests coalesce.
 func MakeBurstsFor(offset uint64) [][]lifelog.Event {
@@ -47,7 +47,7 @@ func MakeBurstsFor(offset uint64) [][]lifelog.Event {
 // split into Users/usersPerBurst bursts of usersPerBurst users × PerUser
 // events. The serving benchmark uses narrow bursts — a network request
 // carries one device's recent events, not a 64-user mega-batch; the wide
-// [S1] shape stays the in-process default.
+// shape stays the in-process default.
 func MakeBurstsSized(offset uint64, usersPerBurst int) [][]lifelog.Event {
 	return MakeBurstsSpan(offset, Users, usersPerBurst)
 }

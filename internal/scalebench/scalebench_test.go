@@ -63,7 +63,7 @@ func TestRunWorkersDrainsAndReportsFirstError(t *testing.T) {
 	}
 }
 
-// TestS1Smoke runs a miniature of spabench's [S1] section: the shared burst
+// TestS1Smoke runs a miniature of BenchmarkShardedIngest: the shared burst
 // workload through a sharded in-memory core via the worker pool.
 func TestS1Smoke(t *testing.T) {
 	spa, err := core.New(core.Options{Shards: 8, Clock: clock.NewSimulated(clock.Epoch)})
@@ -89,8 +89,8 @@ func TestS1Smoke(t *testing.T) {
 	}
 }
 
-// TestS2Smoke runs a miniature of spabench's [S2] section end-to-end: a
-// live serving stack on loopback, driven by concurrent wire clients.
+// TestS2Smoke runs the loadgen end-to-end: a live serving stack on
+// loopback, driven by concurrent wire clients.
 func TestS2Smoke(t *testing.T) {
 	spa, err := core.New(core.Options{Shards: 4, Clock: clock.NewSimulated(clock.Epoch)})
 	if err != nil {
@@ -129,6 +129,52 @@ func TestS2Smoke(t *testing.T) {
 	}
 	if spa.Users() != 2*Users {
 		t.Fatalf("registered %d users, want %d", spa.Users(), 2*Users)
+	}
+}
+
+// TestS4Smoke drives the live stack through its one dispatcher, the
+// two-stage pipelined coalescer: every event must be delivered, and once
+// the loadgen returns the pipeline must be quiesced with every event
+// accounted for in the stack's own metrics.
+func TestS4Smoke(t *testing.T) {
+	spa, err := core.New(core.Options{Shards: 4, Clock: clock.NewSimulated(clock.Epoch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(spa, server.Options{})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+		spa.Close()
+	}()
+
+	const usersPerRequest = 8
+	res, err := RunLoadgen(LoadgenConfig{
+		BaseURL:         ts.URL,
+		Clients:         2,
+		Requests:        8,
+		Register:        true,
+		UsersPerRequest: usersPerRequest,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("loadgen errors: %+v", res)
+	}
+	if want := res.Requests * usersPerRequest * PerUser; res.Events != want {
+		t.Fatalf("events %d, want %d", res.Events, want)
+	}
+	m, err := spaclient.New(ts.URL, spaclient.Options{}).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PipelineDepth != 0 {
+		t.Fatalf("pipeline depth %d after quiesce", m.PipelineDepth)
+	}
+	if m.IngestEvents != uint64(res.Events) {
+		t.Fatalf("stack accounted %d of %d events", m.IngestEvents, res.Events)
 	}
 }
 
@@ -191,54 +237,6 @@ func TestS3Smoke(t *testing.T) {
 	}
 	if m.IngestBinary != binaryRequests {
 		t.Fatalf("JSON-only pass spoke binary: %d -> %d", binaryRequests, m.IngestBinary)
-	}
-}
-
-// TestS4Smoke runs a miniature of spabench's [S4] section: the same live
-// stack driven once through the serialized dispatcher and once through the
-// pipelined one — both must deliver every event with identical wire
-// semantics, and the pipelined run must leave the pipeline quiesced.
-func TestS4Smoke(t *testing.T) {
-	const usersPerRequest = 8
-	for _, pipeline := range []bool{false, true} {
-		spa, err := core.New(core.Options{Shards: 4, Clock: clock.NewSimulated(clock.Epoch)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := server.New(spa, server.Options{Pipeline: pipeline})
-		ts := httptest.NewServer(srv)
-		res, err := RunLoadgen(LoadgenConfig{
-			BaseURL:         ts.URL,
-			Clients:         2,
-			Requests:        8,
-			Register:        true,
-			UsersPerRequest: usersPerRequest,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Errors != 0 {
-			t.Fatalf("pipeline=%v: loadgen errors: %+v", pipeline, res)
-		}
-		if want := res.Requests * usersPerRequest * PerUser; res.Events != want {
-			t.Fatalf("pipeline=%v: events %d, want %d", pipeline, res.Events, want)
-		}
-		if pipeline {
-			c := spaclient.New(ts.URL, spaclient.Options{})
-			m, err := c.Metrics()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.PipelineDepth != 0 {
-				t.Fatalf("pipeline depth %d after quiesce", m.PipelineDepth)
-			}
-			if m.IngestEvents != uint64(res.Events) {
-				t.Fatalf("pipelined stack accounted %d of %d events", m.IngestEvents, res.Events)
-			}
-		}
-		ts.Close()
-		srv.Close()
-		spa.Close()
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"repro/internal/synth"
 )
 
-// The [S6] harness: scenario replay. Where [S2]-[S5] drive uniform,
+// The [S6] harness: scenario replay. Where [S3] and [S5] drive uniform,
 // ingest-only bursts to isolate transport effects, this loadgen replays
 // the traffic shape a deployed SPA system would actually see, per the
 // paper's warehousing framing: a zipf-skewed user population (a handful

@@ -19,7 +19,7 @@ func TestS6Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(spa, server.Options{Pipeline: true})
+	srv := server.New(spa, server.Options{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()
@@ -87,7 +87,6 @@ func TestScenarioClusterSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := server.New(spa, server.Options{
-			Pipeline:      true,
 			ClusterNodeID: id,
 			ClusterAddr:   peers[id],
 			ClusterPeers:  peers,

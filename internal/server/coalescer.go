@@ -14,51 +14,40 @@ import (
 
 // The cross-request ingest coalescer: the server-side analogue of the
 // store's WAL group commit. Concurrently arriving ingest requests queue
-// here; a single dispatcher merges whatever is pending into one group
-// commit, so N requests pay one commit per wave instead of N. No
-// artificial delay is needed — while one commit (and its fsync) is in
-// flight, the next wave of requests piles up behind it, which is exactly
-// the batch the dispatcher grabs next. MaxDelay adds an optional linger
-// for workloads that prefer bigger batches over latency.
+// here; the dispatcher merges whatever is pending into one group commit, so
+// N requests pay one commit per wave instead of N. No artificial delay is
+// needed — while one commit (and its fsync) is in flight, the next wave of
+// requests piles up behind it, which is exactly the batch the dispatcher
+// grabs next. MaxDelay adds an optional linger for workloads that prefer
+// bigger batches over latency.
 //
-// The dispatcher runs in one of two shapes:
+// The dispatcher has two stages. Stage 1 gathers a wave and runs the
+// CPU-bound prepare (validation, sessionization, extraction, per-batch
+// attribution) via core.PrepareMulti; stage 2 — a single committer
+// goroutine — persists the prepared wave (one ordered store.ApplyAll, one
+// WAL sync for the whole wave) and fans the outcomes back. Stage 1 of wave
+// N+1 runs concurrently with stage 2 of wave N; genuine CPU/disk overlap
+// materializes when the waves touch disjoint shards — a prepare that needs
+// a shard the commit holds write-locked waits at that shard's RLock (the
+// price of keeping encode+WAL-order atomic against other writers), which
+// pipeline_overlap makes visible by counting only prepares that finished
+// while a commit was in flight. The handoff channel is unbuffered, so at
+// most one prepared wave waits while one commits (pipeline depth ≤ 2).
 //
-//   - Serialized (default): one goroutine loops gather → MultiIngest →
-//     fan-back. Every fsync leaves the CPU idle and every extract pass
-//     leaves the disk idle.
-//   - Pipelined (Options.Pipeline): two stages. Stage 1 gathers a wave and
-//     runs the CPU-bound prepare (validation, sessionization, extraction,
-//     per-batch attribution) via core.PrepareMulti; stage 2 — a single
-//     committer goroutine — persists the prepared wave (one ordered
-//     store.ApplyAll, one WAL sync for the whole wave, which is the bulk
-//     of the measured win) and fans the outcomes back. Stage 1 of wave
-//     N+1 runs concurrently with stage 2 of wave N; genuine CPU/disk
-//     overlap materializes when the waves touch disjoint shards — a
-//     prepare that needs a shard the commit holds write-locked waits at
-//     that shard's RLock (the price of keeping encode+WAL-order atomic
-//     against other writers), which pipeline_overlap makes visible by
-//     counting only prepares that finished while a commit was in flight.
-//     The handoff channel is unbuffered, so at most one prepared wave
-//     waits while one commits (pipeline depth ≤ 2).
-//
-// Correctness properties (see coalescer_test.go; the suites run under both
-// dispatcher shapes):
+// Correctness properties (see coalescer_test.go):
 //   - FIFO: requests enter the merged stream in queue order, so a client
 //     that waits for its response before sending the next request keeps its
-//     users' event streams ordered across commits. Under pipelining the
-//     single gatherer fixes wave order and the single committer commits in
-//     that order, so the property carries over — and store.ApplyAll
-//     guarantees same-shard WriteBatches of successive waves reach the WAL
-//     in that order too (crash replay recovers a wave prefix).
+//     users' event streams ordered across commits. The single gatherer
+//     fixes wave order and the single committer commits in that order —
+//     and store.ApplyAll guarantees same-shard WriteBatches of successive
+//     waves reach the WAL in that order too (crash replay recovers a wave
+//     prefix).
 //   - No loss: every queued request is dispatched exactly once, including
 //     during shutdown drain.
 //   - Per-request status: outcomes are attributed per batch, so one
-//     submitter's malformed stream fails only that submitter; on
-//     successful commits (and for malformed-stream charging) the two
-//     dispatchers produce byte-identical per-request outcomes. Store
-//     failures differ in blast radius only: the serialized path fails the
-//     batches touching the failing shard group, the pipelined wave-atomic
-//     commit fails the whole wave (see core.PreparedMulti.Commit).
+//     submitter's malformed stream fails only that submitter. A store
+//     failure fails the whole wave: nothing of it is applied anywhere (see
+//     core.PreparedMulti.Commit).
 
 // errQueueFull rejects a request when the pending queue is at capacity —
 // the admission-control signal that becomes 503 + Retry-After.
@@ -67,18 +56,13 @@ var errQueueFull = errors.New("server: ingest queue full")
 // errDraining rejects new requests once shutdown has begun.
 var errDraining = errors.New("server: draining")
 
-// multiIngester is the coalescer's view of the core (seam for tests).
-type multiIngester interface {
-	MultiIngest(batches [][]lifelog.Event) []core.IngestOutcome
-}
-
 // waveCommit is a prepared wave awaiting its commit (stage 2's unit of
 // work). *core.PreparedMulti implements it.
 type waveCommit interface {
 	Commit() []core.IngestOutcome
 }
 
-// wavePreparer is the pipelined coalescer's view of the core: stage 1 calls
+// wavePreparer is the coalescer's view of the core: stage 1 calls
 // PrepareWave, stage 2 calls Commit on the result. Seam for tests; the real
 // backend is spaPreparer.
 type wavePreparer interface {
@@ -106,8 +90,7 @@ type ingestDone struct {
 }
 
 type coalescer struct {
-	backend  multiIngester
-	pipe     wavePreparer // non-nil selects the two-stage pipelined dispatcher
+	prep     wavePreparer
 	met      *metrics
 	queue    chan *ingestJob
 	maxBatch int
@@ -130,7 +113,7 @@ type coalescer struct {
 	producers sync.WaitGroup
 }
 
-func newCoalescer(backend multiIngester, pipe wavePreparer, met *metrics, queueDepth, maxBatch int, maxDelay, slowWave time.Duration, logf func(string, ...any)) *coalescer {
+func newCoalescer(prep wavePreparer, met *metrics, queueDepth, maxBatch int, maxDelay, slowWave time.Duration, logf func(string, ...any)) *coalescer {
 	if queueDepth <= 0 {
 		queueDepth = 256
 	}
@@ -141,8 +124,7 @@ func newCoalescer(backend multiIngester, pipe wavePreparer, met *metrics, queueD
 		logf = log.Printf
 	}
 	c := &coalescer{
-		backend:  backend,
-		pipe:     pipe,
+		prep:     prep,
 		met:      met,
 		queue:    make(chan *ingestJob, queueDepth),
 		maxBatch: maxBatch,
@@ -253,26 +235,6 @@ func (c *coalescer) depth() int { return len(c.queue) }
 // capacity is the pending-queue bound.
 func (c *coalescer) capacity() int { return cap(c.queue) }
 
-func (c *coalescer) run() {
-	defer close(c.done)
-	if c.pipe != nil {
-		c.runPipelined()
-		return
-	}
-	for {
-		var first *ingestJob
-		select {
-		case first = <-c.queue:
-		case <-c.quit:
-			c.drain()
-			return
-		}
-		gatherStart := time.Now()
-		batch := c.gather(first)
-		c.dispatch(batch, gatherStart)
-	}
-}
-
 // observeQueueWaits records each job's admission→gather wait in the queue
 // histogram and returns the longest — the wave's QueueWait. Jobs without a
 // stamp (tests constructing jobs by hand) are skipped.
@@ -339,12 +301,13 @@ type wave struct {
 	shards    int
 }
 
-// runPipelined is the two-stage dispatcher: this goroutine is stage 1
-// (gather + prepare), the committer goroutine is stage 2 (commit +
-// fan-back). The unbuffered handoff bounds the pipeline at one wave
-// preparing/prepared plus one committing; FIFO order is preserved because
-// both stages are single goroutines connected by a channel.
-func (c *coalescer) runPipelined() {
+// run is the two-stage dispatcher: this goroutine is stage 1 (gather +
+// prepare), the committer goroutine is stage 2 (commit + fan-back). The
+// unbuffered handoff bounds the pipeline at one wave preparing/prepared
+// plus one committing; FIFO order is preserved because both stages are
+// single goroutines connected by a channel.
+func (c *coalescer) run() {
+	defer close(c.done)
 	commitq := make(chan *wave)
 	commitDone := make(chan struct{})
 	go func() {
@@ -364,7 +327,9 @@ func (c *coalescer) runPipelined() {
 		case <-c.quit:
 			// Drain: everything still queued leaves in merged, prepared
 			// waves through the same two stages — the committer finishes
-			// them before the deferred close returns.
+			// them before the deferred close returns. gatherPending batches
+			// nonblockingly (gather would consult the already-closed quit
+			// channel and commit ~one request at a time).
 			for {
 				select {
 				case j := <-c.queue:
@@ -409,7 +374,7 @@ func (c *coalescer) prepareAndSend(commitq chan<- *wave, jobs []*ingestJob, gath
 	// it triggers can be attributed back to this trace. Optional interface:
 	// test fakes that only implement Commit keep working untagged.
 	prepStart := time.Now()
-	prepared := c.pipe.PrepareWave(batches)
+	prepared := c.prep.PrepareWave(batches)
 	if tagged, ok := prepared.(interface{ SetWaveID(uint64) }); ok {
 		tagged.SetWaveID(w.id)
 	}
@@ -506,61 +471,4 @@ func (c *coalescer) gatherPending(batch []*ingestJob) []*ingestJob {
 		}
 	}
 	return batch
-}
-
-// drain commits everything still queued at shutdown — graceful drain means
-// accepted requests are never dropped, and they still leave in merged
-// waves: gatherPending batches nonblockingly (gather would consult the
-// already-closed quit channel and commit ~one request at a time).
-func (c *coalescer) drain() {
-	for {
-		select {
-		case j := <-c.queue:
-			gatherStart := time.Now()
-			c.dispatch(c.gatherPending([]*ingestJob{j}), gatherStart)
-		default:
-			return
-		}
-	}
-}
-
-// dispatch is the serialized path's single stage: gather already happened
-// (gatherStart marks its beginning), MultiIngest is prepare+commit fused,
-// so the whole call lands in the commit histogram and the trace's
-// Prepare/CommitWait/WALSync stay zero — /debug/waves shows which shape
-// produced a trace by which stages are populated.
-func (c *coalescer) dispatch(jobs []*ingestJob, gatherStart time.Time) {
-	batches := make([][]lifelog.Event, len(jobs))
-	events := 0
-	for i, j := range jobs {
-		batches[i] = j.events
-		events += len(j.events)
-	}
-	queueWait := c.observeQueueWaits(jobs, gatherStart)
-	gather := time.Since(gatherStart)
-	var id uint64
-	if c.met != nil {
-		id = c.met.waveSeq.Add(1)
-		c.met.obs().stage("gather", gather)
-	}
-	commitStart := time.Now()
-	outs := c.backend.MultiIngest(batches)
-	commit := time.Since(commitStart)
-	for i, j := range jobs {
-		j.done <- ingestDone{outcome: outs[i], merged: len(jobs)}
-	}
-	if c.met != nil {
-		c.met.obs().stage("commit", commit)
-		c.met.noteCommit(len(jobs), events)
-		c.finishWave(obs.WaveTrace{
-			ID:        id,
-			Start:     gatherStart,
-			Requests:  len(jobs),
-			Events:    events,
-			QueueWait: queueWait,
-			Gather:    gather,
-			Commit:    commit,
-			Err:       anyErr(outs),
-		})
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +16,11 @@ import (
 
 var t0 = clock.Epoch
 
-// recordingBackend is a multiIngester that journals every commit it
+// recordingBackend is a wavePreparer that journals every commit it
 // receives (batches in submission order) and can slow down or fail on
 // demand — the seam that lets the stress tests observe exactly what the
-// coalescer fed downstream.
+// coalescer fed downstream. Prepare is free; the journaling happens in the
+// stage-2 commit.
 type recordingBackend struct {
 	delay   time.Duration
 	failOn  func(batch []lifelog.Event) error
@@ -26,7 +28,11 @@ type recordingBackend struct {
 	commits [][][]lifelog.Event
 }
 
-func (b *recordingBackend) MultiIngest(batches [][]lifelog.Event) []core.IngestOutcome {
+func (b *recordingBackend) PrepareWave(batches [][]lifelog.Event) waveCommit {
+	return commitFunc(func() []core.IngestOutcome { return b.commit(batches) })
+}
+
+func (b *recordingBackend) commit(batches [][]lifelog.Event) []core.IngestOutcome {
 	if b.delay > 0 {
 		time.Sleep(b.delay)
 	}
@@ -58,36 +64,6 @@ type commitFunc func() []core.IngestOutcome
 
 func (f commitFunc) Commit() []core.IngestOutcome { return f() }
 
-// pipeAdapter turns any multiIngester into a wavePreparer whose prepare is
-// free and whose commit is the MultiIngest call, so the recording and gated
-// fakes drive the pipelined dispatcher unchanged — every journaled
-// MultiIngest call is then a stage-2 commit.
-type pipeAdapter struct{ mi multiIngester }
-
-func (p pipeAdapter) PrepareWave(batches [][]lifelog.Event) waveCommit {
-	return commitFunc(func() []core.IngestOutcome { return p.mi.MultiIngest(batches) })
-}
-
-// dispatcherModes runs the suite body under both dispatcher shapes: the
-// serialized single-goroutine loop and the two-stage pipeline.
-func dispatcherModes(t *testing.T, body func(t *testing.T, pipelined bool)) {
-	for _, mode := range []struct {
-		name      string
-		pipelined bool
-	}{{"serialized", false}, {"pipelined", true}} {
-		t.Run(mode.name, func(t *testing.T) { body(t, mode.pipelined) })
-	}
-}
-
-// newTestCoalescer wires a coalescer over a fake backend in either shape.
-func newTestCoalescer(backend multiIngester, pipelined bool, met *metrics, queueDepth, maxBatch int, maxDelay time.Duration) *coalescer {
-	var pipe wavePreparer
-	if pipelined {
-		pipe = pipeAdapter{mi: backend}
-	}
-	return newCoalescer(backend, pipe, met, queueDepth, maxBatch, maxDelay, 0, nil)
-}
-
 func evAt(user uint64, seq int) lifelog.Event {
 	return lifelog.Event{
 		UserID: user,
@@ -101,11 +77,12 @@ func evAt(user uint64, seq int) lifelog.Event {
 // submit sequential requests through one coalescer; afterwards the merged
 // stream the backend saw must contain every event exactly once, with every
 // user's timestamps strictly increasing across commit boundaries — and the
-// concurrency must actually have produced multi-request commits. The FIFO
-// property must survive the pipelined dispatcher: its single gatherer fixes
-// wave order and its single committer commits in that order.
+// concurrency must actually have produced multi-request commits. FIFO holds
+// because the single gatherer fixes wave order and the single committer
+// commits in that order. Like the other dispatcher cases it runs as the
+// "pipelined" subtest, named for the dispatcher it drives.
 func TestCoalescerOrderAndCompleteness(t *testing.T) {
-	dispatcherModes(t, func(t *testing.T, pipelined bool) {
+	t.Run("pipelined", func(t *testing.T) {
 		const (
 			clients          = 8
 			requestsPer      = 40
@@ -114,7 +91,7 @@ func TestCoalescerOrderAndCompleteness(t *testing.T) {
 		// The delay stands in for a durable group commit (the fsync window):
 		// while one commit runs, the other clients' requests pile up.
 		backend := &recordingBackend{delay: 500 * time.Microsecond}
-		c := newTestCoalescer(backend, pipelined, nil, 256, 64, 0)
+		c := newCoalescer(backend, nil, 256, 64, 0, 0, nil)
 		defer c.close()
 
 		var wg sync.WaitGroup
@@ -179,10 +156,10 @@ func TestCoalescerOrderAndCompleteness(t *testing.T) {
 
 // TestCoalescerErrorFanback drives the coalescer against the real core: a
 // malformed request merged with healthy ones must fail alone, and the
-// healthy requests' events must all land in the profiles. The pipelined
-// mode runs the real PrepareMulti/Commit split.
+// healthy requests' events must all land in the profiles, through the real
+// PrepareMulti/Commit split.
 func TestCoalescerErrorFanback(t *testing.T) {
-	dispatcherModes(t, func(t *testing.T, pipelined bool) {
+	t.Run("pipelined", func(t *testing.T) {
 		const clients = 6
 		spa, err := core.New(core.Options{Shards: 1, Clock: clock.NewSimulated(t0.Add(time.Hour))})
 		if err != nil {
@@ -194,11 +171,7 @@ func TestCoalescerErrorFanback(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var pipe wavePreparer
-		if pipelined {
-			pipe = spaPreparer{spa: spa}
-		}
-		c := newCoalescer(spa, pipe, nil, 256, 64, time.Millisecond, 0, nil)
+		c := newCoalescer(spaPreparer{spa: spa}, nil, 256, 64, time.Millisecond, 0, nil)
 		defer c.close()
 
 		var wg sync.WaitGroup
@@ -253,9 +226,9 @@ func TestCoalescerErrorFanback(t *testing.T) {
 // The pipeline holds at most two extra requests in flight (one preparing,
 // one committing), so admission control stays effective there too.
 func TestCoalescerAdmissionControl(t *testing.T) {
-	dispatcherModes(t, func(t *testing.T, pipelined bool) {
+	t.Run("pipelined", func(t *testing.T) {
 		backend := &recordingBackend{delay: 20 * time.Millisecond}
-		c := newTestCoalescer(backend, pipelined, nil, 2, 1, 0)
+		c := newCoalescer(backend, nil, 2, 1, 0, 0, nil)
 		defer c.close()
 
 		const submitters = 16
@@ -296,10 +269,9 @@ func TestCoalescerAdmissionControl(t *testing.T) {
 	})
 }
 
-// gatedBackend blocks its first MultiIngest call until released — the seam
-// that lets a test pile up a backlog behind an in-flight commit and then
-// trigger shutdown at a known point. Under the pipeAdapter the gate blocks
-// the first stage-2 commit.
+// gatedBackend blocks its first commit until released — the seam that lets
+// a test pile up a backlog behind an in-flight commit and then trigger
+// shutdown at a known point.
 type gatedBackend struct {
 	recordingBackend
 	started chan struct{} // closed when the first commit begins
@@ -307,92 +279,30 @@ type gatedBackend struct {
 	first   sync.Once
 }
 
-func (b *gatedBackend) MultiIngest(batches [][]lifelog.Event) []core.IngestOutcome {
-	b.first.Do(func() {
-		close(b.started)
-		<-b.release
+func (b *gatedBackend) PrepareWave(batches [][]lifelog.Event) waveCommit {
+	return commitFunc(func() []core.IngestOutcome {
+		b.first.Do(func() {
+			close(b.started)
+			<-b.release
+		})
+		return b.commit(batches)
 	})
-	return b.recordingBackend.MultiIngest(batches)
 }
 
-// TestCoalescerDrainMergesBacklog is the graceful-drain batching
+// TestPipelinedDrainMergesBacklog is the graceful-drain batching
 // regression: shutting down with a backlog behind a slow commit must still
-// drain in merged waves. The old drain re-used gather, whose select
-// consulted the already-closed quit channel — perpetually ready, so the
-// drain fragmented into ~single-request commits exactly when the backlog
-// was largest.
-func TestCoalescerDrainMergesBacklog(t *testing.T) {
-	const backlog = 32
-	backend := &gatedBackend{started: make(chan struct{}), release: make(chan struct{})}
-	// maxDelay > 0 is the trigger: it put the quit case into gather's
-	// select in the first place.
-	c := newCoalescer(backend, nil, nil, 64, 64, time.Millisecond, 0, nil)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, backlog+1)
-	submit := func(user uint64) {
-		defer wg.Done()
-		if _, _, err := c.submit(context.Background(), []lifelog.Event{evAt(user, 1)}); err != nil {
-			errs <- err
-		}
-	}
-	// One request occupies the dispatcher (held inside MultiIngest by the
-	// gate)...
-	wg.Add(1)
-	go submit(1)
-	<-backend.started
-	// ...while a backlog accumulates in the queue.
-	for i := 0; i < backlog; i++ {
-		wg.Add(1)
-		go submit(uint64(i + 2))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for c.depth() < backlog && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if c.depth() < backlog {
-		t.Fatalf("backlog never queued: depth %d", c.depth())
-	}
-	// Begin shutdown, then let the stuck commit finish: the dispatcher
-	// drains the backlog with quit already closed.
-	go c.close()
-	time.Sleep(2 * time.Millisecond)
-	close(backend.release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	maxMerged := 0
-	total := 0
-	for _, commit := range backend.snapshot() {
-		if len(commit) > maxMerged {
-			maxMerged = len(commit)
-		}
-		total += len(commit)
-	}
-	if total != backlog+1 {
-		t.Fatalf("backend saw %d requests, want %d", total, backlog+1)
-	}
-	// The whole backlog is queued when the drain starts, so it must leave
-	// in a handful of large commits — not one-request dribbles.
-	if maxMerged < backlog/2 {
-		t.Fatalf("largest drain commit merged %d of %d backlogged requests — drain de-coalesced", maxMerged, backlog)
-	}
-}
-
-// TestPipelinedDrainMergesBacklog: same scenario under the two-stage
-// dispatcher. Stage 1 keeps at most one prepared wave in flight, so part of
-// the backlog sits in the queue when shutdown begins; the drain must still
-// leave in merged waves, not one-request dribbles.
+// drain in merged waves. A drain that re-used gather would consult the
+// already-closed quit channel — perpetually ready — and fragment into
+// ~single-request commits exactly when the backlog is largest. Stage 1
+// keeps at most one prepared wave in flight, so part of the backlog sits in
+// the queue when shutdown begins.
 func TestPipelinedDrainMergesBacklog(t *testing.T) {
 	const (
 		backlog  = 32
 		maxBatch = 8
 	)
 	backend := &gatedBackend{started: make(chan struct{}), release: make(chan struct{})}
-	c := newTestCoalescer(backend, true, nil, 64, maxBatch, time.Millisecond)
+	c := newCoalescer(backend, nil, 64, maxBatch, time.Millisecond, 0, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, backlog+1)
@@ -440,65 +350,19 @@ func TestPipelinedDrainMergesBacklog(t *testing.T) {
 		t.Fatalf("backend saw %d requests, want %d", total, backlog+1)
 	}
 	if maxMerged < maxBatch/2 {
-		t.Fatalf("largest drain commit merged %d requests (maxBatch %d) — pipelined drain de-coalesced", maxMerged, maxBatch)
+		t.Fatalf("largest drain commit merged %d requests (maxBatch %d) — drain de-coalesced", maxMerged, maxBatch)
 	}
 }
 
-// TestCoalescerSubmitHonorsContext: a canceled context releases the
-// waiting submitter immediately, but the accepted job still commits — the
-// handler goroutine is freed without breaking the no-loss guarantee.
-func TestCoalescerSubmitHonorsContext(t *testing.T) {
-	backend := &gatedBackend{started: make(chan struct{}), release: make(chan struct{})}
-	c := newCoalescer(backend, nil, nil, 64, 1, 0, 0, nil) // maxBatch 1: the canceled job commits alone
-	defer c.close()
-
-	// Occupy the dispatcher so the next submit stays queued.
-	go c.submit(context.Background(), []lifelog.Event{evAt(1, 1)})
-	<-backend.started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.submit(ctx, []lifelog.Event{evAt(2, 1)})
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.depth() == 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("submit returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("submit still blocked after cancel — disconnected client pins its handler")
-	}
-
-	// The abandoned job must still reach the backend exactly once.
-	close(backend.release)
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		total := 0
-		for _, commit := range backend.snapshot() {
-			total += len(commit)
-		}
-		if total == 2 {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	t.Fatalf("abandoned job never committed: %d commits", len(backend.snapshot()))
-}
-
-// TestPipelinedSubmitHonorsContext: the same guarantee under the pipeline.
-// Job 1 occupies the committer, job 2 sits prepared in stage 1's handoff,
-// job 3 stays queued; canceling job 2's context must release its submitter
-// while all three still commit.
+// TestPipelinedSubmitHonorsContext: a canceled context releases the waiting
+// submitter immediately, but the accepted job still commits — the handler
+// goroutine is freed without breaking the no-loss guarantee. Job 1 occupies
+// the committer, job 2 sits prepared in stage 1's handoff, job 3 stays
+// queued; canceling job 2's context must release its submitter while all
+// three still commit.
 func TestPipelinedSubmitHonorsContext(t *testing.T) {
 	backend := &gatedBackend{started: make(chan struct{}), release: make(chan struct{})}
-	c := newTestCoalescer(backend, true, nil, 64, 1, 0)
+	c := newCoalescer(backend, nil, 64, 1, 0, 0, nil)
 	defer c.close()
 
 	go c.submit(context.Background(), []lifelog.Event{evAt(1, 1)})
@@ -541,12 +405,87 @@ func TestPipelinedSubmitHonorsContext(t *testing.T) {
 	t.Fatalf("abandoned job never committed: %d commits", len(backend.snapshot()))
 }
 
+// steppedBackend commits one wave per token received on next — the seam
+// that lets a test step the committer a wave at a time. Closing next lets
+// every remaining commit through.
+type steppedBackend struct {
+	recordingBackend
+	next     chan struct{}
+	prepared atomic.Int32
+}
+
+func (b *steppedBackend) PrepareWave(batches [][]lifelog.Event) waveCommit {
+	b.prepared.Add(1)
+	return commitFunc(func() []core.IngestOutcome {
+		<-b.next
+		return b.commit(batches)
+	})
+}
+
+// TestFlushCoalescerWaitsForQueueRoom: the handoff's sentinel flush parks on
+// a full queue instead of polling it, so it enters the queue as soon as a
+// slot frees — while the commit after the released one is still held — and
+// returns once the jobs ahead of it have committed, its own wave last.
+func TestFlushCoalescerWaitsForQueueRoom(t *testing.T) {
+	backend := &steppedBackend{next: make(chan struct{})}
+	s := &Server{co: newCoalescer(backend, nil, 1, 1, 0, 0, nil)}
+	t.Cleanup(func() {
+		close(backend.next)
+		s.co.close()
+	})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("never reached: %s (depth %d, prepared %d)", what, s.co.depth(), backend.prepared.Load())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	// Job 1 commits (held), job 2 waits prepared in stage 1's handoff, job 3
+	// fills the one-slot queue.
+	for u := uint64(1); u <= 2; u++ {
+		go s.co.submit(context.Background(), []lifelog.Event{evAt(u, 1)})
+		waitFor(fmt.Sprintf("job %d prepared", u), func() bool { return backend.prepared.Load() == int32(u) })
+	}
+	go s.co.submit(context.Background(), []lifelog.Event{evAt(3, 1)})
+	waitFor("job 3 queued", func() bool { return s.co.depth() == 1 })
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- s.flushCoalescer() }()
+	backend.next <- struct{}{} // job 1 commits; stage 1 takes job 3
+	waitFor("the sentinel queued behind job 3", func() bool {
+		return backend.prepared.Load() == 3 && s.co.depth() == 1
+	})
+	select {
+	case err := <-flushed:
+		t.Fatalf("flush returned before its wave committed: %v", err)
+	default:
+	}
+	for range 3 { // jobs 2 and 3, then the sentinel's wave
+		backend.next <- struct{}{}
+	}
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flush never returned after its wave committed")
+	}
+	commits := backend.snapshot()
+	if len(commits) != 4 || len(commits[3]) != 1 || len(commits[3][0]) != 0 {
+		t.Fatalf("commits %v, want three one-event waves then the empty sentinel", commits)
+	}
+}
+
 // TestCoalescerDrain: close() must commit everything already accepted and
 // reject everything after.
 func TestCoalescerDrain(t *testing.T) {
-	dispatcherModes(t, func(t *testing.T, pipelined bool) {
+	t.Run("pipelined", func(t *testing.T) {
 		backend := &recordingBackend{delay: 5 * time.Millisecond}
-		c := newTestCoalescer(backend, pipelined, nil, 64, 8, 0)
+		c := newCoalescer(backend, nil, 64, 8, 0, 0, nil)
 
 		const pre = 12
 		var wg sync.WaitGroup
@@ -634,7 +573,7 @@ func (p *journalPreparer) preparedCount() int {
 func TestPipelinedOverlapAndCommitOrder(t *testing.T) {
 	jp := &journalPreparer{gate: make(chan struct{})}
 	met := &metrics{}
-	c := newCoalescer(nil, jp, met, 64, 1, 0, 0, nil)
+	c := newCoalescer(jp, met, 64, 1, 0, 0, nil)
 	defer c.close()
 
 	results := make(chan error, 2)

@@ -61,27 +61,29 @@ const (
 	// acknowledge the final shipped frame before giving up (and keeping
 	// its slots).
 	handoffAckWait = 30 * time.Second
+	// handoffFlushWait bounds how long the fenced source waits for room in
+	// the ingest queue to enqueue its flush sentinel.
+	handoffFlushWait = time.Second
 )
 
 // flushCoalescer pushes a sentinel (empty) request through the coalescer
 // and waits for its commit. Waves commit in FIFO order, so when the
 // sentinel's wave is done every job enqueued before it has committed —
 // the step that closes the gap between "the stream reader released the
-// cluster guard after enqueueing" and "that job's wave hit the log". A
-// non-nil error means that conclusion does NOT hold (the sentinel never
-// committed); the caller must not treat the log as drained.
+// cluster guard after enqueueing" and "that job's wave hit the log". The
+// sentinel waits for queue room for at most handoffFlushWait, so the fence
+// window ends as soon as the queue drains. A non-nil error means that
+// conclusion does NOT hold (the sentinel never entered the queue); the
+// caller must not treat the log as drained.
 func (s *Server) flushCoalescer() error {
-	if s.co == nil {
-		return nil
+	ctx, cancel := context.WithTimeout(context.Background(), handoffFlushWait)
+	defer cancel()
+	job := &ingestJob{done: make(chan ingestDone, 1)}
+	if err := s.co.enqueueWait(ctx, job); err != nil {
+		return fmt.Errorf("enqueueing the flush sentinel: %w", err)
 	}
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
-		if _, _, err = s.co.submit(context.Background(), nil); !errors.Is(err, errQueueFull) {
-			return err
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("ingest queue stayed full through the flush window: %w", err)
+	<-job.done
+	return nil
 }
 
 // serveHandoff runs the source side of one slot transfer over an upgraded

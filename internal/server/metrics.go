@@ -24,15 +24,14 @@ type metrics struct {
 	coalescedRequests atomic.Uint64
 	maxCoalesced      atomic.Int64
 
-	// Pipelined dispatcher instrumentation. pipelineDepth is a gauge of
+	// Dispatcher instrumentation. pipelineDepth is a gauge of
 	// waves in flight (preparing, prepared-waiting, committing; ≤ 2 by
 	// construction). pipelineOverlap counts waves whose prepare FINISHED
 	// while an earlier wave was still in flight — i.e. the stages measured
 	// as genuinely concurrent, which requires the waves not to collide on
 	// write-locked shards; a low ratio against ingestCommits means the
 	// workload's waves serialize at the shard locks and the pipeline's win
-	// is the single wave fsync. Both stay zero under the serialized
-	// dispatcher.
+	// is the single wave fsync.
 	pipelineDepth   atomic.Int64
 	pipelineOverlap atomic.Uint64
 

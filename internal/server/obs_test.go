@@ -108,20 +108,10 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	if !strings.Contains(raw, `spad_stage_duration_seconds_bucket{stage="commit",le="`) {
 		t.Fatalf("no commit-stage _bucket series:\n%s", raw)
 	}
-	// The commit wave must have been observed by scrape time (the response
-	// is fanned back after the histogram observation on the pipelined path,
-	// and the serialized dispatch observes before noteCommit; either way a
-	// completed ingest means a nonzero commit count eventually).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if fams["spad_stage_duration_seconds"].Samples[`spad_stage_duration_seconds_count{stage="commit"}`] >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("commit stage count never reached 1:\n%s", raw)
-		}
-		time.Sleep(5 * time.Millisecond)
-		fams, raw = fetchProm(t, ts.URL)
+	// The dispatcher settles the wave's metrics before it fans the outcome
+	// back, so a completed ingest is already counted by this scrape.
+	if got := fams["spad_stage_duration_seconds"].Samples[`spad_stage_duration_seconds_count{stage="commit"}`]; got != 1 {
+		t.Fatalf("commit stage count %v after one ingest, want 1:\n%s", got, raw)
 	}
 	// format=prometheus works without the Accept header, and a default
 	// request keeps answering JSON (back-compat with spabench and curl).
@@ -154,21 +144,14 @@ func TestMetricsJSONPromConsistency(t *testing.T) {
 	ingestOne(t, ts.URL, 1)
 	ingestOne(t, ts.URL, 1)
 
-	// The commit-stage observation can land just after the ingest response
-	// (serialized dispatch fans back first); settle before comparing.
-	deadline := time.Now().Add(2 * time.Second)
+	// Both ingests are fully accounted before their responses: one scrape.
 	var m wire.Metrics
-	for {
-		if code, _ := doJSON(t, "GET", ts.URL+"/metrics", nil, &m); code != http.StatusOK {
-			t.Fatalf("metrics: %d", code)
-		}
-		if m.Stages["commit"].Count == m.IngestCommits {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("commit stage count %d never caught up to commits %d", m.Stages["commit"].Count, m.IngestCommits)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if code, _ := doJSON(t, "GET", ts.URL+"/metrics", nil, &m); code != http.StatusOK {
+		t.Fatalf("metrics: %d", code)
+	}
+	if m.IngestCommits != 2 || m.Stages["commit"].Count != 2 || m.IngestEvents != 2 {
+		t.Fatalf("after two ingests: commits %d, commit stage count %d, events %d; want 2, 2, 2",
+			m.IngestCommits, m.Stages["commit"].Count, m.IngestEvents)
 	}
 	fams, raw := fetchProm(t, ts.URL)
 	get := func(series string) float64 {
@@ -342,7 +325,7 @@ func (failingCommitPreparer) PrepareWave(batches [][]lifelog.Event) waveCommit {
 // error flag.
 func TestPipelineDepthZeroAfterCommitFailure(t *testing.T) {
 	met := &metrics{}
-	c := newCoalescer(nil, failingCommitPreparer{}, met, 64, 4, 0, 0, nil)
+	c := newCoalescer(failingCommitPreparer{}, met, 64, 4, 0, 0, nil)
 	defer c.close()
 	out, _, err := c.submit(context.Background(), []lifelog.Event{evAt(1, 1)})
 	if err != nil {
@@ -363,26 +346,20 @@ func TestPipelineDepthZeroAfterCommitFailure(t *testing.T) {
 // TestDebugWaves: a committed ingest shows up as a wave trace, newest
 // first, and a bad n is the caller's 400.
 func TestDebugWaves(t *testing.T) {
-	ts, spa := testServer(t, core.Options{Shards: 2}, Options{Pipeline: true})
+	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
 	if err := spa.Register(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	ingestOne(t, ts.URL, 1)
 	ingestOne(t, ts.URL, 1)
 
+	// Traces are recorded before the outcome fans back.
 	var waves wire.WavesResponse
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if code, _ := doJSON(t, "GET", ts.URL+"/debug/waves?n=1", nil, &waves); code != http.StatusOK {
-			t.Fatalf("debug/waves: %d", code)
-		}
-		if len(waves.Waves) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no wave traces after committed ingest")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if code, _ := doJSON(t, "GET", ts.URL+"/debug/waves?n=1", nil, &waves); code != http.StatusOK {
+		t.Fatalf("debug/waves: %d", code)
+	}
+	if len(waves.Waves) != 1 {
+		t.Fatalf("%d wave traces with n=1 after two committed ingests", len(waves.Waves))
 	}
 	w := waves.Waves[0]
 	if w.ID == 0 || w.Requests < 1 || w.Events < 1 || w.Shards < 1 {
@@ -411,12 +388,27 @@ func TestAccessAndSlowWaveLogs(t *testing.T) {
 	if !rec.contains("GET /healthz 200") {
 		t.Fatalf("no access-log line for /healthz: %v", rec.lines)
 	}
+	// The slow-wave line is logged before the outcome fans back.
 	ingestOne(t, ts.URL, 1)
-	deadline := time.Now().Add(2 * time.Second)
-	for !rec.contains("slow wave") {
-		if time.Now().After(deadline) {
-			t.Fatalf("no slow-wave line: %v", rec.lines)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !rec.contains("slow wave") {
+		t.Fatalf("no slow-wave line: %v", rec.lines)
+	}
+}
+
+// TestDefaultServerPipelines: a server built with the zero Options runs the
+// two-stage dispatcher — the configuration the benchmark measures — so its
+// wave traces carry a timed prepare stage.
+func TestDefaultServerPipelines(t *testing.T) {
+	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
+	if err := spa.Register(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	ingestOne(t, ts.URL, 1)
+	var waves wire.WavesResponse
+	if code, _ := doJSON(t, "GET", ts.URL+"/debug/waves?n=1", nil, &waves); code != http.StatusOK {
+		t.Fatalf("debug/waves: %d", code)
+	}
+	if len(waves.Waves) != 1 || waves.Waves[0].PrepareNanos == 0 {
+		t.Fatalf("default server's wave has no prepare stage: %+v", waves.Waves)
 	}
 }

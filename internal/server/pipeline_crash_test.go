@@ -40,7 +40,7 @@ func TestPipelinedCrashOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := newCoalescer(spa, spaPreparer{spa: spa}, nil, 64, 64, time.Millisecond, 0, nil)
+	c := newCoalescer(spaPreparer{spa: spa}, nil, 64, 64, time.Millisecond, 0, nil)
 	defer c.close()
 
 	submitWave := func(seq int) []error {

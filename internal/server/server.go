@@ -38,13 +38,8 @@ import (
 )
 
 // Options tune the serving layer. The zero value is a sensible production
-// default: coalescing on, 256-deep pending queue, commits of up to 64
-// requests, no linger.
+// default: 256-deep pending queue, waves of up to 64 requests, no linger.
 type Options struct {
-	// DisableCoalescing commits every ingest request on its own — the
-	// measurement baseline for spabench's [S2] section; production leaves
-	// it off.
-	DisableCoalescing bool
 	// QueueDepth bounds the pending ingest queue (default 256). A full
 	// queue rejects with 503 + Retry-After.
 	QueueDepth int
@@ -55,15 +50,7 @@ type Options struct {
 	// commits whatever is already pending: with durable sync writes the
 	// in-flight commit itself is the natural batching window.
 	MaxDelay time.Duration
-	// Pipeline selects the coalescer's two-stage dispatcher: each wave's
-	// shard WriteBatches commit as one ordered store sequence with a
-	// single WAL sync (the main throughput win), and wave N+1's CPU-bound
-	// prepare runs concurrently with wave N's commit when the waves touch
-	// disjoint shards. On successful commits per-request outcomes are
-	// byte-identical to the serialized dispatcher; a store write failure
-	// fails the whole wave rather than only the failing shard group's
-	// batches (see core.PreparedMulti.Commit). Ignored with
-	// DisableCoalescing (spad -pipeline).
+	// Deprecated: ignored; the pipelined dispatcher is the only one (bench/ still sets it).
 	Pipeline bool
 	// MaxBodyBytes caps one request body (default 8 MiB); larger bodies
 	// answer 413 before any decoding buffers them.
@@ -128,7 +115,7 @@ type Options struct {
 type Server struct {
 	spa       *core.SPA
 	mux       *http.ServeMux
-	co        *coalescer // nil when coalescing is disabled
+	co        *coalescer
 	met       metrics
 	maxBody   int64
 	noBinary  bool
@@ -189,13 +176,7 @@ func New(spa *core.SPA, opts Options) *Server {
 	if s.logf == nil {
 		s.logf = log.Printf
 	}
-	if !opts.DisableCoalescing {
-		var pipe wavePreparer
-		if opts.Pipeline {
-			pipe = spaPreparer{spa: spa}
-		}
-		s.co = newCoalescer(spa, pipe, &s.met, opts.QueueDepth, opts.MaxBatch, opts.MaxDelay, opts.SlowWave, s.logf)
-	}
+	s.co = newCoalescer(spaPreparer{spa: spa}, &s.met, opts.QueueDepth, opts.MaxBatch, opts.MaxDelay, opts.SlowWave, s.logf)
 	// The store reports WAL-sync and compaction durations straight into the
 	// stage histograms (and tagged syncs into their wave's trace).
 	spa.SetStoreObserver(storeObserver{m: &s.met})
@@ -335,9 +316,7 @@ func (s *Server) Close() {
 	}
 	s.drainStreams()
 	s.drainRepls()
-	if s.co != nil {
-		s.co.close()
-	}
+	s.co.close()
 }
 
 // ---- plumbing ----
@@ -511,32 +490,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var (
-		out    core.IngestOutcome
-		merged = 1
-	)
-	if s.co == nil {
-		out = s.spa.MultiIngest([][]lifelog.Event{events})[0]
-		s.met.noteCommit(1, len(events))
-	} else {
-		var err error
-		out, merged, err = s.co.submit(r.Context(), events)
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.met.ingestRejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.Is(err, errDraining):
-			w.Header().Set("Retry-After", "5")
-			s.writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			// The client hung up while its accepted job was waiting on the
-			// commit. The job still commits; nobody reads this answer.
-			s.writeError(w, http.StatusRequestTimeout, err)
-			return
-		}
+	out, merged, err := s.co.submit(r.Context(), events)
+	switch {
+	case errors.Is(err, errQueueFull):
+		s.met.ingestRejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, err)
+		return
+	case errors.Is(err, errDraining):
+		w.Header().Set("Retry-After", "5")
+		s.writeError(w, http.StatusServiceUnavailable, err)
+		return
+	case err != nil:
+		// The client hung up while its accepted job was waiting on the
+		// commit. The job still commits; nobody reads this answer.
+		s.writeError(w, http.StatusRequestTimeout, err)
+		return
 	}
 	if out.Err != nil {
 		// Malformed event stream → the submitter's 400; store failures are
@@ -825,15 +794,13 @@ func (s *Server) snapshotMetrics() wire.Metrics {
 		StreamConns:       int(s.met.streamConns.Load()),
 		StreamFrames:      s.met.streamFrames.Load(),
 		LastWaveID:        s.met.waveSeq.Load(),
+		QueueDepth:        s.co.depth(),
+		QueueCapacity:     s.co.capacity(),
 	}
 	rs := s.spa.ReadStats()
 	m.SnapshotEpoch = rs.SnapshotEpoch
 	m.ReadCacheHits = rs.ReadCacheHits
 	m.ReadCacheMisses = rs.ReadCacheMisses
-	if s.co != nil {
-		m.QueueDepth = s.co.depth()
-		m.QueueCapacity = s.co.capacity()
-	}
 	if st, ok := s.spa.StoreStats(); ok {
 		m.Durable = true
 		m.StoreSegments = st.Segments

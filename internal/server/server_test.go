@@ -336,14 +336,14 @@ func TestServerDrainOnClose(t *testing.T) {
 	}
 }
 
-// TestPipelinedServerEndToEnd: Options.Pipeline serves the same wire
+// TestPipelinedServerEndToEnd: the two-stage dispatcher serves the wire
 // contract over HTTP — concurrent durable ingests succeed, outcomes are
 // attributed, and /metrics exposes the pipeline gauges.
 func TestPipelinedServerEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	ts, spa := testServer(t,
 		core.Options{DataDir: dir, Shards: 4, Store: store.Options{SyncWrites: true}},
-		Options{Pipeline: true, MaxDelay: time.Millisecond})
+		Options{MaxDelay: time.Millisecond})
 	const users = 8
 	for u := uint64(1); u <= users; u++ {
 		if code, _ := doJSON(t, "POST", ts.URL+"/v1/users", wire.RegisterRequest{UserID: u}, nil); code != http.StatusCreated {

@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lifelog"
 	"repro/internal/wire"
 )
 
@@ -308,11 +307,7 @@ loop:
 				continue
 			}
 			job := &ingestJob{events: events, done: make(chan ingestDone, 1)}
-			if s.co == nil {
-				out := s.spa.MultiIngest([][]lifelog.Event{events})[0]
-				s.met.noteCommit(1, len(events))
-				job.done <- ingestDone{outcome: out, merged: 1}
-			} else if err := s.co.enqueueWait(context.Background(), job); err != nil {
+			if err := s.co.enqueueWait(context.Background(), job); err != nil {
 				release()
 				sess.pending <- streamPending{frame: wire.EncodeStreamError(
 					http.StatusServiceUnavailable, err.Error())}

@@ -317,7 +317,7 @@ func TestStreamDrainMixedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(spa, Options{Pipeline: true, StreamDrainWait: 2 * time.Second})
+	srv := New(spa, Options{StreamDrainWait: 2 * time.Second})
 	ts := httptest.NewServer(srv)
 
 	const (
@@ -931,7 +931,7 @@ func streamTortureRound(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	srv := New(spa, Options{Pipeline: true, MaxDelay: time.Millisecond})
+	srv := New(spa, Options{MaxDelay: time.Millisecond})
 	ts := httptest.NewServer(srv)
 	si := streamClient(t, ts.URL, spaclient.StreamOptions{})
 	fo.Arm()

@@ -1,8 +1,8 @@
 // Package torture is the storage fault-schedule sweep: it composes
 // seed-derived FileOps fault schedules (fail / short-write / kill at the
 // Nth WAL write, WAL sync, segment create, segment write, segment sync,
-// rename, or remove) with concurrent ingest workloads — MultiIngest and
-// PrepareMulti/Commit waves over a sharded core, background compaction,
+// rename, or remove) with concurrent ingest workloads — PrepareMulti/Commit
+// waves over a sharded core, background compaction,
 // graceful and crash reopen cycles — and after every schedule reopens the
 // surviving directory and checks the store's crash-consistency contract
 // against a fault-free shadow core fed the identical waves.

@@ -267,7 +267,7 @@ func RunReplSchedule(seed uint64, dir string) (ScheduleResult, error) {
 			}
 		}
 		anyFailed := false
-		for _, out := range leader.spa.MultiIngest(batches) {
+		for _, out := range leader.spa.PrepareMulti(batches).Commit() {
 			if out.Err != nil {
 				anyFailed = true
 			}

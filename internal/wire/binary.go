@@ -2,7 +2,7 @@ package wire
 
 // Binary framing for the ingest hot path. HTTP/JSON costs several µs per
 // event to encode and decode — enough to cap the coalescing win on
-// CPU-bound hosts (spabench [S2]) — so /v1/ingest negotiates a
+// CPU-bound hosts (spabench [S3]) — so /v1/ingest negotiates a
 // length-prefixed binary frame via Content-Type instead:
 //
 //	Content-Type: application/x-spa-binary

@@ -296,11 +296,10 @@ type Metrics struct {
 	MaxCoalesced      int    `json:"max_coalesced"`
 	QueueDepth        int    `json:"queue_depth"`
 	QueueCapacity     int    `json:"queue_capacity"`
-	// Pipelined-dispatcher instrumentation (spad -pipeline): PipelineDepth
-	// gauges waves currently in flight (≤ 2); PipelineOverlap counts waves
-	// whose prepare finished while an earlier wave was still in flight —
-	// measured concurrency, not an assumption. Both stay zero under the
-	// serialized dispatcher.
+	// Dispatcher instrumentation: PipelineDepth gauges waves currently in
+	// flight (≤ 2); PipelineOverlap counts waves whose prepare finished
+	// while an earlier wave was still in flight — measured concurrency, not
+	// an assumption.
 	PipelineDepth   int    `json:"pipeline_depth"`
 	PipelineOverlap uint64 `json:"pipeline_overlap"`
 	// Streamed ingest: StreamConns gauges live stream sessions,
