@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -192,22 +193,82 @@ func checkParity(t *testing.T, s *SPA, m *parityModel, universe uint64) {
 
 // TestBucketedSnapshotParity drives seeded random sequences of every writer
 // — registration, both ingest shapes, EIT answers, reinforcement,
-// replicated waves (puts, tombstones, annotation events) and slot drops —
+// replicated runs (puts, tombstones, annotation events) and slot drops —
 // against a flat reference model, with readers hammering the snapshots
 // concurrently (run with -race). Shard counts cover one bucket per slot
-// (1, 16) and one bucket per shard (512).
+// (1, 16) and one bucket per shard (512). The run length bounds how many
+// replicated records apply as one group; past 1, the instance's whole log
+// is also replayed into two followers, record by record and in runs, which
+// must read identically.
 func TestBucketedSnapshotParity(t *testing.T) {
 	const universe, ops = 300, 300
 	for _, shards := range []int{1, 16, 512} {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				runParity(t, shards, seed, universe, ops)
+				for _, maxRun := range []int{1, 8} {
+					t.Run(fmt.Sprintf("run=%d", maxRun), func(t *testing.T) {
+						runParity(t, shards, seed, universe, ops, maxRun)
+					})
+				}
 			})
 		}
 	}
 }
 
-func runParity(t *testing.T, shards int, seed int64, universe uint64, ops int) {
+// replayLog applies src's whole log to a fresh follower in runs whose
+// lengths runLen draws.
+func replayLog(t *testing.T, src *SPA, shards int, runLen func() int) *SPA {
+	t.Helper()
+	f, err := New(Options{DataDir: t.TempDir(), Shards: shards, Clock: clock.NewSimulated(t0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	head, _ := src.AppliedLSN()
+	tail, err := src.TailLog(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	var run []store.LogRecord
+	for applied := uint64(0); applied < head; applied += uint64(len(run)) {
+		run = run[:0]
+		for n := runLen(); len(run) < n && applied+uint64(len(run)) < head; {
+			rec, err := tail.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run = append(run, rec)
+		}
+		if err := f.ApplyReplicatedWaves(run); err != nil {
+			t.Fatalf("replaying %d-%d: %v", run[0].LSN, run[len(run)-1].LSN, err)
+		}
+	}
+	return f
+}
+
+// assertSameReads checks two instances answer every user's profile and
+// recommendation byte for byte, and count the same users.
+func assertSameReads(t *testing.T, a, b *SPA, universe uint64) {
+	t.Helper()
+	if a.Users() != b.Users() {
+		t.Fatalf("Users() %d vs %d", a.Users(), b.Users())
+	}
+	for id := uint64(1); id <= universe; id++ {
+		pa, erra := a.Profile(id)
+		pb, errb := b.Profile(id)
+		if (erra == nil) != (errb == nil) || erra == nil && !bytes.Equal(sum.Encode(&pa), sum.Encode(&pb)) {
+			t.Fatalf("user %d: profiles differ (%v, %v)", id, erra, errb)
+		}
+		ra, erra := a.RecommendActions(id, 5)
+		rb, errb := b.RecommendActions(id, 5)
+		if fmt.Sprint(erra) != fmt.Sprint(errb) || !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("user %d: recommendations differ:\n%v %v\n%v %v", id, ra, erra, rb, errb)
+		}
+	}
+}
+
+func runParity(t *testing.T, shards int, seed int64, universe uint64, ops, maxRun int) {
 	rng := rand.New(rand.NewSource(seed))
 	s, err := New(Options{DataDir: t.TempDir(), Shards: shards, Clock: clock.NewSimulated(t0)})
 	if err != nil {
@@ -320,29 +381,43 @@ func runParity(t *testing.T, shards int, seed int64, universe uint64, ops int) {
 			if err != nil {
 				t.Fatalf("op %d: single-profile write %d: %v", op, id, err)
 			}
-		case k < 90: // replicated wave: puts, tombstones, annotation events
-			var entries []store.LogEntry
-			var events []taggedEvent
-			for e := rng.Intn(4); e >= 0; e-- {
-				id := randUser()
-				if rng.Intn(2) == 0 {
-					entries = append(entries, store.LogEntry{Key: sum.Key(id), Tombstone: true})
-					delete(m.members, id)
-				} else {
-					p := sum.NewProfile(id, t0)
-					p.Subjective = make([]float64, lifelog.DenseLen)
-					entries = append(entries, store.LogEntry{Key: sum.Key(id), Value: sum.Encode(p)})
-					m.members[id] = true
-				}
-			}
-			for e := rng.Intn(4); e > 0; e-- {
-				ev := randEvent(randUser())
-				events = append(events, taggedEvent{Event: ev})
-				m.fold(ev.UserID, ev.Type, ev.Action)
-			}
+		case k < 90: // replicated run: puts, tombstones, annotation events
 			lsn, _ := s.AppliedLSN()
-			if err := s.ApplyReplicatedWave(lsn+1, encodeWaveAnnotation(events), entries); err != nil {
-				t.Fatalf("op %d: replicated wave: %v", op, err)
+			recs := make([]store.LogRecord, 1+rng.Intn(maxRun))
+			var last uint64 // the user the run's previous record wrote last
+			for i := range recs {
+				var entries []store.LogEntry
+				write := func(id uint64, tombstone bool) {
+					if tombstone {
+						entries = append(entries, store.LogEntry{Key: sum.Key(id), Tombstone: true})
+						delete(m.members, id)
+					} else {
+						p := sum.NewProfile(id, t0)
+						p.Subjective = make([]float64, lifelog.DenseLen)
+						p.AnsweredItems = op*10 + i // distinct bytes per record
+						entries = append(entries, store.LogEntry{Key: sum.Key(id), Value: sum.Encode(p)})
+						m.members[id] = true
+					}
+					last = id
+				}
+				if last != 0 {
+					// The same user again, flipped: a put after a tombstone or
+					// a tombstone after a put, inside one run.
+					write(last, m.members[last])
+				}
+				for e := rng.Intn(4); e >= 0; e-- {
+					write(randUser(), rng.Intn(2) == 0)
+				}
+				var events []taggedEvent
+				for e := rng.Intn(4); e > 0; e-- {
+					ev := randEvent(randUser())
+					events = append(events, taggedEvent{Event: ev})
+					m.fold(ev.UserID, ev.Type, ev.Action)
+				}
+				recs[i] = store.LogRecord{LSN: lsn + 1 + uint64(i), Annotation: encodeWaveAnnotation(events), Entries: entries}
+			}
+			if err := s.ApplyReplicatedWaves(recs); err != nil {
+				t.Fatalf("op %d: replicated run of %d: %v", op, len(recs), err)
 			}
 		default: // slot drop
 			var slots keyspace.SlotSet
@@ -368,6 +443,15 @@ func runParity(t *testing.T, shards int, seed int64, universe uint64, ops int) {
 		if op%25 == 0 || op == ops-1 {
 			checkParity(t, s, m, universe)
 		}
+	}
+
+	if maxRun > 1 {
+		// The follower arm: the same log applied record by record and in
+		// runs of 1..maxRun reads the same — later changes to a user win,
+		// CF weights sum in arrival order.
+		perRecord := replayLog(t, s, shards, func() int { return 1 })
+		grouped := replayLog(t, s, shards, func() int { return 1 + rng.Intn(maxRun) })
+		assertSameReads(t, perRecord, grouped, universe)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 
 	"repro/internal/keyspace"
@@ -26,9 +25,10 @@ import (
 //     local LSN. The source's LSNs still flow back as stream acks — they
 //     are positions in the source's log, not the target's.
 //
-// ApplyHandoffWave's install half is ApplyReplicatedWave's, under the same
-// index-ascending shard lock order, so it is deadlock-free against local
-// commits and follower applies alike.
+// ApplyHandoffWaves shares its decode, group and install half with
+// ApplyReplicatedWaves (applyShipped), under the same index-ascending shard
+// lock order, so it is deadlock-free against local commits and follower
+// applies alike; only the store write differs.
 
 // entrySlot resolves a store key to its keyspace slot; ok is false for
 // keys outside the profile key space.
@@ -89,38 +89,40 @@ func (s *SPA) ExportSlotSnapshot(slots *keyspace.SlotSet) ([]store.LogEntry, uin
 	return FilterEntriesForSlots(pairs, slots), lsn, nil
 }
 
-// ApplyHandoffWave applies one slot-filtered shipped record on a handoff
-// target: the entries commit to the local store as an ordinary batch (the
-// store assigns the next local LSN — the source's positions have no meaning
-// in this log), then install into shard memory and publish read snapshots
-// exactly as ApplyReplicatedWave does, with the annotation's interaction
-// events folded into the CF matrix and re-persisted for this node's own
-// future followers.
+// ApplyHandoffWave applies one slot-filtered shipped record (or snapshot
+// chunk) on a handoff target: a one-record ApplyHandoffWaves.
 func (s *SPA) ApplyHandoffWave(annotation []byte, entries []store.LogEntry) error {
+	return s.ApplyHandoffWaves([]store.LogRecord{{Annotation: annotation, Entries: entries}})
+}
+
+// ApplyHandoffWaves applies a run of slot-filtered shipped records on a
+// handoff target as one local group commit: one store.ApplyAll with one
+// WriteBatch per record (the store stamps each with the next local LSN —
+// the source's positions have no meaning in this log), then install into
+// shard memory and publish read snapshots exactly as ApplyReplicatedWaves
+// does, with the annotations' interaction events folded into the CF matrix
+// and re-persisted for this node's own future followers.
+func (s *SPA) ApplyHandoffWaves(recs []store.LogRecord) error {
 	if s.db == nil {
 		return errors.New("core: handoff requires a durable store")
 	}
-	if len(entries) == 0 {
-		return errors.New("core: empty handoff wave")
-	}
-	events, err := decodeWaveAnnotation(annotation)
-	if err != nil {
-		return fmt.Errorf("core: handoff wave: %w", err)
-	}
-	work, err := s.groupShipped(entries, events, true)
-	if err != nil {
-		return fmt.Errorf("core: handoff wave: %w", err)
-	}
-	batch := new(store.WriteBatch)
-	batch.SetAnnotation(annotation)
-	for _, e := range entries {
-		if e.Tombstone {
-			batch.Delete(e.Key)
-		} else {
-			batch.Put(e.Key, e.Value)
+	batches := make([]*store.WriteBatch, len(recs))
+	for i, r := range recs {
+		if len(r.Entries) == 0 {
+			return errors.New("core: empty handoff wave")
 		}
+		b := new(store.WriteBatch)
+		b.SetAnnotation(r.Annotation)
+		for _, e := range r.Entries {
+			if e.Tombstone {
+				b.Delete(e.Key)
+			} else {
+				b.Put(e.Key, e.Value)
+			}
+		}
+		batches[i] = b
 	}
-	return s.installShipped(work, func() error { return s.db.Apply(batch) })
+	return s.applyShipped(recs, true, func() error { return s.db.ApplyAll(batches) })
 }
 
 // DropSlotUsers removes every resident user of the given slots — profiles

@@ -25,12 +25,12 @@ import (
 //     publishShardLocked path the leader used, so RecommendActions converges
 //     along with the profile reads.
 //
-// ApplyReplicatedWave is deliberately shaped like PreparedMulti.Commit's
-// install half: store write first (with the leader's LSN, enforcing exact
-// log contiguity), then per-shard install + snapshot publish under the shard
-// write locks, taken in index order — the same ordering argument that makes
-// concurrent local commits deadlock-free makes the follower's apply loop
-// safe next to its own read traffic.
+// ApplyReplicatedWaves is deliberately shaped like PreparedMulti.Commit's
+// install half: store write first (with the leader's LSNs, enforcing exact
+// log contiguity, one sync for the whole run), then per-shard install +
+// snapshot publish under the shard write locks, taken in index order — the
+// same ordering argument that makes concurrent local commits deadlock-free
+// makes the follower's apply loop safe next to its own read traffic.
 
 // waveAnnotationVersion tags the interaction-event annotation codec.
 const waveAnnotationVersion = 0x01
@@ -146,66 +146,113 @@ func (s *SPA) ExportSnapshot() ([]store.LogEntry, uint64, error) {
 	return s.db.ExportSnapshot()
 }
 
-// ApplyReplicatedWave applies one shipped log record to a follower: the
-// entries commit to the local store under the leader's LSN (exact contiguity
-// enforced by store.ApplyReplicated), then install into shard memory and
-// publish fresh read snapshots, with the annotation's interaction events
-// folded into the CF matrix — the same install + publish + invalidate
-// sequence the leader's commit stage ran, so every snapshot read API
-// (profile, recommend, propensity, select-top) converges to the leader's
-// results at the same LSN.
+// ApplyReplicatedWave applies one shipped log record to a follower: a
+// one-record ApplyReplicatedWaves.
 func (s *SPA) ApplyReplicatedWave(lsn uint64, annotation []byte, entries []store.LogEntry) error {
+	return s.ApplyReplicatedWaves([]store.LogRecord{{LSN: lsn, Annotation: annotation, Entries: entries}})
+}
+
+// ApplyReplicatedWaves applies a run of shipped log records to a follower
+// as one group: the records commit to the local store under the leader's
+// LSNs with one WAL sync (store.ApplyReplicated refuses the whole run
+// unless it extends the applied position contiguously), then every
+// record's profile changes and annotation interaction events install into
+// shard memory under one pass of shard locks — the same install + publish +
+// invalidate sequence the leader's commit stage ran, so every snapshot read
+// API (profile, recommend, propensity, select-top) converges to the
+// leader's results at the run's last LSN. A later record's change to a user
+// wins over an earlier one's, and CF events fold in LSN order, exactly as
+// record-by-record application would leave them.
+func (s *SPA) ApplyReplicatedWaves(recs []store.LogRecord) error {
 	if s.db == nil {
 		return errors.New("core: replication requires a durable store")
 	}
-	events, err := decodeWaveAnnotation(annotation)
-	if err != nil {
-		return fmt.Errorf("core: wave %d: %w", lsn, err)
-	}
-	work, err := s.groupShipped(entries, events, false)
-	if err != nil {
-		return fmt.Errorf("core: wave %d: %w", lsn, err)
-	}
-	return s.installShipped(work, func() error {
-		return s.db.ApplyReplicated(lsn, annotation, entries)
-	})
+	return s.applyShipped(recs, false, func() error { return s.db.ApplyReplicated(recs) })
 }
 
-// shardWork is one shipped record's effect on one shard.
+// applyShipped is the half every shipped-record apply shares — the install
+// half PreparedMulti.Commit runs for a local wave. It groups the run's
+// changes and events by shard (groupShipped), write-locks the touched
+// shards once, in index order, runs the store write, and only if it
+// succeeded publishes every shard's changes. The write is the one thing
+// follower and handoff applies differ in.
+func (s *SPA) applyShipped(recs []store.LogRecord, strict bool, write func() error) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	work, err := s.groupShipped(recs, strict)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	for _, w := range work {
+		s.shards[w.idx].mu.Lock()
+	}
+	err = write()
+	recorded := 0
+	if err == nil {
+		for _, w := range work {
+			recorded += s.publishShardLocked(s.shards[w.idx], w.changes, w.events)
+		}
+	}
+	for i := len(work) - 1; i >= 0; i-- {
+		s.shards[work[i].idx].mu.Unlock()
+	}
+	if recorded > 0 {
+		s.invalidateRecommender()
+	}
+	return err
+}
+
+// shardWork is one shipped run's effect on one shard.
 type shardWork struct {
 	idx     int
 	changes []profChange
 	events  []taggedEvent
 }
 
-// groupShipped decodes a shipped record's profile entries (puts and
-// tombstones) and its annotation's interaction events and groups both by
-// owning shard, ascending. Groups are windows of stably shard-sorted slices
-// (events is sorted in place), so a single-shard record costs no per-shard
-// allocation. Keys outside the profile key space are skipped, or refused
-// when strict.
-func (s *SPA) groupShipped(entries []store.LogEntry, events []taggedEvent, strict bool) ([]shardWork, error) {
-	changes := make([]profChange, 0, len(entries))
-	for _, e := range entries {
-		id, ok := sumKeyUser(e.Key)
-		if !ok {
-			if strict {
-				return nil, fmt.Errorf("entry outside profile key space: %q", e.Key)
-			}
-			// A foreign key space: persisted, nothing to install.
-			continue
+// groupShipped decodes a run of shipped records — profile entries (puts and
+// tombstones) and annotation interaction events, concatenated in LSN order —
+// and groups both by owning shard, ascending. Groups are windows of stably
+// shard-sorted slices, so each shard keeps the run's order and a
+// single-shard run costs no per-shard allocation. Keys outside the profile
+// key space are skipped, or refused when strict.
+func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]shardWork, error) {
+	n := 0
+	for _, r := range recs {
+		n += len(r.Entries)
+	}
+	changes := make([]profChange, 0, n)
+	var events []taggedEvent
+	for _, r := range recs {
+		evs, err := decodeWaveAnnotation(r.Annotation)
+		if err != nil {
+			return nil, fmt.Errorf("wave %d: %w", r.LSN, err)
 		}
-		var p *sum.Profile
-		if !e.Tombstone {
-			var err error
-			if p, err = sum.Decode(e.Value); err != nil {
-				return nil, fmt.Errorf("profile %d: %w", id, err)
-			}
-			if p.UserID != id {
-				return nil, fmt.Errorf("key/profile user mismatch: %d vs %d", id, p.UserID)
-			}
+		if events == nil {
+			events = evs
+		} else {
+			events = append(events, evs...)
 		}
-		changes = append(changes, profChange{id: id, p: p})
+		for _, e := range r.Entries {
+			id, ok := sumKeyUser(e.Key)
+			if !ok {
+				if strict {
+					return nil, fmt.Errorf("wave %d: entry outside profile key space: %q", r.LSN, e.Key)
+				}
+				// A foreign key space: persisted, nothing to install.
+				continue
+			}
+			var p *sum.Profile
+			if !e.Tombstone {
+				if p, err = sum.Decode(e.Value); err != nil {
+					return nil, fmt.Errorf("wave %d: profile %d: %w", r.LSN, id, err)
+				}
+				if p.UserID != id {
+					return nil, fmt.Errorf("wave %d: key/profile user mismatch: %d vs %d", r.LSN, id, p.UserID)
+				}
+			}
+			changes = append(changes, profChange{id: id, p: p})
+		}
 	}
 	slices.SortStableFunc(changes, func(a, b profChange) int {
 		return cmp.Compare(s.shardIndexFor(a.id), s.shardIndexFor(b.id))
@@ -233,28 +280,4 @@ func (s *SPA) groupShipped(entries []store.LogEntry, events []taggedEvent, stric
 		ci, ei = ce, ee
 	}
 	return work, nil
-}
-
-// installShipped write-locks the touched shards in index order, runs the
-// store write, and only if it succeeded publishes every shard's changes —
-// the install half PreparedMulti.Commit runs for a local wave, shared by
-// follower applies and handoff targets. work is in ascending shard index.
-func (s *SPA) installShipped(work []shardWork, write func() error) error {
-	for _, w := range work {
-		s.shards[w.idx].mu.Lock()
-	}
-	err := write()
-	recorded := 0
-	if err == nil {
-		for _, w := range work {
-			recorded += s.publishShardLocked(s.shards[w.idx], w.changes, w.events)
-		}
-	}
-	for i := len(work) - 1; i >= 0; i-- {
-		s.shards[work[i].idx].mu.Unlock()
-	}
-	if recorded > 0 {
-		s.invalidateRecommender()
-	}
-	return err
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/emotion"
 	"repro/internal/lifelog"
 	"repro/internal/store"
+	"repro/internal/sum"
 )
 
 // The replication convergence invariant (ISSUE 9): for any acked leader wave
@@ -315,6 +316,27 @@ func TestApplyReplicatedWaveRejectsGaps(t *testing.T) {
 	}
 	if err := follower.ApplyReplicatedWave(1, []byte{0x7f, 0x01}, entry); err == nil {
 		t.Fatal("bad annotation version accepted")
+	}
+	// A run with a gap in the middle is refused whole: no record of it is
+	// durable or visible.
+	put := func(lsn, id uint64) store.LogRecord {
+		p := sum.NewProfile(id, t0)
+		return store.LogRecord{LSN: lsn, Entries: []store.LogEntry{{Key: sum.Key(id), Value: sum.Encode(p)}}}
+	}
+	if err := follower.ApplyReplicatedWaves([]store.LogRecord{put(1, 1), put(2, 2), put(4, 4)}); err == nil {
+		t.Fatal("run with a gap accepted")
+	}
+	if lsn, _ := follower.AppliedLSN(); lsn != 0 || follower.Users() != 0 {
+		t.Fatalf("refused run left applied lsn %d, %d users", lsn, follower.Users())
+	}
+	if _, err := follower.Profile(1); !errors.Is(err, ErrNoProfile) {
+		t.Fatalf("refused run's first record visible: %v", err)
+	}
+	if err := follower.ApplyReplicatedWaves([]store.LogRecord{put(1, 1), put(2, 2), put(3, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if lsn, _ := follower.AppliedLSN(); lsn != 3 || follower.Users() != 2 {
+		t.Fatalf("contiguous run left applied lsn %d, %d users", lsn, follower.Users())
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // smoke runs (-check-metrics).
 
 // StageOrder is the pipeline-order key set of wire.Metrics.Stages.
-// repl_apply is the follower-side stage (applying one shipped wave through
-// the core); it has observations only on a node running with -follow.
+// repl_apply is the follower-side stage (applying one run of shipped waves
+// — every wave already buffered on the wire — through the core as one
+// group); it has observations only on a node running with -follow.
 var StageOrder = []string{"decode", "queue", "gather", "prepare", "commit", "wal_sync", "compaction", "repl_apply"}
 
 // summedStages are the stages a request actually traverses start-to-finish;

@@ -3,10 +3,11 @@ package server
 // Follower-side replication (DESIGN.md §9). A follower spad is a normal
 // durable instance whose writes arrive over the replication stream
 // instead of the ingest endpoints: it dials the leader, subscribes from
-// its own committed position, and applies each wave through
-// core.ApplyReplicatedWave — the same store-commit + shard-install +
-// snapshot-publish sequence the leader's commit stage ran, so every read
-// API serves from state that converges to the leader's at the applied
+// its own committed position, and applies every run of waves already on
+// the wire through core.ApplyReplicatedWaves — the same store-commit +
+// shard-install + snapshot-publish sequence the leader's commit stage ran,
+// with one WAL sync and one cumulative ack per run — so every read API
+// serves from state that converges to the leader's at the applied
 // position. Client-facing writes answer 421 + the leader's address
 // (rejectFollowerWrite in server.go).
 //
@@ -225,15 +226,11 @@ func (f *follower) session() error {
 	}
 	defer conn.Close()
 	f.setState("streaming", "")
-	maxFrame := hello.MaxFrameBytes
 
-	// Reused across waves: the apply keeps no reference to either slice
-	// (entries point into the wave's own frame, which is fresh per read).
-	var entries []store.LogEntry
+	rr := &replReader{conn: conn, br: br, maxFrame: hello.MaxFrameBytes, timeout: replReadTimeout}
 	var ack []byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(replReadTimeout))
-		frame, err := wire.ReadStreamFrame(br, maxFrame)
+		frame, kind, err := rr.next()
 		if err != nil {
 			select {
 			case <-f.stop:
@@ -242,35 +239,25 @@ func (f *follower) session() error {
 			}
 			return err
 		}
-		kind, err := wire.FrameKind(frame)
-		if err != nil {
-			return err
-		}
 		switch kind {
 		case wire.KindReplWave:
-			wv, err := wire.DecodeReplWave(frame)
+			// Group commit: every wave already on the wire applies as one
+			// run — one WAL sync, one shard install, one cumulative ack.
+			recs, err := rr.waveRun(frame)
 			if err != nil {
 				return err
 			}
-			entries = entries[:0]
-			for _, e := range wv.Entries {
-				entries = append(entries, store.LogEntry(e))
-			}
+			last := recs[len(recs)-1].LSN
 			applyStart := time.Now()
-			if err := f.srv.spa.ApplyReplicatedWave(wv.LSN, wv.Annotation, entries); err != nil {
-				return fmt.Errorf("applying wave %d: %w", wv.LSN, err)
+			if err := f.srv.spa.ApplyReplicatedWaves(recs); err != nil {
+				return fmt.Errorf("applying waves %d-%d: %w", recs[0].LSN, last, err)
 			}
 			f.srv.met.obs().stage("repl_apply", time.Since(applyStart))
-			f.noteWave(wv.LSN)
-			conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-			ack = wire.AppendReplAck(ack[:0], wv.LSN)
-			if err := wire.WriteStreamFrame(bw, ack); err != nil {
+			f.noteWave(last)
+			ack = wire.AppendReplAck(ack[:0], last)
+			if err := writeFlushFrame(conn, bw, ack); err != nil {
 				return err
 			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			conn.SetWriteDeadline(time.Time{})
 		case wire.KindReplHeartbeat:
 			lsn, err := wire.DecodeReplHeartbeat(frame)
 			if err != nil {
@@ -292,6 +279,81 @@ func (f *follower) session() error {
 			return errors.New("leader draining")
 		default:
 			return fmt.Errorf("unexpected frame kind %#x", kind)
+		}
+	}
+}
+
+// replApplyRunBytes bounds the wave-frame bytes one grouped apply gathers,
+// as replSnapshotChunkBytes bounds a snapshot chunk.
+const replApplyRunBytes = 1 << 20
+
+// replReader reads the frames of a replication or handoff stream on the
+// consuming side and gathers runs of wave frames for grouped applies.
+type replReader struct {
+	conn     net.Conn
+	br       *bufio.Reader
+	maxFrame int64
+	timeout  time.Duration // per blocking frame read
+
+	// held is the non-wave frame that ended the last run; next returns it
+	// before reading on.
+	held     []byte
+	heldKind byte
+
+	// The current run, reused across runs: an apply keeps no reference to
+	// either slice (entries point into each wave's own frame, fresh per
+	// read).
+	recs    []store.LogRecord
+	entries []store.LogEntry
+}
+
+// next returns the frame that ended the last run, if any, else reads one.
+func (rr *replReader) next() ([]byte, byte, error) {
+	if frame := rr.held; frame != nil {
+		rr.held = nil
+		return frame, rr.heldKind, nil
+	}
+	rr.conn.SetReadDeadline(time.Now().Add(rr.timeout))
+	frame, err := wire.ReadStreamFrame(rr.br, rr.maxFrame)
+	if err != nil {
+		return nil, 0, err
+	}
+	kind, err := wire.FrameKind(frame)
+	return frame, kind, err
+}
+
+// waveRun decodes frame, a wave, as the first record of a run, then keeps
+// taking the wave frames the peer has already put on the wire. It stops
+// when the read buffer is empty — it never waits for a frame that is not
+// there yet — at replApplyRunBytes of frame bytes, or at the first frame of
+// another kind, which next returns once the caller has applied and acked
+// the run. The records stay valid until the next waveRun.
+func (rr *replReader) waveRun(frame []byte) ([]store.LogRecord, error) {
+	rr.recs, rr.entries = rr.recs[:0], rr.entries[:0]
+	for size := 0; ; {
+		wv, err := wire.DecodeReplWave(frame)
+		if err != nil {
+			return nil, err
+		}
+		start := len(rr.entries)
+		for _, e := range wv.Entries {
+			rr.entries = append(rr.entries, store.LogEntry(e))
+		}
+		end := len(rr.entries)
+		rr.recs = append(rr.recs, store.LogRecord{LSN: wv.LSN, Annotation: wv.Annotation, Entries: rr.entries[start:end:end]})
+		if size += len(frame); size >= replApplyRunBytes || rr.br.Buffered() == 0 {
+			return rr.recs, nil
+		}
+		if frame, err = wire.ReadStreamFrame(rr.br, rr.maxFrame); err != nil {
+			return nil, err
+		}
+		kind, err := wire.FrameKind(frame)
+		if err != nil {
+			return nil, err
+		}
+		if kind != wire.KindReplWave {
+			rr.held, rr.heldKind = frame, kind
+			return rr.recs, nil
 		}
 	}
 }

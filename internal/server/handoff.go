@@ -14,8 +14,9 @@ package server
 //      begin/chunk/end frames), then tails its own log shipping each
 //      record slot-filtered as a wave frame, credit-windowed and acked
 //      exactly like follower replication. Wave LSNs are SOURCE positions:
-//      the target applies each wave as a LOCAL commit (ApplyHandoffWave)
-//      and echoes the source position back as its ack.
+//      the target applies each run of buffered waves as one LOCAL group
+//      commit (ApplyHandoffWaves) and echoes the run's last source
+//      position back as its ack.
 //   3. When the source has shipped through its current head, it fences
 //      writes to the moving slots (503 + Retry-After, see cluster.go),
 //      waits out in-flight writers via the cluster guard, flushes the
@@ -234,19 +235,13 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 
 	// Phase 3: the flip is legal only once the target holds everything
 	// shipped — wait for its cumulative ack to reach the last framed
-	// position.
-	deadline := time.Now().Add(handoffAckWait)
-	for sess.acked.Load() < lastShipped {
-		if time.Now().After(deadline) {
-			sess.sendError(http.StatusGatewayTimeout,
-				fmt.Errorf("target never acked through %d (acked %d)", lastShipped, sess.acked.Load()))
-			return
+	// position. The wait wakes on the ack itself, so the fence window ends
+	// as soon as the final ack lands.
+	if err := sess.waitAcked(lastShipped, handoffAckWait); err != nil {
+		if errors.Is(err, errAckWaitTimeout) {
+			sess.sendError(http.StatusGatewayTimeout, fmt.Errorf("target never acked through %d: %w", lastShipped, err))
 		}
-		select {
-		case <-sess.closedCh:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
+		return
 	}
 
 	// Phase 4: flip ownership at a fresh epoch, finish the source's own
@@ -369,28 +364,11 @@ func (s *Server) pullSlots(sourceAddr string, slots *keyspace.SlotSet) error {
 	}
 	conn.SetDeadline(time.Time{})
 
-	applyEntries := func(annotation []byte, wentries []wire.ReplEntry) error {
-		entries := make([]store.LogEntry, len(wentries))
-		for i, e := range wentries {
-			entries[i] = store.LogEntry{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}
-		}
-		applyStart := time.Now()
-		if err := s.spa.ApplyHandoffWave(annotation, entries); err != nil {
-			return err
-		}
-		s.met.obs().stage("repl_apply", time.Since(applyStart))
-		return nil
-	}
-
+	rr := &replReader{conn: conn, br: br, maxFrame: hello.MaxFrameBytes, timeout: handoffReadTimeout}
 	for {
-		conn.SetReadDeadline(time.Now().Add(handoffReadTimeout))
-		frame, err := wire.ReadStreamFrame(br, hello.MaxFrameBytes)
+		frame, kind, err := rr.next()
 		if err != nil {
 			return fmt.Errorf("handoff stream: %w", err)
-		}
-		kind, err := wire.FrameKind(frame)
-		if err != nil {
-			return err
 		}
 		switch kind {
 		case wire.KindReplSnapshotBegin, wire.KindReplSnapshotEnd, wire.KindReplHeartbeat:
@@ -401,18 +379,30 @@ func (s *Server) pullSlots(sourceAddr string, slots *keyspace.SlotSet) error {
 			if err != nil {
 				return err
 			}
-			if err := applyEntries(nil, chunk); err != nil {
+			entries := make([]store.LogEntry, len(chunk))
+			for i, e := range chunk {
+				entries[i] = store.LogEntry(e)
+			}
+			applyStart := time.Now()
+			if err := s.spa.ApplyHandoffWave(nil, entries); err != nil {
 				return err
 			}
+			s.met.obs().stage("repl_apply", time.Since(applyStart))
 		case wire.KindReplWave:
-			wv, err := wire.DecodeReplWave(frame)
+			// The same group commit a follower runs: every wave already on
+			// the wire applies as one local ApplyAll and one ack of the
+			// run's last source position.
+			recs, err := rr.waveRun(frame)
 			if err != nil {
-				return err
+				return fmt.Errorf("handoff stream: %w", err)
 			}
-			if err := applyEntries(wv.Annotation, wv.Entries); err != nil {
-				return fmt.Errorf("applying handoff wave %d: %w", wv.LSN, err)
+			last := recs[len(recs)-1].LSN
+			applyStart := time.Now()
+			if err := s.spa.ApplyHandoffWaves(recs); err != nil {
+				return fmt.Errorf("applying handoff waves %d-%d: %w", recs[0].LSN, last, err)
 			}
-			if err := writeFlushFrame(conn, bw, wire.EncodeReplAck(wv.LSN)); err != nil {
+			s.met.obs().stage("repl_apply", time.Since(applyStart))
+			if err := writeFlushFrame(conn, bw, wire.EncodeReplAck(last)); err != nil {
 				return err
 			}
 		case wire.KindHandoffCommit:

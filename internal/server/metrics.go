@@ -68,8 +68,10 @@ type metrics struct {
 
 // stageNames is the fixed key set of the per-stage histograms, in pipeline
 // order. "queue" is the wait between admission and gather; "wal_sync" and
-// "compaction" arrive through the store observer; "repl_apply" is the
-// follower-side wave apply (repl.go), zero on a leader.
+// "compaction" arrive through the store observer; "repl_apply" times one
+// grouped apply on a follower or handoff target — a whole run of the waves
+// already buffered on the wire (follower.go), not one wave — and is zero on
+// a leader.
 var stageNames = []string{"decode", "queue", "gather", "prepare", "commit", "wal_sync", "compaction", "repl_apply"}
 
 // endpointNames is the fixed key set of the per-endpoint latency

@@ -78,6 +78,11 @@ type replSession struct {
 	acked atomic.Uint64
 	sent  atomic.Uint64
 
+	// ackCh is closed (and dropped) whenever acked advances, waking
+	// waitAcked; a waiter creates it on demand.
+	ackMu sync.Mutex
+	ackCh chan struct{}
+
 	// credit holds the follower-granted wave window; the writer takes one
 	// token per wave, the ack reader returns one per acknowledged record.
 	credit chan struct{}
@@ -166,6 +171,12 @@ func (sess *replSession) noteAcked(lsn uint64) int {
 		return 0
 	}
 	sess.acked.Store(lsn)
+	sess.ackMu.Lock()
+	if sess.ackCh != nil {
+		close(sess.ackCh)
+		sess.ackCh = nil
+	}
+	sess.ackMu.Unlock()
 	sess.inflightMu.Lock()
 	for len(sess.inflight) > 0 && sess.inflight[0].lsn <= lsn {
 		sess.inflightBytes -= sess.inflight[0].bytes
@@ -173,6 +184,37 @@ func (sess *replSession) noteAcked(lsn uint64) int {
 	}
 	sess.inflightMu.Unlock()
 	return int(lsn - prev)
+}
+
+// errAckWaitTimeout is waitAcked giving up on a peer that never acked.
+var errAckWaitTimeout = errors.New("ack wait timed out")
+
+// waitAcked blocks until the peer's cumulative ack reaches lsn, returning
+// nil; errAckWaitTimeout once timeout passes first; or an error once the
+// session closes. It wakes on each ack as readAcks stores it — no polling.
+func (sess *replSession) waitAcked(lsn uint64, timeout time.Duration) error {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Take the wake-up channel before reading acked: an ack stored
+		// after the read closes this very channel.
+		sess.ackMu.Lock()
+		if sess.ackCh == nil {
+			sess.ackCh = make(chan struct{})
+		}
+		wake := sess.ackCh
+		sess.ackMu.Unlock()
+		if sess.acked.Load() >= lsn {
+			return nil
+		}
+		select {
+		case <-wake:
+		case <-sess.closedCh:
+			return errors.New("session closed")
+		case <-timer.C:
+			return fmt.Errorf("%w: acked %d of %d", errAckWaitTimeout, sess.acked.Load(), lsn)
+		}
+	}
 }
 
 // lagBytes reports the wave payload sent but not yet acknowledged.

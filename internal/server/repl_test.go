@@ -1,15 +1,22 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/lifelog"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -60,6 +67,28 @@ func waitCaughtUp(t *testing.T, url string, target uint64) wire.ReplicationStatu
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("follower stuck at lsn %d (state %q), want >= %d", st.AppliedLSN, st.State, target)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// waitLeaderAcked polls a leader's status until its one follower's acked
+// position reaches target. A follower acks only after its apply, and the
+// leader's ack reader stores the ack later still, so the leader can lag a
+// caught-up follower's own status for a moment.
+func waitLeaderAcked(t *testing.T, url string, target uint64) wire.ReplicationStatus {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := replStatus(t, url)
+		if len(st.Followers) > 1 {
+			t.Fatalf("leader sees %d followers, want 1", len(st.Followers))
+		}
+		if len(st.Followers) == 1 && st.Followers[0].AckedLSN >= target {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leader never saw its follower ack %d: %+v", target, st.Followers)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -142,13 +171,10 @@ func TestReplicationFollowerServesReads(t *testing.T) {
 	after := replStatus(t, leaderTS.URL)
 	waitCaughtUp(t, followerTS.URL, after.AppliedLSN)
 
-	// The leader sees its follower; the follower's lag metrics read zero.
-	leaderSt = replStatus(t, leaderTS.URL)
-	if len(leaderSt.Followers) != 1 {
-		t.Fatalf("leader sees %d followers, want 1", len(leaderSt.Followers))
-	}
-	if leaderSt.Followers[0].AckedLSN != after.AppliedLSN {
-		t.Fatalf("leader follower acked %d, want %d", leaderSt.Followers[0].AckedLSN, after.AppliedLSN)
+	// The leader sees its follower, acked through the new commit.
+	leaderSt = waitLeaderAcked(t, leaderTS.URL, after.AppliedLSN)
+	if got := leaderSt.Followers[0].AckedLSN; got != after.AppliedLSN {
+		t.Fatalf("leader follower acked %d, want %d", got, after.AppliedLSN)
 	}
 
 	// Both exposition formats carry the replication series, and the
@@ -285,4 +311,201 @@ func TestReplicationRefusals(t *testing.T) {
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("follower answered %d to a replication subscribe, want 421", resp.StatusCode)
 	}
+}
+
+// gatedSyncOps is a store.FileOps over the real filesystem whose WAL syncs
+// are counted and, while the gate is held, block until it is released.
+type gatedSyncOps struct {
+	syncs atomic.Int64
+	mu    sync.Mutex
+	gate  chan struct{} // non-nil while held
+}
+
+func (g *gatedSyncOps) hold() {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedSyncOps) release() {
+	g.mu.Lock()
+	if g.gate != nil {
+		close(g.gate)
+		g.gate = nil
+	}
+	g.mu.Unlock()
+}
+
+func (g *gatedSyncOps) Create(name string) (store.SegFile, error) { return os.Create(name) }
+func (g *gatedSyncOps) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
+func (g *gatedSyncOps) Remove(name string) error                  { return os.Remove(name) }
+func (g *gatedSyncOps) OpenWAL(name string) (store.WALFile, error) {
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedWAL{File: f, ops: g}, nil
+}
+
+type gatedWAL struct {
+	*os.File
+	ops *gatedSyncOps
+}
+
+func (w *gatedWAL) Sync() error {
+	w.ops.syncs.Add(1)
+	w.ops.mu.Lock()
+	gate := w.ops.gate
+	w.ops.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return w.File.Sync()
+}
+
+// TestFollowerAppliesBacklogAsOneGroup: waves that pile up on the wire
+// while the follower is stuck in a WAL sync apply as one group once it
+// unsticks — one repl_apply, one sync and one ack for the backlog, not one
+// per wave.
+func TestFollowerAppliesBacklogAsOneGroup(t *testing.T) {
+	clk := clock.NewSimulated(t0.Add(24 * time.Hour))
+	leaderSPA, err := core.New(core.Options{DataDir: t.TempDir(), Shards: 4, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := New(leaderSPA, Options{})
+	leaderTS := httptest.NewServer(leader)
+	t.Cleanup(func() {
+		leaderTS.Close()
+		leader.Close()
+		leaderSPA.Close()
+	})
+	users := []uint64{1, 2, 3}
+	for _, id := range users {
+		if err := leaderSPA.Register(id, []float64{30, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gate := &gatedSyncOps{}
+	followerTS, _ := testServer(t,
+		core.Options{DataDir: t.TempDir(), Shards: 4, Clock: clk,
+			Store: store.Options{SyncWrites: true, FileOps: gate}},
+		Options{FollowerOf: leaderTS.URL})
+	t.Cleanup(gate.release) // runs before the servers close, even on failure
+	start, _ := leaderSPA.AppliedLSN()
+	waitCaughtUp(t, followerTS.URL, start)
+
+	const stageKey = `spad_stage_duration_seconds_count{stage="repl_apply"}`
+	applies := func() float64 {
+		fams, _ := fetchProm(t, followerTS.URL)
+		return fams["spad_stage_duration_seconds"].Samples[stageKey]
+	}
+	applies0, syncs0 := applies(), gate.syncs.Load()
+
+	// Stall the follower's next sync, then commit 20 single-shard records.
+	gate.hold()
+	const waves = 20
+	for i := 0; i < waves; i++ {
+		ev := lifelog.Event{UserID: users[i%len(users)], Time: t0.Add(time.Duration(i) * time.Second),
+			Type: lifelog.EventClick, Action: uint32(i)}
+		if _, _, err := leaderSPA.IngestEvents([]lifelog.Event{ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	target, _ := leaderSPA.AppliedLSN()
+	if target != start+waves {
+		t.Fatalf("leader at %d after %d single-shard commits from %d", target, waves, start)
+	}
+	// Every wave is on the wire before the follower unsticks.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		leader.replMu.Lock()
+		var sent uint64
+		for sess := range leader.repls {
+			sent = max(sent, sess.sent.Load())
+		}
+		leader.replMu.Unlock()
+		if sent >= target {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leader shipped through %d, want %d", sent, target)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	gate.release()
+	waitCaughtUp(t, followerTS.URL, target)
+	waitLeaderAcked(t, leaderTS.URL, target)
+
+	nApplies, nSyncs := applies()-applies0, gate.syncs.Load()-syncs0
+	t.Logf("%d waves: %v repl_apply calls, %d WAL syncs", waves, nApplies, nSyncs)
+	if nApplies > 3 || nSyncs > 3 {
+		t.Fatalf("follower applied %d waves in %v repl_apply calls and %d WAL syncs, want at most 3 of each",
+			waves, nApplies, nSyncs)
+	}
+	for _, id := range users {
+		readBoth(t, leaderTS.URL, followerTS.URL, fmt.Sprintf("/v1/users/%d/sensibilities", id))
+		readBoth(t, leaderTS.URL, followerTS.URL, fmt.Sprintf("/v1/users/%d/recommendations?n=5", id))
+	}
+}
+
+// TestSessionWaitAcked covers the handoff fence's ack wait: it returns as
+// soon as the ack lands, times out (the source's 504 path) when it never
+// does, and returns when the session closes.
+func TestSessionWaitAcked(t *testing.T) {
+	newSess := func() *replSession {
+		a, b := net.Pipe()
+		t.Cleanup(func() { a.Close(); b.Close() })
+		return &replSession{conn: a, closedCh: make(chan struct{})}
+	}
+	wait := func(sess *replSession, lsn uint64, timeout time.Duration) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- sess.waitAcked(lsn, timeout) }()
+		return done
+	}
+
+	t.Run("acked", func(t *testing.T) {
+		sess := newSess()
+		done := wait(sess, 10, time.Minute)
+		sess.noteAcked(4) // short of the target: keeps waiting
+		select {
+		case err := <-done:
+			t.Fatalf("returned at ack 4 of 10: %v", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		sess.noteAcked(10)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ack through the target did not wake the wait")
+		}
+		if err := sess.waitAcked(7, time.Minute); err != nil {
+			t.Fatalf("already acked: %v", err)
+		}
+	})
+	t.Run("timeout", func(t *testing.T) {
+		sess := newSess()
+		sess.noteAcked(3)
+		err := sess.waitAcked(5, 20*time.Millisecond)
+		if !errors.Is(err, errAckWaitTimeout) {
+			t.Fatalf("err = %v, want errAckWaitTimeout", err)
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		sess := newSess()
+		done := wait(sess, 5, time.Minute)
+		sess.shutdown()
+		select {
+		case err := <-done:
+			if err == nil || errors.Is(err, errAckWaitTimeout) {
+				t.Fatalf("err = %v, want a session-closed error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("session close did not wake the wait")
+		}
+	})
 }

@@ -61,33 +61,11 @@ func (b *WriteBatch) Reset() {
 	b.size = 0
 }
 
-// Apply commits the batch. Either every operation becomes durable and
-// visible, or (on error or crash) none do. An empty batch is a no-op.
+// Apply commits the batch: ApplyAll of a one-batch sequence. Either every
+// operation becomes durable and visible, or (on error or crash) none do. An
+// empty batch is a no-op.
 func (db *DB) Apply(b *WriteBatch) error {
-	if b.Len() == 0 {
-		return nil
-	}
-	for _, e := range b.entries {
-		if len(e.key) == 0 {
-			return errors.New("store: empty key in batch")
-		}
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	lsn := db.lastLSN + 1
-	payload := encodeLSNRecord(lsn, b.annotation, b.entries)
-	if err := db.wal.writeRecord(payload); err != nil {
-		return err
-	}
-	db.installBatchLocked(b)
-	db.noteCommitLocked(lsn, payload)
-	if db.mem.bytes >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
+	return db.ApplyAll([]*WriteBatch{b})
 }
 
 // ApplyAll commits a sequence of batches as one ordered group. The
@@ -128,27 +106,17 @@ func (db *DB) ApplyAll(batches []*WriteBatch) error {
 // wave, so the serving layer can attribute the fsync stall back to the
 // group commit that paid it. A zero wave is untagged.
 func (db *DB) ApplyAllTagged(batches []*WriteBatch, wave uint64) error {
-	live := batches[:0:0]
+	group := make([]groupRecord, 0, len(batches))
 	for _, b := range batches {
 		if b.Len() == 0 {
 			continue
 		}
-		for _, e := range b.entries {
-			if len(e.key) == 0 {
-				return errors.New("store: empty key in batch")
-			}
+		if err := checkRecord(b.annotation, b.entries); err != nil {
+			return err
 		}
-		// Reject an oversize batch up front, before ANY record of the
-		// sequence reaches the buffered writer: a mid-sequence cap error
-		// is not a sticky writer error, so earlier batches of the wave
-		// would otherwise sit valid in the buffer and become durable on
-		// the next flush — a wave the caller was told failed.
-		if bound := walLSNRecordBound(b.annotation, b.entries); bound > maxWALRecord {
-			return fmt.Errorf("store: batch record ~%d bytes exceeds %d-byte cap", bound, maxWALRecord)
-		}
-		live = append(live, b)
+		group = append(group, groupRecord{annotation: b.annotation, entries: b.entries})
 	}
-	if len(live) == 0 {
+	if len(group) == 0 {
 		return nil
 	}
 	db.mu.Lock()
@@ -156,32 +124,69 @@ func (db *DB) ApplyAllTagged(batches []*WriteBatch, wave uint64) error {
 	if db.closed {
 		return ErrClosed
 	}
-	lsn := db.lastLSN
-	recs := make([]logRec, 0, len(live))
-	for _, b := range live {
-		lsn++
-		payload := encodeLSNRecord(lsn, b.annotation, b.entries)
+	for i := range group {
+		group[i].lsn = db.lastLSN + 1 + uint64(i)
+	}
+	return db.commitGroupLocked(group, wave)
+}
+
+// groupRecord is one record of a group commit.
+type groupRecord struct {
+	lsn        uint64
+	annotation []byte
+	entries    []walEntry
+}
+
+// checkRecord validates one record of a group before anything of the group
+// reaches the WAL: no empty keys, and a framed size under the record cap. A
+// mid-group cap error would not be a sticky writer error, so the group's
+// earlier records would otherwise sit valid in the buffer and become
+// durable on the next flush — a group the caller was told failed.
+func checkRecord(annotation []byte, entries []walEntry) error {
+	for _, e := range entries {
+		if len(e.key) == 0 {
+			return errors.New("store: empty key in batch")
+		}
+	}
+	if bound := walLSNRecordBound(annotation, entries); bound > maxWALRecord {
+		return fmt.Errorf("store: batch record ~%d bytes exceeds %d-byte cap", bound, maxWALRecord)
+	}
+	return nil
+}
+
+// commitGroupLocked is the group commit ApplyAll and ApplyReplicated share:
+// append every record, pay one sync (under SyncWrites, tagged with wave),
+// and only then install the records' entries and publish the records to
+// the shippable history, in order — a tail never streams a record this
+// call reports as failed. On any error nothing is installed or published.
+// The caller holds db.mu, has checked every record (checkRecord), and has
+// stamped them with the LSNs that extend lastLSN contiguously.
+func (db *DB) commitGroupLocked(group []groupRecord, wave uint64) error {
+	// Each record enters the active-log mirror as it is appended. Nothing
+	// reads the mirror before this returns — readers and tails take db.mu —
+	// and a failure cuts it back to the committed records.
+	committed := len(db.activeRecs)
+	for _, r := range group {
+		payload := encodeLSNRecord(r.lsn, r.annotation, r.entries)
 		if err := db.wal.writeRecordNoSync(payload); err != nil {
+			db.activeRecs = db.activeRecs[:committed]
 			return err
 		}
-		recs = append(recs, logRec{lsn: lsn, payload: payload})
+		db.activeRecs = append(db.activeRecs, logRec{lsn: r.lsn, payload: payload})
 	}
 	if db.opts.SyncWrites {
 		db.syncWave = wave
 		err := db.wal.sync()
 		db.syncWave = 0
 		if err != nil {
+			db.activeRecs = db.activeRecs[:committed]
 			return err
 		}
 	}
-	for _, b := range live {
-		db.installBatchLocked(b)
+	for _, r := range group {
+		db.installLocked(r.entries)
 	}
-	// Only now — durable per the configuration and installed — do the
-	// records join the shippable history: a tail never streams a record
-	// this call will report as failed.
-	db.activeRecs = append(db.activeRecs, recs...)
-	db.lastLSN = lsn
+	db.lastLSN = group[len(group)-1].lsn
 	db.notifyTailLocked()
 	if db.mem.bytes >= db.opts.MemtableBytes {
 		return db.flushLocked()
@@ -189,10 +194,10 @@ func (db *DB) ApplyAllTagged(batches []*WriteBatch, wave uint64) error {
 	return nil
 }
 
-// installBatchLocked applies one batch's entries to the memtable; the
-// caller holds db.mu and has already made the batch durable.
-func (db *DB) installBatchLocked(b *WriteBatch) {
-	for _, e := range b.entries {
+// installLocked applies one record's entries to the memtable; the caller
+// holds db.mu and has already made the record durable.
+func (db *DB) installLocked(entries []walEntry) {
+	for _, e := range entries {
 		if e.tombstone {
 			db.mem.delete(e.key)
 		} else {

@@ -175,17 +175,6 @@ func (db *DB) logFloorLocked() uint64 {
 	return db.lastLSN + 1
 }
 
-// noteCommitLocked mirrors one freshly committed record into the active-log
-// index and wakes tail subscribers. The caller holds db.mu and has made the
-// record as durable as the configuration promises (post-sync under
-// SyncWrites — so with syncing on, a tailer never ships a record the leader
-// would not recover).
-func (db *DB) noteCommitLocked(lsn uint64, payload []byte) {
-	db.activeRecs = append(db.activeRecs, logRec{lsn: lsn, payload: payload})
-	db.lastLSN = lsn
-	db.notifyTailLocked()
-}
-
 // notifyTailLocked wakes every blocked LogTail; they re-poll under the lock.
 func (db *DB) notifyTailLocked() {
 	close(db.tailCh)
@@ -438,7 +427,7 @@ const restoreChunkBytes = 2 << 20
 
 // RestoreSnapshot installs an exported snapshot into a (normally fresh)
 // store and fast-forwards the LSN sequence to snapshotLSN, so the next
-// ApplyReplicated record must carry snapshotLSN+1. The pairs are written as
+// ApplyReplicated run must start at snapshotLSN+1. The pairs are written as
 // ordinary WAL records (all stamped snapshotLSN) — a restored follower
 // recovers its state from its own log exactly like a leader does.
 func (db *DB) RestoreSnapshot(pairs []LogEntry, snapshotLSN uint64) error {
@@ -500,46 +489,47 @@ func (db *DB) RestoreSnapshot(pairs []LogEntry, snapshotLSN uint64) error {
 	return nil
 }
 
-// ApplyReplicated commits one record shipped from a leader's log, with the
-// leader's own LSN — the follower half of the replication contract. The
-// record must extend the local sequence exactly (lsn == AppliedLSN()+1);
-// a gap means the streams diverged and the caller must re-bootstrap. The
-// record is framed, synced (under SyncWrites) and installed exactly like a
-// local WriteBatch, so a follower's crash recovery and its own TailLog work
-// unchanged.
-func (db *DB) ApplyReplicated(lsn uint64, annotation []byte, entries []LogEntry) error {
-	if len(entries) == 0 {
-		return errors.New("store: empty replicated record")
+// ApplyReplicated commits a run of records shipped from a leader's log,
+// with the leader's own LSNs — the follower half of the replication
+// contract. The run must extend the local sequence exactly (recs[i].LSN ==
+// AppliedLSN()+1+i); a gap anywhere means the streams diverged, the whole
+// run is refused with nothing written, and the caller must re-bootstrap.
+// The run commits as one ApplyAll-style group: every record framed, one
+// sync (under SyncWrites), then install and publish — so a crash replays a
+// prefix of the run, and a follower's own recovery and TailLog work
+// unchanged. An empty run is a no-op.
+func (db *DB) ApplyReplicated(recs []LogRecord) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	wes := make([]walEntry, len(entries))
-	for i, e := range entries {
-		if len(e.Key) == 0 {
-			return errors.New("store: empty key in replicated record")
+	n := 0
+	for _, r := range recs {
+		if len(r.Entries) == 0 {
+			return fmt.Errorf("store: empty replicated record %d", r.LSN)
 		}
-		wes[i] = walEntry{key: e.Key, value: e.Value, tombstone: e.Tombstone}
+		n += len(r.Entries)
+	}
+	wes := make([]walEntry, 0, n)
+	group := make([]groupRecord, len(recs))
+	for i, r := range recs {
+		start := len(wes)
+		for _, e := range r.Entries {
+			wes = append(wes, walEntry{key: e.Key, value: e.Value, tombstone: e.Tombstone})
+		}
+		group[i] = groupRecord{lsn: r.LSN, annotation: r.Annotation, entries: wes[start:len(wes):len(wes)]}
+		if err := checkRecord(r.Annotation, group[i].entries); err != nil {
+			return err
+		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	if lsn != db.lastLSN+1 {
-		return fmt.Errorf("store: replicated lsn %d does not extend applied %d", lsn, db.lastLSN)
-	}
-	payload := encodeLSNRecord(lsn, annotation, wes)
-	if err := db.wal.writeRecord(payload); err != nil {
-		return err
-	}
-	for _, e := range wes {
-		if e.tombstone {
-			db.mem.delete(e.key)
-		} else {
-			db.mem.put(e.key, e.value)
+	for i, r := range group {
+		if want := db.lastLSN + 1 + uint64(i); r.lsn != want {
+			return fmt.Errorf("store: replicated lsn %d does not extend applied %d", r.lsn, want-1)
 		}
 	}
-	db.noteCommitLocked(lsn, payload)
-	if db.mem.bytes >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
+	return db.commitGroupLocked(group, 0)
 }

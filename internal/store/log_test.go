@@ -481,10 +481,10 @@ func TestSnapshotRestoreAndReplicatedApply(t *testing.T) {
 		t.Fatalf("shipped annotation = %q", rec.Annotation)
 	}
 	// A gap must be rejected before the contiguous record lands.
-	if err := follower.ApplyReplicated(rec.LSN+1, nil, rec.Entries); err == nil {
+	if err := follower.ApplyReplicated([]LogRecord{{LSN: rec.LSN + 1, Entries: rec.Entries}}); err == nil {
 		t.Fatal("ApplyReplicated accepted a gapped LSN")
 	}
-	if err := follower.ApplyReplicated(rec.LSN, rec.Annotation, rec.Entries); err != nil {
+	if err := follower.ApplyReplicated([]LogRecord{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if got := follower.AppliedLSN(); got != rec.LSN {
@@ -492,7 +492,7 @@ func TestSnapshotRestoreAndReplicatedApply(t *testing.T) {
 	}
 	// Replaying the same record again must also be rejected (idempotence is
 	// the caller's job; the store enforces exact contiguity).
-	if err := follower.ApplyReplicated(rec.LSN, rec.Annotation, rec.Entries); err == nil {
+	if err := follower.ApplyReplicated([]LogRecord{rec}); err == nil {
 		t.Fatal("ApplyReplicated accepted a duplicate LSN")
 	}
 
@@ -509,6 +509,192 @@ func TestSnapshotRestoreAndReplicatedApply(t *testing.T) {
 		t.Fatalf("follower AppliedLSN after reopen = %d, want %d", got, rec.LSN)
 	}
 	assertConverged(t, leader, follower2)
+}
+
+// replRun builds a run of n shipped records starting at LSN from. Each
+// record puts the marker keys "r<lsn>" and "t<lsn>" and rewrites the shared
+// key "x"; every record after the first deletes the previous record's "t"
+// key — so a run mixes puts, overwrites and tombstones.
+func replRun(from uint64, n int) []LogRecord {
+	recs := make([]LogRecord, n)
+	for i := range recs {
+		lsn := from + uint64(i)
+		entries := []LogEntry{
+			{Key: []byte(fmt.Sprintf("r%d", lsn)), Value: []byte("1")},
+			{Key: []byte(fmt.Sprintf("t%d", lsn)), Value: []byte("1")},
+			{Key: []byte("x"), Value: []byte(fmt.Sprintf("v%d", lsn))},
+		}
+		if i > 0 {
+			entries = append(entries, LogEntry{Key: []byte(fmt.Sprintf("t%d", lsn-1)), Tombstone: true})
+		}
+		recs[i] = LogRecord{LSN: lsn, Annotation: []byte(fmt.Sprintf("a%d", lsn)), Entries: entries}
+	}
+	return recs
+}
+
+// assertNothingCommitted checks that a refused or failed run left no trace
+// in the running store: position, memtable, and shippable history.
+func assertNothingCommitted(t *testing.T, db *DB, applied uint64, run []LogRecord) {
+	t.Helper()
+	if got := db.AppliedLSN(); got != applied {
+		t.Fatalf("AppliedLSN = %d, want %d", got, applied)
+	}
+	for _, r := range run {
+		if _, err := db.Get([]byte(fmt.Sprintf("r%d", r.LSN))); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("record %d visible after a failed run: %v", r.LSN, err)
+		}
+	}
+	db.mu.RLock()
+	tailed := len(db.activeRecs)
+	db.mu.RUnlock()
+	if tailed != int(applied) {
+		t.Fatalf("%d records in the shippable history, want %d", tailed, applied)
+	}
+}
+
+// TestApplyReplicatedRunIsOneGroup: a contiguous run commits with one WAL
+// sync, installs every record in order, and tails and recovers record by
+// record; a run with a gap in the middle is refused whole, before any byte
+// reaches the WAL.
+func TestApplyReplicatedRunIsOneGroup(t *testing.T) {
+	fo := &faultOps{}
+	dir := t.TempDir()
+	db, err := Open(dir, Options{SyncWrites: true, DisableAutoCompaction: true, FileOps: fo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := replRun(1, 5)
+	gapped := []LogRecord{run[0], run[1], run[3]}
+	writes := fo.walWrites
+	if err := db.ApplyReplicated(gapped); err == nil {
+		t.Fatal("run with a gap in the middle accepted")
+	}
+	assertNothingCommitted(t, db, 0, run)
+	if fo.walWrites != writes || db.wal.w.Buffered() != 0 {
+		t.Fatalf("refused run reached the WAL: %d writes, %d bytes buffered", fo.walWrites-writes, db.wal.w.Buffered())
+	}
+
+	syncs := fo.walSyncs
+	if err := db.ApplyReplicated(run); err != nil {
+		t.Fatal(err)
+	}
+	if got := fo.walSyncs - syncs; got != 1 {
+		t.Fatalf("run of %d records paid %d syncs, want 1", len(run), got)
+	}
+	check := func(d *DB, what string) {
+		t.Helper()
+		if got := d.AppliedLSN(); got != 5 {
+			t.Fatalf("%s: AppliedLSN = %d, want 5", what, got)
+		}
+		if v, err := d.Get([]byte("x")); err != nil || string(v) != "v5" {
+			t.Fatalf("%s: x = %q %v, want the last record's v5", what, v, err)
+		}
+		for lsn := 1; lsn <= 5; lsn++ {
+			if _, err := d.Get([]byte(fmt.Sprintf("r%d", lsn))); err != nil {
+				t.Fatalf("%s: r%d: %v", what, lsn, err)
+			}
+			_, err := d.Get([]byte(fmt.Sprintf("t%d", lsn)))
+			if live := lsn == 5; live != (err == nil) {
+				t.Fatalf("%s: t%d live=%v: %v", what, lsn, live, err)
+			}
+		}
+		tail, err := d.TailLog(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		for _, want := range run {
+			rec, err := tail.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.LSN != want.LSN || string(rec.Annotation) != string(want.Annotation) || len(rec.Entries) != len(want.Entries) {
+				t.Fatalf("%s: tailed %d %q (%d entries), want %d %q (%d)", what,
+					rec.LSN, rec.Annotation, len(rec.Entries), want.LSN, want.Annotation, len(want.Entries))
+			}
+		}
+	}
+	check(db, "live")
+	// A run must also extend the position, not just be contiguous in itself.
+	if err := db.ApplyReplicated(replRun(7, 2)); err == nil {
+		t.Fatal("run past a gap after the applied position accepted")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir, Options{SyncWrites: true, DisableAutoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	check(db2, "reopened")
+}
+
+// TestApplyReplicatedSyncFaultInstallsNothing: when the run's one sync
+// fails, no record of it is installed or shipped, and the log disables
+// itself until reopen, exactly as for a failed ApplyAll.
+func TestApplyReplicatedSyncFaultInstallsNothing(t *testing.T) {
+	fo := &faultOps{}
+	db, err := Open(t.TempDir(), Options{SyncWrites: true, DisableAutoCompaction: true, FileOps: fo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ApplyReplicated(replRun(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	fo.failWALSyncAt = fo.walSyncs + 1
+	run := replRun(2, 4)
+	if err := db.ApplyReplicated(run); !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want injected", err)
+	}
+	assertNothingCommitted(t, db, 1, run)
+	if err := db.ApplyReplicated(run); !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("apply after a sync fault: %v, want ErrWALFailed", err)
+	}
+}
+
+// TestApplyReplicatedCrashPrefix: a crash at any byte of a 5-record run's
+// WAL bytes recovers a prefix of the run — record i+1 never without record
+// i, and the shared key always holds the newest recovered record's value.
+func TestApplyReplicatedCrashPrefix(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{DisableAutoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ApplyReplicated(replRun(1, 5)); err != nil {
+		t.Fatal(err)
+	}
+	db.Sync()
+	db.wal.f.Close() // crash: no Close, no Flush
+
+	walPath := filepath.Join(dir, "wal.log")
+	full, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		if err := os.WriteFile(walPath, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := Open(dir, Options{DisableAutoCompaction: true})
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		applied := db2.AppliedLSN()
+		for lsn := uint64(1); lsn <= 5; lsn++ {
+			_, err := db2.Get([]byte(fmt.Sprintf("r%d", lsn)))
+			if (lsn <= applied) != (err == nil) {
+				t.Fatalf("cut %d: recovered through %d, r%d: %v — not a prefix", cut, applied, lsn, err)
+			}
+		}
+		v, err := db2.Get([]byte("x"))
+		if applied == 0 && !errors.Is(err, ErrNotFound) || applied > 0 && string(v) != fmt.Sprintf("v%d", applied) {
+			t.Fatalf("cut %d: recovered through %d, x = %q %v", cut, applied, v, err)
+		}
+		db2.wal.f.Close() // keep the on-disk bytes for the next cut
+	}
 }
 
 // assertConverged checks the two stores hold byte-identical live key spaces.

@@ -18,7 +18,7 @@ type Observer interface {
 	// WALSync reports one WAL durability point (buffer flush + fsync) and
 	// its duration. wave is the serving-layer wave tag when the sync
 	// belongs to a group commit applied via ApplyAllTagged, zero for every
-	// other sync (per-mutation syncEvery syncs, explicit Sync calls).
+	// other sync (untagged commits, explicit Sync calls).
 	WALSync(wave uint64, d time.Duration)
 	// Compaction reports one completed merge attempt — a background tier
 	// merge or a forced Compact — with its duration and failure, if any.

@@ -169,7 +169,7 @@ func Open(dir string, opts Options) (*DB, error) {
 
 	walPath := filepath.Join(dir, "wal.log")
 	_ = fops.Remove(walPath + ".migrate") // stray file from a crashed migration
-	w, recs, discarded, err := openWAL(fops, walPath, opts.SyncWrites)
+	w, recs, discarded, err := openWAL(fops, walPath)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.walDiscarded = discarded
 	db.tailCh = make(chan struct{})
 	// Report WAL sync durations to the observer. Every sync runs under
-	// db.mu, so reading syncWave here is ordered with ApplyAllTagged's
+	// db.mu, so reading syncWave here is ordered with commitGroupLocked's
 	// write of it.
 	w.onSync = func(d time.Duration) {
 		if o := db.observer(); o != nil {
@@ -194,13 +194,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 	for _, rec := range recs {
-		for _, e := range rec.entries {
-			if e.tombstone {
-				db.mem.delete(e.key)
-			} else {
-				db.mem.put(e.key, e.value)
-			}
-		}
+		db.installLocked(rec.entries)
 		db.activeRecs = append(db.activeRecs, logRec{lsn: rec.lsn, payload: rec.payload})
 	}
 	if !opts.DisableAutoCompaction {
@@ -216,22 +210,7 @@ func (db *DB) Put(key, value []byte) error {
 	if len(key) == 0 {
 		return errors.New("store: empty key")
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	lsn := db.lastLSN + 1
-	payload := encodeLSNRecord(lsn, nil, []walEntry{{key: key, value: value}})
-	if err := db.wal.writeRecord(payload); err != nil {
-		return err
-	}
-	db.mem.put(key, value)
-	db.noteCommitLocked(lsn, payload)
-	if db.mem.bytes >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
+	return db.commitOne(walEntry{key: key, value: value})
 }
 
 // Delete removes key. Deleting a missing key is not an error (the tombstone
@@ -240,22 +219,18 @@ func (db *DB) Delete(key []byte) error {
 	if len(key) == 0 {
 		return errors.New("store: empty key")
 	}
+	return db.commitOne(walEntry{key: key, tombstone: true})
+}
+
+// commitOne commits a one-entry record through the group commit.
+func (db *DB) commitOne(e walEntry) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	lsn := db.lastLSN + 1
-	payload := encodeLSNRecord(lsn, nil, []walEntry{{key: key, tombstone: true}})
-	if err := db.wal.writeRecord(payload); err != nil {
-		return err
-	}
-	db.mem.delete(key)
-	db.noteCommitLocked(lsn, payload)
-	if db.mem.bytes >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
+	group := [1]groupRecord{{lsn: db.lastLSN + 1, entries: []walEntry{e}}}
+	return db.commitGroupLocked(group[:], 0)
 }
 
 // Get returns the value stored under key. The returned slice is a copy.

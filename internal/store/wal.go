@@ -33,10 +33,9 @@ import (
 // intact, a partial trailing record is discarded (and counted, so a torn
 // tail is diagnosable: see Stats.WALDiscardedBytes).
 type wal struct {
-	f         WALFile
-	w         *bufio.Writer
-	syncEvery bool
-	path      string
+	f    WALFile
+	w    *bufio.Writer
+	path string
 	// err is the sticky append failure. Once a record append, flush or
 	// sync fails, the bytes of a record stamped with an LSN may or may not
 	// be durable — and lastLSN was never advanced for it. Appending again
@@ -91,7 +90,7 @@ type walRec struct {
 // corrupt tail is truncated away; discarded reports how many tail bytes
 // that dropped (satelliting the silent-discard fix: a follower diverging on
 // a torn leader log must be diagnosable).
-func openWAL(fops FileOps, path string, syncWrites bool) (*wal, []walRec, int64, error) {
+func openWAL(fops FileOps, path string) (*wal, []walRec, int64, error) {
 	f, err := fops.OpenWAL(path)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: opening wal: %w", err)
@@ -110,7 +109,7 @@ func openWAL(fops FileOps, path string, syncWrites bool) (*wal, []walRec, int64,
 		f.Close()
 		return nil, nil, 0, err
 	}
-	return &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), syncEvery: syncWrites, path: path}, recs, discarded, nil
+	return &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), path: path}, recs, discarded, nil
 }
 
 func replayWAL(f WALFile) ([]walRec, int64, int64, error) {
@@ -221,9 +220,9 @@ func encodeLSNRecord(lsn uint64, annotation []byte, entries []walEntry) []byte {
 
 // walLSNRecordBound is a conservative upper bound on the framed payload
 // encodeLSNRecord produces. A batch whose bound fits under maxWALRecord can
-// never trip writeRecordNoSync's cap — which lets ApplyAll reject an
-// oversize batch BEFORE anything of the sequence reaches the buffered
-// writer.
+// never trip writeRecordNoSync's cap — which lets a group commit
+// (checkRecord) reject an oversize record BEFORE anything of the group
+// reaches the buffered writer.
 func walLSNRecordBound(annotation []byte, entries []walEntry) int {
 	size := 1 + 3*binary.MaxVarintLen64 + len(annotation)
 	for _, e := range entries {
@@ -313,20 +312,6 @@ func appendWALSubEntry(buf []byte, e walEntry) []byte {
 	return append(buf, e.value...)
 }
 
-// writeRecord frames and appends one payload, syncing when the log is
-// configured to sync every record. writeRecordNoSync is the building block
-// of ApplyAll, which appends a whole sequence of records and pays one sync
-// at the end.
-func (w *wal) writeRecord(buf []byte) error {
-	if err := w.writeRecordNoSync(buf); err != nil {
-		return err
-	}
-	if w.syncEvery {
-		return w.syncLocked()
-	}
-	return nil
-}
-
 // errWALFailed reports the sticky failure on every call after the one that
 // tripped it. ErrWALFailed lets callers distinguish "the log already gave
 // up" from a fresh device error.
@@ -339,6 +324,9 @@ func (w *wal) failed() error {
 	return fmt.Errorf("%w (first failure: %v)", ErrWALFailed, w.err)
 }
 
+// writeRecordNoSync frames and appends one payload to the buffered writer;
+// the group commit (commitGroupLocked) appends a whole sequence of records
+// this way and pays one sync at the end.
 func (w *wal) writeRecordNoSync(buf []byte) error {
 	if err := w.failed(); err != nil {
 		return err
@@ -443,7 +431,7 @@ func rewriteWAL(fops FileOps, w *wal, recs []walRec) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	nw := &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), syncEvery: w.syncEvery, path: w.path}
+	nw := &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), path: w.path}
 	for _, r := range recs {
 		if err := nw.writeRecordNoSync(r.payload); err != nil {
 			f.Close()

@@ -2,9 +2,9 @@ package torture
 
 // Replication torture (DESIGN.md §9): one seed-determined schedule drives
 // a faulty LEADER core and a faulty FOLLOWER core through the same
-// WAL-shipping path the server uses — TailLog on the leader,
-// ApplyReplicatedWave on the follower — with injected file faults on both
-// sides, leader crashes mid-wave, and follower crashes mid-apply.
+// WAL-shipping path the server uses — TailLog on the leader, grouped
+// ApplyReplicatedWaves runs on the follower — with injected file faults on
+// both sides, leader crashes mid-wave, and follower crashes mid-apply.
 //
 // The invariants under test:
 //
@@ -13,9 +13,9 @@ package torture
 //     leader's committed position must be at or beyond the follower's —
 //     if the tail ever handed out a record the leader then lost, this
 //     trips;
-//   - apply atomicity: a follower whose apply faulted and crashed
-//     recovers to a committed position it actually reached, never past
-//     it, and resumes cleanly from there;
+//   - apply atomicity: a follower whose grouped apply faulted and crashed
+//     recovers to a prefix of the run — at least where it stood, never
+//     past the run's last record — and resumes cleanly from there;
 //   - byte-equal convergence: once the follower has caught up to the
 //     leader's final committed position, both stores export identical
 //     snapshots and every user's profile reads byte-identically through
@@ -168,9 +168,15 @@ func RunReplSchedule(seed uint64, dir string) (ScheduleResult, error) {
 	}
 
 	// pump ships the leader's committed records (followerApplied, target]
-	// into the follower. A faulted apply crashes and reopens the follower,
-	// re-resolving its position from recovery; the retry budget bounds the
-	// worst case of a fault plan that keeps firing through reopens.
+	// into the follower, in runs of 1-4 tailed records applied as one group
+	// each, as the server's follower does with the waves already on the
+	// wire. Run lengths come from their own stream, so a recorded seed's
+	// fault plans keep their draws. A faulted apply crashes and reopens the
+	// follower, re-resolving its position from recovery; the retry budget
+	// bounds the worst case of a fault plan that keeps firing through
+	// reopens.
+	runs := rng.New(seed ^ 0x72756e73) // "runs"
+	var run []store.LogRecord
 	pump := func(target uint64) error {
 		for retries := 0; followerApplied < target; retries++ {
 			if retries > 8 {
@@ -182,24 +188,33 @@ func RunReplSchedule(seed uint64, dir string) (ScheduleResult, error) {
 			}
 			crashed := false
 			for followerApplied < target {
-				rec, err := tail.Next()
-				if err != nil {
-					tail.Close()
-					return mkViolation(allFired(), "leader tail died at %d: %v", followerApplied, err)
+				run = run[:0]
+				for n := 1 + runs.Intn(4); len(run) < n; {
+					rec, err := tail.Next()
+					if err != nil {
+						tail.Close()
+						return mkViolation(allFired(), "leader tail died at %d: %v", followerApplied, err)
+					}
+					if rec.LSN > target {
+						tail.Close()
+						// The tail may only hand out records the leader has
+						// durably committed; target IS the committed position.
+						return mkViolation(allFired(), "tail shipped lsn %d beyond the committed position %d", rec.LSN, target)
+					}
+					run = append(run, rec)
+					if rec.LSN == target {
+						break
+					}
 				}
-				if rec.LSN > target {
-					tail.Close()
-					// The tail may only hand out records the leader has
-					// durably committed; target IS the committed position.
-					return mkViolation(allFired(), "tail shipped lsn %d beyond the committed position %d", rec.LSN, target)
-				}
-				if err := follower.spa.ApplyReplicatedWave(rec.LSN, rec.Annotation, rec.Entries); err != nil {
+				last := run[len(run)-1].LSN
+				if err := follower.spa.ApplyReplicatedWaves(run); err != nil {
 					// An injected follower fault: crash, reopen, resume
 					// from whatever position recovery reports. A faulted
-					// apply may still have committed its WAL record before
-					// the fault (e.g. a later flush faulted), so recovery
-					// may land on rec.LSN itself — but never past it, and
-					// never below the last apply that returned clean.
+					// run may still have committed some or all of its WAL
+					// records before the fault (e.g. a later flush
+					// faulted), so recovery replays a prefix of the run —
+					// never past its last record, and never below the last
+					// apply that returned clean.
 					res.Reopens++
 					if rerr := follower.crashReopen(); rerr != nil {
 						tail.Close()
@@ -210,9 +225,9 @@ func RunReplSchedule(seed uint64, dir string) (ScheduleResult, error) {
 						tail.Close()
 						return mkViolation(allFired(), "follower lost durability across reopen")
 					}
-					if recovered > rec.LSN {
+					if recovered > last {
 						tail.Close()
-						return mkViolation(allFired(), "follower recovered to %d, past the record being applied (%d)", recovered, rec.LSN)
+						return mkViolation(allFired(), "follower recovered to %d, past the run being applied (%d-%d)", recovered, run[0].LSN, last)
 					}
 					if recovered < followerApplied {
 						tail.Close()
@@ -222,7 +237,7 @@ func RunReplSchedule(seed uint64, dir string) (ScheduleResult, error) {
 					crashed = true
 					break
 				}
-				followerApplied = rec.LSN
+				followerApplied = last
 			}
 			tail.Close()
 			if !crashed {
