@@ -9,7 +9,7 @@
 //	spad [-addr :8372] [-stream-addr ADDR] [-data DIR] [-shards 16] [-sync=true]
 //	     [-queue 256] [-max-batch 64] [-max-delay 0s] [-no-binary]
 //	     [-debug-addr ADDR] [-access-log] [-slow-wave 1s]
-//	     [-follow LEADER] [-repl-window 256]
+//	     [-follow LEADER]
 //	     [-cluster] [-node-id ID] [-cluster-addr HOST:PORT] [-peers ID=HOST:PORT,...]
 //
 // An empty -data serves an in-memory (non-durable) instance, useful for
@@ -93,7 +93,6 @@ type config struct {
 	accessLog   bool
 	slowWave    time.Duration
 	follow      string
-	replWindow  int
 	cluster     bool
 	nodeID      string
 	clusterAddr string
@@ -115,7 +114,6 @@ func main() {
 	flag.BoolVar(&cfg.accessLog, "access-log", false, "log one line per completed HTTP request")
 	flag.DurationVar(&cfg.slowWave, "slow-wave", time.Second, "log any coalescer wave slower than this gather-to-commit (0: off)")
 	flag.StringVar(&cfg.follow, "follow", "", "replicate from this leader (host:port or URL) and serve reads only; requires -data")
-	flag.IntVar(&cfg.replWindow, "repl-window", 256, "replication wave credit granted to the leader")
 	flag.BoolVar(&cfg.cluster, "cluster", false, "serve as one node of a slot-partitioned cluster (requires -node-id)")
 	flag.StringVar(&cfg.nodeID, "node-id", "", "this node's cluster id")
 	flag.StringVar(&cfg.clusterAddr, "cluster-addr", "", "advertised client-reachable address (default: -addr with a loopback host)")
@@ -184,7 +182,6 @@ func run(cfg config) error {
 		AccessLog:              cfg.accessLog,
 		SlowWave:               cfg.slowWave,
 		FollowerOf:             cfg.follow,
-		ReplWindow:             cfg.replWindow,
 		FollowerBootstrapBytes: bootstrapBytes,
 		ClusterNodeID:          cfg.nodeID,
 		ClusterAddr:            clusterAddr,

@@ -8,7 +8,7 @@ import (
 	"repro/internal/store"
 )
 
-// Shard handoff (DESIGN.md §10). Moving a set of keyspace slots between
+// Shard handoff (DESIGN.md §9). Moving a set of keyspace slots between
 // cluster nodes reuses the replication machinery with one twist on each
 // side:
 //
@@ -87,12 +87,6 @@ func (s *SPA) ExportSlotSnapshot(slots *keyspace.SlotSet) ([]store.LogEntry, uin
 		return nil, 0, err
 	}
 	return FilterEntriesForSlots(pairs, slots), lsn, nil
-}
-
-// ApplyHandoffWave applies one slot-filtered shipped record (or snapshot
-// chunk) on a handoff target: a one-record ApplyHandoffWaves.
-func (s *SPA) ApplyHandoffWave(annotation []byte, entries []store.LogEntry) error {
-	return s.ApplyHandoffWaves([]store.LogRecord{{Annotation: annotation, Entries: entries}})
 }
 
 // ApplyHandoffWaves applies a run of slot-filtered shipped records on a

@@ -36,7 +36,7 @@ func shipHandoff(t *testing.T, source, target *SPA, slots *keyspace.SlotSet) uin
 		t.Fatal(err)
 	}
 	if len(pairs) > 0 {
-		if err := target.ApplyHandoffWave(nil, pairs); err != nil {
+		if err := target.ApplyHandoffWaves([]store.LogRecord{{Entries: pairs}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func shipHandoff(t *testing.T, source, target *SPA, slots *keyspace.SlotSet) uin
 		if len(entries) == 0 {
 			continue
 		}
-		if err := target.ApplyHandoffWave(ann, entries); err != nil {
+		if err := target.ApplyHandoffWaves([]store.LogRecord{{Annotation: ann, Entries: entries}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/lifelog"
 	"repro/internal/server"
 	"repro/internal/spaclient"
 )
@@ -41,14 +42,21 @@ func TestS8Smoke(t *testing.T) {
 	}
 	fsrv := server.New(fspa, server.Options{FollowerOf: ts.URL})
 	// Count the reads the routing layer actually lands on the follower —
-	// its status polls and the lag sampler don't count.
-	var followerReads atomic.Int64
+	// its status polls and the lag sampler don't count — and the ones it
+	// failed.
+	var followerReads, followerFailed atomic.Int64
 	fts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet &&
-			r.URL.Path != "/v1/replication/status" && r.URL.Path != "/metrics" {
-			followerReads.Add(1)
+		if r.Method != http.MethodGet ||
+			r.URL.Path == "/v1/replication/status" || r.URL.Path == "/metrics" {
+			fsrv.ServeHTTP(w, r)
+			return
 		}
-		fsrv.ServeHTTP(w, r)
+		followerReads.Add(1)
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		fsrv.ServeHTTP(sw, r)
+		if sw.code >= 300 {
+			followerFailed.Add(1)
+		}
 	}))
 	defer func() {
 		fts.Close()
@@ -59,6 +67,18 @@ func TestS8Smoke(t *testing.T) {
 	const users = 64
 	c := spaclient.New(ts.URL, spaclient.Options{})
 	if err := registerPopulation([]*spaclient.Client{c}, users); err != nil {
+		t.Fatal(err)
+	}
+	// One interaction per user before the run, so no read is cold: the
+	// client drops a follower whose read failed (a cold user's 409 counts)
+	// from routing until its next status poll, a second away, which made
+	// the follower's share depend on which reads ran cold first.
+	seed := make([]lifelog.Event, 0, users)
+	for id := uint64(1); id <= users; id++ {
+		seed = append(seed, lifelog.Event{UserID: id, Time: clock.Epoch, Type: lifelog.EventClick,
+			Action: uint32(id % lifelog.ActionUniverse)})
+	}
+	if _, err := c.Ingest(seed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,8 +142,11 @@ func TestS8Smoke(t *testing.T) {
 	if res.Ops != 160 || res.ReadOps == 0 || res.WriteOps == 0 {
 		t.Fatalf("degenerate mix: %+v", res)
 	}
-	// Round-robin over a two-node pool: the follower must have taken a real
-	// share of the reads, not a stray one or two.
+	// Round-robin over a two-node pool: a follower that fails no read is
+	// never skipped, so it takes every other read of each lane.
+	if n := followerFailed.Load(); n != 0 {
+		t.Fatalf("follower failed %d of the reads routed to it", n)
+	}
 	if got := followerReads.Load(); got < int64(res.ReadOps/4) {
 		t.Fatalf("follower served %d of %d reads, want at least a quarter", got, res.ReadOps)
 	}
@@ -153,4 +176,15 @@ func TestS8Smoke(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// statusWriter records the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }

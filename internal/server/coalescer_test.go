@@ -274,12 +274,14 @@ func TestCoalescerAdmissionControl(t *testing.T) {
 // shutdown at a known point.
 type gatedBackend struct {
 	recordingBackend
-	started chan struct{} // closed when the first commit begins
-	release chan struct{} // first commit waits for this
-	first   sync.Once
+	started  chan struct{} // closed when the first commit begins
+	release  chan struct{} // first commit waits for this
+	first    sync.Once
+	prepared atomic.Int32 // requests in the waves prepared so far
 }
 
 func (b *gatedBackend) PrepareWave(batches [][]lifelog.Event) waveCommit {
+	b.prepared.Add(int32(len(batches)))
 	return commitFunc(func() []core.IngestOutcome {
 		b.first.Do(func() {
 			close(b.started)
@@ -319,17 +321,20 @@ func TestPipelinedDrainMergesBacklog(t *testing.T) {
 		wg.Add(1)
 		go submit(uint64(i + 2))
 	}
-	// Stage 1 can absorb one maxBatch-sized wave beyond the gated commit;
-	// the rest must be queued before shutdown begins.
+	// Every backlog request must be queued or in the one wave stage 1
+	// prepares beyond the gated commit before shutdown begins: a submit
+	// that lost the race with close would be refused, not drained.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.depth() < backlog-maxBatch && time.Now().Before(deadline) {
+	for c.depth()+int(backend.prepared.Load())-1 < backlog {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never queued: depth %d, prepared %d", c.depth(), backend.prepared.Load())
+		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if c.depth() < backlog-maxBatch {
-		t.Fatalf("backlog never queued: depth %d", c.depth())
-	}
+	// Release the gated commit only once the drain has begun, so the
+	// backlog leaves through the drain path.
 	go c.close()
-	time.Sleep(2 * time.Millisecond)
+	<-c.quit
 	close(backend.release)
 	wg.Wait()
 	close(errs)

@@ -1,15 +1,15 @@
 package server
 
-// Follower-side replication (DESIGN.md §9). A follower spad is a normal
-// durable instance whose writes arrive over the replication stream
-// instead of the ingest endpoints: it dials the leader, subscribes from
-// its own committed position, and applies every run of waves already on
-// the wire through core.ApplyReplicatedWaves — the same store-commit +
-// shard-install + snapshot-publish sequence the leader's commit stage ran,
-// with one WAL sync and one cumulative ack per run — so every read API
-// serves from state that converges to the leader's at the applied
-// position. Client-facing writes answer 421 + the leader's address
-// (rejectFollowerWrite in server.go).
+// Log shipping, consumer side (DESIGN.md §9): one dial, one frame reader
+// and one consume loop, shared by a follower, a handoff target (pullSlots in
+// handoff.go) and the follower bootstrap. A follower spad is a durable
+// instance whose writes arrive over the stream instead of the ingest
+// endpoints: it subscribes from its own committed position and applies each
+// run of waves with the producer's LSNs (core.ApplyReplicatedWaves — the
+// leader's store-commit + shard-install + publish sequence, one WAL sync
+// and one ack per run), so every read API converges to the leader's state
+// at the applied position. Client-facing writes answer 421 + the leader's
+// address (rejectFollowerWrite in server.go).
 //
 // Startup ordering matters: a follower whose position predates the
 // leader's retained log floor must restore a state snapshot BEFORE the
@@ -38,7 +38,7 @@ import (
 )
 
 const (
-	// defaultReplWindow is the wave credit a follower grants its leader.
+	// defaultReplWindow is the wave credit a consumer grants its producer.
 	defaultReplWindow = 256
 	// replDialTimeout bounds connect + upgrade + hello + subscribe.
 	replDialTimeout = 10 * time.Second
@@ -46,6 +46,9 @@ const (
 	// heartbeats every second, so several missed intervals mean a dead
 	// connection, not an idle one.
 	replReadTimeout = 10 * time.Second
+	// snapshotReadTimeout bounds one frame wait on a consumer whose producer
+	// may first export a snapshot: a bootstrap probe or a handoff target.
+	snapshotReadTimeout = 30 * time.Second
 	// replBackoffMax caps the reconnect backoff.
 	replBackoffMax = 5 * time.Second
 )
@@ -56,34 +59,42 @@ var errFollowerStopped = errors.New("server: follower stopped")
 // snapshot: the follower fell behind the retained history.
 var errNeedsSnapshot = errors.New("server: follower fell behind the leader's retained log; restart to re-bootstrap")
 
+// peerPosition is a consumer's view of its producer: the newest log
+// position the producer reported, by a wave or a heartbeat, and when it
+// last heartbeat.
+type peerPosition struct {
+	mu            sync.Mutex
+	lsn           uint64
+	lastHeartbeat time.Time
+}
+
+func (p *peerPosition) note(lsn uint64, heartbeat bool) {
+	p.mu.Lock()
+	p.lsn = max(p.lsn, lsn)
+	if heartbeat {
+		p.lastHeartbeat = time.Now()
+	}
+	p.mu.Unlock()
+}
+
 // follower is the in-process replication loop of a FollowerOf server.
 type follower struct {
-	srv    *Server
-	leader string // host:port
-	window int
+	srv       *Server
+	leader    string // host:port
+	leaderPos peerPosition
 
 	stop chan struct{}
 	done chan struct{}
 
-	mu            sync.Mutex
-	state         string // "connecting", "streaming", "stalled"
-	lastErr       string
-	leaderLSN     uint64
-	lastHeartbeat time.Time
-	conn          net.Conn // live connection, closed by stopWait to unblock reads
+	mu    sync.Mutex
+	state string   // "connecting", "streaming", "stalled"
+	conn  net.Conn // live connection, closed by stopWait to unblock reads
 }
 
-func newFollower(s *Server, leader string, window int) *follower {
-	if window <= 0 {
-		window = defaultReplWindow
-	}
-	if window > wire.MaxStreamCredit {
-		window = wire.MaxStreamCredit
-	}
+func newFollower(s *Server, leader string) *follower {
 	return &follower{
 		srv:    s,
 		leader: leader,
-		window: window,
 		state:  "connecting",
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -106,11 +117,11 @@ func (f *follower) run() {
 			return
 		}
 		if errors.Is(err, errNeedsSnapshot) {
-			f.setState("stalled", err.Error())
+			f.setState("stalled")
 			f.srv.logf("spad: replication: %v", err)
 			backoff = replBackoffMax
 		} else {
-			f.setState("connecting", err.Error())
+			f.setState("connecting")
 			f.srv.logf("spad: replication: leader %s: %v (reconnecting)", f.leader, err)
 			if time.Since(started) > replReadTimeout {
 				// A session that lived a while earns a fresh backoff.
@@ -143,10 +154,9 @@ func (f *follower) stopWait() {
 	<-f.done
 }
 
-func (f *follower) setState(state, lastErr string) {
+func (f *follower) setState(state string) {
 	f.mu.Lock()
 	f.state = state
-	f.lastErr = lastErr
 	f.mu.Unlock()
 }
 
@@ -164,46 +174,21 @@ func (f *follower) adoptConn(conn net.Conn) bool {
 	return true
 }
 
-func (f *follower) noteWave(lsn uint64) {
-	f.mu.Lock()
-	if lsn > f.leaderLSN {
-		f.leaderLSN = lsn
-	}
-	f.mu.Unlock()
-}
-
-func (f *follower) noteHeartbeat(leaderLSN uint64) {
-	f.mu.Lock()
-	if leaderLSN > f.leaderLSN {
-		f.leaderLSN = leaderLSN
-	}
-	f.lastHeartbeat = time.Now()
-	f.mu.Unlock()
-}
-
 // fillStatus adds the follower's live view to a status snapshot.
 func (f *follower) fillStatus(st *wire.ReplicationStatus, applied uint64) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	st.State = f.state
-	st.LeaderLSN = f.leaderLSN
-	if !f.lastHeartbeat.IsZero() {
-		st.LastHeartbeatUnixNano = f.lastHeartbeat.UnixNano()
+	f.mu.Unlock()
+	p := &f.leaderPos
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st.LeaderLSN = p.lsn
+	if !p.lastHeartbeat.IsZero() {
+		st.LastHeartbeatUnixNano = p.lastHeartbeat.UnixNano()
 	}
-	if f.leaderLSN > applied {
-		st.LagWaves = f.leaderLSN - applied
+	if p.lsn > applied {
+		st.LagWaves = p.lsn - applied
 	}
-}
-
-// lagWaves reports how far the follower trails the last reported leader
-// position.
-func (f *follower) lagWaves(applied uint64) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.leaderLSN > applied {
-		return f.leaderLSN - applied
-	}
-	return 0
 }
 
 // session runs one connection: dial, subscribe from the local applied
@@ -212,50 +197,63 @@ func (f *follower) session() error {
 	applied, ok := f.srv.spa.AppliedLSN()
 	if !ok {
 		// Misconfiguration, not a transient: park until stopped.
-		f.setState("stalled", "replication requires a durable store")
+		f.setState("stalled")
 		<-f.stop
 		return errFollowerStopped
 	}
-	conn, br, bw, hello, err := dialRepl(f.leader, applied+1, f.window)
+	rr, err := dialRepl(f.leader, wire.EncodeReplSubscribe(wire.ReplSubscribe{
+		FromLSN: applied + 1,
+		Window:  defaultReplWindow,
+	}), replReadTimeout)
 	if err != nil {
 		return err
 	}
-	if !f.adoptConn(conn) {
-		conn.Close()
+	if !f.adoptConn(rr.conn) {
+		rr.conn.Close()
 		return errFollowerStopped
 	}
-	defer conn.Close()
-	f.setState("streaming", "")
+	defer rr.conn.Close()
+	f.setState("streaming")
 
-	rr := &replReader{conn: conn, br: br, maxFrame: hello.MaxFrameBytes, timeout: replReadTimeout}
-	var ack []byte
+	// A snapshot cannot be installed into a live core (the shard memory was
+	// loaded at New), so one offered mid-run parks the follower stalled.
+	err = f.srv.consume(rr, &f.leaderPos, f.srv.spa.ApplyReplicatedWaves, false, nil)
+	select {
+	case <-f.stop:
+		return errFollowerStopped
+	default:
+	}
+	return err
+}
+
+// consume is the consumer side's frame loop, shared by followers and
+// handoff targets. Each run of wave frames already on the wire applies as
+// one group through apply — ApplyReplicatedWaves adopts the producer's
+// LSNs, ApplyHandoffWaves stamps local ones — and is acked with its last
+// producer position. A snapshot is applied chunk by chunk through apply
+// when applySnapshot is set, and otherwise ends the session with
+// errNeedsSnapshot. commit takes the handoff-commit frame and ends the
+// session with its result; a nil commit refuses that frame. Waves and
+// heartbeats advance peer.
+func (s *Server) consume(rr *replReader, peer *peerPosition, apply func([]store.LogRecord) error,
+	applySnapshot bool, commit func(wire.HandoffCommit) error) error {
 	for {
 		frame, kind, err := rr.next()
 		if err != nil {
-			select {
-			case <-f.stop:
-				return errFollowerStopped
-			default:
-			}
 			return err
 		}
 		switch kind {
 		case wire.KindReplWave:
-			// Group commit: every wave already on the wire applies as one
-			// run — one WAL sync, one shard install, one cumulative ack.
 			recs, err := rr.waveRun(frame)
 			if err != nil {
 				return err
 			}
 			last := recs[len(recs)-1].LSN
-			applyStart := time.Now()
-			if err := f.srv.spa.ApplyReplicatedWaves(recs); err != nil {
+			if err := s.applyRun(apply, recs); err != nil {
 				return fmt.Errorf("applying waves %d-%d: %w", recs[0].LSN, last, err)
 			}
-			f.srv.met.obs().stage("repl_apply", time.Since(applyStart))
-			f.noteWave(last)
-			ack = wire.AppendReplAck(ack[:0], last)
-			if err := writeFlushFrame(conn, bw, ack); err != nil {
+			peer.note(last, false)
+			if err := rr.ack(last); err != nil {
 				return err
 			}
 		case wire.KindReplHeartbeat:
@@ -263,35 +261,66 @@ func (f *follower) session() error {
 			if err != nil {
 				return err
 			}
-			f.noteHeartbeat(lsn)
+			peer.note(lsn, true)
 		case wire.KindReplSnapshotBegin:
-			// Our position predates the leader's retained history; a
-			// snapshot cannot be installed into a live core (the shard
-			// memory was loaded at New), so park stalled.
-			return errNeedsSnapshot
-		case wire.KindStreamError:
-			se, derr := wire.DecodeStreamError(frame)
-			if derr != nil {
-				return derr
+			if !applySnapshot {
+				return errNeedsSnapshot
 			}
-			return fmt.Errorf("leader refused: %d %s", se.Status, se.Message)
+			if _, err := rr.readSnapshot(frame, func(chunk []store.LogEntry) error {
+				return s.applyRun(apply, []store.LogRecord{{Entries: chunk}})
+			}); err != nil {
+				return err
+			}
+		case wire.KindHandoffCommit:
+			if commit == nil {
+				return fmt.Errorf("unexpected frame kind %#x", kind)
+			}
+			hc, err := wire.DecodeHandoffCommit(frame)
+			if err != nil {
+				return err
+			}
+			return commit(hc)
+		case wire.KindStreamError:
+			return refusal(frame)
 		case wire.KindStreamDrain:
-			return errors.New("leader draining")
+			return errors.New("peer draining")
 		default:
 			return fmt.Errorf("unexpected frame kind %#x", kind)
 		}
 	}
 }
 
+// applyRun applies one run of shipped records, timed as the repl_apply
+// stage.
+func (s *Server) applyRun(apply func([]store.LogRecord) error, recs []store.LogRecord) error {
+	start := time.Now()
+	if err := apply(recs); err != nil {
+		return err
+	}
+	s.met.obs().stage("repl_apply", time.Since(start))
+	return nil
+}
+
+// refusal is the error a peer's stream error frame reports.
+func refusal(frame []byte) error {
+	se, err := wire.DecodeStreamError(frame)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("peer refused: %d %s", se.Status, se.Message)
+}
+
 // replApplyRunBytes bounds the wave-frame bytes one grouped apply gathers,
 // as replSnapshotChunkBytes bounds a snapshot chunk.
 const replApplyRunBytes = 1 << 20
 
-// replReader reads the frames of a replication or handoff stream on the
-// consuming side and gathers runs of wave frames for grouped applies.
+// replReader is the consuming end of a log-shipping session: it reads the
+// producer's frames, gathers runs of wave frames for grouped applies, and
+// writes the acks.
 type replReader struct {
 	conn     net.Conn
 	br       *bufio.Reader
+	bw       *bufio.Writer
 	maxFrame int64
 	timeout  time.Duration // per blocking frame read
 
@@ -302,9 +331,10 @@ type replReader struct {
 
 	// The current run, reused across runs: an apply keeps no reference to
 	// either slice (entries point into each wave's own frame, fresh per
-	// read).
+	// read). ackBuf is the reused ack frame.
 	recs    []store.LogRecord
 	entries []store.LogEntry
+	ackBuf  []byte
 }
 
 // next returns the frame that ended the last run, if any, else reads one.
@@ -322,12 +352,18 @@ func (rr *replReader) next() ([]byte, byte, error) {
 	return frame, kind, err
 }
 
+// ack acknowledges every shipped record through lsn.
+func (rr *replReader) ack(lsn uint64) error {
+	rr.ackBuf = wire.AppendReplAck(rr.ackBuf[:0], lsn)
+	return writeFlushed(rr.conn, rr.bw, rr.ackBuf)
+}
+
 // waveRun decodes frame, a wave, as the first record of a run, then keeps
 // taking the wave frames the peer has already put on the wire. It stops
 // when the read buffer is empty — it never waits for a frame that is not
 // there yet — at replApplyRunBytes of frame bytes, or at the first frame of
 // another kind, which next returns once the caller has applied and acked
-// the run. The records stay valid until the next waveRun.
+// the run. The records stay valid until the next waveRun or readSnapshot.
 func (rr *replReader) waveRun(frame []byte) ([]store.LogRecord, error) {
 	rr.recs, rr.entries = rr.recs[:0], rr.entries[:0]
 	for size := 0; ; {
@@ -358,6 +394,55 @@ func (rr *replReader) waveRun(frame []byte) ([]store.LogRecord, error) {
 	}
 }
 
+// readSnapshot reads the chunk and end frames of the snapshot that begin,
+// a snapshot-begin frame, opened, handing each chunk's pairs to chunk; the
+// pairs stay valid until the next waveRun or readSnapshot. It refuses a
+// snapshot whose pair count or end position differs from what begin
+// declared — after the chunks went to chunk, so a caller that applies them
+// as they arrive must not treat them as complete until it returns nil.
+func (rr *replReader) readSnapshot(begin []byte, chunk func([]store.LogEntry) error) (wire.ReplSnapshotBegin, error) {
+	b, err := wire.DecodeReplSnapshotBegin(begin)
+	if err != nil {
+		return b, err
+	}
+	var pairs uint64
+	for {
+		frame, kind, err := rr.next()
+		if err != nil {
+			return b, fmt.Errorf("snapshot transfer: %w", err)
+		}
+		switch kind {
+		case wire.KindReplSnapshotChunk:
+			entries, err := wire.DecodeReplSnapshotChunk(frame)
+			if err != nil {
+				return b, err
+			}
+			rr.entries = rr.entries[:0]
+			for _, e := range entries {
+				rr.entries = append(rr.entries, store.LogEntry(e))
+			}
+			pairs += uint64(len(entries))
+			if err := chunk(rr.entries); err != nil {
+				return b, err
+			}
+		case wire.KindReplSnapshotEnd:
+			endLSN, err := wire.DecodeReplSnapshotEnd(frame)
+			if err != nil {
+				return b, err
+			}
+			if endLSN != b.SnapshotLSN {
+				return b, fmt.Errorf("snapshot end lsn %d, began at %d", endLSN, b.SnapshotLSN)
+			}
+			if pairs != b.Pairs {
+				return b, fmt.Errorf("snapshot carried %d pairs, begin declared %d", pairs, b.Pairs)
+			}
+			return b, nil
+		default:
+			return b, fmt.Errorf("unexpected frame kind %#x inside snapshot", kind)
+		}
+	}
+}
+
 // leaderHostPort normalizes a leader address: a bare host:port passes
 // through, a URL contributes its host.
 func leaderHostPort(addr string) (string, error) {
@@ -377,82 +462,60 @@ func leaderHostPort(addr string) (string, error) {
 	return addr, nil
 }
 
-// dialRepl connects to a leader and completes the replication handshake:
-// HTTP upgrade on wire.ReplPath, the leader's hello, then the subscribe.
-// The returned connection has no deadline armed.
-func dialRepl(leaderAddr string, fromLSN uint64, window int) (net.Conn, *bufio.Reader, *bufio.Writer, wire.StreamHello, error) {
-	conn, br, bw, hello, err := dialUpgrade(leaderAddr)
-	if err != nil {
-		return nil, nil, nil, hello, err
-	}
-	if err := wire.WriteStreamFrame(bw, wire.EncodeReplSubscribe(wire.ReplSubscribe{
-		FromLSN: fromLSN,
-		Window:  window,
-	})); err != nil {
-		conn.Close()
-		return nil, nil, nil, hello, err
-	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return nil, nil, nil, hello, err
-	}
-	conn.SetDeadline(time.Time{})
-	return conn, br, bw, hello, nil
-}
-
-// dialUpgrade connects to a peer's replication endpoint and completes the
-// transport handshake — TCP dial, HTTP upgrade on wire.ReplPath, the
-// peer's hello — leaving the protocol's opening frame (replication or
-// handoff subscribe) to the caller. The dial deadline is still armed on
-// return; the caller clears it after writing its first frame.
-func dialUpgrade(peerAddr string) (net.Conn, *bufio.Reader, *bufio.Writer, wire.StreamHello, error) {
-	var hello wire.StreamHello
+// dialRepl opens a log-shipping session with a producer: TCP dial, HTTP
+// upgrade on wire.ReplPath, the producer's hello, then the opening frame (a
+// replication or handoff subscribe). Each frame read on the returned
+// reader waits at most timeout.
+func dialRepl(peerAddr string, opening []byte, timeout time.Duration) (*replReader, error) {
 	addr, err := leaderHostPort(peerAddr)
 	if err != nil {
-		return nil, nil, nil, hello, err
+		return nil, err
 	}
 	conn, err := net.DialTimeout("tcp", addr, replDialTimeout)
 	if err != nil {
-		return nil, nil, nil, hello, err
+		return nil, err
 	}
+	ok := false
+	defer func() {
+		if !ok {
+			conn.Close()
+		}
+	}()
 	conn.SetDeadline(time.Now().Add(replDialTimeout))
 	br := bufio.NewReader(conn)
 	req := "GET " + wire.ReplPath + " HTTP/1.1\r\nHost: " + addr +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + wire.StreamProtocol + "\r\n\r\n"
 	if _, err := io.WriteString(conn, req); err != nil {
-		conn.Close()
-		return nil, nil, nil, hello, err
+		return nil, err
 	}
 	resp, err := http.ReadResponse(br, &http.Request{Method: "GET"})
 	if err != nil {
-		conn.Close()
-		return nil, nil, nil, hello, err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
-		conn.Close()
 		msg := strings.TrimSpace(string(raw))
-		return nil, nil, nil, hello, fmt.Errorf("server: leader %s answered %d to the replication upgrade: %s", addr, resp.StatusCode, msg)
+		return nil, fmt.Errorf("server: %s answered %d to the replication upgrade: %s", addr, resp.StatusCode, msg)
 	}
 	frame, err := wire.ReadStreamFrame(br, 1<<20)
 	if err != nil {
-		conn.Close()
-		return nil, nil, nil, hello, fmt.Errorf("server: reading replication hello: %w", err)
+		return nil, fmt.Errorf("server: reading replication hello: %w", err)
 	}
 	if kind, kerr := wire.FrameKind(frame); kerr == nil && kind == wire.KindStreamError {
-		se, derr := wire.DecodeStreamError(frame)
-		conn.Close()
-		if derr != nil {
-			return nil, nil, nil, hello, derr
-		}
-		return nil, nil, nil, hello, fmt.Errorf("server: leader refused replication: %d %s", se.Status, se.Message)
+		return nil, fmt.Errorf("server: %s: %w", addr, refusal(frame))
 	}
-	if hello, err = wire.DecodeStreamHello(frame); err != nil {
-		conn.Close()
-		return nil, nil, nil, hello, fmt.Errorf("server: decoding replication hello: %w", err)
+	hello, err := wire.DecodeStreamHello(frame)
+	if err != nil {
+		return nil, fmt.Errorf("server: decoding replication hello: %w", err)
 	}
-	return conn, br, bufio.NewWriter(conn), hello, nil
+	rr := &replReader{conn: conn, br: br, bw: bufio.NewWriter(conn), maxFrame: hello.MaxFrameBytes, timeout: timeout}
+	if err := writeFlushed(conn, rr.bw, opening); err != nil {
+		return nil, err
+	}
+	conn.SetDeadline(time.Time{})
+	ok = true
+	return rr, nil
 }
 
 // BootstrapFollower prepares a follower's data directory before its core
@@ -463,43 +526,26 @@ func dialUpgrade(peerAddr string) (net.Conn, *bufio.Reader, *bufio.Writer, wire.
 // opens on the restored state and the in-process follower loop resumes
 // from the snapshot position. Returns the restored snapshot bytes (zero
 // when the position was still retained and no snapshot was needed).
-func BootstrapFollower(dataDir, leaderAddr string, stOpts store.Options) (int64, error) {
+func BootstrapFollower(dataDir, leaderAddr string, stOpts store.Options) (restored int64, err error) {
 	db, err := store.Open(dataDir, stOpts)
 	if err != nil {
 		return 0, err
 	}
-	restored, err := bootstrapStore(db, leaderAddr)
-	cerr := db.Close()
+	defer func() {
+		if cerr := db.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	rr, err := dialRepl(leaderAddr, wire.EncodeReplSubscribe(wire.ReplSubscribe{
+		FromLSN: db.AppliedLSN() + 1,
+		Window:  defaultReplWindow,
+	}), snapshotReadTimeout)
 	if err != nil {
 		return 0, err
 	}
-	return restored, cerr
-}
+	defer rr.conn.Close()
 
-// bootstrapStore probes the leader once with the store's applied position
-// and restores the snapshot if one is offered.
-func bootstrapStore(db *store.DB, leaderAddr string) (int64, error) {
-	conn, br, _, hello, err := dialRepl(leaderAddr, db.AppliedLSN()+1, defaultReplWindow)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	maxFrame := hello.MaxFrameBytes
-
-	readFrame := func() ([]byte, byte, error) {
-		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		frame, err := wire.ReadStreamFrame(br, maxFrame)
-		if err != nil {
-			return nil, 0, err
-		}
-		kind, err := wire.FrameKind(frame)
-		if err != nil {
-			return nil, 0, err
-		}
-		return frame, kind, nil
-	}
-
-	frame, kind, err := readFrame()
+	frame, kind, err := rr.next()
 	if err != nil {
 		return 0, fmt.Errorf("server: bootstrap probe: %w", err)
 	}
@@ -511,50 +557,21 @@ func bootstrapStore(db *store.DB, leaderAddr string) (int64, error) {
 		return 0, nil
 	case wire.KindReplSnapshotBegin:
 	case wire.KindStreamError:
-		se, derr := wire.DecodeStreamError(frame)
-		if derr != nil {
-			return 0, derr
-		}
-		return 0, fmt.Errorf("server: leader refused bootstrap: %d %s", se.Status, se.Message)
+		return 0, fmt.Errorf("server: bootstrap: %w", refusal(frame))
 	default:
 		return 0, fmt.Errorf("server: unexpected bootstrap frame kind %#x", kind)
 	}
 
-	begin, err := wire.DecodeReplSnapshotBegin(frame)
-	if err != nil {
-		return 0, err
-	}
 	var pairs []store.LogEntry
-	var restored int64
-	for {
-		frame, kind, err := readFrame()
-		if err != nil {
-			return 0, fmt.Errorf("server: snapshot transfer: %w", err)
+	begin, err := rr.readSnapshot(frame, func(chunk []store.LogEntry) error {
+		pairs = append(pairs, chunk...)
+		for _, p := range chunk {
+			restored += int64(len(p.Key) + len(p.Value))
 		}
-		if kind == wire.KindReplSnapshotEnd {
-			endLSN, err := wire.DecodeReplSnapshotEnd(frame)
-			if err != nil {
-				return 0, err
-			}
-			if endLSN != begin.SnapshotLSN {
-				return 0, fmt.Errorf("server: snapshot end lsn %d, began at %d", endLSN, begin.SnapshotLSN)
-			}
-			break
-		}
-		if kind != wire.KindReplSnapshotChunk {
-			return 0, fmt.Errorf("server: unexpected frame kind %#x inside snapshot", kind)
-		}
-		chunk, err := wire.DecodeReplSnapshotChunk(frame)
-		if err != nil {
-			return 0, err
-		}
-		for _, e := range chunk {
-			pairs = append(pairs, store.LogEntry{Key: e.Key, Value: e.Value})
-			restored += int64(len(e.Key) + len(e.Value))
-		}
-	}
-	if uint64(len(pairs)) != begin.Pairs {
-		return 0, fmt.Errorf("server: snapshot carried %d pairs, begin declared %d", len(pairs), begin.Pairs)
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("server: bootstrap: %w", err)
 	}
 	if err := db.RestoreSnapshot(pairs, begin.SnapshotLSN); err != nil {
 		return 0, err

@@ -1,35 +1,14 @@
 package server
 
-// Shard handoff (DESIGN.md §10): moving a set of keyspace slots from the
+// Shard handoff (DESIGN.md §9): moving a set of keyspace slots from the
 // node that owns them (the source) to another (the target), under live
-// load, without losing an acknowledged write. The transfer is target-
-// driven and rides the replication transport:
-//
-//   1. The target POSTs /v1/cluster/handoff (handleHandoff), resolves
-//      which slots it wants from which current owners, and dials each
-//      source on wire.ReplPath — the same upgrade a follower performs —
-//      but opens with a handoff-subscribe frame (0x0E) instead of a
-//      replication subscribe.
-//   2. The source ships a slot-filtered snapshot (the reused snapshot
-//      begin/chunk/end frames), then tails its own log shipping each
-//      record slot-filtered as a wave frame, credit-windowed and acked
-//      exactly like follower replication. Wave LSNs are SOURCE positions:
-//      the target applies each run of buffered waves as one LOCAL group
-//      commit (ApplyHandoffWaves) and echoes the run's last source
-//      position back as its ack.
-//   3. When the source has shipped through its current head, it fences
-//      writes to the moving slots (503 + Retry-After, see cluster.go),
-//      waits out in-flight writers via the cluster guard, flushes the
-//      coalescer with a sentinel wave, and ships what those last commits
-//      appended. After the target has acked everything shipped, the
-//      source flips ownership at a freshly minted topology epoch, unfences
-//      (the slots now bounce 421 to the target), counts the move, and
-//      drops the moved users from shard memory.
-//   4. Only then does the source send the handoff-commit frame (0x0F)
-//      carrying the final LSN and the new epoch, so by the time the target
-//      installs itself as the slots' owner at that epoch — and its caller
-//      can look — the source already reads as moved. Gossip spreads the
-//      new epoch to the other nodes.
+// load, without losing an acknowledged write. A handoff is a log-shipping
+// session (repl.go, follower.go) with a slot filter and an end. The target
+// (handleHandoff → pullSlots) opens it with a handoff subscribe and applies
+// with local LSNs until the handoff-commit frame. The source (serveHandoff)
+// ships the slots' snapshot and log through its head, then fences, flushes,
+// ships the final delta, waits for the ack, flips ownership at a fresh
+// epoch, and only then sends the commit frame.
 //
 // No acked write is lost: a write is acknowledged only after its commit,
 // every commit to the moving slots lands before the fence barrier or not
@@ -43,21 +22,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/keyspace"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 const (
-	// handoffReadTimeout bounds one frame wait on the target's pull loop;
-	// the source is actively shipping, so a long silence is a dead peer.
-	handoffReadTimeout = 30 * time.Second
 	// handoffAckWait bounds how long the source waits for the target to
 	// acknowledge the final shipped frame before giving up (and keeping
 	// its slots).
@@ -124,82 +97,15 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 		return
 	}
 
-	// Bootstrap: the moving slots' current profiles, and the log position
-	// the capture is current through.
-	pairs, snapLSN, err := s.spa.ExportSlotSnapshot(&hs.Slots)
-	if err != nil {
-		sess.sendError(http.StatusInternalServerError, err)
+	// The moving slots' current profiles, then their records from the
+	// snapshot's position on.
+	if !sess.open(br, 0, hs.Window, &hs.Slots) {
 		return
-	}
-	if err := sess.sendSnapshotPairs(pairs, snapLSN); err != nil {
-		return
-	}
-
-	tail, err := s.spa.TailLog(snapLSN + 1)
-	if err != nil {
-		sess.sendError(http.StatusInternalServerError, err)
-		return
-	}
-	if !sess.installTail(tail) {
-		tail.Close()
-		return
-	}
-	sess.credit = make(chan struct{}, hs.Window)
-	for i := 0; i < hs.Window; i++ {
-		sess.credit <- struct{}{}
-	}
-	sess.acked.Store(snapLSN)
-	sess.sent.Store(snapLSN)
-	go sess.readAcks(br)
-
-	// shipThrough tails the source log up to target, shipping each record
-	// slot-filtered; records the filter empties advance the position
-	// without a frame (handoff waves carry no contiguity the target
-	// checks). lastShipped is the newest source LSN actually framed — the
-	// position the final ack wait keys on.
-	pos, lastShipped := snapLSN, uint64(0)
-	shipThrough := func(target uint64) error {
-		for pos < target {
-			rec, err := tail.Next()
-			if err != nil {
-				switch {
-				case errors.Is(err, store.ErrTailClosed), errors.Is(err, store.ErrClosed):
-				default:
-					sess.sendError(http.StatusInternalServerError, err)
-				}
-				return err
-			}
-			pos = rec.LSN
-			ann, entries, err := core.FilterWaveForSlots(rec.Annotation, rec.Entries, &hs.Slots)
-			if err != nil {
-				sess.sendError(http.StatusInternalServerError, err)
-				return err
-			}
-			if len(entries) == 0 {
-				continue
-			}
-			select {
-			case <-sess.credit:
-			case <-sess.closedCh:
-				return errors.New("session closed")
-			}
-			wentries := make([]wire.ReplEntry, len(entries))
-			for i, e := range entries {
-				wentries[i] = wire.ReplEntry{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}
-			}
-			frame := wire.EncodeReplWave(wire.ReplWave{LSN: rec.LSN, Annotation: ann, Entries: wentries})
-			sess.noteSent(rec.LSN, len(frame))
-			if err := sess.writeFrames(frame); err != nil {
-				return err
-			}
-			lastShipped = rec.LSN
-		}
-		return nil
 	}
 
 	// Phase 1: catch up to the head under live writes.
 	if head, ok := s.spa.AppliedLSN(); ok {
-		if err := shipThrough(head); err != nil {
+		if err := sess.shipThrough(head); err != nil {
 			return
 		}
 	}
@@ -229,7 +135,7 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 		return
 	}
 	final, _ := s.spa.AppliedLSN()
-	if err := shipThrough(final); err != nil {
+	if err := sess.shipThrough(final); err != nil {
 		return
 	}
 
@@ -237,6 +143,7 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 	// shipped — wait for its cumulative ack to reach the last framed
 	// position. The wait wakes on the ack itself, so the fence window ends
 	// as soon as the final ack lands.
+	lastShipped := sess.sent.Load()
 	if err := sess.waitAcked(lastShipped, handoffAckWait); err != nil {
 		if errors.Is(err, errAckWaitTimeout) {
 			sess.sendError(http.StatusGatewayTimeout, fmt.Errorf("target never acked through %d: %w", lastShipped, err))
@@ -257,7 +164,7 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 	fenced = false
 	s.met.slotMoves.Add(uint64(moved))
 	dropped := s.spa.DropSlotUsers(&hs.Slots)
-	if err := sess.writeFrames(wire.EncodeHandoffCommit(wire.HandoffCommit{LSN: final, Epoch: epoch})); err != nil {
+	if err := sess.writeFrame(wire.EncodeHandoffCommit(wire.HandoffCommit{LSN: final, Epoch: epoch})); err != nil {
 		s.logf("spad: handoff: commit frame to %s lost (epoch %d stands): %v", hs.NodeID, epoch, err)
 	}
 	s.logf("spad: handoff: moved %d slots (%d users) to node %s at epoch %d", moved, dropped, hs.NodeID, epoch)
@@ -340,102 +247,29 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, wire.HandoffResponse{Moved: moved, Epoch: c.epochNow()})
 }
 
-// pullSlots runs the target side of one handoff stream: dial the source,
-// apply the snapshot and the filtered waves as local commits, ack source
-// positions, and adopt ownership on the commit frame.
+// pullSlots runs the target side of one handoff stream: the consumer loop
+// with local LSNs, snapshot chunks applied as they arrive, and ownership
+// adopted on the commit frame.
 func (s *Server) pullSlots(sourceAddr string, slots *keyspace.SlotSet) error {
 	c := s.cluster
-	window := defaultReplWindow
-	if window > wire.MaxStreamCredit {
-		window = wire.MaxStreamCredit
-	}
-	conn, br, bw, hello, err := dialUpgrade(sourceAddr)
+	rr, err := dialRepl(sourceAddr, wire.EncodeHandoffSubscribe(wire.HandoffSubscribe{
+		Slots:  *slots,
+		Window: defaultReplWindow,
+		NodeID: c.nodeID,
+		Addr:   c.addr,
+	}), snapshotReadTimeout)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if err := writeFlushFrame(conn, bw, wire.EncodeHandoffSubscribe(wire.HandoffSubscribe{
-		Slots:  *slots,
-		Window: window,
-		NodeID: c.nodeID,
-		Addr:   c.addr,
-	})); err != nil {
-		return err
+	defer rr.conn.Close()
+	err = s.consume(rr, new(peerPosition), s.spa.ApplyHandoffWaves, true, func(hc wire.HandoffCommit) error {
+		c.acquire(slots, hc.Epoch)
+		s.met.slotMoves.Add(uint64(slots.Count()))
+		s.logf("spad: handoff: acquired %d slots from %s at epoch %d", slots.Count(), sourceAddr, hc.Epoch)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("handoff stream: %w", err)
 	}
-	conn.SetDeadline(time.Time{})
-
-	rr := &replReader{conn: conn, br: br, maxFrame: hello.MaxFrameBytes, timeout: handoffReadTimeout}
-	for {
-		frame, kind, err := rr.next()
-		if err != nil {
-			return fmt.Errorf("handoff stream: %w", err)
-		}
-		switch kind {
-		case wire.KindReplSnapshotBegin, wire.KindReplSnapshotEnd, wire.KindReplHeartbeat:
-			// Chunk frames carry the state; begin/end only bracket them,
-			// and the final consistency check is the commit-frame ack wait.
-		case wire.KindReplSnapshotChunk:
-			chunk, err := wire.DecodeReplSnapshotChunk(frame)
-			if err != nil {
-				return err
-			}
-			entries := make([]store.LogEntry, len(chunk))
-			for i, e := range chunk {
-				entries[i] = store.LogEntry(e)
-			}
-			applyStart := time.Now()
-			if err := s.spa.ApplyHandoffWave(nil, entries); err != nil {
-				return err
-			}
-			s.met.obs().stage("repl_apply", time.Since(applyStart))
-		case wire.KindReplWave:
-			// The same group commit a follower runs: every wave already on
-			// the wire applies as one local ApplyAll and one ack of the
-			// run's last source position.
-			recs, err := rr.waveRun(frame)
-			if err != nil {
-				return fmt.Errorf("handoff stream: %w", err)
-			}
-			last := recs[len(recs)-1].LSN
-			applyStart := time.Now()
-			if err := s.spa.ApplyHandoffWaves(recs); err != nil {
-				return fmt.Errorf("applying handoff waves %d-%d: %w", recs[0].LSN, last, err)
-			}
-			s.met.obs().stage("repl_apply", time.Since(applyStart))
-			if err := writeFlushFrame(conn, bw, wire.EncodeReplAck(last)); err != nil {
-				return err
-			}
-		case wire.KindHandoffCommit:
-			hc, err := wire.DecodeHandoffCommit(frame)
-			if err != nil {
-				return err
-			}
-			c.acquire(slots, hc.Epoch)
-			s.met.slotMoves.Add(uint64(slots.Count()))
-			s.logf("spad: handoff: acquired %d slots from %s at epoch %d", slots.Count(), sourceAddr, hc.Epoch)
-			return nil
-		case wire.KindStreamError:
-			se, derr := wire.DecodeStreamError(frame)
-			if derr != nil {
-				return derr
-			}
-			return fmt.Errorf("source refused handoff: %d %s", se.Status, se.Message)
-		default:
-			return fmt.Errorf("unexpected frame kind %#x in handoff stream", kind)
-		}
-	}
-}
-
-// writeFlushFrame writes one frame and flushes, bounded by the replication
-// write timeout.
-func writeFlushFrame(conn net.Conn, bw *bufio.Writer, frame []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-	if err := wire.WriteStreamFrame(bw, frame); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	conn.SetWriteDeadline(time.Time{})
 	return nil
 }

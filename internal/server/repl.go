@@ -1,57 +1,65 @@
 package server
 
-// Leader-side replication (DESIGN.md §9): the server half of the WAL-
-// shipping stream. A follower upgrades a connection on wire.ReplPath (the
-// same Upgrade: spa-stream/1 dance the ingest stream uses), the leader
-// answers with the stream hello, the follower subscribes with its resume
-// position and a wave-credit window, and the session settles into three
-// concurrent strands over one connection:
+// Log shipping, producer side (DESIGN.md §9). One session type serves both
+// consumers of the committed log: a read follower (follower.go), and a
+// handoff target taking over keyspace slots (handoff.go). The consumer
+// upgrades a connection on wire.ReplPath (the same Upgrade: spa-stream/1
+// dance the ingest stream uses), the producer answers with the stream hello,
+// and the consumer's opening frame picks the session: a replication
+// subscribe carries a resume position, a handoff subscribe a slot set. Both
+// carry a wave-credit window. From there one path runs:
 //
-//   - the wave writer (the session's main goroutine) tails the committed
-//     log (core.TailLog → store.TailLog) and ships each record as a wave
-//     frame, blocking on the follower-granted window — a slow follower
-//     exerts backpressure by withholding acks, never by growing a queue;
-//   - the ack reader consumes the follower's cumulative acks (reopening
-//     the window and driving the lag accounting) and treats EOF or a
-//     drain frame as the follower hanging up;
-//   - the heartbeat ticker reports the leader's committed position once a
-//     second so an idle, caught-up follower can still measure staleness.
+//   - open ships a snapshot first when the consumer needs one (a handoff
+//     always starts from one; a follower whose position predates the
+//     retained log floor gets one), then tails the committed log from the
+//     snapshot's position (core.TailLog → store.TailLog);
+//   - shipThrough turns each tailed record into a wave frame, projected onto
+//     the slot set when the session has one, blocking on the consumer-
+//     granted window — a slow consumer exerts backpressure by withholding
+//     acks, never by growing a queue;
+//   - the ack reader consumes cumulative acks (reopening the window and
+//     driving the lag accounting) and treats EOF or a drain frame as the
+//     consumer hanging up;
+//   - the heartbeat ticker reports the producer's committed position once a
+//     second so an idle, caught-up consumer can still measure staleness.
 //
-// When the subscribed position predates the retained log floor, the
-// session first ships a state snapshot (ExportSnapshot → snapshot
-// begin/chunk/end frames, paced by TCP alone — the follower is not
-// applying waves during bootstrap) and resumes tailing from the
-// snapshot's position. Only records the store has durably committed are
-// ever shipped: TailLog subscribes to the post-sync commit stream, so a
-// follower cannot apply a wave the leader would not itself recover.
+// A follower session ships forever. A handoff ships to the head, fences,
+// ships the final delta, and ends with the ownership flip (serveHandoff).
+// Only records the store has durably committed are ever shipped: TailLog
+// subscribes to the post-sync commit stream, so a consumer cannot apply a
+// wave the producer would not itself recover.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"net"
 	"net/http"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/keyspace"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 const (
-	// replHeartbeatInterval paces the leader's position reports; followers
-	// read with a deadline several intervals long, so a silent leader is
-	// detected as a dead connection.
+	// replHeartbeatInterval paces the producer's position reports;
+	// consumers read with a deadline several intervals long, so a silent
+	// producer is detected as a dead connection.
 	replHeartbeatInterval = time.Second
 	// replWriteTimeout bounds any single frame write (and the subscribe
-	// read): a follower that stopped reading must not park the session.
+	// read): a consumer that stopped reading must not park the session.
 	replWriteTimeout = 10 * time.Second
 	// replSnapshotChunkBytes targets one snapshot chunk frame's payload,
 	// far under the 8 MiB frame cap.
 	replSnapshotChunkBytes = 1 << 20
-	// replAckFrameMax bounds frames read back from the follower — acks,
+	// replAckFrameMax bounds frames read back from the consumer — acks,
 	// heartbeat-sized control traffic only.
 	replAckFrameMax = 4 << 10
 )
@@ -63,7 +71,7 @@ type replInflight struct {
 	bytes int64
 }
 
-// replSession is one live leader→follower replication stream.
+// replSession is one live log-shipping stream, producer side.
 type replSession struct {
 	srv  *Server
 	conn net.Conn
@@ -73,7 +81,7 @@ type replSession struct {
 	// and the snapshot sender share the connection.
 	wmu sync.Mutex
 
-	// acked is the follower's cumulative applied position (only the ack
+	// acked is the consumer's cumulative applied position (only the ack
 	// reader stores). sent is the last wave position shipped.
 	acked atomic.Uint64
 	sent  atomic.Uint64
@@ -83,13 +91,20 @@ type replSession struct {
 	ackMu sync.Mutex
 	ackCh chan struct{}
 
-	// credit holds the follower-granted wave window; the writer takes one
+	// credit holds the consumer-granted wave window; the writer takes one
 	// token per wave, the ack reader returns one per acknowledged record.
 	credit chan struct{}
 
 	inflightMu    sync.Mutex
 	inflight      []replInflight
 	inflightBytes int64
+
+	// The wave writer's own state: the slots a handoff ships (nil ships
+	// every record whole), the tail position it has read through, and the
+	// entry buffer each wave frame is encoded from.
+	slots *keyspace.SlotSet
+	pos   uint64
+	wave  []wire.ReplEntry
 
 	mu     sync.Mutex
 	tail   *store.LogTail
@@ -130,28 +145,31 @@ func (sess *replSession) installTail(t *store.LogTail) bool {
 	return true
 }
 
-// writeFrames writes the given frames as one flushed unit, bounded by the
-// write timeout.
-func (sess *replSession) writeFrames(frames ...[]byte) error {
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
-	sess.conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-	for _, f := range frames {
-		if err := wire.WriteStreamFrame(sess.bw, f); err != nil {
-			return err
-		}
-	}
-	if err := sess.bw.Flush(); err != nil {
+// writeFlushed writes one frame and flushes it, bounded by the write
+// timeout: every frame write on either end of a log-shipping session.
+func writeFlushed(conn net.Conn, bw *bufio.Writer, frame []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
+	if err := wire.WriteStreamFrame(bw, frame); err != nil {
 		return err
 	}
-	sess.conn.SetWriteDeadline(time.Time{})
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	conn.SetWriteDeadline(time.Time{})
 	return nil
+}
+
+// writeFrame writes one frame under the session's write lock.
+func (sess *replSession) writeFrame(frame []byte) error {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	return writeFlushed(sess.conn, sess.bw, frame)
 }
 
 // sendError ships a terminal stream error frame (best effort).
 func (sess *replSession) sendError(status int, err error) {
 	sess.srv.met.requestErrors.Add(1)
-	sess.writeFrames(wire.EncodeStreamError(status, err.Error()))
+	sess.writeFrame(wire.EncodeStreamError(status, err.Error()))
 }
 
 // noteSent records one shipped wave for the lag-bytes accounting.
@@ -189,6 +207,9 @@ func (sess *replSession) noteAcked(lsn uint64) int {
 // errAckWaitTimeout is waitAcked giving up on a peer that never acked.
 var errAckWaitTimeout = errors.New("ack wait timed out")
 
+// errSessionClosed is a producer wait cut short by shutdown.
+var errSessionClosed = errors.New("session closed")
+
 // waitAcked blocks until the peer's cumulative ack reaches lsn, returning
 // nil; errAckWaitTimeout once timeout passes first; or an error once the
 // session closes. It wakes on each ack as readAcks stores it — no polling.
@@ -210,7 +231,7 @@ func (sess *replSession) waitAcked(lsn uint64, timeout time.Duration) error {
 		select {
 		case <-wake:
 		case <-sess.closedCh:
-			return errors.New("session closed")
+			return errSessionClosed
 		case <-timer.C:
 			return fmt.Errorf("%w: acked %d of %d", errAckWaitTimeout, sess.acked.Load(), lsn)
 		}
@@ -224,8 +245,8 @@ func (sess *replSession) lagBytes() int64 {
 	return sess.inflightBytes
 }
 
-// handleReplStream upgrades an HTTP request into a leader-side
-// replication session.
+// handleReplStream upgrades an HTTP request into a producer-side
+// log-shipping session.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	if s.followerOf != "" {
 		// Chained replication is out of scope: followers do not re-ship.
@@ -239,34 +260,12 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 			errors.New("replication requires a durable store (spad -data)"))
 		return
 	}
-	if !strings.EqualFold(r.Header.Get("Upgrade"), wire.StreamProtocol) ||
-		!strings.Contains(strings.ToLower(r.Header.Get("Connection")), "upgrade") {
-		w.Header().Set("Upgrade", wire.StreamProtocol)
-		s.writeError(w, http.StatusUpgradeRequired,
-			fmt.Errorf("use Connection: Upgrade with Upgrade: %s", wire.StreamProtocol))
-		return
+	if conn, buf, ok := s.upgradeStream(w, r); ok {
+		s.serveRepl(conn, buf.Reader, buf.Writer)
 	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		s.writeError(w, http.StatusInternalServerError, errors.New("connection cannot be hijacked"))
-		return
-	}
-	conn, buf, err := hj.Hijack()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	buf.Writer.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " +
-		wire.StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n")
-	if err := buf.Writer.Flush(); err != nil {
-		conn.Close()
-		return
-	}
-	conn.SetDeadline(time.Time{})
-	s.serveRepl(conn, buf.Reader, buf.Writer)
 }
 
-// serveRepl runs one replication session to completion.
+// serveRepl runs one log-shipping session to completion.
 func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	sess := &replSession{
 		srv:      s,
@@ -289,30 +288,29 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 		close(sess.done)
 	}()
 
-	if err := sess.writeFrames(wire.EncodeStreamHello(wire.StreamHello{
+	if err := sess.writeFrame(wire.EncodeStreamHello(wire.StreamHello{
 		Credit:        s.streamWindow,
 		MaxFrameBytes: s.maxBody,
 	})); err != nil {
 		return
 	}
 
-	// The subscribe must be the follower's first and only unsolicited
+	// The subscribe must be the consumer's first and only unsolicited
 	// frame; bound the wait so a silent connection cannot pin a session.
-	// The frame kind picks the protocol: a replication subscribe starts a
-	// follower stream, a handoff subscribe starts a slot transfer
-	// (handoff.go) over the same transport.
+	// The frame kind picks the session: a replication subscribe starts a
+	// follower stream, a handoff subscribe a slot transfer (handoff.go).
 	conn.SetReadDeadline(time.Now().Add(replWriteTimeout))
 	frame, err := wire.ReadStreamFrame(br, replAckFrameMax)
 	if err != nil {
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
 	if kind, kerr := wire.FrameKind(frame); kerr == nil && kind == wire.KindHandoffSubscribe {
 		hs, err := wire.DecodeHandoffSubscribe(frame)
 		if err != nil {
 			sess.sendError(http.StatusBadRequest, err)
 			return
 		}
-		conn.SetReadDeadline(time.Time{})
 		s.serveHandoff(sess, br, hs)
 		return
 	}
@@ -321,35 +319,49 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 		sess.sendError(http.StatusBadRequest, err)
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
+	if sess.open(br, sub.FromLSN, sub.Window, nil) {
+		sess.shipThrough(math.MaxUint64)
+	}
+}
 
-	// Resolve the resume position: tail directly when it is still
-	// retained, otherwise ship a snapshot and tail from its position. The
-	// loop covers the race where retention prunes between the export and
-	// the re-subscribe — each round moves the position forward, and a
-	// store that keeps outrunning the transfer gives up with an error.
-	from := sub.FromLSN
+// open starts shipping the log from position from to a consumer granting
+// window waves of credit, projected onto slots unless they are nil. A zero
+// from ships a snapshot first; so does a from that retention has pruned —
+// the loop also covers the race where retention prunes between the export
+// and the tail, each round moving the position forward, and a store that
+// keeps outrunning the transfer gives up with an error. Then it opens the
+// tail after the snapshot's position, arms the credit window, and starts
+// the ack reader and the heartbeat ticker. It reports false once the
+// session is over, any error frame already sent.
+func (sess *replSession) open(br *bufio.Reader, from uint64, window int, slots *keyspace.SlotSet) bool {
+	sess.slots = slots
 	var tail *store.LogTail
 	for attempt := 0; ; attempt++ {
-		tail, err = s.spa.TailLog(from)
-		if err == nil {
+		if from == 0 {
+			snapLSN, err := sess.sendSnapshot()
+			if err != nil {
+				return false
+			}
+			from = snapLSN + 1
+		}
+		var err error
+		if tail, err = sess.srv.spa.TailLog(from); err == nil {
 			break
 		}
 		if !errors.Is(err, store.ErrLogCompacted) || attempt >= 3 {
 			sess.sendError(http.StatusInternalServerError, err)
-			return
+			return false
 		}
-		if from, err = sess.sendSnapshot(); err != nil {
-			return
-		}
+		from = 0
 	}
 	if !sess.installTail(tail) {
 		tail.Close()
-		return
+		return false
 	}
 
-	sess.credit = make(chan struct{}, sub.Window)
-	for i := 0; i < sub.Window; i++ {
+	sess.pos = from - 1
+	sess.credit = make(chan struct{}, window)
+	for i := 0; i < window; i++ {
 		sess.credit <- struct{}{}
 	}
 	sess.acked.Store(from - 1)
@@ -358,81 +370,96 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	go sess.readAcks(br)
 	go sess.heartbeatLoop()
 
-	// An immediate heartbeat tells a caught-up follower the leader's
+	// An immediate heartbeat tells a caught-up consumer the producer's
 	// position before the first ticker fires — bootstrap probes rely on a
 	// prompt first frame to classify the resume position as retained.
-	if lsn, ok := s.spa.AppliedLSN(); ok {
-		if err := sess.writeFrames(wire.EncodeReplHeartbeat(lsn)); err != nil {
-			return
+	if lsn, ok := sess.srv.spa.AppliedLSN(); ok {
+		if err := sess.writeFrame(wire.EncodeReplHeartbeat(lsn)); err != nil {
+			return false
 		}
 	}
+	return true
+}
 
-	for {
-		rec, err := tail.Next()
+// shipThrough ships tailed records as wave frames until the tail has read
+// through position until (a follower passes an until no log reaches). It
+// takes one credit per frame. On a handoff each record is projected onto
+// the session's slots, and a record the projection empties advances the
+// position without a frame: the target stamps its own LSNs, so it checks
+// no contiguity. Tail failures end the session with an error frame, except
+// a closing session or store, which just unwinds.
+func (sess *replSession) shipThrough(until uint64) error {
+	for sess.pos < until {
+		rec, err := sess.tail.Next()
 		if err != nil {
 			switch {
 			case errors.Is(err, store.ErrTailClosed), errors.Is(err, store.ErrClosed):
-				// Session shutdown or store close: just unwind.
 			case errors.Is(err, store.ErrLogCompacted):
-				// Retention overtook a follower too slow for the history
+				// Retention overtook a consumer too slow for the history
 				// budget; it must reconnect and bootstrap from a snapshot.
 				sess.sendError(http.StatusGone, err)
 			default:
 				sess.sendError(http.StatusInternalServerError, err)
 			}
-			return
+			return err
 		}
+		sess.pos = rec.LSN
 		if len(rec.Entries) == 0 {
 			// The store never commits empty records; a hole here would
-			// desync the follower's contiguity check, so fail loudly.
-			sess.sendError(http.StatusInternalServerError,
-				fmt.Errorf("log record %d has no entries", rec.LSN))
-			return
+			// desync a follower's contiguity check, so fail loudly.
+			err := fmt.Errorf("log record %d has no entries", rec.LSN)
+			sess.sendError(http.StatusInternalServerError, err)
+			return err
+		}
+		ann, entries := rec.Annotation, rec.Entries
+		if sess.slots != nil {
+			if ann, entries, err = core.FilterWaveForSlots(ann, entries, sess.slots); err != nil {
+				sess.sendError(http.StatusInternalServerError, err)
+				return err
+			}
+			if len(entries) == 0 {
+				continue
+			}
 		}
 		select {
 		case <-sess.credit:
 		case <-sess.closedCh:
-			return
+			return errSessionClosed
 		}
-		entries := make([]wire.ReplEntry, len(rec.Entries))
-		for i, e := range rec.Entries {
-			entries[i] = wire.ReplEntry{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}
+		sess.wave = sess.wave[:0]
+		for _, e := range entries {
+			sess.wave = append(sess.wave, wire.ReplEntry(e))
 		}
-		waveFrame := wire.EncodeReplWave(wire.ReplWave{
-			LSN:        rec.LSN,
-			Annotation: rec.Annotation,
-			Entries:    entries,
-		})
-		sess.noteSent(rec.LSN, len(waveFrame))
-		if err := sess.writeFrames(waveFrame); err != nil {
-			return
+		frame := wire.EncodeReplWave(wire.ReplWave{LSN: rec.LSN, Annotation: ann, Entries: sess.wave})
+		sess.noteSent(rec.LSN, len(frame))
+		if err := sess.writeFrame(frame); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// sendSnapshot ships the current state as a begin/chunk/end sequence and
-// returns the position waves resume from.
-func (sess *replSession) sendSnapshot() (resumeFrom uint64, err error) {
-	pairs, snapLSN, err := sess.srv.spa.ExportSnapshot()
+// sendSnapshot exports the session's state — every live pair, or the
+// slots' pairs on a handoff — ships it as the snapshot begin/chunk/end
+// sequence, and returns the position it is current through.
+func (sess *replSession) sendSnapshot() (uint64, error) {
+	var pairs []store.LogEntry
+	var snapLSN uint64
+	var err error
+	if sess.slots == nil {
+		pairs, snapLSN, err = sess.srv.spa.ExportSnapshot()
+	} else {
+		pairs, snapLSN, err = sess.srv.spa.ExportSlotSnapshot(sess.slots)
+	}
 	if err != nil {
 		sess.sendError(http.StatusInternalServerError, err)
 		return 0, err
 	}
-	if err := sess.sendSnapshotPairs(pairs, snapLSN); err != nil {
-		return 0, err
-	}
-	return snapLSN + 1, nil
-}
-
-// sendSnapshotPairs ships an already-exported pair set as the snapshot
-// begin/chunk/end sequence — shared by full-state follower bootstraps and
-// slot-filtered handoff bootstraps.
-func (sess *replSession) sendSnapshotPairs(pairs []store.LogEntry, snapLSN uint64) error {
-	if err := sess.writeFrames(wire.EncodeReplSnapshotBegin(wire.ReplSnapshotBegin{
+	if err := sess.writeFrame(wire.EncodeReplSnapshotBegin(wire.ReplSnapshotBegin{
 		SnapshotLSN: snapLSN,
 		Pairs:       uint64(len(pairs)),
 	})); err != nil {
-		return err
+		return 0, err
 	}
 	var chunk []wire.ReplEntry
 	var chunkBytes int
@@ -443,26 +470,26 @@ func (sess *replSession) sendSnapshotPairs(pairs []store.LogEntry, snapLSN uint6
 		f := wire.EncodeReplSnapshotChunk(chunk)
 		sess.srv.met.replSnapshotBytes.Add(int64(len(f)))
 		chunk, chunkBytes = nil, 0
-		return sess.writeFrames(f)
+		return sess.writeFrame(f)
 	}
 	for _, p := range pairs {
 		chunk = append(chunk, wire.ReplEntry{Key: p.Key, Value: p.Value})
 		chunkBytes += len(p.Key) + len(p.Value)
 		if chunkBytes >= replSnapshotChunkBytes {
 			if err := flush(); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
 	if err := flush(); err != nil {
-		return err
+		return 0, err
 	}
-	return sess.writeFrames(wire.EncodeReplSnapshotEnd(snapLSN))
+	return snapLSN, sess.writeFrame(wire.EncodeReplSnapshotEnd(snapLSN))
 }
 
 // readAcks is the session's read side: cumulative acks reopen the wave
 // window and settle the lag accounting; a drain frame or EOF is the
-// follower hanging up, and anything else is a protocol violation — all
+// consumer hanging up, and anything else is a protocol violation — all
 // three end the session.
 func (sess *replSession) readAcks(br *bufio.Reader) {
 	defer sess.shutdown()
@@ -471,33 +498,24 @@ func (sess *replSession) readAcks(br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		kind, err := wire.FrameKind(frame)
+		// Any frame but an ack — a drain frame or a protocol violation —
+		// fails to decode and ends the session.
+		lsn, err := wire.DecodeReplAck(frame)
 		if err != nil {
 			return
 		}
-		switch kind {
-		case wire.KindReplAck:
-			lsn, err := wire.DecodeReplAck(frame)
-			if err != nil {
-				return
+		for n := sess.noteAcked(lsn); n > 0; n-- {
+			select {
+			case sess.credit <- struct{}{}:
+			default:
+				// More acks than shipped waves: a protocol violation, but
+				// credit beyond the window is simply dropped.
 			}
-			for n := sess.noteAcked(lsn); n > 0; n-- {
-				select {
-				case sess.credit <- struct{}{}:
-				default:
-					// More acks than shipped waves: a protocol violation,
-					// but credit beyond the window is simply dropped.
-				}
-			}
-		case wire.KindStreamDrain:
-			return
-		default:
-			return
 		}
 	}
 }
 
-// heartbeatLoop reports the leader's committed position once an interval.
+// heartbeatLoop reports the producer's committed position once an interval.
 func (sess *replSession) heartbeatLoop() {
 	t := time.NewTicker(replHeartbeatInterval)
 	defer t.Stop()
@@ -510,7 +528,7 @@ func (sess *replSession) heartbeatLoop() {
 			if !ok {
 				return
 			}
-			if err := sess.writeFrames(wire.EncodeReplHeartbeat(lsn)); err != nil {
+			if err := sess.writeFrame(wire.EncodeReplHeartbeat(lsn)); err != nil {
 				sess.shutdown()
 				return
 			}
@@ -538,6 +556,13 @@ func (s *Server) unregisterRepl(sess *replSession) {
 	delete(s.repls, sess)
 }
 
+// liveRepls lists the registered sessions.
+func (s *Server) liveRepls() []*replSession {
+	s.replMu.Lock()
+	defer s.replMu.Unlock()
+	return slices.Collect(maps.Keys(s.repls))
+}
+
 // drainRepls runs the replication half of Close: refuse new sessions,
 // tear down every live one, and wait for them to unwind. Followers
 // reconnect with backoff and resume from their applied position — a
@@ -545,11 +570,8 @@ func (s *Server) unregisterRepl(sess *replSession) {
 func (s *Server) drainRepls() {
 	s.replMu.Lock()
 	s.replsDraining = true
-	sessions := make([]*replSession, 0, len(s.repls))
-	for sess := range s.repls {
-		sessions = append(sessions, sess)
-	}
 	s.replMu.Unlock()
+	sessions := s.liveRepls()
 	for _, sess := range sessions {
 		sess.shutdown()
 	}
@@ -586,13 +608,7 @@ func (s *Server) replicationStatus() wire.ReplicationStatus {
 	}
 	st.Role = "leader"
 	st.SnapshotBytes = s.met.replSnapshotBytes.Load()
-	s.replMu.Lock()
-	sessions := make([]*replSession, 0, len(s.repls))
-	for sess := range s.repls {
-		sessions = append(sessions, sess)
-	}
-	s.replMu.Unlock()
-	for _, sess := range sessions {
+	for _, sess := range s.liveRepls() {
 		acked := sess.acked.Load()
 		fs := wire.ReplFollowerStatus{AckedLSN: acked, LagBytes: sess.lagBytes()}
 		if applied > acked {

@@ -83,9 +83,6 @@ type Options struct {
 	// 421 + an X-SPA-Leader header naming where they belong. Requires a
 	// durable core (replication ships the WAL).
 	FollowerOf string
-	// ReplWindow is the wave credit a follower grants its leader — waves
-	// in flight before the leader must wait for acks (default 256).
-	ReplWindow int
 	// FollowerBootstrapBytes seeds the repl_snapshot_bytes counter with
 	// the size of the snapshot BootstrapFollower restored before the core
 	// opened, so the follower's metrics account for its own bootstrap.
@@ -218,7 +215,7 @@ func New(spa *core.SPA, opts Options) *Server {
 			leader = opts.FollowerOf
 		}
 		s.followerOf = leader
-		s.follower = newFollower(s, leader, opts.ReplWindow)
+		s.follower = newFollower(s, leader)
 		go s.follower.run()
 	}
 	return s

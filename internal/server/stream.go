@@ -165,22 +165,31 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 			errors.New("streamed ingest disabled; use per-request /v1/ingest"))
 		return
 	}
+	if conn, buf, ok := s.upgradeStream(w, r); ok {
+		s.serveStream(conn, buf.Reader, buf.Writer)
+	}
+}
+
+// upgradeStream completes the Upgrade: spa-stream/1 handshake the ingest
+// and log-shipping streams share and returns the hijacked connection. On
+// failure the response is written and ok is false.
+func (s *Server) upgradeStream(w http.ResponseWriter, r *http.Request) (net.Conn, *bufio.ReadWriter, bool) {
 	if !strings.EqualFold(r.Header.Get("Upgrade"), wire.StreamProtocol) ||
 		!strings.Contains(strings.ToLower(r.Header.Get("Connection")), "upgrade") {
 		w.Header().Set("Upgrade", wire.StreamProtocol)
 		s.writeError(w, http.StatusUpgradeRequired,
 			fmt.Errorf("use Connection: Upgrade with Upgrade: %s", wire.StreamProtocol))
-		return
+		return nil, nil, false
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
 		s.writeError(w, http.StatusInternalServerError, errors.New("connection cannot be hijacked"))
-		return
+		return nil, nil, false
 	}
 	conn, buf, err := hj.Hijack()
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
-		return
+		return nil, nil, false
 	}
 	// The 101 goes through the hijacked buffer so any pipelined client
 	// bytes already read stay ahead of the stream reader.
@@ -188,10 +197,10 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 		wire.StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n")
 	if err := buf.Writer.Flush(); err != nil {
 		conn.Close()
-		return
+		return nil, nil, false
 	}
 	conn.SetDeadline(time.Time{}) // the server's header timeouts no longer apply
-	s.serveStream(conn, buf.Reader, buf.Writer)
+	return conn, buf, true
 }
 
 // serveStream runs one connection's session to completion.
