@@ -8,16 +8,14 @@
 // Usage: spabench [-users N] [-seed S] [-skip-ablations] [-skip-scale]
 //
 //	[-json] [-clients K] [-requests N] [-loadgen URL] [-no-register]
-//	[-stream] [-stream-smoke URL] [-stages] [-check-metrics URL]
+//	[-stream] [-stream-smoke URL] [-check-metrics URL]
 //	[-torture [-torture-budget D] [-torture-schedules N]]
 //
-// The scale sections measure the serving stack with the paper's workload
-// shapes: [S3] wire framing (binary vs JSON), [S5] streamed vs per-request
-// ingest, [S6] a zipf + diurnal mixed-endpoint scenario, [S8] read scaling
-// with one replication follower, [S9] a three-node slot-partitioned
-// cluster with a live handoff. Every section boots the stack `spad -data D`
-// runs; the end-to-end serving benchmark with a checked-in contract is
-// bench/ (`go run ./bench`).
+// After the paper sections comes one scale section, [S9]: the zipf +
+// diurnal scenario replay against a three-node slot-partitioned cluster
+// with a live handoff, beside the same replay on one node. Single-node and
+// leader+follower serving are measured by bench/ (`go run ./bench`), the
+// end-to-end serving benchmark with a checked-in contract.
 //
 // -json switches the output to machine-readable results: one JSON object
 // per section on stdout (the human table is suppressed), so a bench
@@ -25,11 +23,12 @@
 //
 // -loadgen URL skips the paper sections entirely and drives an already
 // running spad (cmd/spad) over its wire API with -clients concurrent
-// clients, reporting throughput and latency percentiles — the same
-// measurement the self-hosted [S3] and [S5] sections make. -no-register reuses a
-// previous run's population instead of registering (a re-run against the
-// same data dir would otherwise count 409s as errors). -stream switches
-// the loadgen onto the persistent binary stream transport ([S5]).
+// clients, reporting throughput and latency percentiles; the CI smokes use
+// it to put binary-framed and streamed traffic through a built daemon.
+// -no-register reuses a previous run's population instead of registering
+// (a re-run against the same data dir would otherwise count 409s as
+// errors). -stream switches the loadgen onto the persistent binary stream
+// transport.
 //
 // -stream-smoke URL is the CI drain probe: it ships frames over one
 // stream until the daemon drains (SIGTERM), then reports how many were
@@ -53,7 +52,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/campaign"
@@ -75,10 +73,10 @@ func main() {
 	users := flag.Int("users", 5000, "population per campaign (paper: 1,340,432)")
 	seed := flag.Uint64("seed", 7, "experiment seed")
 	skipAblations := flag.Bool("skip-ablations", false, "skip A1-A3")
-	skipScale := flag.Bool("skip-scale", false, "skip the S3, S5, S6, S8 and S9 scale sections")
+	skipScale := flag.Bool("skip-scale", false, "skip the S9 cluster section")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per section instead of the table")
-	clients := flag.Int("clients", scalebench.Workers, "concurrent clients for the scale sections and -loadgen")
-	requests := flag.Int("requests", 2048, "total ingest requests for S3/S5 and -loadgen")
+	clients := flag.Int("clients", scalebench.Workers, "concurrent clients for S9 and -loadgen")
+	requests := flag.Int("requests", 2048, "total ingest requests for -loadgen")
 	loadgen := flag.String("loadgen", "", "drive a running spad at this base URL and exit (e.g. http://127.0.0.1:8372)")
 	stream := flag.Bool("stream", false, "with -loadgen: speak the persistent binary stream instead of per-request HTTP")
 	noRegister := flag.Bool("no-register", false, "with -loadgen: skip user registration (reuse a previous run's population)")
@@ -86,7 +84,6 @@ func main() {
 	tortureMode := flag.Bool("torture", false, "run the storage torture sweep and exit; with an explicit -seed N, replay that one fault schedule")
 	tortureBudget := flag.Duration("torture-budget", 30*time.Second, "with -torture: wall-clock budget for the sweep")
 	tortureSchedules := flag.Int("torture-schedules", 0, "with -torture: max fault schedules (0 = budget-bound)")
-	stages := flag.Bool("stages", false, "after [S5], rerun the streamed mode once instrumented and print the per-stage latency breakdown from /metrics")
 	checkMetrics := flag.String("check-metrics", "", "scrape a running spad's /metrics in both formats, cross-check them, and exit (CI smoke)")
 	flag.Parse()
 
@@ -118,7 +115,7 @@ func main() {
 	} else if *loadgen != "" {
 		err = runLoadgen(em, *loadgen, *clients, *requests, *stream, !*noRegister)
 	} else {
-		err = run(em, *users, *seed, !*skipAblations, !*skipScale, *clients, *requests, *stages)
+		err = run(em, *users, *seed, !*skipAblations, !*skipScale, *clients)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spabench: %v\n", err)
@@ -145,7 +142,7 @@ func (e *emitter) emit(section string, v map[string]any) {
 	e.enc.Encode(v)
 }
 
-func run(em *emitter, users int, seed uint64, ablations, scale bool, clients, requests int, stages bool) error {
+func run(em *emitter, users int, seed uint64, ablations, scale bool, clients int) error {
 	start := time.Now()
 	em.printf("SPA reproduction harness — %d users, seed %d\n", users, seed)
 	em.printf("====================================================================\n")
@@ -277,23 +274,6 @@ func run(em *emitter, users int, seed uint64, ablations, scale bool, clients, re
 		}
 	}
 	if scale {
-		if err := runScaleServeWire(em, clients, requests); err != nil {
-			return err
-		}
-		if err := runScaleServeStream(em, clients, requests); err != nil {
-			return err
-		}
-		if stages {
-			if err := runStagesPass(em, clients, requests); err != nil {
-				return err
-			}
-		}
-		if err := runScaleServeScenario(em, seed, clients); err != nil {
-			return err
-		}
-		if err := runScaleServeRepl(em, seed, clients); err != nil {
-			return err
-		}
 		if err := runScaleServeCluster(em, seed, clients); err != nil {
 			return err
 		}
@@ -302,13 +282,10 @@ func run(em *emitter, users int, seed uint64, ablations, scale bool, clients, re
 	return nil
 }
 
-// serveStack boots one durable spad stack on loopback — HTTP server,
-// pipelined coalescer, sharded core, fsync on — and hands the base URL and
-// the core to fn, tearing everything down afterwards. Every serving section
-// measures this identical configuration. The core handle is for what the
-// wire cannot do: the propensity model has no training endpoint (training
-// is an offline batch job, per the paper), so [S8] trains in-process.
-func serveStack(shards int, fn func(baseURL string, spa *core.SPA) error) error {
+// serveStack boots one durable spad stack on loopback — 32 shards, fsync
+// on, otherwise `spad -data D`'s defaults — and hands the base URL to fn,
+// tearing everything down afterwards.
+func serveStack(fn func(baseURL string) error) error {
 	dir, err := os.MkdirTemp("", "spabench-serve-*")
 	if err != nil {
 		return err
@@ -317,15 +294,13 @@ func serveStack(shards int, fn func(baseURL string, spa *core.SPA) error) error 
 	spa, err := core.New(core.Options{
 		DataDir: dir,
 		Store:   store.Options{SyncWrites: true},
-		Shards:  shards,
+		Shards:  32,
 		Clock:   clock.NewSimulated(clock.Epoch),
 	})
 	if err != nil {
 		return err
 	}
-	// A short linger lets the dispatcher gather the full client wave
-	// into each group commit.
-	srv := server.New(spa, server.Options{MaxDelay: 2 * time.Millisecond})
+	srv := server.New(spa, server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		spa.Close()
@@ -338,427 +313,20 @@ func serveStack(shards int, fn func(baseURL string, spa *core.SPA) error) error 
 		srv.Close()
 		spa.Close()
 	}()
-	return fn("http://"+ln.Addr().String(), spa)
+	return fn("http://" + ln.Addr().String())
 }
 
-// runScaleServeWire is the wire-format comparison [S3]: the live serving
-// stack (spad on loopback, fsync on), with the loadgen clients speaking
-// JSON versus the
-// length-prefixed binary framing. The codec overhead is per event, so the
-// comparison uses bulk-upload-sized requests (128 users x PerUser events —
-// a device syncing a day's LifeLog, not a live trickle) and a stack whose
-// fsync floor (8 shards) does not drown the protocol cost under disk
-// waits: JSON encode/decode then caps throughput on CPU-bound hosts and
-// the binary framing pushes the bottleneck back to the store.
-func runScaleServeWire(em *emitter, clients, requests int) error {
-	const usersPerRequest = 128
-	em.printf("\n[S3] Wire framing: binary vs JSON ingest (%d clients, %d requests of %d events, fsync on)\n",
-		clients, requests, usersPerRequest*scalebench.PerUser)
-
-	measure := func(jsonOnly bool) (res scalebench.LoadgenResult, err error) {
-		err = serveStack(8, func(baseURL string, _ *core.SPA) error {
-			res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
-				BaseURL:         baseURL,
-				Clients:         clients,
-				Requests:        requests,
-				Register:        true,
-				UsersPerRequest: usersPerRequest,
-				JSONOnly:        jsonOnly,
-			})
-			return err
-		})
-		return res, err
-	}
-
-	// fsync latency on shared storage is noisy between runs: interleave the
-	// modes and keep each one's best of two windows, so the noise cannot
-	// masquerade as a protocol difference.
-	var jsonRes, binRes scalebench.LoadgenResult
-	for round := 0; round < 2; round++ {
-		j, err := measure(true)
-		if err != nil {
-			return err
-		}
-		if j.EventsPerSec > jsonRes.EventsPerSec {
-			jsonRes = j
-		}
-		b, err := measure(false)
-		if err != nil {
-			return err
-		}
-		if b.EventsPerSec > binRes.EventsPerSec {
-			binRes = b
-		}
-	}
-	speedup := 0.0
-	if jsonRes.EventsPerSec > 0 {
-		speedup = binRes.EventsPerSec / jsonRes.EventsPerSec
-	}
-	ok := speedup > 1 && binRes.Errors == 0 && jsonRes.Errors == 0
-	em.printf("  json ingest    : %8.0f events/s   p50 %6s  p99 %6s  (%d errors)\n",
-		jsonRes.EventsPerSec, jsonRes.P50.Round(time.Microsecond), jsonRes.P99.Round(time.Microsecond), jsonRes.Errors)
-	em.printf("  binary ingest  : %8.0f events/s   p50 %6s  p99 %6s  (%d errors, mean batch %.1f)\n",
-		binRes.EventsPerSec, binRes.P50.Round(time.Microsecond), binRes.P99.Round(time.Microsecond),
-		binRes.Errors, binRes.MeanCoalesced)
-	em.printf("  speedup        : %.2fx   %s\n", speedup, okIf(ok))
-	em.emit("S3", map[string]any{
-		"json":    jsonRes,
-		"binary":  binRes,
-		"speedup": speedup,
-		"ok":      ok,
-	})
-	return nil
-}
-
-// runScaleServeStream is the transport comparison [S5]: the serving stack
-// (spad on loopback, fsync on, 32 shards), with the clients speaking
-// per-request binary HTTP
-// versus persistent binary streams. The stream removes the per-request
-// HTTP cycle AND pipelines: each of the K clients keeps a 4-frame credit
-// window in flight on its one connection, so the coalescer sees K×4
-// concurrent requests instead of K stop-and-wait ones — deeper waves,
-// fewer fsyncs per event. That pipelining is the capability under test:
-// HTTP/1.1 cannot do it on one connection.
-func runScaleServeStream(em *emitter, clients, requests int) error {
-	const streamWindow = 4
-	em.printf("\n[S5] Streamed ingest: persistent binary stream vs per-request binary HTTP (%d clients, %d requests of %d events, window %d, fsync on)\n",
-		clients, requests, 32*scalebench.PerUser, streamWindow)
-
-	measure := func(stream bool) (res scalebench.LoadgenResult, err error) {
-		err = serveStack(32, func(baseURL string, _ *core.SPA) error {
-			res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
-				BaseURL:         baseURL,
-				Clients:         clients,
-				Requests:        requests,
-				Register:        true,
-				UsersPerRequest: 32,
-				Stream:          stream,
-				StreamWindow:    streamWindow,
-			})
-			return err
-		})
-		return res, err
-	}
-
-	// Same discipline as [S3]: interleave the modes and keep each one's
-	// best of two windows, so shared-storage fsync noise cannot masquerade
-	// as a transport difference.
-	var perReq, streamed scalebench.LoadgenResult
-	for round := 0; round < 2; round++ {
-		p, err := measure(false)
-		if err != nil {
-			return err
-		}
-		if p.EventsPerSec > perReq.EventsPerSec {
-			perReq = p
-		}
-		s, err := measure(true)
-		if err != nil {
-			return err
-		}
-		if s.EventsPerSec > streamed.EventsPerSec {
-			streamed = s
-		}
-	}
-	speedup := 0.0
-	if perReq.EventsPerSec > 0 {
-		speedup = streamed.EventsPerSec / perReq.EventsPerSec
-	}
-	ok := speedup > 1 && streamed.Errors == 0 && perReq.Errors == 0
-	em.printf("  per-request    : %8.0f events/s   p50 %6s  p99 %6s  (%d errors)\n",
-		perReq.EventsPerSec, perReq.P50.Round(time.Microsecond), perReq.P99.Round(time.Microsecond), perReq.Errors)
-	em.printf("  streamed       : %8.0f events/s   p50 %6s  p99 %6s  (%d errors, mean batch %.1f)\n",
-		streamed.EventsPerSec, streamed.P50.Round(time.Microsecond), streamed.P99.Round(time.Microsecond),
-		streamed.Errors, streamed.MeanCoalesced)
-	em.printf("  speedup        : %.2fx   %s\n", speedup, okIf(ok))
-	em.emit("S5", map[string]any{
-		"per_request": perReq,
-		"streamed":    streamed,
-		"speedup":     speedup,
-		"ok":          ok,
-	})
-	return nil
-}
-
-// runStagesPass (spabench -stages) reruns [S5]'s streamed mode once more
-// on a fresh stack, then scrapes /metrics and prints the per-stage latency
-// breakdown next to the loadgen's end-to-end percentiles. The cross-check: the medians of the stages a request
-// traverses (decode, queue, gather, prepare, commit) should sum to
-// roughly the e2e p50, within the histogram's ±9% bucket error plus the
-// fan-back/transport overhead the stages don't cover.
-func runStagesPass(em *emitter, clients, requests int) error {
-	const streamWindow = 4
-	var res scalebench.LoadgenResult
-	var stats []scalebench.StageStat
-	err := serveStack(32, func(baseURL string, _ *core.SPA) error {
-		var err error
-		res, err = scalebench.RunLoadgen(scalebench.LoadgenConfig{
-			BaseURL:         baseURL,
-			Clients:         clients,
-			Requests:        requests,
-			Register:        true,
-			UsersPerRequest: 32,
-			Stream:          true,
-			StreamWindow:    streamWindow,
-		})
-		if err != nil {
-			return err
-		}
-		m, err := scalebench.FetchMetrics(baseURL)
-		if err != nil {
-			return err
-		}
-		stats = scalebench.StageBreakdown(m)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	em.printf("\n[S5-stages] Stage breakdown: persistent stream, window %d (instrumented pass)\n", streamWindow)
-	em.printf("%s", scalebench.FormatStages(stats))
-	sum := scalebench.SumStageP50(stats)
-	em.printf("  sum of request-path stage p50s: %s   e2e p50: %s   e2e p99: %s\n",
-		sum.Round(time.Microsecond), res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond))
-	em.emit("S5-stages", map[string]any{
-		"stages":         stats,
-		"sum_stage_p50":  sum.Nanoseconds(),
-		"e2e_p50":        res.P50.Nanoseconds(),
-		"e2e_p99":        res.P99.Nanoseconds(),
-		"events_per_sec": res.EventsPerSec,
-	})
-	return nil
-}
-
-// runScaleServeScenario is the workload-realism section [S6]: instead of
-// the uniform ingest bursts of [S3] and [S5], it replays a seed-derived
-// scenario — zipf-skewed users, diurnal session sizing, mixed-endpoint
-// sessions (ingest, recommendation pulls, Gradual EIT question/answer,
-// campaign reward) — against the full pipelined stack, so the read path
-// and the write path contend for the same shards and both report
-// throughput and tail latency.
-func runScaleServeScenario(em *emitter, seed uint64, clients int) error {
-	const sessions = 256
-	em.printf("\n[S6] Scenario replay: zipf + diurnal mixed-endpoint sessions (%d sessions, %d clients, fsync on, seed %d)\n",
-		sessions, clients, seed)
-
-	var res scalebench.ScenarioResult
-	err := serveStack(32, func(baseURL string, _ *core.SPA) error {
-		var err error
-		res, err = scalebench.RunScenario(scalebench.ScenarioConfig{
-			BaseURL:  baseURL,
-			Seed:     seed,
-			Clients:  clients,
-			Sessions: sessions,
-			Register: true,
-		})
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	// The section passes when both serving paths delivered without errors
-	// and the replay was visibly skewed (the hottest 1% of users must own
-	// several times their uniform session share).
-	top := scalebench.Users / 100
-	if top < 1 {
-		top = 1
-	}
-	uniform := float64(top) / float64(scalebench.Users)
-	ok := res.Errors == 0 && res.ReadOps > 0 && res.Top1PctShare > 2*uniform
-	em.printf("  write side     : %8.0f events/s   p50 %6s  p99 %6s  (%d ops)\n",
-		res.WriteEventsPerSec, res.WriteP50.Round(time.Microsecond), res.WriteP99.Round(time.Microsecond), res.WriteOps)
-	em.printf("  read side      : %8.0f ops/s      p50 %6s  p99 %6s  (%d ops, %d cold)\n",
-		res.ReadOpsPerSec, res.ReadP50.Round(time.Microsecond), res.ReadP99.Round(time.Microsecond), res.ReadOps, res.ColdReads)
-	em.printf("  skew           : top-1%% of users own %.1f%% of sessions   (%d errors)   %s\n",
-		100*res.Top1PctShare, res.Errors, okIf(ok))
-	em.emit("S6", map[string]any{
-		"result": res,
-		"ok":     ok,
-	})
-	return nil
-}
-
-// runScaleServeRepl is the replication section [S8]: a 90/10 read-heavy
-// mixed workload (recommendation pulls, advice, propensity, select-top
-// against concurrent ingest bursts), against a leader plus one streaming
-// follower (the WAL-shipping pair of DESIGN.md §9). Writes land on the
-// leader; the routed clients spread reads round-robin across both nodes,
-// gated on the follower's reported staleness. The section reports the
-// aggregate read throughput against a single-node baseline measured on the
-// same stack — with the follower attached and shipping either way, so the
-// comparison isolates where the reads go, not the cost of having a
-// follower — plus the staleness distribution the follower actually
-// exhibited while serving its share of the reads.
-func runScaleServeRepl(em *emitter, seed uint64, clients int) error {
-	const (
-		ops      = 1200
-		lagBound = 64
-	)
-	em.printf("\n[S8] Replicated reads: leader + 1 follower vs single node (90/10 mix, %d ops, %d clients, staleness bound %d waves, fsync on, seed %d)\n",
-		ops, clients, lagBound, seed)
-
-	var single, dual scalebench.MixedResult
-	var stale scalebench.Staleness
-	err := serveStack(32, func(baseURL string, spa *core.SPA) error {
-		leaderAddr := strings.TrimPrefix(baseURL, "http://")
-
-		// Boot the follower before any traffic, so the whole population
-		// and its CF interactions replicate over the live stream
-		// (interaction counts are process-local and travel only in wave
-		// annotations — a snapshot-bootstrapped follower would answer
-		// recommendations cold).
-		fdir, err := os.MkdirTemp("", "spabench-follower-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(fdir)
-		// The follower runs with fsync off: durability is the leader's
-		// contract, and a replica that loses its tail re-subscribes from
-		// whatever LSN its log replays to (or re-bootstraps) — so the
-		// read-scaling node does not pay a second fsync per shipped wave.
-		if _, err := server.BootstrapFollower(fdir, leaderAddr, store.Options{}); err != nil {
-			return err
-		}
-		fspa, err := core.New(core.Options{
-			DataDir: fdir,
-			Shards:  32,
-			Clock:   clock.NewSimulated(clock.Epoch),
-		})
-		if err != nil {
-			return err
-		}
-		fsrv := server.New(fspa, server.Options{FollowerOf: leaderAddr})
-		fln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fsrv.Close()
-			fspa.Close()
-			return err
-		}
-		fhttp := &http.Server{Handler: fsrv}
-		go fhttp.Serve(fln)
-		followerURL := "http://" + fln.Addr().String()
-		defer func() {
-			fhttp.Close()
-			fsrv.Close()
-			fspa.Close()
-		}()
-
-		// Warm population + CF interactions on the leader, then train the
-		// propensity model on BOTH cores: the model ships out-of-band
-		// (training is an offline batch job, per the paper), so each node
-		// loads its own copy.
-		warm, err := scalebench.RunMixed(scalebench.MixedConfig{
-			BaseURL: baseURL, Seed: seed, Clients: clients,
-			Ops: 64, ReadFraction: 0.01, Register: true,
-		})
-		if err != nil {
-			return err
-		}
-		if warm.Errors > 0 {
-			return fmt.Errorf("warmup: %d errors", warm.Errors)
-		}
-		if err := waitFollower(baseURL, followerURL, 30*time.Second); err != nil {
-			return err
-		}
-		for _, node := range []*core.SPA{spa, fspa} {
-			var feats [][]float64
-			var labels []bool
-			for id := uint64(1); id <= scalebench.Users; id++ {
-				fv, err := node.FeatureVector(id)
-				if err != nil {
-					return err
-				}
-				feats = append(feats, fv)
-				labels = append(labels, id%2 == 0)
-			}
-			if err := node.TrainPropensity(feats, labels); err != nil {
-				return err
-			}
-		}
-
-		// Single-node baseline: every read on the leader (follower attached
-		// but idle on the read side).
-		single, err = scalebench.RunMixed(scalebench.MixedConfig{
-			BaseURL: baseURL, Seed: seed, Clients: clients, Ops: ops,
-		})
-		if err != nil {
-			return err
-		}
-		if err := waitFollower(baseURL, followerURL, 30*time.Second); err != nil {
-			return err
-		}
-
-		// Two-node run: same workload, reads split across both nodes, the
-		// follower's lag sampled throughout.
-		stop := make(chan struct{})
-		staleCh := make(chan scalebench.Staleness, 1)
-		go func() {
-			staleCh <- scalebench.SampleFollowerLag(followerURL, 10*time.Millisecond, stop)
-		}()
-		dual, err = scalebench.RunMixed(scalebench.MixedConfig{
-			BaseURL:           baseURL,
-			Seed:              seed + 1,
-			Clients:           clients,
-			Ops:               ops,
-			ReadFrom:          []string{followerURL},
-			MaxStalenessWaves: lagBound,
-		})
-		close(stop)
-		stale = <-staleCh
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	scaling := 0.0
-	if single.ReadOpsPerSec > 0 {
-		scaling = dual.ReadOpsPerSec / single.ReadOpsPerSec
-	}
-	// The scaling target (≥1.6x aggregate reads at 2 nodes) needs the two
-	// nodes on separate cores: with ≥4 usable cores the single-node
-	// baseline saturates its serving capacity and the follower's core is
-	// genuinely additive. On a smaller host both nodes time-share one CPU,
-	// so added capacity is physically zero and the criterion degrades to
-	// "replication must not crater the stack": reads within 60% of single
-	// node while every shipped wave is applied, fsynced and sampled. Either
-	// way staleness must be bounded and observed, with zero errors.
-	clean := single.Errors == 0 && dual.Errors == 0 &&
-		stale.Samples > 0 && stale.P95 <= lagBound
-	scalingFloor := 1.6
-	if runtime.NumCPU() < 4 {
-		scalingFloor = 0.6
-	}
-	ok := clean && scaling >= scalingFloor
-	em.printf("  single node    : reads %8.0f ops/s  p50 %6s  p99 %6s | writes %8.0f events/s  (%d errors)\n",
-		single.ReadOpsPerSec, single.ReadP50.Round(time.Microsecond), single.ReadP99.Round(time.Microsecond),
-		single.WriteEventsPerSec, single.Errors)
-	em.printf("  leader+follower: reads %8.0f ops/s  p50 %6s  p99 %6s | writes %8.0f events/s  (%d errors)\n",
-		dual.ReadOpsPerSec, dual.ReadP50.Round(time.Microsecond), dual.ReadP99.Round(time.Microsecond),
-		dual.WriteEventsPerSec, dual.Errors)
-	em.printf("  read scaling   : %.2fx (target %.1fx on %d cpus)   staleness p50 %d  p95 %d  max %d waves (%d samples, bound %d)   %s\n",
-		scaling, scalingFloor, runtime.NumCPU(), stale.P50, stale.P95, stale.Max, stale.Samples, lagBound, okIf(ok))
-	em.emit("S8", map[string]any{
-		"single":        single,
-		"dual":          dual,
-		"read_scaling":  scaling,
-		"scaling_floor": scalingFloor,
-		"cpus":          runtime.NumCPU(),
-		"staleness":     stale,
-		"ok":            ok,
-	})
-	return nil
-}
-
-// runScaleServeCluster is the cluster section [S9]: the [S6] scenario
-// replay against a 3-node slot-partitioned cluster (DESIGN.md §10) with
-// topology-routed clients, versus the same replay against one node of the
-// identical stack configuration. Three properties are under test: the
-// slot map spreads both slots and users across the nodes (within 2x of
-// the ideal share), aggregate ingest scales with the node count when the
-// host has the cores to back it, and a live slot handoff under write load
-// loses no acknowledged write — checked by mirroring every acknowledged
-// batch into a standalone shadow node and comparing the moved users'
-// profiles byte-for-byte afterwards.
+// runScaleServeCluster is the cluster section [S9]: the zipf + diurnal
+// scenario replay (scalebench.RunScenario: mixed-endpoint sessions over a
+// skewed population) against a 3-node slot-partitioned cluster (DESIGN.md
+// §10) with topology-routed clients, versus the same replay against one
+// node of the identical stack configuration. Three properties are under
+// test: the slot map spreads both slots and users across the nodes
+// (within 2x of the ideal share), aggregate ingest scales with the node
+// count when the host has the cores to back it, and a live slot handoff
+// under write load loses no acknowledged write — checked by mirroring
+// every acknowledged batch into a standalone shadow node and comparing the
+// moved users' profiles byte-for-byte afterwards.
 func runScaleServeCluster(em *emitter, seed uint64, clients int) error {
 	const (
 		sessions = 256
@@ -769,7 +337,7 @@ func runScaleServeCluster(em *emitter, seed uint64, clients int) error {
 
 	// Single-node baseline: the same scenario on the same stack shape.
 	var single scalebench.ScenarioResult
-	err := serveStack(32, func(baseURL string, _ *core.SPA) error {
+	err := serveStack(func(baseURL string) error {
 		var err error
 		single, err = scalebench.RunScenario(scalebench.ScenarioConfig{
 			BaseURL: baseURL, Seed: seed, Clients: clients,
@@ -825,8 +393,7 @@ func runScaleServeCluster(em *emitter, seed uint64, clients int) error {
 			balanced = false
 		}
 	}
-	// Like [S8], the scaling target needs real cores behind the nodes:
-	// with ≥4 CPUs three nodes commit on independent fsync streams and
+	// The scaling target needs real cores behind the nodes: with ≥4 CPUs three nodes commit on independent fsync streams and
 	// aggregate ingest must reach ≥2x the single node. On a smaller host
 	// the nodes time-share one CPU and the criterion degrades to "routing
 	// and ownership enforcement must not crater throughput" (≥0.5x).
@@ -865,7 +432,7 @@ func runScaleServeCluster(em *emitter, seed uint64, clients int) error {
 }
 
 // clusterStack boots an n-node durable spad cluster on loopback — every
-// node a full [S6]-shape stack (pipelined coalescer, 32 shards, fsync on)
+// node the serveStack shape (coalescer, 32 shards, fsync on)
 // plus the cluster layer — and hands fn the node IDs and base URLs in the
 // same order. Listeners are bound before any node starts so the peer map
 // can name every advertised address up front.
@@ -907,7 +474,6 @@ func clusterStack(n int, fn func(ids, urls []string) error) error {
 			return err
 		}
 		srv := server.New(spa, server.Options{
-			MaxDelay:      2 * time.Millisecond,
 			ClusterNodeID: ids[i],
 			ClusterAddr:   peers[ids[i]],
 			ClusterPeers:  peers,
@@ -1128,29 +694,6 @@ func postJSON(url string, in, out any) error {
 		return fmt.Errorf("%s: %s: %s", url, resp.Status, raw)
 	}
 	return json.Unmarshal(raw, out)
-}
-
-// waitFollower blocks until the follower reports a streaming session
-// caught up to the leader's position at call time.
-func waitFollower(leaderURL, followerURL string, timeout time.Duration) error {
-	lc := spaclient.New(leaderURL, spaclient.Options{})
-	fc := spaclient.New(followerURL, spaclient.Options{})
-	lst, err := lc.ReplicationStatus()
-	if err != nil {
-		return err
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := fc.ReplicationStatus()
-		if err == nil && st.State == "streaming" && st.AppliedLSN >= lst.AppliedLSN && st.LastHeartbeatUnixNano > 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("follower %s never caught up to lsn %d (last: %+v, err: %v)",
-				followerURL, lst.AppliedLSN, st, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // runTorture is the CLI half of the torture repro contract: a failing

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spad [-addr :8372] [-stream-addr ADDR] [-data DIR] [-shards 16] [-sync=true]
-//	     [-queue 256] [-max-batch 64] [-max-delay 0s] [-no-binary]
+//	     [-queue 256] [-max-batch 64]
 //	     [-debug-addr ADDR] [-access-log] [-slow-wave 1s]
 //	     [-follow LEADER]
 //	     [-cluster] [-node-id ID] [-cluster-addr HOST:PORT] [-peers ID=HOST:PORT,...]
@@ -40,10 +40,13 @@
 // committed waves live. Every read endpoint serves from replicated state;
 // writes answer 421 naming the leader. Requires -data.
 //
-// Streamed binary ingest is always reachable as an HTTP upgrade on
-// /v1/ingest/stream (unless -no-binary); -stream-addr additionally opens a
-// raw TCP listener speaking the same framed protocol without the HTTP
-// handshake. SIGTERM drains streams too: live sessions get a drain frame,
+// Ingest speaks JSON or the length-prefixed binary framing per request,
+// and streamed binary ingest is always reachable as an HTTP upgrade on
+// /v1/ingest/stream; -stream-addr additionally opens a raw TCP listener
+// speaking the same framed protocol without the HTTP handshake. Clients
+// fall back to JSON on a 415 and to per-request HTTP on a refused upgrade,
+// so they keep working against older daemons that could switch the binary
+// framing off. SIGTERM drains streams too: live sessions get a drain frame,
 // their in-flight frames commit and are answered, then the coalescer and
 // store close. /readyz flips to 503 "draining" the moment the signal
 // arrives — before the listener shuts — so load balancers route away
@@ -88,8 +91,6 @@ type config struct {
 	sync        bool
 	queue       int
 	maxBatch    int
-	maxDelay    time.Duration
-	noBinary    bool
 	accessLog   bool
 	slowWave    time.Duration
 	follow      string
@@ -109,8 +110,6 @@ func main() {
 	flag.BoolVar(&cfg.sync, "sync", true, "fsync the WAL on every group commit before acknowledging it")
 	flag.IntVar(&cfg.queue, "queue", 256, "pending ingest queue depth (full queue answers 503)")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max requests merged into one group commit")
-	flag.DurationVar(&cfg.maxDelay, "max-delay", 0, "linger before committing a partial batch (0: commit whatever is pending)")
-	flag.BoolVar(&cfg.noBinary, "no-binary", false, "refuse the binary ingest framing (clients fall back to JSON)")
 	flag.BoolVar(&cfg.accessLog, "access-log", false, "log one line per completed HTTP request")
 	flag.DurationVar(&cfg.slowWave, "slow-wave", time.Second, "log any coalescer wave slower than this gather-to-commit (0: off)")
 	flag.StringVar(&cfg.follow, "follow", "", "replicate from this leader (host:port or URL) and serve reads only; requires -data")
@@ -177,8 +176,6 @@ func run(cfg config) error {
 	srv := server.New(spa, server.Options{
 		QueueDepth:             cfg.queue,
 		MaxBatch:               cfg.maxBatch,
-		MaxDelay:               cfg.maxDelay,
-		DisableBinary:          cfg.noBinary,
 		AccessLog:              cfg.accessLog,
 		SlowWave:               cfg.slowWave,
 		FollowerOf:             cfg.follow,

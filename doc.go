@@ -32,6 +32,6 @@
 // The paper's evaluation artifacts are regenerated by cmd/spa,
 // cmd/spabench and the benchmarks in bench_test.go; running cmd/spabench
 // prints the paper-vs-measured tables (add -json for machine-readable
-// records, -stages for an instrumented per-stage latency breakdown of
-// the serving sections, or -loadgen to drive a live spad).
+// records, or -loadgen to drive a live spad). The serving stack's
+// end-to-end benchmark is bench/ (go run ./bench).
 package repro

@@ -43,9 +43,9 @@ func TestZipfPMFMatchesAnalytic(t *testing.T) {
 }
 
 // TestZipfTopMassPinned pins the skew the scenario loadgen depends on: at
-// s=1.07 over 512 ranks (the [S6] population), the top 1% of ranks must own
-// the analytic share of the mass — a heavy-tailed ~27%, not a uniform 1%.
-// The test compares the CDF (exact) and a 200k-draw sample (statistical)
+// s=1.07 over 512 ranks (the scenario replay's population), the top 1% of
+// ranks must own the analytic share of the mass — a heavy-tailed ~27%, not
+// a uniform 1%. The test compares the CDF (exact) and a 200k-draw sample (statistical)
 // against the same analytic figure, so a biased Draw cannot hide behind a
 // correct table or vice versa.
 func TestZipfTopMassPinned(t *testing.T) {

@@ -13,15 +13,25 @@ import (
 	"repro/internal/wire"
 )
 
-// The loadgen harness behind [S3], [S5] and spabench -loadgen: drive a live
-// spad over its real wire protocol with K concurrent clients and measure
-// what the serving layer delivers — throughput, per-request latency
-// percentiles, and how well the cross-request coalescer is batching. The
-// workload is the shared burst shape (MakeBursts), shifted so each client
-// owns a disjoint user range:
+// The loadgen behind spabench -loadgen: drive a live spad over its real
+// wire protocol with K concurrent clients and report what the serving
+// layer delivers — throughput, per-request latency percentiles, and how
+// well the cross-request coalescer is batching. The CI smokes use it to
+// put binary-framed and streamed ingest through a built daemon; bench/ is
+// the measurement. The workload is the shared burst shape (MakeBursts),
+// shifted so each client owns a disjoint user range:
 // cross-client coalescing then can never violate per-user event order, the
 // same contract production traffic has when each device uploads its own
 // user's LifeLog.
+
+// UsersPerRequest is the burst width of one loadgen request: 8 users ×
+// PerUser events, a device-upload-sized payload (the wide 64-user bursts
+// are an in-process shape, not a wire shape).
+const UsersPerRequest = 8
+
+// streamWindow is how many lanes, and so frames in flight, one stream
+// client runs; it stays within the server's default credit grant.
+const streamWindow = 4
 
 // LoadgenConfig parameterizes one loadgen run.
 type LoadgenConfig struct {
@@ -35,25 +45,15 @@ type LoadgenConfig struct {
 	// Register creates each client's user range first. Conflicts (already
 	// registered, e.g. on a second run against the same daemon) are fine.
 	Register bool
-	// UsersPerRequest is the burst width of one ingest request (default 8
-	// users × PerUser events — a device-upload-sized payload; the wide
-	// 64-user bursts are an in-process shape, not a wire shape).
-	UsersPerRequest int
 	// Timeout bounds each request (default 30 s — a full queue with sync
 	// writes can make tail latencies grow well past interactive defaults).
 	Timeout time.Duration
-	// JSONOnly forces the clients onto the JSON ingest path instead of the
-	// binary framing — the [S3] measurement baseline.
-	JSONOnly bool
 	// Stream drives each client through one persistent binary stream
-	// (StreamIngester) instead of per-request HTTP: StreamWindow worker
-	// lanes share the client's connection, so up to StreamWindow frames
+	// (StreamIngester) instead of per-request HTTP: streamWindow worker
+	// lanes share the client's connection, so up to streamWindow frames
 	// pipeline in flight per stream — the capability per-request HTTP/1.1
-	// lacks, and what the [S5] section measures.
+	// lacks.
 	Stream bool
-	// StreamWindow is the in-flight frame depth per stream (default 4,
-	// bounded by the server's credit grant). Ignored without Stream.
-	StreamWindow int
 }
 
 // LoadgenResult is one run's measurement.
@@ -91,44 +91,25 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenResult, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	if cfg.UsersPerRequest <= 0 {
-		cfg.UsersPerRequest = 8
-	}
 	// A lane is one synchronous request loop over its own disjoint user
 	// range. Per-request mode runs one lane per client (stop-and-wait, the
-	// HTTP/1.1 reality); stream mode runs StreamWindow lanes per client,
+	// HTTP/1.1 reality); stream mode runs streamWindow lanes per client,
 	// all multiplexed onto that client's one stream connection, so the
-	// stream carries up to StreamWindow frames in flight.
+	// stream carries up to streamWindow frames in flight.
 	window := 1
 	if cfg.Stream {
-		window = cfg.StreamWindow
-		if window <= 0 {
-			window = 4
-		}
+		window = streamWindow
 	}
 	lanes := cfg.Clients * window
 	perLane := (cfg.Requests + lanes - 1) / lanes
 	// Each lane owns span users: a window of W lanes splits its client's
 	// Users-wide range W ways, so the total population (Clients × Users)
-	// is identical whichever transport runs — the comparison varies only
-	// the wire, never the data shape. That invariant only holds when the
-	// window divides Users exactly and the span still fits a whole
-	// request's burst, so reject configs that would silently skew the
-	// population instead of patching the span.
+	// is identical whichever transport runs.
 	span := Users / window
-	if span*window != Users {
-		return LoadgenResult{}, fmt.Errorf(
-			"scalebench: stream window %d must divide the %d-user client range", window, Users)
-	}
-	if span < cfg.UsersPerRequest {
-		return LoadgenResult{}, fmt.Errorf(
-			"scalebench: window %d leaves %d users per lane, fewer than the %d each request needs",
-			window, span, cfg.UsersPerRequest)
-	}
 
 	clients := make([]*spaclient.Client, lanes)
 	for k := range clients {
-		clients[k] = spaclient.New(cfg.BaseURL, spaclient.Options{Timeout: cfg.Timeout, DisableBinary: cfg.JSONOnly})
+		clients[k] = spaclient.New(cfg.BaseURL, spaclient.Options{Timeout: cfg.Timeout})
 	}
 	if cfg.Register {
 		if err := registerRanges(clients, span); err != nil {
@@ -166,7 +147,7 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenResult, error) {
 		go func(k int) {
 			defer wg.Done()
 			st := &stats[k]
-			burstSet := MakeBurstsSpan(uint64(k)*uint64(span), span, cfg.UsersPerRequest)
+			burstSet := MakeBurstsSpan(uint64(k)*uint64(span), span, UsersPerRequest)
 			for r := 0; r < perLane; r++ {
 				burst := burstSet[r%len(burstSet)]
 				t1 := time.Now()

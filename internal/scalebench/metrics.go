@@ -6,37 +6,13 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// Stage-breakdown support for spabench -stages: scrape a running spad's
-// /metrics snapshot and reduce its per-stage latency histograms to the
-// table the report prints, plus the /metrics format cross-check the CI
-// smoke runs (-check-metrics).
-
-// StageOrder is the pipeline-order key set of wire.Metrics.Stages.
-// repl_apply is the follower-side stage (applying one run of shipped waves
-// — every wave already buffered on the wire — through the core as one
-// group); it has observations only on a node running with -follow.
-var StageOrder = []string{"decode", "queue", "gather", "prepare", "commit", "wal_sync", "compaction", "repl_apply"}
-
-// summedStages are the stages a request actually traverses start-to-finish;
-// their medians should add up to roughly the end-to-end p50. wal_sync is a
-// slice of commit and compaction is background work, so neither is summed.
-var summedStages = []string{"decode", "queue", "gather", "prepare", "commit"}
-
-// StageStat is one stage's latency summary.
-type StageStat struct {
-	Name  string        `json:"name"`
-	Count uint64        `json:"count"`
-	Mean  time.Duration `json:"mean_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P95   time.Duration `json:"p95_ns"`
-	P99   time.Duration `json:"p99_ns"`
-}
+// The /metrics scrape behind spabench [S9]'s per-node ownership counts,
+// and the format cross-check the CI smokes run (spabench -check-metrics).
 
 // FetchMetrics scrapes a spad's JSON /metrics snapshot.
 func FetchMetrics(baseURL string) (wire.Metrics, error) {
@@ -53,59 +29,6 @@ func FetchMetrics(baseURL string) (wire.Metrics, error) {
 		return m, fmt.Errorf("scalebench: decoding /metrics: %w", err)
 	}
 	return m, nil
-}
-
-// StageBreakdown reduces the snapshot's stage histograms to per-stage
-// summaries in pipeline order, skipping stages with no observations.
-func StageBreakdown(m wire.Metrics) []StageStat {
-	out := make([]StageStat, 0, len(StageOrder))
-	for _, name := range StageOrder {
-		h, ok := m.Stages[name]
-		if !ok || h.Count == 0 {
-			continue
-		}
-		st := StageStat{
-			Name:  name,
-			Count: h.Count,
-			Mean:  time.Duration(h.SumNanos / h.Count),
-			P50:   obs.QuantileFromCounts(h.Counts, 0.50),
-			P95:   obs.QuantileFromCounts(h.Counts, 0.95),
-			P99:   obs.QuantileFromCounts(h.Counts, 0.99),
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
-// SumStageP50 adds the medians of the stages a request traverses
-// end-to-end (decode, queue, gather, prepare, commit) — the number to hold
-// against the loadgen's e2e p50, within the histogram's bucket error.
-func SumStageP50(stats []StageStat) time.Duration {
-	var sum time.Duration
-	for _, st := range stats {
-		for _, name := range summedStages {
-			if st.Name == name {
-				sum += st.P50
-				break
-			}
-		}
-	}
-	return sum
-}
-
-// FormatStages renders the breakdown as the aligned table spabench prints.
-func FormatStages(stats []StageStat) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  %-11s %10s %12s %12s %12s %12s\n", "stage", "count", "mean", "p50", "p95", "p99")
-	for _, st := range stats {
-		fmt.Fprintf(&b, "  %-11s %10d %12s %12s %12s %12s\n",
-			st.Name, st.Count,
-			st.Mean.Round(time.Microsecond),
-			st.P50.Round(time.Microsecond),
-			st.P95.Round(time.Microsecond),
-			st.P99.Round(time.Microsecond))
-	}
-	return b.String()
 }
 
 // CheckMetricsFormats scrapes a running spad's /metrics in both formats

@@ -1,12 +1,12 @@
-// Package scalebench is the shared workload harness behind
-// BenchmarkShardedIngest and spabench's scale sections, so every consumer
-// measures the exact same ingest shape: fixed-size multi-user event bursts
-// over disjoint user ranges. BenchmarkShardedIngest pushes the bursts
-// through the in-process facade with a worker pool (RunWorkers); [S3], [S5]
-// and spabench -loadgen push them through a live spad daemon over the wire
-// with concurrent clients (RunLoadgen, loadgen.go). Keeping the workload in
-// one place means a change to it (burst sizing, event mix) cannot silently
-// diverge between the benchmark, the CLI table, and the load generator.
+// Package scalebench holds the client-side workloads behind spabench:
+// fixed-size multi-user event bursts over disjoint user ranges, pushed
+// through the in-process facade with a worker pool (RunWorkers, for
+// BenchmarkShardedIngest) or through a live spad over the wire
+// (RunLoadgen, loadgen.go — spabench -loadgen); the zipf + diurnal scenario
+// replay of the [S9] cluster section (RunScenario, scenario.go); and the
+// /metrics scrape and format cross-check (metrics.go — spabench
+// -check-metrics). The end-to-end serving benchmark is bench/, which
+// generates its own traffic.
 package scalebench
 
 import (
@@ -40,23 +40,15 @@ func MakeBursts() [][]lifelog.Event {
 // its own offset, so clients never interleave events of a shared user and
 // per-user order is preserved no matter how their requests coalesce.
 func MakeBurstsFor(offset uint64) [][]lifelog.Event {
-	return MakeBurstsSized(offset, BurstSize)
+	return MakeBurstsSpan(offset, Users, BurstSize)
 }
 
-// MakeBurstsSized is MakeBurstsFor with a custom burst width: Users is
-// split into Users/usersPerBurst bursts of usersPerBurst users × PerUser
-// events. The serving benchmark uses narrow bursts — a network request
-// carries one device's recent events, not a 64-user mega-batch; the wide
-// shape stays the in-process default.
-func MakeBurstsSized(offset uint64, usersPerBurst int) [][]lifelog.Event {
-	return MakeBurstsSpan(offset, Users, usersPerBurst)
-}
-
-// MakeBurstsSpan is MakeBurstsSized over a custom population width: span
-// users from offset+1, split into span/usersPerBurst bursts. The streamed
-// loadgen splits one client's Users-wide range into per-lane sub-ranges,
-// so a transport comparison holds the total population fixed while the
-// lane count varies.
+// MakeBurstsSpan is MakeBurstsFor over a custom population width and burst
+// width: span users from offset+1, split into span/usersPerBurst bursts of
+// usersPerBurst users × PerUser events. The loadgen sends narrow bursts —
+// a network request carries one device's recent events, not a 64-user
+// mega-batch — and the streamed loadgen splits one client's Users-wide
+// range into per-lane sub-ranges.
 func MakeBurstsSpan(offset uint64, span, usersPerBurst int) [][]lifelog.Event {
 	if span <= 0 || span > Users {
 		span = Users

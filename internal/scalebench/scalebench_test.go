@@ -104,13 +104,11 @@ func TestS2Smoke(t *testing.T) {
 		spa.Close()
 	}()
 
-	const usersPerRequest = 8
 	res, err := RunLoadgen(LoadgenConfig{
-		BaseURL:         ts.URL,
-		Clients:         2,
-		Requests:        8,
-		Register:        true,
-		UsersPerRequest: usersPerRequest,
+		BaseURL:  ts.URL,
+		Clients:  2,
+		Requests: 8,
+		Register: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +116,7 @@ func TestS2Smoke(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("loadgen errors: %+v", res)
 	}
-	if want := res.Requests * usersPerRequest * PerUser; res.Events != want {
+	if want := res.Requests * UsersPerRequest * PerUser; res.Events != want {
 		t.Fatalf("events %d, want %d", res.Events, want)
 	}
 	if res.EventsPerSec <= 0 || res.P50 <= 0 || res.P99 < res.P50 {
@@ -149,13 +147,11 @@ func TestS4Smoke(t *testing.T) {
 		spa.Close()
 	}()
 
-	const usersPerRequest = 8
 	res, err := RunLoadgen(LoadgenConfig{
-		BaseURL:         ts.URL,
-		Clients:         2,
-		Requests:        8,
-		Register:        true,
-		UsersPerRequest: usersPerRequest,
+		BaseURL:  ts.URL,
+		Clients:  2,
+		Requests: 8,
+		Register: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +159,7 @@ func TestS4Smoke(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("loadgen errors: %+v", res)
 	}
-	if want := res.Requests * usersPerRequest * PerUser; res.Events != want {
+	if want := res.Requests * UsersPerRequest * PerUser; res.Events != want {
 		t.Fatalf("events %d, want %d", res.Events, want)
 	}
 	m, err := spaclient.New(ts.URL, spaclient.Options{}).Metrics()
@@ -178,10 +174,10 @@ func TestS4Smoke(t *testing.T) {
 	}
 }
 
-// TestS3Smoke runs a miniature of spabench's [S3] section: the same stack
-// driven once with binary-framed clients and once JSON-only — both modes
-// must deliver every event, and the binary mode must actually have
-// negotiated the framing.
+// TestS3Smoke runs the per-request loadgen twice against one daemon, the
+// second pass re-registering users the first already created: both passes
+// must deliver every event without errors, and every request of both must
+// have negotiated the binary framing.
 func TestS3Smoke(t *testing.T) {
 	spa, err := core.New(core.Options{Shards: 4, Clock: clock.NewSimulated(clock.Epoch)})
 	if err != nil {
@@ -195,56 +191,40 @@ func TestS3Smoke(t *testing.T) {
 		spa.Close()
 	}()
 
-	const usersPerRequest = 8
-	var binaryRequests uint64
-	for _, jsonOnly := range []bool{false, true} {
+	c := spaclient.New(ts.URL, spaclient.Options{})
+	var requests uint64
+	for pass := 0; pass < 2; pass++ {
 		res, err := RunLoadgen(LoadgenConfig{
-			BaseURL:         ts.URL,
-			Clients:         2,
-			Requests:        8,
-			Register:        true,
-			UsersPerRequest: usersPerRequest,
-			JSONOnly:        jsonOnly,
+			BaseURL:  ts.URL,
+			Clients:  2,
+			Requests: 8,
+			Register: true,
 		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("pass %d: %v", pass, err)
 		}
 		if res.Errors != 0 {
-			t.Fatalf("jsonOnly=%v: loadgen errors: %+v", jsonOnly, res)
+			t.Fatalf("pass %d: loadgen errors: %+v", pass, res)
 		}
-		if want := res.Requests * usersPerRequest * PerUser; res.Events != want {
-			t.Fatalf("jsonOnly=%v: events %d, want %d", jsonOnly, res.Events, want)
+		if want := res.Requests * UsersPerRequest * PerUser; res.Events != want {
+			t.Fatalf("pass %d: events %d, want %d", pass, res.Events, want)
 		}
-		if jsonOnly {
-			continue
-		}
-		// The binary pass must have spoken binary for every request.
-		c := spaclient.New(ts.URL, spaclient.Options{})
+		requests += uint64(res.Requests)
 		m, err := c.Metrics()
 		if err != nil {
 			t.Fatal(err)
 		}
-		binaryRequests = m.IngestBinary
-		if binaryRequests != uint64(res.Requests) {
-			t.Fatalf("binary pass negotiated %d of %d requests", binaryRequests, res.Requests)
+		if m.IngestBinary != requests {
+			t.Fatalf("pass %d: loadgen negotiated binary framing on %d of %d requests", pass, m.IngestBinary, requests)
 		}
-	}
-	// The JSON-only pass must not have added any binary requests.
-	c := spaclient.New(ts.URL, spaclient.Options{})
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.IngestBinary != binaryRequests {
-		t.Fatalf("JSON-only pass spoke binary: %d -> %d", binaryRequests, m.IngestBinary)
 	}
 }
 
-// TestS5Smoke runs a miniature of spabench's [S5] section: the same live
-// stack driven once over per-request binary HTTP and once over persistent
-// binary streams — both must deliver every event, the stream pass must
-// actually have streamed every frame, and the sessions must be gone once
-// the loadgen returns.
+// TestS5Smoke drives the loadgen over both of its transports, as the CI
+// smokes' -loadgen and -loadgen -stream runs do: once over per-request
+// binary HTTP and once over persistent binary streams. Both must deliver
+// every event, the stream pass must actually have streamed every frame,
+// and the sessions must be gone once the loadgen returns.
 func TestS5Smoke(t *testing.T) {
 	spa, err := core.New(core.Options{Shards: 4, Clock: clock.NewSimulated(clock.Epoch)})
 	if err != nil {
@@ -258,16 +238,13 @@ func TestS5Smoke(t *testing.T) {
 		spa.Close()
 	}()
 
-	const usersPerRequest = 8
 	for _, stream := range []bool{false, true} {
 		res, err := RunLoadgen(LoadgenConfig{
-			BaseURL:         ts.URL,
-			Clients:         2,
-			Requests:        8,
-			Register:        true,
-			UsersPerRequest: usersPerRequest,
-			Stream:          stream,
-			StreamWindow:    2,
+			BaseURL:  ts.URL,
+			Clients:  2,
+			Requests: 8,
+			Register: true,
+			Stream:   stream,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +252,7 @@ func TestS5Smoke(t *testing.T) {
 		if res.Errors != 0 {
 			t.Fatalf("stream=%v: loadgen errors: %+v", stream, res)
 		}
-		if want := res.Requests * usersPerRequest * PerUser; res.Events != want {
+		if want := res.Requests * UsersPerRequest * PerUser; res.Events != want {
 			t.Fatalf("stream=%v: events %d, want %d", stream, res.Events, want)
 		}
 		if !stream {

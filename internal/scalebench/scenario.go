@@ -17,9 +17,9 @@ import (
 	"repro/internal/synth"
 )
 
-// The [S6] harness: scenario replay. Where [S3] and [S5] drive uniform,
-// ingest-only bursts to isolate transport effects, this loadgen replays
-// the traffic shape a deployed SPA system would actually see, per the
+// The scenario replay behind spabench [S9]. Where the loadgen drives
+// uniform, ingest-only bursts, this replays the traffic shape a deployed
+// SPA system would actually see, per the
 // paper's warehousing framing: a zipf-skewed user population (a handful
 // of heavy users dominate the stream), diurnal traffic waves (session
 // volume swells toward a peak hour and ebbs overnight — compressed here
@@ -27,7 +27,7 @@ import (
 // mixed-endpoint sessions in which a device upload (ingest) is followed
 // by recommendation pulls, a Gradual EIT question/answer exchange, and
 // campaign reinforcement — so the write path and the read path contend
-// for the same shards, which no single-endpoint section exercises.
+// for the same shards.
 //
 // Every session's content derives from the seed; only timestamps are
 // assigned at execution time (per-user monotone cursors under a per-user
@@ -130,7 +130,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	pop, err := synth.Generate(synth.DefaultConfig(cfg.Users, cfg.Seed))
+	pop, err := synthPop(cfg)
 	if err != nil {
 		return ScenarioResult{}, fmt.Errorf("scalebench: scenario population: %w", err)
 	}
@@ -392,8 +392,7 @@ func isStatus(err error, status int) bool {
 	return errors.As(err, &apiErr) && apiErr.Status == status
 }
 
-// synthPop builds the scenario population for a config (test helper
-// shared with the smoke tests).
+// synthPop builds the scenario population for a config.
 func synthPop(cfg ScenarioConfig) (*synth.Population, error) {
 	return synth.Generate(synth.DefaultConfig(cfg.Users, cfg.Seed))
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/server"
 )
 
-// TestS6Smoke runs a miniature of spabench's [S6] section: the zipf +
-// diurnal mixed-endpoint scenario replay against a live pipelined stack.
+// TestS6Smoke runs a miniature of [S9]'s single-node baseline: the zipf +
+// diurnal mixed-endpoint scenario replay against one live stack.
 // Both the write side and the read side must deliver without errors, and
 // the replay must actually be skewed and actually mixed.
 func TestS6Smoke(t *testing.T) {
@@ -129,8 +129,7 @@ func TestScenarioClusterSmoke(t *testing.T) {
 }
 
 // TestScenarioPlansDeterministic pins that a seed fully determines the
-// replay content — the repro contract spabench -torture and [S6] print
-// seeds for.
+// replay content — the repro contract behind the seed [S9] prints.
 func TestScenarioPlansDeterministic(t *testing.T) {
 	cfg := ScenarioConfig{Seed: 7, Users: 32, Sessions: 40, ZipfS: 1.07}
 	popA, err := synthPop(cfg)

@@ -106,20 +106,3 @@ func TestIngestBinaryErrors(t *testing.T) {
 		t.Fatalf("malformed stream: %d", resp.StatusCode)
 	}
 }
-
-// TestIngestBinaryDisabled: -no-binary answers 415 (the client's fallback
-// trigger) while JSON keeps working untouched.
-func TestIngestBinaryDisabled(t *testing.T) {
-	ts, _ := testServer(t, core.Options{Shards: 1}, Options{DisableBinary: true})
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/users", wire.RegisterRequest{UserID: 1}, nil); code != http.StatusCreated {
-		t.Fatal("register failed")
-	}
-	frame := wire.EncodeIngestRequest(wire.FromEvents([]lifelog.Event{evAt(1, 1)}))
-	if resp, _ := postBinary(t, ts.URL, frame); resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary with DisableBinary: %d, want 415", resp.StatusCode)
-	}
-	var ing wire.IngestResponse
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/ingest", wire.IngestRequest{Events: wire.FromEvents([]lifelog.Event{evAt(1, 1)})}, &ing); code != http.StatusOK || ing.Processed != 1 {
-		t.Fatalf("json fallback path: %d %+v", code, ing)
-	}
-}

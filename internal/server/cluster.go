@@ -38,7 +38,11 @@ package server
 // fence works in two steps: admitClusterWrite holds the guard read-side
 // across the whole write (check + commit), and the handoff takes the
 // write side once the fence flag is up, so when the barrier returns every
-// admitted write to the moving slots is durably in the log.
+// admitted write to the moving slots is durably in the log. The target
+// holds the mirror-image window: from its subscribe until it adopts the
+// slots it answers 503 for them too, because the source may already have
+// flipped and be bouncing clients here, and a 421 back to the source would
+// ping-pong the other way.
 
 import (
 	"encoding/json"
@@ -84,6 +88,9 @@ type cluster struct {
 	slots  [keyspace.NumSlots]string
 	fenced keyspace.SlotSet
 	fence  bool
+	// incoming counts the handoff pulls in progress per slot on this node
+	// as a target (pullSlots).
+	incoming [keyspace.NumSlots]int
 
 	// handoffMu serializes source-side handoffs: one outbound slot
 	// transfer at a time keeps the fence and epoch arithmetic simple.
@@ -258,12 +265,14 @@ func (c *cluster) ensureNode(id, addr string) {
 }
 
 // slotState reports one slot's owner, its address, the epoch, and whether
-// the slot is currently write-fenced.
-func (c *cluster) slotState(slot int) (owner, addr string, epoch uint64, fenced bool) {
+// the slot is mid-handoff: fenced on this node as the source, or being
+// pulled here and not yet adopted.
+func (c *cluster) slotState(slot int) (owner, addr string, epoch uint64, moving bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	owner = c.slots[slot]
-	return owner, c.nodes[owner], c.epoch, c.fence && c.fenced.Has(slot)
+	moving = (c.fence && c.fenced.Has(slot)) || (owner != c.nodeID && c.incoming[slot] > 0)
+	return owner, c.nodes[owner], c.epoch, moving
 }
 
 // ownsAll reports whether this node owns every slot in the set; when not,
@@ -308,6 +317,15 @@ func (c *cluster) setFence(slots *keyspace.SlotSet, on bool) {
 	} else {
 		c.fenced = keyspace.SlotSet{}
 		c.fence = false
+	}
+	c.mu.Unlock()
+}
+
+// markIncoming adds delta (±1) to the pull count of every slot in the set.
+func (c *cluster) markIncoming(slots *keyspace.SlotSet, delta int) {
+	c.mu.Lock()
+	for _, slot := range slots.Slots() {
+		c.incoming[slot] += delta
 	}
 	c.mu.Unlock()
 }
@@ -400,16 +418,21 @@ func setOwnerHeaders(w http.ResponseWriter, addr string, epoch uint64) {
 }
 
 // bounceMisowned answers 421 + X-SPA-Owner when another node owns the
-// user's slot — the read-path check (no fence: reads stay local until the
-// ownership flip). Returns true when the request was answered.
+// user's slot — the read-path check (reads stay local on the source until
+// the ownership flip; a target answers 503 until it adopts the slot).
+// Returns true when the request was answered.
 func (s *Server) bounceMisowned(w http.ResponseWriter, userID uint64) bool {
 	if s.cluster == nil {
 		return false
 	}
 	slot := keyspace.Partition(userID)
-	owner, addr, epoch, _ := s.cluster.slotState(slot)
+	owner, addr, epoch, moving := s.cluster.slotState(slot)
 	if owner == s.cluster.nodeID {
 		return false
+	}
+	if moving {
+		s.writeHandoffRetry(w, slot, userID)
+		return true
 	}
 	s.met.clusterBounces.Add(1)
 	setOwnerHeaders(w, addr, epoch)
@@ -431,20 +454,18 @@ func (s *Server) admitClusterWrite(w http.ResponseWriter, ids ...uint64) (releas
 	c.guard.RLock()
 	for _, id := range ids {
 		slot := keyspace.Partition(id)
-		owner, addr, epoch, fenced := c.slotState(slot)
+		owner, addr, epoch, moving := c.slotState(slot)
+		if moving {
+			c.guard.RUnlock()
+			s.writeHandoffRetry(w, slot, id)
+			return nil, false
+		}
 		if owner != c.nodeID {
 			c.guard.RUnlock()
 			s.met.clusterBounces.Add(1)
 			setOwnerHeaders(w, addr, epoch)
 			s.writeError(w, http.StatusMisdirectedRequest,
 				fmt.Errorf("slot %d (user %d) is owned by node %s at %s", slot, id, owner, addr))
-			return nil, false
-		}
-		if fenced {
-			c.guard.RUnlock()
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("slot %d (user %d) is being handed off; retry shortly", slot, id))
 			return nil, false
 		}
 	}
@@ -461,20 +482,28 @@ func (s *Server) admitStreamWrite(events []lifelog.Event) (release func(), refus
 	c.guard.RLock()
 	for _, e := range events {
 		slot := keyspace.Partition(e.UserID)
-		owner, addr, _, fenced := c.slotState(slot)
+		owner, addr, _, moving := c.slotState(slot)
+		if moving {
+			c.guard.RUnlock()
+			return nil, wire.EncodeStreamError(http.StatusServiceUnavailable,
+				fmt.Sprintf("slot %d (user %d) is being handed off; retry shortly", slot, e.UserID))
+		}
 		if owner != c.nodeID {
 			c.guard.RUnlock()
 			s.met.clusterBounces.Add(1)
 			return nil, wire.EncodeStreamError(http.StatusMisdirectedRequest,
 				fmt.Sprintf("slot %d (user %d) is owned by node %s at %s", slot, e.UserID, owner, addr))
 		}
-		if fenced {
-			c.guard.RUnlock()
-			return nil, wire.EncodeStreamError(http.StatusServiceUnavailable,
-				fmt.Sprintf("slot %d (user %d) is being handed off; retry shortly", slot, e.UserID))
-		}
 	}
 	return c.guard.RUnlock, nil
+}
+
+// writeHandoffRetry answers a request for a slot mid-handoff: 503 +
+// Retry-After, never a bounce.
+func (s *Server) writeHandoffRetry(w http.ResponseWriter, slot int, userID uint64) {
+	w.Header().Set("Retry-After", "1")
+	s.writeError(w, http.StatusServiceUnavailable,
+		fmt.Errorf("slot %d (user %d) is being handed off; retry shortly", slot, userID))
 }
 
 // ingestUserIDs collects the distinct user ids of a batch, preserving

@@ -385,3 +385,51 @@ func getBody(t *testing.T, url string) string {
 	}
 	return string(raw)
 }
+
+// TestClusterHandoffTargetRetriesIncomingSlots: while a node pulls slots it
+// does not own yet, it answers 503 + Retry-After for them — reads, writes
+// and stream frames alike — instead of bouncing back to the old owner, which
+// may already have flipped and be bouncing the same clients here. Once the
+// pull is over the slots bounce (or serve) as ownership says.
+func TestClusterHandoffTargetRetriesIncomingSlots(t *testing.T) {
+	nodes := startCluster(t, []string{"a", "b"}, false)
+	a, b := nodes["a"], nodes["b"]
+	topo := fetchTopology(t, a.url())
+	id := usersOwnedBy(topo, "a", 1, 1)[0]
+	var slots keyspace.SlotSet
+	slots.Add(keyspace.Partition(id))
+
+	answers := func() (read, write int, stream []byte) {
+		resp, err := http.Get(b.url() + "/v1/users/" + strconv.FormatUint(id, 10) + "/sensibilities")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		write, _ = doJSON(t, "POST", b.url()+"/v1/ingest", wire.IngestRequest{Events: wire.FromEvents(
+			[]lifelog.Event{{UserID: id, Time: t0, Type: lifelog.EventClick, Action: 1}})}, nil)
+		release, refuse := b.srv.admitStreamWrite([]lifelog.Event{{UserID: id}})
+		if release != nil {
+			release()
+		}
+		return resp.StatusCode, write, refuse
+	}
+
+	b.srv.cluster.markIncoming(&slots, 1)
+	read, write, refuse := answers()
+	if read != http.StatusServiceUnavailable || write != http.StatusServiceUnavailable {
+		t.Fatalf("pulling: read %d, write %d, want 503 for both", read, write)
+	}
+	if se, err := wire.DecodeStreamError(refuse); err != nil || se.Status != http.StatusServiceUnavailable {
+		t.Fatalf("pulling: stream refusal %+v (%v), want 503", se, err)
+	}
+
+	b.srv.cluster.markIncoming(&slots, -1)
+	read, write, refuse = answers()
+	if read != http.StatusMisdirectedRequest || write != http.StatusMisdirectedRequest {
+		t.Fatalf("after the pull: read %d, write %d, want 421 for both", read, write)
+	}
+	if se, err := wire.DecodeStreamError(refuse); err != nil || se.Status != http.StatusMisdirectedRequest {
+		t.Fatalf("after the pull: stream refusal %+v (%v), want 421", se, err)
+	}
+}

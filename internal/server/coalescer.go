@@ -18,8 +18,7 @@ import (
 // N requests pay one commit per wave instead of N. No artificial delay is
 // needed — while one commit (and its fsync) is in flight, the next wave of
 // requests piles up behind it, which is exactly the batch the dispatcher
-// grabs next. MaxDelay adds an optional linger for workloads that prefer
-// bigger batches over latency.
+// grabs next.
 //
 // The dispatcher has two stages. Stage 1 gathers a wave and runs the
 // CPU-bound prepare (validation, sessionization, extraction, per-batch
@@ -94,7 +93,6 @@ type coalescer struct {
 	met      *metrics
 	queue    chan *ingestJob
 	maxBatch int
-	maxDelay time.Duration
 	// slowWave, when positive, logs a line for every wave whose
 	// gather→commit total meets the threshold; logf defaults to
 	// log.Printf (tests substitute a recorder).
@@ -113,7 +111,7 @@ type coalescer struct {
 	producers sync.WaitGroup
 }
 
-func newCoalescer(prep wavePreparer, met *metrics, queueDepth, maxBatch int, maxDelay, slowWave time.Duration, logf func(string, ...any)) *coalescer {
+func newCoalescer(prep wavePreparer, met *metrics, queueDepth, maxBatch int, slowWave time.Duration, logf func(string, ...any)) *coalescer {
 	if queueDepth <= 0 {
 		queueDepth = 256
 	}
@@ -128,7 +126,6 @@ func newCoalescer(prep wavePreparer, met *metrics, queueDepth, maxBatch int, max
 		met:      met,
 		queue:    make(chan *ingestJob, queueDepth),
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		slowWave: slowWave,
 		logf:     logf,
 		quit:     make(chan struct{}),
@@ -327,14 +324,12 @@ func (c *coalescer) run() {
 		case <-c.quit:
 			// Drain: everything still queued leaves in merged, prepared
 			// waves through the same two stages — the committer finishes
-			// them before the deferred close returns. gatherPending batches
-			// nonblockingly (gather would consult the already-closed quit
-			// channel and commit ~one request at a time).
+			// them before the deferred close returns.
 			for {
 				select {
 				case j := <-c.queue:
 					gatherStart := time.Now()
-					c.prepareAndSend(commitq, c.gatherPending([]*ingestJob{j}), gatherStart)
+					c.prepareAndSend(commitq, c.gather(j), gatherStart)
 				default:
 					return
 				}
@@ -431,37 +426,9 @@ func (c *coalescer) commitWave(w *wave) {
 }
 
 // gather merges the first job with whatever else is already pending, up to
-// maxBatch; with MaxDelay set it lingers that long for stragglers.
+// maxBatch, without waiting for more.
 func (c *coalescer) gather(first *ingestJob) []*ingestJob {
 	batch := []*ingestJob{first}
-	var timeout <-chan time.Time
-	if c.maxDelay > 0 {
-		t := time.NewTimer(c.maxDelay)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for len(batch) < c.maxBatch {
-		if timeout == nil {
-			return c.gatherPending(batch)
-		}
-		select {
-		case j := <-c.queue:
-			batch = append(batch, j)
-		case <-timeout:
-			timeout = nil
-		case <-c.quit:
-			// Shutdown cuts the linger short, but still scoops whatever is
-			// already queued: with quit closed this select would otherwise
-			// be perpetually ready and fragment the drain into near-empty
-			// commits, de-coalescing exactly when the backlog is largest.
-			return c.gatherPending(batch)
-		}
-	}
-	return batch
-}
-
-// gatherPending tops batch up to maxBatch from the queue without blocking.
-func (c *coalescer) gatherPending(batch []*ingestJob) []*ingestJob {
 	for len(batch) < c.maxBatch {
 		select {
 		case j := <-c.queue:

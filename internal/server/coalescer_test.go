@@ -91,7 +91,7 @@ func TestCoalescerOrderAndCompleteness(t *testing.T) {
 		// The delay stands in for a durable group commit (the fsync window):
 		// while one commit runs, the other clients' requests pile up.
 		backend := &recordingBackend{delay: 500 * time.Microsecond}
-		c := newCoalescer(backend, nil, 256, 64, 0, 0, nil)
+		c := newCoalescer(backend, nil, 256, 64, 0, nil)
 		defer c.close()
 
 		var wg sync.WaitGroup
@@ -171,7 +171,7 @@ func TestCoalescerErrorFanback(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c := newCoalescer(spaPreparer{spa: spa}, nil, 256, 64, time.Millisecond, 0, nil)
+		c := newCoalescer(spaPreparer{spa: spa}, nil, 256, 64, 0, nil)
 		defer c.close()
 
 		var wg sync.WaitGroup
@@ -228,7 +228,7 @@ func TestCoalescerErrorFanback(t *testing.T) {
 func TestCoalescerAdmissionControl(t *testing.T) {
 	t.Run("pipelined", func(t *testing.T) {
 		backend := &recordingBackend{delay: 20 * time.Millisecond}
-		c := newCoalescer(backend, nil, 2, 1, 0, 0, nil)
+		c := newCoalescer(backend, nil, 2, 1, 0, nil)
 		defer c.close()
 
 		const submitters = 16
@@ -304,7 +304,7 @@ func TestPipelinedDrainMergesBacklog(t *testing.T) {
 		maxBatch = 8
 	)
 	backend := &gatedBackend{started: make(chan struct{}), release: make(chan struct{})}
-	c := newCoalescer(backend, nil, 64, maxBatch, time.Millisecond, 0, nil)
+	c := newCoalescer(backend, nil, 64, maxBatch, 0, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, backlog+1)
@@ -367,7 +367,7 @@ func TestPipelinedDrainMergesBacklog(t *testing.T) {
 // three still commit.
 func TestPipelinedSubmitHonorsContext(t *testing.T) {
 	backend := &gatedBackend{started: make(chan struct{}), release: make(chan struct{})}
-	c := newCoalescer(backend, nil, 64, 1, 0, 0, nil)
+	c := newCoalescer(backend, nil, 64, 1, 0, nil)
 	defer c.close()
 
 	go c.submit(context.Background(), []lifelog.Event{evAt(1, 1)})
@@ -433,7 +433,7 @@ func (b *steppedBackend) PrepareWave(batches [][]lifelog.Event) waveCommit {
 // returns once the jobs ahead of it have committed, its own wave last.
 func TestFlushCoalescerWaitsForQueueRoom(t *testing.T) {
 	backend := &steppedBackend{next: make(chan struct{})}
-	s := &Server{co: newCoalescer(backend, nil, 1, 1, 0, 0, nil)}
+	s := &Server{co: newCoalescer(backend, nil, 1, 1, 0, nil)}
 	t.Cleanup(func() {
 		close(backend.next)
 		s.co.close()
@@ -490,7 +490,7 @@ func TestFlushCoalescerWaitsForQueueRoom(t *testing.T) {
 func TestCoalescerDrain(t *testing.T) {
 	t.Run("pipelined", func(t *testing.T) {
 		backend := &recordingBackend{delay: 5 * time.Millisecond}
-		c := newCoalescer(backend, nil, 64, 8, 0, 0, nil)
+		c := newCoalescer(backend, nil, 64, 8, 0, nil)
 
 		const pre = 12
 		var wg sync.WaitGroup
@@ -578,7 +578,7 @@ func (p *journalPreparer) preparedCount() int {
 func TestPipelinedOverlapAndCommitOrder(t *testing.T) {
 	jp := &journalPreparer{gate: make(chan struct{})}
 	met := &metrics{}
-	c := newCoalescer(jp, met, 64, 1, 0, 0, nil)
+	c := newCoalescer(jp, met, 64, 1, 0, nil)
 	defer c.close()
 
 	results := make(chan error, 2)

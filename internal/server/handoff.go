@@ -5,7 +5,8 @@ package server
 // load, without losing an acknowledged write. A handoff is a log-shipping
 // session (repl.go, follower.go) with a slot filter and an end. The target
 // (handleHandoff → pullSlots) opens it with a handoff subscribe and applies
-// with local LSNs until the handoff-commit frame. The source (serveHandoff)
+// with local LSNs until the handoff-commit frame, answering 503 for the
+// slots meanwhile (cluster.go's fencing comment). The source (serveHandoff)
 // ships the slots' snapshot and log through its head, then fences, flushes,
 // ships the final delta, waits for the ack, flips ownership at a fresh
 // epoch, and only then sends the commit frame.
@@ -252,6 +253,10 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 // adopted on the commit frame.
 func (s *Server) pullSlots(sourceAddr string, slots *keyspace.SlotSet) error {
 	c := s.cluster
+	// Once the source flips it bounces these slots here; until the commit
+	// frame lands they answer 503 rather than 421 back to the source.
+	c.markIncoming(slots, 1)
+	defer c.markIncoming(slots, -1)
 	rr, err := dialRepl(sourceAddr, wire.EncodeHandoffSubscribe(wire.HandoffSubscribe{
 		Slots:  *slots,
 		Window: defaultReplWindow,

@@ -47,7 +47,9 @@ func postIngest(url string, req wire.IngestRequest) (int, string, error) {
 
 // TestClusterHandoffShipsWavesUnderLiveWrites moves slots back and forth
 // between two nodes while writers keep ingesting into them, retrying the
-// fence's 503s and following the 421 after each flip. Writes committed
+// fence's 503s and following the 421 after each flip — which must take one
+// hop: the target answers 503, not a 421 back, until it adopts the slots
+// the source has already flipped to it. Writes committed
 // between a source's snapshot and its fence reach the target only as wave
 // frames, so the target must apply wave runs, not only snapshot chunks; and
 // every acknowledged write must read back byte-identically from the final
@@ -81,6 +83,7 @@ func TestClusterHandoffShipsWavesUnderLiveWrites(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			owner := a.url()
+			bounced := false // the last answer for this request was a 421
 			for seq := 1; ; seq++ {
 				select {
 				case <-stop:
@@ -99,8 +102,14 @@ func TestClusterHandoffShipsWavesUnderLiveWrites(t *testing.T) {
 					}
 					if code == http.StatusOK {
 						acked[w] = append(acked[w], req)
+						bounced = false
 						break
 					}
+					if code == http.StatusMisdirectedRequest && bounced {
+						t.Errorf("writer %d: user %d bounced twice in a row (now to %s)", w, id, bounce)
+						return
+					}
+					bounced = code == http.StatusMisdirectedRequest
 					if time.Now().After(deadline) {
 						t.Errorf("writer %d: user %d still answered %d after 10s", w, id, code)
 						return

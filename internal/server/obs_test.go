@@ -325,7 +325,7 @@ func (failingCommitPreparer) PrepareWave(batches [][]lifelog.Event) waveCommit {
 // error flag.
 func TestPipelineDepthZeroAfterCommitFailure(t *testing.T) {
 	met := &metrics{}
-	c := newCoalescer(failingCommitPreparer{}, met, 64, 4, 0, 0, nil)
+	c := newCoalescer(failingCommitPreparer{}, met, 64, 4, 0, nil)
 	defer c.close()
 	out, _, err := c.submit(context.Background(), []lifelog.Event{evAt(1, 1)})
 	if err != nil {

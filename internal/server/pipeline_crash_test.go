@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -40,7 +39,7 @@ func TestPipelinedCrashOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := newCoalescer(spaPreparer{spa: spa}, nil, 64, 64, time.Millisecond, 0, nil)
+	c := newCoalescer(spaPreparer{spa: spa}, nil, 64, 64, 0, nil)
 	defer c.close()
 
 	submitWave := func(seq int) []error {

@@ -12,7 +12,7 @@ import (
 
 // trainServer fits a propensity model on the registered users — the wire
 // API has no training endpoint (training is an offline batch job), so
-// tests train through the core handle exactly as spabench [S8] does.
+// tests train through the core handle.
 func trainServer(t *testing.T, spa *core.SPA, ids ...uint64) {
 	t.Helper()
 	var feats [][]float64

@@ -38,7 +38,7 @@ import (
 )
 
 // Options tune the serving layer. The zero value is a sensible production
-// default: 256-deep pending queue, waves of up to 64 requests, no linger.
+// default: 256-deep pending queue, waves of up to 64 requests.
 type Options struct {
 	// QueueDepth bounds the pending ingest queue (default 256). A full
 	// queue rejects with 503 + Retry-After.
@@ -46,20 +46,11 @@ type Options struct {
 	// MaxBatch caps how many requests merge into one group commit
 	// (default 64).
 	MaxBatch int
-	// MaxDelay lets the dispatcher linger to gather a fuller batch. Zero
-	// commits whatever is already pending: with durable sync writes the
-	// in-flight commit itself is the natural batching window.
-	MaxDelay time.Duration
 	// Deprecated: ignored; the pipelined dispatcher is the only one (bench/ still sets it).
 	Pipeline bool
 	// MaxBodyBytes caps one request body (default 8 MiB); larger bodies
 	// answer 413 before any decoding buffers them.
 	MaxBodyBytes int64
-	// DisableBinary refuses the binary ingest framing with 415, forcing
-	// every client back onto JSON — an escape hatch for debugging with
-	// curl/tcpdump-friendly traffic (spad -no-binary). It also disables
-	// the streamed ingest endpoint (streams are binary-only).
-	DisableBinary bool
 	// StreamWindow is the per-stream credit grant: ingest frames one
 	// stream client may have in flight (default 32).
 	StreamWindow int
@@ -115,7 +106,6 @@ type Server struct {
 	co        *coalescer
 	met       metrics
 	maxBody   int64
-	noBinary  bool
 	start     time.Time
 	accessLog bool
 	logf      func(format string, args ...any)
@@ -150,7 +140,6 @@ type Server struct {
 func New(spa *core.SPA, opts Options) *Server {
 	s := &Server{spa: spa, mux: http.NewServeMux(), start: time.Now()}
 	s.maxBody = opts.MaxBodyBytes
-	s.noBinary = opts.DisableBinary
 	if s.maxBody <= 0 {
 		s.maxBody = 8 << 20
 	}
@@ -173,7 +162,7 @@ func New(spa *core.SPA, opts Options) *Server {
 	if s.logf == nil {
 		s.logf = log.Printf
 	}
-	s.co = newCoalescer(spaPreparer{spa: spa}, &s.met, opts.QueueDepth, opts.MaxBatch, opts.MaxDelay, opts.SlowWave, s.logf)
+	s.co = newCoalescer(spaPreparer{spa: spa}, &s.met, opts.QueueDepth, opts.MaxBatch, opts.SlowWave, s.logf)
 	// The store reports WAL-sync and compaction durations straight into the
 	// stage histograms (and tagged syncs into their wave's trace).
 	spa.SetStoreObserver(storeObserver{m: &s.met})
@@ -451,11 +440,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	binaryReq := wire.IsBinaryContentType(r.Header.Get("Content-Type"))
 	var events []lifelog.Event
 	if binaryReq {
-		if s.noBinary {
-			s.writeError(w, http.StatusUnsupportedMediaType,
-				errors.New("binary ingest framing disabled; use application/json"))
-			return
-		}
 		raw, ok := s.readBody(w, r)
 		if !ok {
 			return

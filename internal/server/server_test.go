@@ -343,7 +343,7 @@ func TestPipelinedServerEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	ts, spa := testServer(t,
 		core.Options{DataDir: dir, Shards: 4, Store: store.Options{SyncWrites: true}},
-		Options{MaxDelay: time.Millisecond})
+		Options{})
 	const users = 8
 	for u := uint64(1); u <= users; u++ {
 		if code, _ := doJSON(t, "POST", ts.URL+"/v1/users", wire.RegisterRequest{UserID: u}, nil); code != http.StatusCreated {

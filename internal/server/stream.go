@@ -157,14 +157,6 @@ func (s *Server) ServeStream(ln net.Listener) error {
 
 // handleIngestStream upgrades an HTTP request into a stream session.
 func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
-	if s.noBinary {
-		// 404, not 415: clients probe this endpoint and fall back to the
-		// per-request path on "no such endpoint", same as on a pre-stream
-		// daemon.
-		s.writeError(w, http.StatusNotFound,
-			errors.New("streamed ingest disabled; use per-request /v1/ingest"))
-		return
-	}
 	if conn, buf, ok := s.upgradeStream(w, r); ok {
 		s.serveStream(conn, buf.Reader, buf.Writer)
 	}
@@ -205,17 +197,6 @@ func (s *Server) upgradeStream(w http.ResponseWriter, r *http.Request) (net.Conn
 
 // serveStream runs one connection's session to completion.
 func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
-	if s.noBinary {
-		// Streams are binary-only, and DisableBinary promises JSON-only
-		// traffic; the raw TCP path must refuse like the upgrade path does
-		// (the HTTP handler 404s before ever reaching here).
-		s.met.requestErrors.Add(1)
-		wire.WriteStreamFrame(bw, wire.EncodeStreamError(http.StatusNotImplemented,
-			"streamed ingest disabled; use per-request /v1/ingest"))
-		bw.Flush()
-		conn.Close()
-		return
-	}
 	if s.followerOf != "" {
 		// Streamed ingest is a write path; a follower refuses it with the
 		// same status the HTTP write handlers answer, naming the leader.

@@ -166,14 +166,23 @@ func TestStreamInOrderErrors(t *testing.T) {
 	}
 }
 
-// TestStreamFallback: a daemon with the binary framing disabled has no
-// stream endpoint; the ingester transparently speaks per-request JSON.
+// TestStreamFallback: a daemon predating the stream endpoint answers the
+// upgrade 404; the ingester transparently speaks per-request HTTP.
 func TestStreamFallback(t *testing.T) {
-	ts, spa := testServer(t, core.Options{Shards: 2}, Options{DisableBinary: true})
+	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
 	if err := spa.Register(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	si := streamClient(t, ts.URL, spaclient.StreamOptions{})
+	srv := spaFromTS(t, ts)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.StreamPath {
+			http.NotFound(w, r)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(old.Close)
+	si := streamClient(t, old.URL, spaclient.StreamOptions{})
 	resp, err := si.Ingest([]lifelog.Event{evAt(1, 1)})
 	if err != nil || resp.Processed != 1 {
 		t.Fatalf("fallback ingest: %+v %v", resp, err)
@@ -841,21 +850,30 @@ func TestStreamIngestCloseRace(t *testing.T) {
 	}
 }
 
-// TestStreamRawTCPDisabledFallsBack: DisableBinary disables streams on the
-// raw TCP listener too (streams are binary-only), and the refusal is
-// spoken in-protocol so the client falls back to per-request HTTP.
+// TestStreamRawTCPDisabledFallsBack: a raw TCP listener of an older daemon
+// that had streaming switched off refuses in-protocol with a 501 error
+// frame instead of a hello; the client falls back to per-request HTTP.
 func TestStreamRawTCPDisabledFallsBack(t *testing.T) {
-	ts, spa := testServer(t, core.Options{Shards: 2}, Options{DisableBinary: true})
+	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
 	if err := spa.Register(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := spaFromTS(t, ts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go srv.ServeStream(ln)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wire.WriteStreamFrame(conn, wire.EncodeStreamError(http.StatusNotImplemented,
+				"streamed ingest disabled; use per-request /v1/ingest"))
+			conn.Close()
+		}
+	}()
 
 	si := streamClient(t, ts.URL, spaclient.StreamOptions{Addr: ln.Addr().String()})
 	resp, err := si.Ingest([]lifelog.Event{evAt(1, 1)})
@@ -931,7 +949,7 @@ func streamTortureRound(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	srv := New(spa, Options{MaxDelay: time.Millisecond})
+	srv := New(spa, Options{})
 	ts := httptest.NewServer(srv)
 	si := streamClient(t, ts.URL, spaclient.StreamOptions{})
 	fo.Arm()

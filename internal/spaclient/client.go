@@ -35,7 +35,7 @@ type Options struct {
 	// DisableBinary forces JSON on the ingest path. The default prefers
 	// the binary framing and falls back permanently (per client) the first
 	// time the server answers 415 — so the same client works against a
-	// daemon running -no-binary or a pre-framing build.
+	// pre-framing build or an older daemon run with the framing off.
 	DisableBinary bool
 	// ReadFrom lists follower base URLs to route read requests to
 	// (readroute.go). Empty keeps every request on the primary. Writes
@@ -248,8 +248,9 @@ func (c *Client) ingestAt(base string, events []lifelog.Event) (wire.IngestRespo
 		if err == nil || !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnsupportedMediaType {
 			return resp, err
 		}
-		// The daemon refused the framing (-no-binary, or predates it and
-		// mapped the body to 415): speak JSON from here on.
+		// The daemon refused the framing (an older build switched it off,
+		// or predates it and mapped the body to 415): speak JSON from here
+		// on.
 		c.jsonOnly.Store(true)
 	}
 	var resp wire.IngestResponse

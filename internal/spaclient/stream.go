@@ -14,9 +14,9 @@ package spaclient
 // have reached the server is NEVER retried (a retry could double-ingest);
 // only calls that provably sent nothing (credit wait interrupted by a
 // broken or draining connection) retry on a fresh connection. Servers
-// without the endpoint (pre-stream daemons, spad -no-binary) flip the
-// ingester permanently onto the client's per-request Ingest path, so the
-// same caller code works against any daemon generation.
+// without the endpoint (pre-stream daemons, older ones run with streaming
+// off) flip the ingester permanently onto the client's per-request Ingest
+// path, so the same caller code works against any daemon generation.
 
 import (
 	"bufio"
