@@ -23,6 +23,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -235,13 +236,17 @@ func (s *Server) rejectFollowerWrite(w http.ResponseWriter) bool {
 func (s *Server) handle(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &respRecorder{ResponseWriter: w, status: http.StatusOK}
-		h(rec, r)
+		var rec *respRecorder
+		if s.accessLog {
+			rec = &respRecorder{ResponseWriter: w, status: http.StatusOK}
+			w = rec
+		}
+		h(w, r)
 		d := time.Since(start)
 		if hist := s.met.obs().endpoints[name]; hist != nil {
 			hist.Observe(d)
 		}
-		if s.accessLog {
+		if rec != nil {
 			s.logf("spad: %s %s %d %dB %s", r.Method, r.URL.Path, rec.status, rec.bytes, d)
 		}
 	}
@@ -307,10 +312,33 @@ func (s *Server) Close() {
 
 // ---- plumbing ----
 
+// readBodyCap is the initial capacity of a hand-encoded read response: a
+// ten-item recommendation or a full attribute map fits.
+const readBodyCap = 512
+
+// jsonContentType is the Content-Type value of every JSON answer, shared
+// so that setting it allocates nothing; nothing may modify it.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON answers status with v as JSON — the bytes
+// json.NewEncoder(w).Encode(v) writes.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	s.writeEncoded(w, status, append(body, '\n'), err)
+}
+
+// writeEncoded answers status with an encoded JSON body in one Write, or
+// 500 when encoding failed. The body is complete before the status goes
+// out, so a value with no JSON form (NaN, ±Inf) cannot answer a 200 with
+// an empty body.
+func (s *Server) writeEncoded(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
@@ -389,6 +417,27 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return raw, true
+}
+
+// queryValue returns url.ParseQuery(rawQuery).Get(key) — the first value
+// of key, unescaped, skipping pairs that hold a ';' or a bad escape —
+// without building the url.Values map. It allocates only to unescape.
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 func (s *Server) userID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
@@ -607,7 +656,8 @@ func (s *Server) handlePropensity(w http.ResponseWriter, r *http.Request) {
 		s.writeDomainError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, wire.PropensityResponse{Propensity: p})
+	body, err := appendPropensityResponse(make([]byte, 0, readBodyCap), p)
+	s.writeEncoded(w, http.StatusOK, body, err)
 }
 
 func (s *Server) handleSensibilities(w http.ResponseWriter, r *http.Request) {
@@ -623,11 +673,8 @@ func (s *Server) handleSensibilities(w http.ResponseWriter, r *http.Request) {
 		s.writeDomainError(w, err)
 		return
 	}
-	resp := wire.SensibilitiesResponse{Sensibilities: make(map[string]float64, len(sens))}
-	for i, v := range sens {
-		resp.Sensibilities[emotion.Attribute(i).String()] = v
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	body, err := appendSensibilitiesResponse(make([]byte, 0, readBodyCap), sens)
+	s.writeEncoded(w, http.StatusOK, body, err)
 }
 
 func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
@@ -638,7 +685,7 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 	if s.bounceMisowned(w, id) {
 		return
 	}
-	domain := r.URL.Query().Get("domain")
+	domain := queryValue(r.URL.RawQuery, "domain")
 	if domain == "" {
 		domain = "training"
 	}
@@ -647,11 +694,8 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 		s.writeDomainError(w, err)
 		return
 	}
-	resp := wire.AdviceResponse{Domain: adv.Domain, Excitation: make(map[string]float64, emotion.NumAttributes)}
-	for i, v := range adv.Excitation {
-		resp.Excitation[emotion.Attribute(i).String()] = v
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	body, err := appendAdviceResponse(make([]byte, 0, readBodyCap), adv.Domain, adv.Excitation[:])
+	s.writeEncoded(w, http.StatusOK, body, err)
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
@@ -663,7 +707,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := 10
-	if q := r.URL.Query().Get("n"); q != "" {
+	if q := queryValue(r.URL.RawQuery, "n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad n %q", q))
@@ -680,11 +724,8 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeDomainError(w, err)
 		return
 	}
-	resp := wire.RecommendResponse{Recommendations: make([]wire.Recommendation, len(recs))}
-	for i, rec := range recs {
-		resp.Recommendations[i] = wire.Recommendation{Action: rec.Action, Score: rec.Score}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	body, err := appendRecommendResponse(make([]byte, 0, readBodyCap), recs)
+	s.writeEncoded(w, http.StatusOK, body, err)
 }
 
 // handleSelectTop ranks this node's resident users. In cluster mode that
@@ -692,12 +733,14 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 // over every owner, and the endpoint's contract ("rank the users this
 // instance models") already matches the partitioned reality.
 func (s *Server) handleSelectTop(w http.ResponseWriter, r *http.Request) {
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
+	q := queryValue(r.URL.RawQuery, "k")
+	k, err := strconv.Atoi(q)
 	if err != nil || k < 1 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", r.URL.Query().Get("k")))
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", q))
 		return
 	}
 	ids, err := s.spa.SelectTop(k)
+	skipped := 0
 	if err != nil {
 		// A partial ranking is an answer, not a failure: some profiles
 		// could not be scored (core.ErrPartialSelection) but the ranking
@@ -708,10 +751,9 @@ func (s *Server) handleSelectTop(w http.ResponseWriter, r *http.Request) {
 			s.writeDomainError(w, err)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, wire.SelectTopResponse{UserIDs: ids, Skipped: partial.Skipped})
-		return
+		skipped = partial.Skipped
 	}
-	s.writeJSON(w, http.StatusOK, wire.SelectTopResponse{UserIDs: ids})
+	s.writeEncoded(w, http.StatusOK, appendSelectTopResponse(make([]byte, 0, readBodyCap), ids, skipped), nil)
 }
 
 // handleHealth is pure liveness: 200 "ok" for as long as the process can
@@ -735,7 +777,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // (?n=, default 64, capped at the ring size).
 func (s *Server) handleWaves(w http.ResponseWriter, r *http.Request) {
 	n := 64
-	if q := r.URL.Query().Get("n"); q != "" {
+	if q := queryValue(r.URL.RawQuery, "n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad n %q", q))
@@ -829,7 +871,7 @@ func (s *Server) snapshotMetrics() wire.Metrics {
 // an Accept naming text/plain or OpenMetrics. (A scraper's typical Accept
 // lists both; curl's default */* keeps JSON.)
 func wantsProm(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
+	switch queryValue(r.URL.RawQuery, "format") {
 	case "prometheus":
 		return true
 	case "json":

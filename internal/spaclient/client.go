@@ -16,6 +16,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,6 +93,9 @@ func New(baseURL string, opts Options) *Client {
 				MaxIdleConns:        64,
 				MaxIdleConnsPerHost: 64,
 				IdleConnTimeout:     90 * time.Second,
+				// spad never compresses a response: offering gzip would
+				// only cost a header on every request and its parse.
+				DisableCompression: true,
 			},
 		}
 	}
@@ -162,13 +166,44 @@ func apiError(resp *http.Response, raw []byte) *APIError {
 	return apiErr
 }
 
-// do runs one JSON round-trip against the primary; out may be nil.
-func (c *Client) do(method, path string, in, out any) error {
-	return c.doAt(c.base, method, path, in, out)
+// decodeFunc parses a 2xx response body. The body's buffer is reused once
+// the call returns, so nothing decoded may point into it.
+type decodeFunc func(body []byte) error
+
+// into decodes the body into out with encoding/json.
+func into(out any) decodeFunc {
+	return func(body []byte) error { return json.Unmarshal(body, out) }
 }
 
-// doAt runs one JSON round-trip against an explicit base URL.
-func (c *Client) doAt(base, method, path string, in, out any) error {
+// bodyBufs recycles response-body buffers across requests.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// readBody reads a response body into buf, growing it as needed.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// do runs one JSON round-trip against the primary; decode may be nil.
+func (c *Client) do(method, path string, in any, decode decodeFunc) error {
+	return c.doAt(c.base, method, path, in, decode)
+}
+
+// doAt runs one JSON round-trip against an explicit base URL: in (if not
+// nil) is the JSON request body, and decode (if not nil) parses a 2xx
+// answer.
+func (c *Client) doAt(base, method, path string, in any, decode decodeFunc) error {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -189,21 +224,26 @@ func (c *Client) doAt(base, method, path string, in, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	raw, err := readBody(resp.Body, (*bp)[:0])
+	*bp = raw
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode >= 300 {
 		return apiError(resp, raw)
 	}
-	if out == nil {
+	if decode == nil {
 		return nil
 	}
-	return json.Unmarshal(raw, out)
+	return decode(raw)
 }
 
-func userPath(userID uint64, leaf string) string {
-	return fmt.Sprintf("/v1/users/%d/%s", userID, leaf)
+// userPath is "/v1/users/{userID}/{leaf}{query}", built in one string.
+func userPath(userID uint64, leaf, query string) string {
+	b := strconv.AppendUint(append(make([]byte, 0, 64), "/v1/users/"...), userID, 10)
+	return string(append(append(append(b, '/'), leaf...), query...))
 }
 
 // Register creates a Smart User Model.
@@ -254,7 +294,7 @@ func (c *Client) ingestAt(base string, events []lifelog.Event) (wire.IngestRespo
 		c.jsonOnly.Store(true)
 	}
 	var resp wire.IngestResponse
-	err := c.doAt(base, "POST", "/v1/ingest", wire.IngestRequest{Events: wire.FromEvents(events)}, &resp)
+	err := c.doAt(base, "POST", "/v1/ingest", wire.IngestRequest{Events: wire.FromEvents(events)}, into(&resp))
 	return resp, err
 }
 
@@ -296,80 +336,95 @@ func (c *Client) ingestBinary(base string, events []lifelog.Event) (wire.IngestR
 // NextQuestion fetches the user's next Gradual EIT item.
 func (c *Client) NextQuestion(userID uint64) (wire.Question, error) {
 	var q wire.Question
-	err := c.doUser(userID, "GET", userPath(userID, "question"), nil, &q)
+	err := c.doUser(userID, "GET", userPath(userID, "question", ""), nil, into(&q))
 	return q, err
 }
 
 // SubmitAnswer applies a Gradual EIT answer.
 func (c *Client) SubmitAnswer(userID uint64, itemID, option int) error {
-	return c.doUser(userID, "POST", userPath(userID, "answer"), wire.AnswerRequest{ItemID: itemID, Option: option}, nil)
+	return c.doUser(userID, "POST", userPath(userID, "answer", ""), wire.AnswerRequest{ItemID: itemID, Option: option}, nil)
 }
 
 // Reward applies positive reinforcement for the named attributes.
 func (c *Client) Reward(userID uint64, attributes []string) error {
-	return c.doUser(userID, "POST", userPath(userID, "reward"), wire.AttributesRequest{Attributes: attributes}, nil)
+	return c.doUser(userID, "POST", userPath(userID, "reward", ""), wire.AttributesRequest{Attributes: attributes}, nil)
 }
 
 // Punish applies negative reinforcement for the named attributes.
 func (c *Client) Punish(userID uint64, attributes []string) error {
-	return c.doUser(userID, "POST", userPath(userID, "punish"), wire.AttributesRequest{Attributes: attributes}, nil)
+	return c.doUser(userID, "POST", userPath(userID, "punish", ""), wire.AttributesRequest{Attributes: attributes}, nil)
 }
 
 // Propensity returns the user's calibrated response probability.
 func (c *Client) Propensity(userID uint64) (float64, error) {
-	var resp wire.PropensityResponse
-	err := c.doUserRead(userID, userPath(userID, "propensity"), &resp)
-	return resp.Propensity, err
+	var p float64
+	err := c.doUserRead(userID, userPath(userID, "propensity", ""), func(body []byte) (err error) {
+		p, err = decodePropensity(body)
+		return err
+	})
+	return p, err
 }
 
 // Sensibilities returns the user's absolute sensibility weights by
 // attribute name.
 func (c *Client) Sensibilities(userID uint64) (map[string]float64, error) {
-	var resp wire.SensibilitiesResponse
-	err := c.doUserRead(userID, userPath(userID, "sensibilities"), &resp)
-	return resp.Sensibilities, err
+	var m map[string]float64
+	err := c.doUserRead(userID, userPath(userID, "sensibilities", ""), func(body []byte) (err error) {
+		m, err = decodeSensibilities(body)
+		return err
+	})
+	return m, err
 }
 
 // Advise returns the SUM advice-stage excitation vector for a domain.
 func (c *Client) Advise(userID uint64, domain string) (wire.AdviceResponse, error) {
 	var resp wire.AdviceResponse
-	err := c.doUserRead(userID, userPath(userID, "advice")+"?domain="+url.QueryEscape(domain), &resp)
+	err := c.doUserRead(userID, userPath(userID, "advice", "?domain="+url.QueryEscape(domain)), func(body []byte) (err error) {
+		resp, err = decodeAdvice(body, domain)
+		return err
+	})
 	return resp, err
 }
 
 // Recommend returns the top-n individualized actions.
 func (c *Client) Recommend(userID uint64, n int) ([]wire.Recommendation, error) {
-	var resp wire.RecommendResponse
-	err := c.doUserRead(userID, fmt.Sprintf("%s?n=%d", userPath(userID, "recommendations"), n), &resp)
-	return resp.Recommendations, err
+	var recs []wire.Recommendation
+	err := c.doUserRead(userID, userPath(userID, "recommendations", "?n="+strconv.Itoa(n)), func(body []byte) (err error) {
+		recs, err = decodeRecommend(body)
+		return err
+	})
+	return recs, err
 }
 
 // SelectTop returns the k users with the highest propensity. In cluster
 // mode the answer is node-local (the daemon scans only users it owns);
 // a cluster-wide top-k is the caller's merge across nodes.
 func (c *Client) SelectTop(k int) ([]uint64, error) {
-	var resp wire.SelectTopResponse
-	err := c.doRead("/v1/select-top?k="+strconv.Itoa(k), &resp)
-	return resp.UserIDs, err
+	var ids []uint64
+	err := c.doRead("/v1/select-top?k="+strconv.Itoa(k), func(body []byte) (err error) {
+		ids, err = decodeSelectTop(body)
+		return err
+	})
+	return ids, err
 }
 
 // Health probes liveness.
 func (c *Client) Health() (wire.Health, error) {
 	var h wire.Health
-	err := c.do("GET", "/healthz", nil, &h)
+	err := c.do("GET", "/healthz", nil, into(&h))
 	return h, err
 }
 
 // Metrics snapshots the daemon's counters.
 func (c *Client) Metrics() (wire.Metrics, error) {
 	var m wire.Metrics
-	err := c.do("GET", "/metrics", nil, &m)
+	err := c.do("GET", "/metrics", nil, into(&m))
 	return m, err
 }
 
 // ReplicationStatus reports the primary's replication role and positions.
 func (c *Client) ReplicationStatus() (wire.ReplicationStatus, error) {
 	var st wire.ReplicationStatus
-	err := c.do("GET", "/v1/replication/status", nil, &st)
+	err := c.do("GET", "/v1/replication/status", nil, into(&st))
 	return st, err
 }

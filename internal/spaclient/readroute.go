@@ -47,7 +47,7 @@ func (r *replica) eligible(c *Client) bool {
 	defer r.mu.Unlock()
 	if time.Since(r.fetched) >= statusCacheTTL {
 		var st wire.ReplicationStatus
-		err := c.doAt(r.base, "GET", "/v1/replication/status", nil, &st)
+		err := c.doAt(r.base, "GET", "/v1/replication/status", nil, into(&st))
 		r.st, r.healthy, r.fetched = st, err == nil, time.Now()
 	}
 	if !r.healthy || r.st.Role != "follower" || r.st.State != "streaming" {
@@ -74,7 +74,7 @@ func (r *replica) markUnhealthy() {
 // back to the primary whenever the rotation lands on an ineligible or
 // failing replica. Each call starts from the next round-robin position so
 // concurrent readers spread across the pool.
-func (c *Client) doRead(path string, out any) error {
+func (c *Client) doRead(path string, decode decodeFunc) error {
 	if n := len(c.replicas); n > 0 {
 		pool := n + 1 // position n is the primary
 		start := int(c.rr.Add(1)-1) % pool
@@ -88,7 +88,7 @@ func (c *Client) doRead(path string, out any) error {
 			if !r.eligible(c) {
 				continue
 			}
-			if err := c.doAt(r.base, "GET", path, nil, out); err == nil {
+			if err := c.doAt(r.base, "GET", path, nil, decode); err == nil {
 				return nil
 			}
 			// Transport failures and server errors alike: this replica
@@ -100,5 +100,5 @@ func (c *Client) doRead(path string, out any) error {
 			r.markUnhealthy()
 		}
 	}
-	return c.do("GET", path, nil, out)
+	return c.do("GET", path, nil, decode)
 }

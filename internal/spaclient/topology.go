@@ -84,7 +84,7 @@ func (c *Client) ownerBase(userID uint64) string {
 // not once per request.
 func (cr *clusterRouter) refresh(c *Client) {
 	var topo wire.Topology
-	err := c.doAt(c.base, "GET", wire.TopologyPath, nil, &topo)
+	err := c.doAt(c.base, "GET", wire.TopologyPath, nil, into(&topo))
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	cr.refreshing = false
@@ -123,14 +123,14 @@ func bouncedTo(err error) (string, bool) {
 // cluster mode. A bounce invalidates the cached map and retries exactly
 // once against the owner the server named; a second bounce surfaces as
 // the error.
-func (c *Client) doUser(userID uint64, method, path string, in, out any) error {
+func (c *Client) doUser(userID uint64, method, path string, in any, decode decodeFunc) error {
 	if c.cluster == nil {
-		return c.do(method, path, in, out)
+		return c.do(method, path, in, decode)
 	}
-	err := c.doAt(c.ownerBase(userID), method, path, in, out)
+	err := c.doAt(c.ownerBase(userID), method, path, in, decode)
 	if owner, ok := bouncedTo(err); ok {
 		c.cluster.invalidate()
-		err = c.doAt(owner, method, path, in, out)
+		err = c.doAt(owner, method, path, in, decode)
 	}
 	return err
 }
@@ -138,11 +138,11 @@ func (c *Client) doUser(userID uint64, method, path string, in, out any) error {
 // doUserRead routes a user-keyed read: to the slot owner in cluster mode
 // (follower read routing is a replication-tree concept, not a cluster
 // one), through the replica pool otherwise.
-func (c *Client) doUserRead(userID uint64, path string, out any) error {
+func (c *Client) doUserRead(userID uint64, path string, decode decodeFunc) error {
 	if c.cluster != nil {
-		return c.doUser(userID, "GET", path, nil, out)
+		return c.doUser(userID, "GET", path, nil, decode)
 	}
-	return c.doRead(path, out)
+	return c.doRead(path, decode)
 }
 
 // ingestGroup is one node's share of a split batch.
