@@ -7,7 +7,6 @@
 // Usage:
 //
 //	spad [-addr :8372] [-stream-addr ADDR] [-data DIR] [-shards 16] [-sync=true]
-//	     [-queue 256] [-max-batch 64]
 //	     [-debug-addr ADDR] [-access-log] [-slow-wave 1s]
 //	     [-follow LEADER]
 //	     [-cluster] [-node-id ID] [-cluster-addr HOST:PORT] [-peers ID=HOST:PORT,...]
@@ -43,14 +42,16 @@
 // Ingest speaks JSON or the length-prefixed binary framing per request,
 // and streamed binary ingest is always reachable as an HTTP upgrade on
 // /v1/ingest/stream; -stream-addr additionally opens a raw TCP listener
-// speaking the same framed protocol without the HTTP handshake. Clients
-// fall back to JSON on a 415 and to per-request HTTP on a refused upgrade,
-// so they keep working against older daemons that could switch the binary
-// framing off. SIGTERM drains streams too: live sessions get a drain frame,
-// their in-flight frames commit and are answered, then the coalescer and
-// store close. /readyz flips to 503 "draining" the moment the signal
-// arrives — before the listener shuts — so load balancers route away
-// first; /healthz keeps answering 200 for as long as the process lives.
+// speaking the same framed protocol without the HTTP handshake. The Go
+// client (internal/spaclient) always sends the binary framing, and a
+// refused stream is an error to it, not a cue to fall back. The ingest
+// queue (256 requests; a full queue answers 503 + Retry-After) and the
+// wave cap (64 requests per group commit) are fixed. SIGTERM drains
+// streams too: live sessions get a drain frame, their in-flight frames
+// commit and are answered, then the coalescer and store close. /readyz
+// flips to 503 "draining" the moment the signal arrives — before the
+// listener shuts — so load balancers route away first; /healthz keeps
+// answering 200 for as long as the process lives.
 //
 // Observability: /metrics serves the JSON snapshot by default and the
 // Prometheus text exposition under ?format=prometheus or an Accept header
@@ -89,8 +90,6 @@ type config struct {
 	data        string
 	shards      int
 	sync        bool
-	queue       int
-	maxBatch    int
 	accessLog   bool
 	slowWave    time.Duration
 	follow      string
@@ -108,8 +107,6 @@ func main() {
 	flag.StringVar(&cfg.data, "data", "", "profile store directory (empty: in-memory, non-durable)")
 	flag.IntVar(&cfg.shards, "shards", 16, "profile shard count (rounded up to a power of two)")
 	flag.BoolVar(&cfg.sync, "sync", true, "fsync the WAL on every group commit before acknowledging it")
-	flag.IntVar(&cfg.queue, "queue", 256, "pending ingest queue depth (full queue answers 503)")
-	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max requests merged into one group commit")
 	flag.BoolVar(&cfg.accessLog, "access-log", false, "log one line per completed HTTP request")
 	flag.DurationVar(&cfg.slowWave, "slow-wave", time.Second, "log any coalescer wave slower than this gather-to-commit (0: off)")
 	flag.StringVar(&cfg.follow, "follow", "", "replicate from this leader (host:port or URL) and serve reads only; requires -data")
@@ -174,8 +171,6 @@ func run(cfg config) error {
 	}
 
 	srv := server.New(spa, server.Options{
-		QueueDepth:             cfg.queue,
-		MaxBatch:               cfg.maxBatch,
 		AccessLog:              cfg.accessLog,
 		SlowWave:               cfg.slowWave,
 		FollowerOf:             cfg.follow,

@@ -166,8 +166,9 @@ func TestStreamInOrderErrors(t *testing.T) {
 	}
 }
 
-// TestStreamFallback: a daemon predating the stream endpoint answers the
-// upgrade 404; the ingester transparently speaks per-request HTTP.
+// TestStreamFallback: a server without the stream endpoint answers the
+// upgrade 404; the ingester surfaces that status as an *APIError and does
+// not fall back to per-request HTTP.
 func TestStreamFallback(t *testing.T) {
 	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
 	if err := spa.Register(1, nil); err != nil {
@@ -183,19 +184,20 @@ func TestStreamFallback(t *testing.T) {
 	}))
 	t.Cleanup(old.Close)
 	si := streamClient(t, old.URL, spaclient.StreamOptions{})
-	resp, err := si.Ingest([]lifelog.Event{evAt(1, 1)})
-	if err != nil || resp.Processed != 1 {
-		t.Fatalf("fallback ingest: %+v %v", resp, err)
+	_, err := si.Ingest([]lifelog.Event{evAt(1, 1)})
+	var apiErr *spaclient.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("refused upgrade: got %v, want an *APIError with status 404", err)
 	}
 	var m wire.Metrics
 	if code, _ := doJSON(t, "GET", ts.URL+"/metrics", nil, &m); code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
 	if m.StreamConns != 0 || m.StreamFrames != 0 {
-		t.Fatalf("fallback opened a stream: %+v", m)
+		t.Fatalf("refused upgrade opened a stream: %+v", m)
 	}
-	if m.IngestRequests != 1 {
-		t.Fatalf("per-request fallback not used: %+v", m)
+	if m.IngestRequests != 0 {
+		t.Fatalf("refused stream fell back to per-request HTTP: %+v", m)
 	}
 }
 
@@ -850,9 +852,10 @@ func TestStreamIngestCloseRace(t *testing.T) {
 	}
 }
 
-// TestStreamRawTCPDisabledFallsBack: a raw TCP listener of an older daemon
-// that had streaming switched off refuses in-protocol with a 501 error
-// frame instead of a hello; the client falls back to per-request HTTP.
+// TestStreamRawTCPDisabledFallsBack: a raw TCP listener that refuses
+// in-protocol with a 501 error frame instead of a hello fails the call with
+// that status as an *APIError; the client does not fall back to
+// per-request HTTP.
 func TestStreamRawTCPDisabledFallsBack(t *testing.T) {
 	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
 	if err := spa.Register(1, nil); err != nil {
@@ -876,9 +879,10 @@ func TestStreamRawTCPDisabledFallsBack(t *testing.T) {
 	}()
 
 	si := streamClient(t, ts.URL, spaclient.StreamOptions{Addr: ln.Addr().String()})
-	resp, err := si.Ingest([]lifelog.Event{evAt(1, 1)})
-	if err != nil || resp.Processed != 1 {
-		t.Fatalf("fallback ingest: %+v %v", resp, err)
+	_, err = si.Ingest([]lifelog.Event{evAt(1, 1)})
+	var apiErr *spaclient.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotImplemented {
+		t.Fatalf("refused stream: got %v, want an *APIError with status 501", err)
 	}
 	var m wire.Metrics
 	if code, _ := doJSON(t, "GET", ts.URL+"/metrics", nil, &m); code != http.StatusOK {
@@ -886,6 +890,9 @@ func TestStreamRawTCPDisabledFallsBack(t *testing.T) {
 	}
 	if m.StreamFrames != 0 || m.StreamConns != 0 {
 		t.Fatalf("disabled raw listener served a stream: %+v", m)
+	}
+	if m.IngestRequests != 0 {
+		t.Fatalf("refused stream fell back to per-request HTTP: %+v", m)
 	}
 }
 

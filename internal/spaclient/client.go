@@ -1,15 +1,16 @@
 // Package spaclient is the Go client of the spad wire API
-// (internal/server): typed methods over the HTTP/JSON protocol defined in
-// internal/wire, with connection reuse, request timeouts, and a batching
-// Ingester helper (ingester.go) for high-volume event submission. Examples,
-// load generators and operational tooling all speak the real wire format
-// through this package instead of reimplementing it.
+// (internal/server): typed methods over the protocol defined in
+// internal/wire, with connection reuse and request timeouts. Ingest always
+// speaks the binary SPAB framing — one request per batch (Client.Ingest) or
+// frames multiplexed on one long-lived connection (StreamIngester,
+// stream.go); everything else is HTTP/JSON. Examples, load generators and
+// operational tooling all speak the real wire format through this package
+// instead of reimplementing it.
 package spaclient
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,20 +25,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Options tune the client. The zero value selects a 15 s request timeout,
-// a dedicated keep-alive transport, and binary ingest framing with JSON
-// fallback.
+// Options tune the client. The zero value selects a 15 s request timeout
+// and a dedicated keep-alive transport.
 type Options struct {
 	// Timeout bounds one request round-trip (default 15 s).
 	Timeout time.Duration
 	// HTTPClient overrides the underlying client entirely (its own Timeout
 	// then wins); nil builds one with pooled keep-alive connections.
 	HTTPClient *http.Client
-	// DisableBinary forces JSON on the ingest path. The default prefers
-	// the binary framing and falls back permanently (per client) the first
-	// time the server answers 415 — so the same client works against a
-	// pre-framing build or an older daemon run with the framing off.
-	DisableBinary bool
 	// ReadFrom lists follower base URLs to route read requests to
 	// (readroute.go). Empty keeps every request on the primary. Writes
 	// always go to the primary; reads round-robin across followers whose
@@ -60,9 +55,8 @@ type Options struct {
 
 // Client talks to one spad instance. Safe for concurrent use.
 type Client struct {
-	base     string
-	hc       *http.Client
-	jsonOnly atomic.Bool // flipped on by Options.DisableBinary or a 415
+	base string
+	hc   *http.Client
 
 	// Follower read routing (readroute.go); replicas is empty when the
 	// client is pinned to the primary.
@@ -100,7 +94,6 @@ func New(baseURL string, opts Options) *Client {
 		}
 	}
 	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, maxStale: opts.MaxStalenessWaves}
-	c.jsonOnly.Store(opts.DisableBinary)
 	for _, base := range opts.ReadFrom {
 		c.replicas = append(c.replicas, &replica{base: strings.TrimRight(base, "/")})
 	}
@@ -110,12 +103,11 @@ func New(baseURL string, opts Options) *Client {
 	return c
 }
 
-// APIError is a non-2xx wire response. RetryAfter is the server's requested
-// backoff (zero when absent) — set on 503 admission-control rejections.
+// APIError is a non-2xx wire response, or a stream's refusal carrying the
+// same status.
 type APIError struct {
-	Status     int
-	Message    string
-	RetryAfter time.Duration
+	Status  int
+	Message string
 	// Owner is the wire.OwnerHeader of a 421 cluster bounce: the host:port
 	// of the node that owns the request's user slot (empty otherwise).
 	Owner string
@@ -124,31 +116,6 @@ type APIError struct {
 // Error implements error.
 func (e *APIError) Error() string {
 	return fmt.Sprintf("spaclient: %d %s: %s", e.Status, http.StatusText(e.Status), e.Message)
-}
-
-// Temporary reports whether the request may succeed if retried (the
-// admission-control 503).
-func (e *APIError) Temporary() bool { return e.Status == http.StatusServiceUnavailable }
-
-// maxRetryAfter caps the backoff a server can dictate: an operator typo or
-// a far-future HTTP-date must not park a client for hours.
-const maxRetryAfter = 30 * time.Second
-
-// parseRetryAfter reads a Retry-After header in either RFC 9110 form —
-// delay-seconds or an HTTP-date — and clamps the result to
-// [0, maxRetryAfter]. Unparseable values yield zero (caller picks its own
-// default backoff).
-func parseRetryAfter(h string) time.Duration {
-	if h == "" {
-		return 0
-	}
-	var d time.Duration
-	if secs, err := strconv.Atoi(h); err == nil {
-		d = time.Duration(secs) * time.Second
-	} else if t, err := http.ParseTime(h); err == nil {
-		d = time.Until(t)
-	}
-	return min(max(d, 0), maxRetryAfter)
 }
 
 // apiError builds the typed error for a non-2xx response. Error bodies are
@@ -161,7 +128,6 @@ func apiError(resp *http.Response, raw []byte) *APIError {
 	} else {
 		apiErr.Message = strings.TrimSpace(string(raw))
 	}
-	apiErr.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 	apiErr.Owner = resp.Header.Get(wire.OwnerHeader)
 	return apiErr
 }
@@ -251,13 +217,10 @@ func (c *Client) Register(userID uint64, objective []float64) error {
 	return c.doUser(userID, "POST", "/v1/users", wire.RegisterRequest{UserID: userID, Objective: objective}, nil)
 }
 
-// Ingest submits one event batch and returns the server's outcome. It
-// prefers the binary framing (the hot path skips JSON encode/decode
-// entirely); a 415 flips this client to JSON permanently and the batch is
-// retried transparently, so callers never see the negotiation. In cluster
-// mode the batch is split by owning node (one request per owner, counts
-// summed); a group that fails mid-batch returns the error with the totals
-// of the groups already committed.
+// Ingest submits one event batch in the binary framing and returns the
+// server's outcome. In cluster mode the batch is split by owning node (one
+// request per owner, counts summed); a group that fails mid-batch returns
+// the error with the totals of the groups already committed.
 func (c *Client) Ingest(events []lifelog.Event) (wire.IngestResponse, error) {
 	if c.cluster == nil {
 		return c.ingestAt(c.base, events)
@@ -279,27 +242,9 @@ func (c *Client) Ingest(events []lifelog.Event) (wire.IngestResponse, error) {
 	return total, nil
 }
 
-// ingestAt runs one ingest round-trip against an explicit base, with the
-// binary-then-JSON negotiation.
+// ingestAt runs one binary-framed ingest round-trip against an explicit
+// base.
 func (c *Client) ingestAt(base string, events []lifelog.Event) (wire.IngestResponse, error) {
-	if !c.jsonOnly.Load() {
-		resp, err := c.ingestBinary(base, events)
-		var apiErr *APIError
-		if err == nil || !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnsupportedMediaType {
-			return resp, err
-		}
-		// The daemon refused the framing (an older build switched it off,
-		// or predates it and mapped the body to 415): speak JSON from here
-		// on.
-		c.jsonOnly.Store(true)
-	}
-	var resp wire.IngestResponse
-	err := c.doAt(base, "POST", "/v1/ingest", wire.IngestRequest{Events: wire.FromEvents(events)}, into(&resp))
-	return resp, err
-}
-
-// ingestBinary runs one binary-framed ingest round-trip.
-func (c *Client) ingestBinary(base string, events []lifelog.Event) (wire.IngestResponse, error) {
 	frame := wire.EncodeIngestRequest(wire.FromEvents(events))
 	req, err := http.NewRequest("POST", base+"/v1/ingest", bytes.NewReader(frame))
 	if err != nil {
@@ -318,16 +263,8 @@ func (c *Client) ingestBinary(base string, events []lifelog.Event) (wire.IngestR
 	if resp.StatusCode >= 300 {
 		return wire.IngestResponse{}, apiError(resp, raw)
 	}
-	if wire.IsBinaryContentType(resp.Header.Get("Content-Type")) {
-		out, err := wire.DecodeIngestResponse(raw)
-		if err != nil {
-			return wire.IngestResponse{}, fmt.Errorf("spaclient: decoding response: %w", err)
-		}
-		return out, nil
-	}
-	// A proxy or an older daemon answered 2xx in JSON; accept it.
-	var out wire.IngestResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
+	out, err := wire.DecodeIngestResponse(raw)
+	if err != nil {
 		return wire.IngestResponse{}, fmt.Errorf("spaclient: decoding response: %w", err)
 	}
 	return out, nil

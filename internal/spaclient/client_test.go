@@ -3,10 +3,9 @@ package spaclient
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,37 +33,6 @@ func liveServer(t *testing.T) (*Client, *core.SPA) {
 		spa.Close()
 	})
 	return New(ts.URL, Options{}), spa
-}
-
-// countIngestEvents decodes an ingest request body in whichever framing
-// the client chose — mock servers in this file answer both.
-func countIngestEvents(r *http.Request) int {
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		return 0
-	}
-	if wire.IsBinaryContentType(r.Header.Get("Content-Type")) {
-		events, err := wire.DecodeIngestRequest(raw)
-		if err != nil {
-			return 0
-		}
-		return len(events)
-	}
-	var req wire.IngestRequest
-	if json.Unmarshal(raw, &req) != nil {
-		return 0
-	}
-	return len(req.Events)
-}
-
-// writeIngestResponse answers in the framing the request spoke.
-func writeIngestResponse(w http.ResponseWriter, r *http.Request, resp wire.IngestResponse) {
-	if wire.IsBinaryContentType(r.Header.Get("Content-Type")) {
-		w.Header().Set("Content-Type", wire.ContentTypeBinary)
-		w.Write(wire.EncodeIngestResponse(resp))
-		return
-	}
-	json.NewEncoder(w).Encode(resp)
 }
 
 func click(user uint64, seq int) lifelog.Event {
@@ -135,38 +103,8 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIngesterBatches(t *testing.T) {
-	c, spa := liveServer(t)
-	for u := uint64(1); u <= 4; u++ {
-		if err := c.Register(u, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in := NewIngester(c, func(in *Ingester) {
-		in.BatchSize = 10
-		in.Manual = true
-		in.OnError = func(_ []lifelog.Event, err error) { t.Errorf("ingester error: %v", err) }
-	})
-	// 25 events: two overflow flushes of 10, Close ships the tail of 5.
-	for seq := 1; seq <= 25; seq++ {
-		if err := in.Add(click(uint64(seq%4+1), seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in.Close()
-	st := in.Stats()
-	if st.Added != 25 || st.Flushes != 3 || st.Processed != 25 || st.Dropped != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if err := in.Add(click(1, 99)); err == nil {
-		t.Fatal("Add accepted after Close")
-	}
-	_ = spa
-}
-
 // TestIngestBinaryNegotiation: against a live server the client speaks
-// binary (visible in /metrics); against one with the framing disabled it
-// falls back to JSON on the first 415 — once, transparently, per client.
+// binary (visible in /metrics).
 func TestIngestBinaryNegotiation(t *testing.T) {
 	c, _ := liveServer(t)
 	if err := c.Register(1, nil); err != nil {
@@ -182,242 +120,49 @@ func TestIngestBinaryNegotiation(t *testing.T) {
 	}
 }
 
-func TestIngestFallsBackOn415(t *testing.T) {
-	var binaryAttempts, jsonRequests atomic.Int32
+// TestIngestRefusalIsFinal: an ingest the server refuses surfaces as the
+// server's status after one binary request (no JSON retry), and a 2xx body
+// that is not SPAB is a decode error, not a silently accepted answer.
+func TestIngestRefusalIsFinal(t *testing.T) {
+	var requests, binary atomic.Int32
+	status := atomic.Int32{}
+	status.Store(http.StatusUnsupportedMediaType)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
 		if wire.IsBinaryContentType(r.Header.Get("Content-Type")) {
-			binaryAttempts.Add(1)
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			json.NewEncoder(w).Encode(wire.Error{Message: "binary disabled"})
-			return
+			binary.Add(1)
 		}
-		jsonRequests.Add(1)
-		json.NewEncoder(w).Encode(wire.IngestResponse{Processed: countIngestEvents(r), CoalescedWith: 1})
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, Options{})
-	for i := 1; i <= 3; i++ {
-		resp, err := c.Ingest([]lifelog.Event{click(1, i)})
-		if err != nil || resp.Processed != 1 {
-			t.Fatalf("ingest %d: %+v %v", i, resp, err)
-		}
-	}
-	// One probing binary request, then JSON only — the batch that hit 415
-	// was retried as JSON, so all three landed.
-	if binaryAttempts.Load() != 1 || jsonRequests.Load() != 3 {
-		t.Fatalf("binary attempts %d (want 1), json requests %d (want 3)",
-			binaryAttempts.Load(), jsonRequests.Load())
-	}
-
-	// DisableBinary never probes at all.
-	binaryAttempts.Store(0)
-	jsonRequests.Store(0)
-	cj := New(ts.URL, Options{DisableBinary: true})
-	if _, err := cj.Ingest([]lifelog.Event{click(1, 9)}); err != nil {
-		t.Fatal(err)
-	}
-	if binaryAttempts.Load() != 0 || jsonRequests.Load() != 1 {
-		t.Fatalf("DisableBinary still probed: binary %d json %d", binaryAttempts.Load(), jsonRequests.Load())
-	}
-}
-
-// TestRetryAfterForms: both RFC 9110 forms parse, nonsense yields zero,
-// and nothing can dictate a backoff beyond the clamp.
-func TestRetryAfterForms(t *testing.T) {
-	var header atomic.Value
-	header.Store("1")
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if h := header.Load().(string); h != "" {
-			w.Header().Set("Retry-After", h)
-		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(wire.Error{Message: "busy"})
+		w.WriteHeader(int(status.Load()))
+		json.NewEncoder(w).Encode(wire.IngestResponse{Processed: 1})
 	}))
 	defer ts.Close()
 	c := New(ts.URL, Options{})
 
-	check := func(h string, want func(time.Duration) bool, desc string) {
-		t.Helper()
-		header.Store(h)
-		_, err := c.Ingest([]lifelog.Event{click(1, 1)})
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-			t.Fatalf("Retry-After %q: err %v", h, err)
-		}
-		if !want(apiErr.RetryAfter) {
-			t.Errorf("Retry-After %q: parsed %v, want %s", h, apiErr.RetryAfter, desc)
-		}
+	_, err := c.Ingest([]lifelog.Event{click(1, 1)})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnsupportedMediaType {
+		t.Fatalf("415: got %v, want an *APIError with status 415", err)
 	}
-	check("2", func(d time.Duration) bool { return d == 2*time.Second }, "2s")
-	check(time.Now().Add(3*time.Second).UTC().Format(http.TimeFormat),
-		func(d time.Duration) bool { return d > time.Second && d <= 3*time.Second }, "(1s, 3s]")
-	// HTTP-date in the past: retry immediately, never negative.
-	check(time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat),
-		func(d time.Duration) bool { return d == 0 }, "0")
-	check("999999", func(d time.Duration) bool { return d == maxRetryAfter }, "the clamp")
-	check("-5", func(d time.Duration) bool { return d == 0 }, "0")
-	check("garbage", func(d time.Duration) bool { return d == 0 }, "0")
-}
+	if requests.Load() != 1 || binary.Load() != 1 {
+		t.Fatalf("415 made %d requests (%d binary), want exactly one binary request", requests.Load(), binary.Load())
+	}
 
-func TestIngesterRetriesBackpressure(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(wire.Error{Message: "ingest queue full"})
-			return
-		}
-		writeIngestResponse(w, r, wire.IngestResponse{Processed: countIngestEvents(r), CoalescedWith: 1})
-	}))
-	defer ts.Close()
-
-	in := NewIngester(New(ts.URL, Options{}), func(in *Ingester) {
-		in.BatchSize = 2
-		in.Manual = true
-		in.OnError = func(_ []lifelog.Event, err error) { t.Errorf("gave up: %v", err) }
-	})
-	in.Add(click(1, 1))
-	in.Add(click(1, 2)) // overflow → ship → two 503s → success on third try
-	in.Close()
-	st := in.Stats()
-	if st.Retries != 2 || st.Processed != 2 || st.Dropped != 0 {
-		t.Fatalf("stats: %+v", st)
+	status.Store(http.StatusOK)
+	if resp, err := c.Ingest([]lifelog.Event{click(1, 2)}); err == nil {
+		t.Fatalf("JSON 2xx answer accepted as %+v", resp)
+	}
+	if requests.Load() != 2 || binary.Load() != 2 {
+		t.Fatalf("after the JSON answer: %d requests (%d binary), want 2 binary", requests.Load(), binary.Load())
 	}
 }
 
-func TestIngesterDropsOnHardError(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(wire.Error{Message: "malformed stream"})
-	}))
-	defer ts.Close()
-
-	var dropped int
-	in := NewIngester(New(ts.URL, Options{}), func(in *Ingester) {
-		in.BatchSize = 4
-		in.Manual = true
-		in.OnError = func(events []lifelog.Event, err error) {
-			dropped += len(events)
-			var apiErr *APIError
-			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Temporary() {
-				t.Errorf("unexpected error shape: %v", err)
-			}
-		}
-	})
-	for seq := 1; seq <= 4; seq++ {
-		in.Add(click(1, seq))
-	}
-	in.Close()
-	st := in.Stats()
-	if dropped != 4 || st.Dropped != 4 || st.Retries != 0 {
-		t.Fatalf("dropped %d, stats %+v", dropped, st)
-	}
-}
-
-// TestIngesterConcurrentClose is the double-close regression: every Close
-// that returns must imply the tail batch is on the wire. Previously a
-// second concurrent Close could return while the first was still shipping
-// the tail, so a caller that Closed-then-exited could lose it.
-func TestIngesterConcurrentClose(t *testing.T) {
-	const tail = 3
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// A slow ship keeps the first Close inside its tail flush long
-		// enough for the second Close to race it.
-		time.Sleep(30 * time.Millisecond)
-		writeIngestResponse(w, r, wire.IngestResponse{Processed: countIngestEvents(r), CoalescedWith: 1})
-	}))
-	defer ts.Close()
-
-	in := NewIngester(New(ts.URL, Options{}), func(in *Ingester) {
-		in.Manual = true
-		in.OnError = func(_ []lifelog.Event, err error) { t.Errorf("ship failed: %v", err) }
-	})
-	for seq := 1; seq <= tail; seq++ {
-		if err := in.Add(click(1, seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in.Close()
-			if st := in.Stats(); st.Processed != tail {
-				t.Errorf("Close returned with %d of %d tail events shipped: %+v", st.Processed, tail, st)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestIngesterBackgroundFlush(t *testing.T) {
-	c, _ := liveServer(t)
-	if err := c.Register(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	in := NewIngester(c, func(in *Ingester) {
-		in.BatchSize = 1000
-		in.FlushEvery = 5 * time.Millisecond
-	})
-	defer in.Close()
-	in.Add(click(1, 1))
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if in.Stats().Processed == 1 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("background flusher never shipped: %+v", in.Stats())
-}
-
-// TestIngesterCloseCutsBackoffShort is the shutdown-stall regression: the
-// 503 backoff used to be an uninterruptible time.Sleep held under sendMu,
-// so Close (and every other flush) could wait up to MaxRetries × 30s
-// behind one throttled batch. Close must now cut the wait short while the
-// batch still gets a final attempt.
-func TestIngesterCloseCutsBackoffShort(t *testing.T) {
-	var calls atomic.Int32
-	firstSeen := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			close(firstSeen)
-		}
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(wire.Error{Message: "busy"})
-	}))
-	defer ts.Close()
-
-	var dropped int
-	in := NewIngester(New(ts.URL, Options{}), func(in *Ingester) {
-		in.Manual = true
-		in.MaxRetries = 3
-		in.OnError = func(events []lifelog.Event, err error) { dropped += len(events) }
-	})
-	if err := in.Add(click(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	go in.Flush() // enters the 30s backoff after the first 503
-	select {
-	case <-firstSeen:
-	case <-time.After(5 * time.Second):
-		t.Fatal("flush never reached the server")
-	}
-	start := time.Now()
-	in.Close()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Close took %v — backoff not interrupted", elapsed)
-	}
-	// The throttled batch got its final attempt (≥ 2 server calls) and was
-	// then handed to OnError rather than silently lost.
-	if calls.Load() < 2 {
-		t.Fatalf("server saw %d calls, want the interrupted batch retried once more", calls.Load())
-	}
-	if st := in.Stats(); st.Dropped != 1 || dropped != 1 {
-		t.Fatalf("dropped %d / OnError %d, want 1/1: %+v", st.Dropped, dropped, st)
+// TestStreamNeedsHTTPBase: streamed ingest has no TLS upgrade, so an
+// https:// base fails with an error naming the base, before any dial.
+func TestStreamNeedsHTTPBase(t *testing.T) {
+	si := New("https://127.0.0.1:1", Options{}).Stream(StreamOptions{})
+	defer si.Close()
+	_, err := si.Ingest([]lifelog.Event{click(1, 1)})
+	if err == nil || !strings.Contains(err.Error(), "http://") || !strings.Contains(err.Error(), "https://127.0.0.1:1") {
+		t.Fatalf("https base: got %v, want an error asking for an http:// base", err)
 	}
 }

@@ -13,10 +13,10 @@ package spaclient
 // Failure semantics are deliberately conservative: a call whose frame may
 // have reached the server is NEVER retried (a retry could double-ingest);
 // only calls that provably sent nothing (credit wait interrupted by a
-// broken or draining connection) retry on a fresh connection. Servers
-// without the endpoint (pre-stream daemons, older ones run with streaming
-// off) flip the ingester permanently onto the client's per-request Ingest
-// path, so the same caller code works against any daemon generation.
+// broken or draining connection) retry on a fresh connection. A server
+// that refuses the stream — the upgrade answered with anything but 101, or
+// an error frame in place of the hello — fails the call with an *APIError
+// carrying the server's status; nothing falls back to per-request HTTP.
 
 import (
 	"bufio"
@@ -44,10 +44,6 @@ type StreamOptions struct {
 	// wait (default: the client's request timeout, else 30 s).
 	Timeout time.Duration
 }
-
-// errStreamUnsupported marks a server without the stream endpoint; the
-// ingester falls back to per-request HTTP permanently.
-var errStreamUnsupported = errors.New("spaclient: server does not support streamed ingest")
 
 // errStreamDraining marks a connection the server has asked to wind down;
 // nothing was sent on behalf of the failed call, so a retry is safe.
@@ -78,10 +74,9 @@ type StreamIngester struct {
 	// DialTimeout — never parks Close, which needs mu only briefly.
 	dialMu sync.Mutex
 
-	mu       sync.Mutex
-	st       *streamState // nil until the first Ingest dials
-	closed   bool
-	fallback bool // server has no stream endpoint: use per-request HTTP
+	mu     sync.Mutex
+	st     *streamState // nil until the first Ingest dials
+	closed bool
 }
 
 // Stream creates a streamed ingester over the client's daemon. The
@@ -201,10 +196,7 @@ func (si *StreamIngester) child(base string) (*StreamIngester, error) {
 func (si *StreamIngester) ingestDirect(events []lifelog.Event) (wire.IngestResponse, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		st, fallback, err := si.state()
-		if fallback {
-			return si.c.Ingest(events)
-		}
+		st, err := si.state()
 		if err != nil {
 			return wire.IngestResponse{}, err
 		}
@@ -272,30 +264,23 @@ func (si *StreamIngester) Close() error {
 	return nil
 }
 
-// state returns a live connection, dialing if needed, or reports that the
-// ingester should use per-request HTTP instead. The dial itself runs under
-// dialMu with mu released, so Close (and the fast path of concurrent
+// state returns a live connection, dialing if needed. The dial itself runs
+// under dialMu with mu released, so Close (and the fast path of concurrent
 // Ingests once the connection exists) is never parked behind a connect.
-func (si *StreamIngester) state() (*streamState, bool, error) {
-	if st, fallback, err, ok := si.liveState(); ok {
-		return st, fallback, err
+func (si *StreamIngester) state() (*streamState, error) {
+	if st, err, ok := si.liveState(); ok {
+		return st, err
 	}
 	si.dialMu.Lock()
 	defer si.dialMu.Unlock()
 	// Re-check: a concurrent caller may have dialed while we waited on
 	// dialMu, or Close may have run.
-	if st, fallback, err, ok := si.liveState(); ok {
-		return st, fallback, err
+	if st, err, ok := si.liveState(); ok {
+		return st, err
 	}
 	st, err := si.dial()
 	if err != nil {
-		if errors.Is(err, errStreamUnsupported) {
-			si.mu.Lock()
-			si.fallback = true
-			si.mu.Unlock()
-			return nil, true, nil
-		}
-		return nil, false, err
+		return nil, err
 	}
 	si.mu.Lock()
 	if si.closed {
@@ -303,28 +288,25 @@ func (si *StreamIngester) state() (*streamState, bool, error) {
 		// Close won the race while we were dialing; the fresh connection
 		// is ours alone to clean up.
 		st.fail(ErrIngesterClosed)
-		return nil, false, ErrIngesterClosed
+		return nil, ErrIngesterClosed
 	}
 	si.st = st
 	si.mu.Unlock()
-	return st, false, nil
+	return st, nil
 }
 
-// liveState resolves the cases that need no dial: closed, fallback, or a
-// healthy existing connection. ok=false means the caller should dial.
-func (si *StreamIngester) liveState() (st *streamState, fallback bool, err error, ok bool) {
+// liveState resolves the cases that need no dial: closed, or a healthy
+// existing connection. ok=false means the caller should dial.
+func (si *StreamIngester) liveState() (st *streamState, err error, ok bool) {
 	si.mu.Lock()
 	defer si.mu.Unlock()
 	if si.closed {
-		return nil, false, ErrIngesterClosed, true
-	}
-	if si.fallback {
-		return nil, true, nil, true
+		return nil, ErrIngesterClosed, true
 	}
 	if si.st != nil && !si.st.isBroken() {
-		return si.st, false, nil, true
+		return si.st, nil, true
 	}
-	return nil, false, nil, false
+	return nil, nil, false
 }
 
 // dropState forgets a connection so the next Ingest redials. Only the
@@ -355,8 +337,8 @@ func (si *StreamIngester) dial() (*streamState, error) {
 			return nil, fmt.Errorf("spaclient: parsing base URL: %w", err)
 		}
 		if u.Scheme != "http" {
-			// TLS upgrades are not implemented; per-request HTTPS still works.
-			return nil, errStreamUnsupported
+			// TLS upgrades are not implemented.
+			return nil, fmt.Errorf("spaclient: streamed ingest needs an http:// base URL, not %q", base)
 		}
 		host = u.Host
 		addr = u.Host
@@ -386,13 +368,6 @@ func (si *StreamIngester) dial() (*streamState, error) {
 			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 			resp.Body.Close()
 			conn.Close()
-			switch resp.StatusCode {
-			case http.StatusNotFound, http.StatusNotImplemented,
-				http.StatusUpgradeRequired, http.StatusMethodNotAllowed:
-				// A daemon predating the endpoint (404 from the mux) or
-				// refusing the upgrade outright: speak per-request HTTP.
-				return nil, fmt.Errorf("%w: %d", errStreamUnsupported, resp.StatusCode)
-			}
 			return nil, apiError(resp, raw)
 		}
 	}
@@ -407,11 +382,6 @@ func (si *StreamIngester) dial() (*streamState, error) {
 		conn.Close()
 		if derr != nil {
 			return nil, derr
-		}
-		if se.Status == http.StatusNotImplemented {
-			// Raw TCP against a daemon with streaming disabled: speak
-			// per-request HTTP, same as the upgrade path's refusals.
-			return nil, fmt.Errorf("%w: %s", errStreamUnsupported, se.Message)
 		}
 		// A draining server refuses new streams with an error frame.
 		return nil, &APIError{Status: se.Status, Message: se.Message}

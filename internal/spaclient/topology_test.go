@@ -9,6 +9,7 @@ package spaclient
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,18 +62,24 @@ func TestClusterIngestSplitsByOwner(t *testing.T) {
 
 	ingestHandler := func(node string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			var req wire.IngestRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			raw, err := io.ReadAll(r.Body)
+			if err != nil || !wire.IsBinaryContentType(r.Header.Get("Content-Type")) {
+				http.Error(w, "want an SPAB ingest body", http.StatusBadRequest)
+				return
+			}
+			events, err := wire.DecodeIngestRequest(raw)
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
 			mu.Lock()
 			reqs[node]++
-			for _, e := range req.Events {
+			for _, e := range events {
 				got[node] = append(got[node], e.UserID)
 			}
 			mu.Unlock()
-			json.NewEncoder(w).Encode(wire.IngestResponse{Processed: len(req.Events), CoalescedWith: 1})
+			w.Header().Set("Content-Type", wire.ContentTypeBinary)
+			w.Write(wire.EncodeIngestResponse(wire.IngestResponse{Processed: len(events), CoalescedWith: 1}))
 		}
 	}
 
@@ -88,7 +95,7 @@ func TestClusterIngestSplitsByOwner(t *testing.T) {
 		json.NewEncoder(w).Encode(topo)
 	})
 
-	c := New(a.URL, Options{Cluster: true, DisableBinary: true})
+	c := New(a.URL, Options{Cluster: true})
 	var events []lifelog.Event
 	want := map[string][]uint64{}
 	for id := uint64(1); id <= 16; id++ {
@@ -173,7 +180,7 @@ func TestClusterBounceRetriesOnceAndRefreshes(t *testing.T) {
 		json.NewEncoder(w).Encode(cur)
 	})
 
-	c := New(a.URL, Options{Cluster: true, DisableBinary: true})
+	c := New(a.URL, Options{Cluster: true})
 	const user = 42
 
 	// Phase 1: the stale map routes to a, a bounces naming b, and the

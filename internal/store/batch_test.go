@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -296,15 +295,15 @@ func TestWALBatchRoundTrip(t *testing.T) {
 		{key: []byte("bb"), tombstone: true},
 		{key: []byte("ccc"), value: bytes.Repeat([]byte("z"), 300)},
 	}
-	buf := []byte{opBatch}
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = appendWALSubEntry(buf, e)
-	}
-	got, err := decodeWALPayload(buf)
+	annotation := []byte("wave 7")
+	rec, err := decodeWALRecord(encodeLSNRecord(42, annotation, entries))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rec.lsn != 42 || !bytes.Equal(rec.annotation, annotation) {
+		t.Fatalf("decoded lsn %d annotation %q", rec.lsn, rec.annotation)
+	}
+	got := rec.entries
 	if len(got) != len(entries) {
 		t.Fatalf("decoded %d entries", len(got))
 	}
@@ -315,4 +314,41 @@ func TestWALBatchRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d mismatch: %+v vs %+v", i, got[i], entries[i])
 		}
 	}
+}
+
+// FuzzDecodeWALRecord: decodeWALRecord never panics on an arbitrary
+// payload, and whatever it accepts re-encodes through encodeLSNRecord to a
+// record with the same LSN, annotation and entries.
+func FuzzDecodeWALRecord(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{opBatchLSN})
+	f.Add(encodeLSNRecord(1, nil, nil))
+	f.Add(encodeLSNRecord(7, []byte("wave"), []walEntry{
+		{key: []byte("a"), value: []byte("1")},
+		{key: []byte("bb"), tombstone: true},
+		{key: []byte("c"), value: nil},
+	}))
+	f.Add(appendWALSubEntry(nil, walEntry{key: []byte("a"), value: []byte("1")}))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		rec, err := decodeWALRecord(p)
+		if err != nil {
+			return
+		}
+		again, err := decodeWALRecord(encodeLSNRecord(rec.lsn, rec.annotation, rec.entries))
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if again.lsn != rec.lsn || !bytes.Equal(again.annotation, rec.annotation) {
+			t.Fatalf("round trip changed lsn/annotation: %d %q -> %d %q", rec.lsn, rec.annotation, again.lsn, again.annotation)
+		}
+		if len(again.entries) != len(rec.entries) {
+			t.Fatalf("round trip changed entry count: %d -> %d", len(rec.entries), len(again.entries))
+		}
+		for i, e := range rec.entries {
+			g := again.entries[i]
+			if !bytes.Equal(g.key, e.key) || !bytes.Equal(g.value, e.value) || g.tombstone != e.tombstone {
+				t.Fatalf("round trip changed entry %d: %+v -> %+v", i, e, g)
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -598,9 +599,10 @@ func TestCompactionCrashReplaySweep(t *testing.T) {
 	verify(total+10, dir, acked, nil)
 }
 
-// TestSegmentV1Compat writes a version-1 segment by hand (no bloom footer)
-// and checks openSegment reads it and rebuilds a working filter.
-func TestSegmentV1Compat(t *testing.T) {
+// TestOpenRefusesV1Segment writes a version-1 segment by hand (no bloom
+// footer): openSegment and Open both fail, naming the magic, rather than
+// serving reads from a format this build no longer reads.
+func TestOpenRefusesV1Segment(t *testing.T) {
 	dir := t.TempDir()
 	path := segmentPath(dir, 1)
 	entries := []entry{
@@ -610,34 +612,15 @@ func TestSegmentV1Compat(t *testing.T) {
 	}
 	writeSegmentV1(t, path, entries)
 
-	s, err := openSegment(path, 1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := openSegment(path, 1); err == nil || !strings.Contains(err.Error(), "SPASEG01") {
+		t.Fatalf("openSegment on a v1 segment: %v, want a bad-magic error naming SPASEG01", err)
 	}
-	if s.filter == nil {
-		t.Fatal("no filter rebuilt for v1 segment")
-	}
-	for _, e := range entries {
-		v, tomb, ok, err := s.get(e.key)
-		if err != nil || !ok {
-			t.Fatalf("%s: ok=%v err=%v (bloom false negative?)", e.key, ok, err)
-		}
-		if tomb != e.tombstone || (!tomb && !bytes.Equal(v, e.value)) {
-			t.Fatalf("%s: got %q tomb=%v", e.key, v, tomb)
-		}
-	}
-
-	// A whole store directory of v1 segments opens and serves reads.
 	db, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open served a directory holding a v1 segment")
 	}
-	defer db.Close()
-	v, err := db.Get([]byte("alpha"))
-	if err != nil || string(v) != "1" {
-		t.Fatalf("alpha via DB: %q %v", v, err)
-	}
-	if _, err := db.Get([]byte("beta")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("beta tombstone ignored: %v", err)
+	if !strings.Contains(err.Error(), "bad magic") || !strings.Contains(err.Error(), "SPASEG01") {
+		t.Fatalf("Open on a v1 segment: %v, want a bad-magic error naming SPASEG01", err)
 	}
 }

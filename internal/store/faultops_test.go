@@ -255,8 +255,8 @@ func TestBackgroundCompactionSurfacesFaults(t *testing.T) {
 	}
 }
 
-// writeSegmentV1 emits the legacy SPASEG01 format (no bloom block, 12-byte
-// tail) for compatibility tests.
+// writeSegmentV1 emits the retired SPASEG01 format (no bloom block, 12-byte
+// tail), which Open must refuse.
 func writeSegmentV1(t *testing.T, path string, entries []entry) {
 	t.Helper()
 	h := crc32.New(castagnoli)
@@ -265,7 +265,7 @@ func writeSegmentV1(t *testing.T, path string, entries []entry) {
 		buf.Write(p)
 		h.Write(p)
 	}
-	w([]byte(segMagicV1))
+	w([]byte("SPASEG01"))
 	var offset int64
 	var ibuf []byte
 	var icount uint32

@@ -137,9 +137,7 @@ func readSealedRecords(path string, fromLSN uint64) ([]logRec, error) {
 			return recs, nil
 		}
 		rec, err := decodeWALRecord(payload)
-		if err != nil || rec.legacy {
-			// Legacy records never reach a sealed file (Open normalizes the
-			// active log before its first seal); treat as a corrupt tail.
+		if err != nil {
 			return recs, nil
 		}
 		if rec.lsn >= fromLSN {

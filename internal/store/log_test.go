@@ -27,18 +27,10 @@ func writeRawWALRecord(t *testing.T, f *os.File, payload []byte) {
 	}
 }
 
-// legacyPutPayload builds a pre-LSN (rev 1) single-put record payload.
-func legacyPutPayload(key, value []byte) []byte {
-	buf := []byte{opPut}
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = binary.AppendUvarint(buf, uint64(len(value)))
-	return append(buf, value...)
-}
-
-// legacyBatchPayload builds a pre-LSN (rev 1) opBatch record payload.
+// legacyBatchPayload builds a pre-LSN batch record payload (op 2: entry
+// count, then the entries, no LSN or annotation).
 func legacyBatchPayload(entries []walEntry) []byte {
-	buf := []byte{opBatch}
+	buf := []byte{2}
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = appendWALSubEntry(buf, e)
@@ -118,75 +110,54 @@ func TestApplyAllAssignsSequentialLSNs(t *testing.T) {
 	}
 }
 
-func TestLegacyLogMigration(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-craft a rev-1 log: two single-op records and one opBatch group,
-	// exactly what a pre-replication build would have left behind.
-	f, err := os.Create(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRefusesLegacyWAL: a log whose LSN-framed prefix is followed by a
+// CRC-valid pre-LSN record (a bare put or delete, op 0/1, or an LSN-less
+// batch, op 2) fails Open with ErrLegacyWAL and stays byte-identical — the
+// record is committed data, so it must not fall into the torn-tail path,
+// which would truncate it away.
+func TestOpenRefusesLegacyWAL(t *testing.T) {
+	legacy := map[string][]byte{
+		"put":    appendWALSubEntry(nil, walEntry{key: []byte("b"), value: []byte("2")}),
+		"delete": appendWALSubEntry(nil, walEntry{key: []byte("a"), tombstone: true}),
+		"batch": legacyBatchPayload([]walEntry{
+			{key: []byte("c"), value: []byte("3")},
+			{key: []byte("a"), tombstone: true},
+		}),
 	}
-	writeRawWALRecord(t, f, legacyPutPayload([]byte("a"), []byte("1")))
-	writeRawWALRecord(t, f, legacyPutPayload([]byte("b"), []byte("2")))
-	writeRawWALRecord(t, f, legacyBatchPayload([]walEntry{
-		{key: []byte("c"), value: []byte("3")},
-		{key: []byte("a"), tombstone: true},
-	}))
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, payload := range legacy {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "wal.log")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeRawWALRecord(t, f, encodeLSNRecord(1, nil, []walEntry{{key: []byte("a"), value: []byte("1")}}))
+			writeRawWALRecord(t, f, payload)
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	db, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if got := db.AppliedLSN(); got != 3 {
-		t.Fatalf("migrated AppliedLSN = %d, want 3", got)
-	}
-	if _, err := db.Get([]byte("a")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("tombstoned key survived migration: %v", err)
-	}
-	for k, want := range map[string]string{"b": "2", "c": "3"} {
-		v, err := db.Get([]byte(k))
-		if err != nil || string(v) != want {
-			t.Fatalf("Get(%q) = %q, %v", k, v, err)
-		}
-	}
-	// Open normalizes the file in place: every record on disk is now rev 2,
-	// so a tail can stream the pre-migration history with assigned LSNs.
-	tail, err := db.TailLog(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail.Close()
-	var lsns []uint64
-	for i := 0; i < 3; i++ {
-		rec, err := tail.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, rec.LSN)
-	}
-	if lsns[0] != 1 || lsns[1] != 2 || lsns[2] != 3 {
-		t.Fatalf("migrated LSNs = %v", lsns)
-	}
-	// No stray migrate temp file once Open returns.
-	if _, err := os.Stat(filepath.Join(dir, "wal.log.migrate")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("migrate temp file left behind: %v", err)
-	}
-	// A second reopen must see the same sequence (migration is idempotent).
-	if err := db.Put([]byte("d"), []byte("4")); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if got := db2.AppliedLSN(); got != 4 {
-		t.Fatalf("AppliedLSN after migration+reopen = %d, want 4", got)
+			db, err := Open(dir, Options{})
+			if err == nil {
+				db.Close()
+				t.Fatal("Open accepted a log holding a pre-LSN record")
+			}
+			if !errors.Is(err, ErrLegacyWAL) {
+				t.Fatalf("Open: %v, want ErrLegacyWAL", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("refused log changed on disk: %d bytes before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
 

@@ -28,11 +28,10 @@ import (
 // Records are sorted by key. The sparse index holds every indexStride-th
 // key so point lookups seek near the target and scan at most a stride; the
 // bloom filter lets point lookups skip segments that cannot hold the key
-// at all. Version-1 files (no bloom block, 12-byte tail) are still read —
-// their filter is rebuilt from the record block on open.
+// at all. Any other magic — the version-1 "SPASEG01" files without a bloom
+// block included — fails the open.
 const (
-	segMagic   = "SPASEG02"
-	segMagicV1 = "SPASEG01"
+	segMagic = "SPASEG02"
 
 	indexStride = 16
 )
@@ -164,48 +163,31 @@ func openSegment(path string, id uint64) (*segment, error) {
 	if len(raw) < len(segMagic)+16 {
 		return nil, fmt.Errorf("store: segment %s too short", path)
 	}
-	var v1 bool
-	switch string(raw[:len(segMagic)]) {
-	case segMagic:
-	case segMagicV1:
-		v1 = true
-	default:
-		return nil, fmt.Errorf("store: segment %s has bad magic", path)
+	if magic := string(raw[:len(segMagic)]); magic != segMagic {
+		return nil, fmt.Errorf("store: segment %s has bad magic %q (want %q)", path, magic, segMagic)
 	}
 	body := raw[:len(raw)-4]
 	wantCRC := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if crc32.Checksum(body, castagnoli) != wantCRC {
 		return nil, fmt.Errorf("store: segment %s failed checksum", path)
 	}
-	tailLen := 20
-	if v1 {
-		tailLen = 12
-	}
+	const tailLen = 20
 	if len(body) < len(segMagic)+tailLen {
 		return nil, fmt.Errorf("store: segment %s too short", path)
 	}
 	tail := body[len(body)-tailLen:]
 	indexOffset := int64(binary.LittleEndian.Uint64(tail[0:8]))
-	var bloomOffset int64
-	var count int
-	if v1 {
-		count = int(binary.LittleEndian.Uint32(tail[8:12]))
-	} else {
-		bloomOffset = int64(binary.LittleEndian.Uint64(tail[8:16]))
-		count = int(binary.LittleEndian.Uint32(tail[16:20]))
-	}
+	bloomOffset := int64(binary.LittleEndian.Uint64(tail[8:16]))
+	count := int(binary.LittleEndian.Uint32(tail[16:20]))
 	data := body[len(segMagic) : len(body)-tailLen]
 	if indexOffset < 0 || indexOffset > int64(len(data)) {
 		return nil, fmt.Errorf("store: segment %s has bad index offset", path)
 	}
-	iraw := data[indexOffset:]
 	records := data[:indexOffset]
-	if !v1 {
-		if bloomOffset < indexOffset || bloomOffset > int64(len(data)) {
-			return nil, fmt.Errorf("store: segment %s has bad bloom offset", path)
-		}
-		iraw = data[indexOffset:bloomOffset]
+	if bloomOffset < indexOffset || bloomOffset > int64(len(data)) {
+		return nil, fmt.Errorf("store: segment %s has bad bloom offset", path)
 	}
+	iraw := data[indexOffset:bloomOffset]
 	if len(iraw) < 4 {
 		return nil, fmt.Errorf("store: segment %s index truncated", path)
 	}
@@ -224,41 +206,19 @@ func openSegment(path string, id uint64) (*segment, error) {
 		iraw = iraw[8:]
 		index = append(index, indexEntry{key: key, offset: off})
 	}
-	s := &segment{
-		path:  path,
-		id:    id,
-		data:  records,
-		index: index,
-		count: count,
-		size:  int64(len(raw)),
+	filter, err := unmarshalBloom(data[bloomOffset:])
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %s: %w", path, err)
 	}
-	if v1 {
-		if err := s.rebuildFilter(); err != nil {
-			return nil, fmt.Errorf("store: segment %s: %w", path, err)
-		}
-	} else {
-		f, err := unmarshalBloom(data[bloomOffset:])
-		if err != nil {
-			return nil, fmt.Errorf("store: segment %s: %w", path, err)
-		}
-		s.filter = f
-	}
-	return s, nil
-}
-
-// rebuildFilter scans the record block and constructs the bloom filter a
-// version-1 segment never persisted.
-func (s *segment) rebuildFilter() error {
-	s.filter = newBloomFilter(s.count, bloomBitsPerKey)
-	for pos := int64(0); pos < int64(len(s.data)); {
-		e, next, err := decodeRecordAt(s.data, pos)
-		if err != nil {
-			return err
-		}
-		s.filter.add(e.key)
-		pos = next
-	}
-	return nil
+	return &segment{
+		path:   path,
+		id:     id,
+		data:   records,
+		index:  index,
+		filter: filter,
+		count:  count,
+		size:   int64(len(raw)),
+	}, nil
 }
 
 func (s *segment) close() {}

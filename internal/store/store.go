@@ -168,21 +168,12 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.nextWALSeq = nextWALSeq
 
 	walPath := filepath.Join(dir, "wal.log")
-	_ = fops.Remove(walPath + ".migrate") // stray file from a crashed migration
 	w, recs, discarded, err := openWAL(fops, walPath)
 	if err != nil {
 		return nil, err
 	}
-	lastLSN, migrated := assignLSNs(recs, sealedLast)
-	if migrated {
-		// Legacy (pre-LSN) records: rewrite the active log in rev-2 framing
-		// so the history is uniformly LSN-addressed before its first seal.
-		if w, err = rewriteWAL(fops, w, recs); err != nil {
-			return nil, err
-		}
-	}
 	db.wal = w
-	db.lastLSN = lastLSN
+	db.lastLSN = sealedLast
 	db.walDiscarded = discarded
 	db.tailCh = make(chan struct{})
 	// Report WAL sync durations to the observer. Every sync runs under
@@ -196,6 +187,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	for _, rec := range recs {
 		db.installLocked(rec.entries)
 		db.activeRecs = append(db.activeRecs, logRec{lsn: rec.lsn, payload: rec.payload})
+		db.lastLSN = max(db.lastLSN, rec.lsn)
 	}
 	if !opts.DisableAutoCompaction {
 		db.wg.Add(1)

@@ -14,7 +14,7 @@ import (
 //
 //	[4] crc32 (Castagnoli) of everything after this field
 //	[4] payload length
-//	payload (rev 2, opBatchLSN — what every writer produces today):
+//	payload:
 //	  [1] op (3)
 //	  [uvarint] log sequence number
 //	  [uvarint] annotation length, annotation bytes (opaque to the engine)
@@ -23,10 +23,11 @@ import (
 //	    [uvarint] key length, key bytes
 //	    [uvarint] value length, value bytes (absent for deletes)
 //
-// Replay also accepts the rev-1 payloads (a bare put/delete entry, or an
-// opBatch-framed group) and assigns them sequential LSNs; Open then rewrites
-// such a log in rev-2 framing so sealed history is uniformly addressable
-// (log.go).
+// Replay refuses a log holding a CRC-valid record with op 0, 1 or 2 — the
+// pre-LSN framings (a bare put/delete entry, or an LSN-less batch) — with
+// ErrLegacyWAL and leaves the file untouched: such a record is committed
+// data this build cannot address, so it must neither be applied under a
+// guessed LSN nor discarded as a torn tail.
 //
 // Replay stops at the first corrupt or truncated record — the standard
 // torn-write recovery contract: everything acknowledged before a crash is
@@ -67,23 +68,24 @@ const maxWALRecord = 64 << 20
 const (
 	opPut    = 0
 	opDelete = 1
-	// opBatch frames several puts/deletes in one CRC-checked record, so a
-	// whole WriteBatch commits or is discarded atomically on replay.
-	opBatch = 2
-	// opBatchLSN is opBatch extended with a persisted log sequence number
-	// and an opaque annotation blob — the rev-2 framing every writer
-	// produces; the older ops survive only as replayable history.
+	// opBatchLSN frames several puts/deletes in one CRC-checked record —
+	// so a whole WriteBatch commits or is discarded atomically on replay —
+	// with a persisted log sequence number and an opaque annotation blob.
+	// Ops 0-2 as a record's first byte are the pre-LSN framings.
 	opBatchLSN = 3
 )
 
-// walRec is one decoded log record: its sequence number (0 until assigned,
-// for legacy records), annotation, entries, and the exact payload bytes.
+// ErrLegacyWAL is returned by Open when the active log holds a record in a
+// pre-LSN framing. The log is left byte-for-byte as it was.
+var ErrLegacyWAL = errors.New("store: wal holds pre-LSN records this build does not read")
+
+// walRec is one decoded log record: its sequence number, annotation,
+// entries, and the exact payload bytes.
 type walRec struct {
 	lsn        uint64
 	annotation []byte
 	entries    []walEntry
 	payload    []byte
-	legacy     bool
 }
 
 // openWAL opens the log at path, replaying existing records. A truncated or
@@ -147,6 +149,9 @@ func replayWAL(f WALFile) ([]walRec, int64, int64, error) {
 			return recs, offset, size - offset, nil // corrupt record: stop replay here
 		}
 		rec, err := decodeWALRecord(payload)
+		if errors.Is(err, ErrLegacyWAL) {
+			return nil, 0, 0, fmt.Errorf("%w (record at byte %d)", err, offset)
+		}
 		if err != nil {
 			return recs, offset, size - offset, nil
 		}
@@ -155,17 +160,17 @@ func replayWAL(f WALFile) ([]walRec, int64, int64, error) {
 	}
 }
 
-// decodeWALRecord decodes one framed payload in either revision.
+// decodeWALRecord decodes one framed payload. A pre-LSN record yields
+// ErrLegacyWAL; any other malformed payload a plain error.
 func decodeWALRecord(p []byte) (walRec, error) {
 	if len(p) < 1 {
 		return walRec{}, errors.New("store: short wal payload")
 	}
+	if p[0] < opBatchLSN {
+		return walRec{}, ErrLegacyWAL
+	}
 	if p[0] != opBatchLSN {
-		entries, err := decodeWALPayload(p)
-		if err != nil {
-			return walRec{}, err
-		}
-		return walRec{entries: entries, payload: p, legacy: true}, nil
+		return walRec{}, fmt.Errorf("store: unknown wal record op %d", p[0])
 	}
 	rest := p[1:]
 	lsn, n := binary.Uvarint(rest)
@@ -203,7 +208,7 @@ func decodeWALRecord(p []byte) (walRec, error) {
 	return walRec{lsn: lsn, annotation: annotation, entries: entries, payload: p}, nil
 }
 
-// encodeLSNRecord frames entries (and the annotation) as one rev-2 payload
+// encodeLSNRecord frames entries (and the annotation) as one payload
 // stamped with lsn.
 func encodeLSNRecord(lsn uint64, annotation []byte, entries []walEntry) []byte {
 	buf := make([]byte, 0, walLSNRecordBound(annotation, entries))
@@ -229,43 +234,6 @@ func walLSNRecordBound(annotation []byte, entries []walEntry) int {
 		size += 1 + 2*binary.MaxVarintLen64 + len(e.key) + len(e.value)
 	}
 	return size
-}
-
-// decodeWALPayload decodes one framed record into the entries it carries:
-// a single entry for put/delete records, every sub-entry for batch records.
-func decodeWALPayload(p []byte) ([]walEntry, error) {
-	if len(p) < 1 {
-		return nil, errors.New("store: short wal payload")
-	}
-	if p[0] == opBatch {
-		rest := p[1:]
-		count, n := binary.Uvarint(rest)
-		if n <= 0 || count == 0 || count > uint64(len(rest)) {
-			return nil, errors.New("store: bad wal batch count")
-		}
-		rest = rest[n:]
-		entries := make([]walEntry, 0, count)
-		for i := uint64(0); i < count; i++ {
-			e, next, err := decodeWALSubEntry(rest)
-			if err != nil {
-				return nil, err
-			}
-			entries = append(entries, e)
-			rest = next
-		}
-		if len(rest) != 0 {
-			return nil, errors.New("store: trailing bytes in wal batch")
-		}
-		return entries, nil
-	}
-	e, rest, err := decodeWALSubEntry(p)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("store: trailing bytes in wal record")
-	}
-	return []walEntry{e}, nil
 }
 
 // decodeWALSubEntry decodes one op+key[+value] unit and returns the
@@ -396,67 +364,6 @@ func (w *wal) reset() error {
 	w.w.Reset(w.f)
 	w.err = nil
 	return nil
-}
-
-// assignLSNs stamps sequential numbers onto legacy records, continuing
-// from prior, and reports whether any were found. Deterministic for a
-// given file, so repeated opens of an unmigrated log agree.
-func assignLSNs(recs []walRec, prior uint64) (last uint64, migrated bool) {
-	last = prior
-	for i := range recs {
-		if recs[i].legacy {
-			last++
-			recs[i].lsn = last
-			recs[i].payload = encodeLSNRecord(last, nil, recs[i].entries)
-			recs[i].legacy = false
-			migrated = true
-		} else if recs[i].lsn > last {
-			last = recs[i].lsn
-		}
-	}
-	return last, migrated
-}
-
-// rewriteWAL atomically replaces the active log with the given records
-// (used to normalize legacy logs into rev-2 framing at open): the records
-// are written to a sibling file, synced, and renamed over the original —
-// a crash at any point leaves either the old or the new complete file.
-func rewriteWAL(fops FileOps, w *wal, recs []walRec) (*wal, error) {
-	tmpPath := w.path + ".migrate"
-	f, err := fops.OpenWAL(tmpPath)
-	if err != nil {
-		return nil, fmt.Errorf("store: migrating wal: %w", err)
-	}
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	nw := &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), path: w.path}
-	for _, r := range recs {
-		if err := nw.writeRecordNoSync(r.payload); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if err := nw.w.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := w.f.Close(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := fops.Rename(tmpPath, w.path); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: migrating wal: %w", err)
-	}
-	// After the rename the already-open handle IS the active log, with the
-	// write position at its end.
-	return nw, nil
 }
 
 func (w *wal) close() error {

@@ -50,9 +50,8 @@ import (
 	"strings"
 )
 
-// ContentTypeBinary negotiates the binary ingest framing; anything else on
-// /v1/ingest is treated as JSON. A server with the framing disabled answers
-// it with 415, which clients take as "speak JSON here from now on".
+// ContentTypeBinary selects the binary ingest framing, which the server
+// answers in kind; anything else on /v1/ingest is treated as JSON.
 const ContentTypeBinary = "application/x-spa-binary"
 
 // ErrBadFrame wraps every binary decode failure: wrong magic, wrong

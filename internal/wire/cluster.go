@@ -29,6 +29,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"net"
 
 	"repro/internal/keyspace"
 )
@@ -203,10 +204,14 @@ func (t *Topology) Validate() error {
 		return fmt.Errorf("wire: topology has %d slots, want %d", len(t.Slots), keyspace.NumSlots)
 	}
 	for id, addr := range t.Nodes {
-		if addr == "" {
-			// An empty address would silently become a "http://" client
-			// route and an empty X-SPA-Owner bounce target downstream.
-			return fmt.Errorf("wire: node %q has an empty address", id)
+		if id == "" {
+			return fmt.Errorf("wire: topology names a node with an empty id")
+		}
+		// Clients route to "http://" + addr and peers dial addr, so it
+		// must be a bare host:port: an empty address, a URL, or a path
+		// would become a bogus route downstream.
+		if _, _, err := net.SplitHostPort(addr); err != nil {
+			return fmt.Errorf("wire: node %q address %q is not host:port: %w", id, addr, err)
 		}
 	}
 	for i, owner := range t.Slots {

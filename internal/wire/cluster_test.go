@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"encoding/json"
 	"errors"
+	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/keyspace"
@@ -102,25 +105,70 @@ func TestTopologyValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := topo
-	bad.Epoch = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("epoch 0 accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Topology)
+	}{
+		{"epoch 0", func(t *Topology) { t.Epoch = 0 }},
+		{"short slot vector", func(t *Topology) { t.Slots = t.Slots[:100] }},
+		{"slot owned by unknown node", func(t *Topology) { t.Slots[7] = "ghost" }},
+		{"empty address", func(t *Topology) { t.Nodes["b"] = "" }},
+		{"URL address", func(t *Topology) { t.Nodes["a"] = "http://x:1/" }},
+		{"address without port", func(t *Topology) { t.Nodes["b"] = "127.0.0.1" }},
+		{"empty node id", func(t *Topology) { t.Nodes[""] = "127.0.0.1:9103" }},
+	} {
+		bad := topo
+		bad.Nodes = map[string]string{"a": "127.0.0.1:9101", "b": "127.0.0.1:9102"}
+		bad.Slots = append([]string(nil), slots...)
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	bad = topo
-	bad.Slots = slots[:100]
-	if err := bad.Validate(); err == nil {
-		t.Fatal("short slot vector accepted")
+}
+
+// FuzzTopology feeds arbitrary JSON to Validate. Whatever it accepts must
+// route: every slot owner names a node whose address splits as host:port,
+// and the re-encoded map validates again. A valid input is kilobytes (one
+// owner per slot), so run it with a bounded -fuzzminimizetime (e.g. 100x):
+// the default 60 s spent minimizing each new input eats a short budget.
+func FuzzTopology(f *testing.F) {
+	owners := func(ids ...string) string {
+		slots := make([]string, keyspace.NumSlots)
+		for i := range slots {
+			slots[i] = `"` + ids[i%len(ids)] + `"`
+		}
+		return "[" + strings.Join(slots, ",") + "]"
 	}
-	bad = topo
-	bad.Slots = append([]string(nil), slots...)
-	bad.Slots[7] = "ghost"
-	if err := bad.Validate(); err == nil {
-		t.Fatal("slot owned by unknown node accepted")
-	}
-	bad = topo
-	bad.Nodes = map[string]string{"a": "127.0.0.1:9101", "b": ""}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("node with empty address accepted")
-	}
+	f.Add([]byte(`{"epoch":1,"node_id":"a","nodes":{"a":"127.0.0.1:9101","b":"[::1]:9102"},"slots":` + owners("a", "b") + `}`))
+	f.Add([]byte(`{"epoch":3,"node_id":"a","nodes":{"a":"localhost:1"},"slots":` + owners("a") + `}`))
+	f.Add([]byte(`{"epoch":1,"node_id":"a","nodes":{"a":"http://x:1/"},"slots":` + owners("a") + `}`))
+	f.Add([]byte(`{"epoch":1,"node_id":"","nodes":{"":"127.0.0.1:1"},"slots":` + owners("") + `}`))
+	f.Add([]byte(`{"epoch":0,"nodes":{},"slots":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var topo Topology
+		if json.Unmarshal(data, &topo) != nil || topo.Validate() != nil {
+			return
+		}
+		for i, owner := range topo.Slots {
+			addr, ok := topo.Nodes[owner]
+			if !ok {
+				t.Fatalf("slot %d owner %q has no address", i, owner)
+			}
+			if _, _, err := net.SplitHostPort(addr); err != nil {
+				t.Fatalf("slot %d owner %q address %q is not host:port: %v", i, owner, addr, err)
+			}
+		}
+		raw, err := json.Marshal(topo)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted topology: %v", err)
+		}
+		var again Topology
+		if err := json.Unmarshal(raw, &again); err != nil {
+			t.Fatalf("decoding the re-encoded topology: %v", err)
+		}
+		if err := again.Validate(); err != nil {
+			t.Fatalf("re-encoded topology no longer validates: %v", err)
+		}
+	})
 }

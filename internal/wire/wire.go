@@ -3,9 +3,9 @@
 // (internal/spaclient), so the two cannot drift apart. The baseline
 // protocol is plain HTTP/JSON: every message is one object, timestamps
 // travel as Unix nanoseconds, and enumerations travel as the lowercase
-// names the paper uses. The ingest hot path additionally negotiates a
-// length-prefixed binary framing of the same DTOs (binary.go) via
-// Content-Type, with JSON as the universal fallback.
+// names the paper uses. The ingest hot path additionally speaks a
+// length-prefixed binary framing of the same DTOs (binary.go), selected
+// per request by Content-Type; the server still accepts JSON ingest.
 package wire
 
 import (
