@@ -60,7 +60,8 @@ commands:
 related binaries:
   spad      the SPA serving daemon (HTTP/JSON wire API; see cmd/spad);
             talk to it with the internal/spaclient package
-  spabench  the evaluation harness; -loadgen URL drives a running spad`)
+  spabench  the evaluation harness (paper sections, [S9] cluster scale,
+            -torture); go test ./cmd/spad -e2e drives the built daemon`)
 }
 
 func experimentFlags(fs *flag.FlagSet) (users *int, seed *uint64, depth *float64) {

@@ -7,33 +7,18 @@
 //
 // Usage: spabench [-users N] [-seed S] [-skip-ablations] [-skip-scale]
 //
-//	[-json] [-clients K] [-requests N] [-loadgen URL] [-no-register]
-//	[-stream] [-stream-smoke URL] [-check-metrics URL]
-//	[-torture [-torture-budget D] [-torture-schedules N]]
+//	[-json] [-clients K] [-torture [-torture-budget D] [-torture-schedules N]]
 //
 // After the paper sections comes one scale section, [S9]: the zipf +
 // diurnal scenario replay against a three-node slot-partitioned cluster
 // with a live handoff, beside the same replay on one node. Single-node and
 // leader+follower serving are measured by bench/ (`go run ./bench`), the
-// end-to-end serving benchmark with a checked-in contract.
+// end-to-end serving benchmark with a checked-in contract; the built spad
+// daemon is exercised by `go test ./cmd/spad -e2e`.
 //
 // -json switches the output to machine-readable results: one JSON object
 // per section on stdout (the human table is suppressed), so a bench
 // trajectory can be captured as BENCH_*.json instead of scraping text.
-//
-// -loadgen URL skips the paper sections entirely and drives an already
-// running spad (cmd/spad) over its wire API with -clients concurrent
-// clients, reporting throughput and latency percentiles; the CI smokes use
-// it to put binary-framed and streamed traffic through a built daemon.
-// -no-register reuses a previous run's population instead of registering
-// (a re-run against the same data dir would otherwise count 409s as
-// errors). -stream switches the loadgen onto the persistent binary stream
-// transport.
-//
-// -stream-smoke URL is the CI drain probe: it ships frames over one
-// stream until the daemon drains (SIGTERM), then reports how many were
-// acknowledged — every acknowledged frame was committed before its answer
-// was written.
 //
 // -torture runs the storage torture sweep (internal/torture): randomized
 // fault schedules against the durable stack under -torture-budget. A
@@ -75,16 +60,10 @@ func main() {
 	skipAblations := flag.Bool("skip-ablations", false, "skip A1-A3")
 	skipScale := flag.Bool("skip-scale", false, "skip the S9 cluster section")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per section instead of the table")
-	clients := flag.Int("clients", scalebench.Workers, "concurrent clients for S9 and -loadgen")
-	requests := flag.Int("requests", 2048, "total ingest requests for -loadgen")
-	loadgen := flag.String("loadgen", "", "drive a running spad at this base URL and exit (e.g. http://127.0.0.1:8372)")
-	stream := flag.Bool("stream", false, "with -loadgen: speak the persistent binary stream instead of per-request HTTP")
-	noRegister := flag.Bool("no-register", false, "with -loadgen: skip user registration (reuse a previous run's population)")
-	streamSmoke := flag.String("stream-smoke", "", "streamed-ingest drain smoke against a running spad at this base URL: ship frames until the daemon drains, then report")
+	clients := flag.Int("clients", scalebench.Workers, "concurrent clients for S9")
 	tortureMode := flag.Bool("torture", false, "run the storage torture sweep and exit; with an explicit -seed N, replay that one fault schedule")
 	tortureBudget := flag.Duration("torture-budget", 30*time.Second, "with -torture: wall-clock budget for the sweep")
 	tortureSchedules := flag.Int("torture-schedules", 0, "with -torture: max fault schedules (0 = budget-bound)")
-	checkMetrics := flag.String("check-metrics", "", "scrape a running spad's /metrics in both formats, cross-check them, and exit (CI smoke)")
 	flag.Parse()
 
 	em := &emitter{w: os.Stdout}
@@ -94,14 +73,6 @@ func main() {
 	}
 
 	var err error
-	if *checkMetrics != "" {
-		if err := scalebench.CheckMetricsFormats(*checkMetrics); err != nil {
-			fmt.Fprintf(os.Stderr, "spabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("metrics formats ok")
-		return
-	}
 	if *tortureMode {
 		seedSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -110,10 +81,6 @@ func main() {
 			}
 		})
 		err = runTorture(*seed, seedSet, *tortureBudget, *tortureSchedules)
-	} else if *streamSmoke != "" {
-		err = runStreamSmoke(*streamSmoke)
-	} else if *loadgen != "" {
-		err = runLoadgen(em, *loadgen, *clients, *requests, *stream, !*noRegister)
 	} else {
 		err = run(em, *users, *seed, !*skipAblations, !*skipScale, *clients)
 	}
@@ -365,7 +332,7 @@ func runScaleServeCluster(em *emitter, seed uint64, clients int) error {
 			return err
 		}
 		for i, u := range urls {
-			m, err := scalebench.FetchMetrics(u)
+			m, err := spaclient.New(u, spaclient.Options{}).Metrics()
 			if err != nil {
 				return err
 			}
@@ -730,89 +697,6 @@ func runTorture(seed uint64, replayOne bool, budget time.Duration, schedules int
 	}
 	fmt.Printf("[torture] clean: %d schedules, %d waves, %d faults fired, %d reopens in %v\n",
 		rep.Schedules, rep.Waves, rep.Faults, rep.Reopens, rep.Elapsed.Round(time.Millisecond))
-	return nil
-}
-
-// runLoadgen drives an external spad and reports one loadgen record.
-func runLoadgen(em *emitter, baseURL string, clients, requests int, stream, register bool) error {
-	transport := "per-request"
-	if stream {
-		transport = "streamed"
-	}
-	em.printf("[loadgen] %s — %d clients, %d requests (%s)\n", baseURL, clients, requests, transport)
-	res, err := scalebench.RunLoadgen(scalebench.LoadgenConfig{
-		BaseURL:  baseURL,
-		Clients:  clients,
-		Requests: requests,
-		Register: register,
-		Stream:   stream,
-	})
-	if err != nil {
-		return err
-	}
-	em.printf("  throughput : %8.0f events/s (%d events in %v)\n",
-		res.EventsPerSec, res.Events, res.Duration.Round(time.Millisecond))
-	em.printf("  latency    : p50 %s  p95 %s  p99 %s\n",
-		res.P50.Round(time.Microsecond), res.P95.Round(time.Microsecond), res.P99.Round(time.Microsecond))
-	em.printf("  coalescing : mean batch %.1f, max %d\n", res.MeanCoalesced, res.MaxCoalesced)
-	em.printf("  errors     : %d of %d requests\n", res.Errors, res.Requests)
-	em.emit("loadgen", map[string]any{"result": res, "base_url": baseURL})
-	return nil
-}
-
-// runStreamSmoke is the CI drain probe: open one persistent stream, keep
-// shipping frames until the daemon begins its shutdown drain (SIGTERM in
-// the CI job), and report how many frames were acknowledged. Every
-// acknowledged frame was committed before its answer was written, so
-// "acked >= 2 and the stream ended in a drain, not a hang" is exactly
-// "SIGTERM mid-stream commits the in-flight frames". Output is one JSON
-// object on stdout for the job to assert with jq.
-func runStreamSmoke(baseURL string) error {
-	c := spaclient.New(baseURL, spaclient.Options{Timeout: 10 * time.Second})
-	const user = 3_000_000
-	if err := c.Register(user, nil); err != nil {
-		var apiErr *spaclient.APIError
-		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
-			return fmt.Errorf("register: %w", err)
-		}
-	}
-	si := c.Stream(spaclient.StreamOptions{})
-	defer si.Close()
-
-	acked := 0
-	stopErr := ""
-	base := time.Now()
-	deadline := base.Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		ev := []lifelog.Event{{
-			UserID: user,
-			Time:   base.Add(time.Duration(acked) * time.Millisecond),
-			Type:   lifelog.EventClick,
-			Action: 7,
-		}}
-		resp, err := si.Ingest(ev)
-		if err != nil {
-			// Expected terminal condition: the daemon drained and closed
-			// (or refused the redial while draining).
-			stopErr = err.Error()
-			break
-		}
-		if resp.Processed != 1 {
-			return fmt.Errorf("frame %d: processed %d", acked, resp.Processed)
-		}
-		acked++
-		// A gentle pace keeps frames in flight across the SIGTERM without
-		// racing through the 30s budget.
-		time.Sleep(5 * time.Millisecond)
-	}
-	out := map[string]any{"acked": acked, "drained": stopErr != "", "stop_error": stopErr}
-	json.NewEncoder(os.Stdout).Encode(out)
-	if acked < 2 {
-		return fmt.Errorf("only %d frames acknowledged before drain", acked)
-	}
-	if stopErr == "" {
-		return errors.New("stream never observed the daemon drain")
-	}
 	return nil
 }
 

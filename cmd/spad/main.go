@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	spad [-addr :8372] [-stream-addr ADDR] [-data DIR] [-shards 16] [-sync=true]
+//	spad [-addr :8372] [-data DIR] [-sync=true]
 //	     [-debug-addr ADDR] [-access-log] [-slow-wave 1s]
 //	     [-follow LEADER]
-//	     [-cluster] [-node-id ID] [-cluster-addr HOST:PORT] [-peers ID=HOST:PORT,...]
+//	     [-node-id ID] [-cluster-addr HOST:PORT] [-peers ID=HOST:PORT,...]
 //
 // An empty -data serves an in-memory (non-durable) instance, useful for
 // load experiments; production points -data at a directory. Every group
@@ -19,18 +19,18 @@
 // measures: ingest requests merge into waves whose CPU-bound prepare
 // overlaps the previous wave's commit, one WAL sync per wave.
 //
-// -cluster makes this spad one node of a slot-partitioned cluster
-// (internal/server cluster.go): users hash to 256 fixed slots, each slot
-// is owned by exactly one node, and requests for users this node does not
-// own bounce 421 + X-SPA-Owner so a topology-aware client retries against
-// the owner. -node-id names the node (required with -cluster); -peers
-// lists the other nodes as comma-separated id=host:port pairs, giving
-// every node the same deterministic epoch-1 slot map and a gossip target
-// set; -cluster-addr is this node's advertised client-reachable address
-// (defaults to -addr with a loopback host filled in). Slots move between
-// live nodes via POST /v1/cluster/handoff on the receiving node.
-// -cluster and -follow are mutually exclusive: a cluster node is a leader
-// for the slots it owns.
+// -node-id makes this spad one node, so named, of a slot-partitioned
+// cluster (internal/server cluster.go): users hash to 256 fixed slots,
+// each slot is owned by exactly one node, and requests for users this node
+// does not own bounce 421 + X-SPA-Owner so a topology-aware client retries
+// against the owner. -peers lists the nodes as comma-separated
+// id=host:port pairs (each id once), giving every node the same
+// deterministic epoch-1 slot map and a gossip target set; -cluster-addr is
+// this node's advertised client-reachable address (defaults to -addr with
+// a loopback host filled in). Both need -node-id. Slots move between live
+// nodes via POST /v1/cluster/handoff on the receiving node. -node-id and
+// -follow are mutually exclusive: a cluster node is a leader for the
+// slots it owns.
 //
 // -follow LEADER (host:port or URL) starts this spad as a read-only
 // replication follower: before the core opens it bootstraps the -data
@@ -41,17 +41,17 @@
 //
 // Ingest speaks JSON or the length-prefixed binary framing per request,
 // and streamed binary ingest is always reachable as an HTTP upgrade on
-// /v1/ingest/stream; -stream-addr additionally opens a raw TCP listener
-// speaking the same framed protocol without the HTTP handshake. The Go
-// client (internal/spaclient) always sends the binary framing, and a
-// refused stream is an error to it, not a cue to fall back. The ingest
-// queue (256 requests; a full queue answers 503 + Retry-After) and the
-// wave cap (64 requests per group commit) are fixed. SIGTERM drains
-// streams too: live sessions get a drain frame, their in-flight frames
-// commit and are answered, then the coalescer and store close. /readyz
-// flips to 503 "draining" the moment the signal arrives — before the
-// listener shuts — so load balancers route away first; /healthz keeps
-// answering 200 for as long as the process lives.
+// /v1/ingest/stream. The Go client (internal/spaclient) always sends the
+// binary framing, and a refused stream is an error to it, not a cue to
+// fall back. The ingest queue (256 requests; a full queue answers 503 +
+// Retry-After), the wave cap (64 requests per group commit) and the core's
+// 16 profile shards (a memory layout; the store's keys do not depend on
+// it) are fixed. SIGTERM drains streams too: live sessions get a drain
+// frame, their in-flight frames commit and are answered, then the
+// coalescer and store close. /readyz flips to 503 "draining" the moment
+// the signal arrives — before the listener shuts — so load balancers
+// route away first; /healthz keeps answering 200 for as long as the
+// process lives.
 //
 // Observability: /metrics serves the JSON snapshot by default and the
 // Prometheus text exposition under ?format=prometheus or an Accept header
@@ -85,15 +85,12 @@ import (
 // config carries the parsed flags into run.
 type config struct {
 	addr        string
-	streamAddr  string
 	debugAddr   string
 	data        string
-	shards      int
 	sync        bool
 	accessLog   bool
 	slowWave    time.Duration
 	follow      string
-	cluster     bool
 	nodeID      string
 	clusterAddr string
 	peers       string
@@ -102,18 +99,15 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8372", "listen address")
-	flag.StringVar(&cfg.streamAddr, "stream-addr", "", "raw TCP streamed-ingest listener address (empty: stream via HTTP upgrade only)")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "separate net/http/pprof listener address (empty: profiling off; bind to localhost)")
 	flag.StringVar(&cfg.data, "data", "", "profile store directory (empty: in-memory, non-durable)")
-	flag.IntVar(&cfg.shards, "shards", 16, "profile shard count (rounded up to a power of two)")
 	flag.BoolVar(&cfg.sync, "sync", true, "fsync the WAL on every group commit before acknowledging it")
 	flag.BoolVar(&cfg.accessLog, "access-log", false, "log one line per completed HTTP request")
 	flag.DurationVar(&cfg.slowWave, "slow-wave", time.Second, "log any coalescer wave slower than this gather-to-commit (0: off)")
 	flag.StringVar(&cfg.follow, "follow", "", "replicate from this leader (host:port or URL) and serve reads only; requires -data")
-	flag.BoolVar(&cfg.cluster, "cluster", false, "serve as one node of a slot-partitioned cluster (requires -node-id)")
-	flag.StringVar(&cfg.nodeID, "node-id", "", "this node's cluster id")
-	flag.StringVar(&cfg.clusterAddr, "cluster-addr", "", "advertised client-reachable address (default: -addr with a loopback host)")
-	flag.StringVar(&cfg.peers, "peers", "", "other cluster nodes as id=host:port, comma-separated")
+	flag.StringVar(&cfg.nodeID, "node-id", "", "serve as this node of a slot-partitioned cluster")
+	flag.StringVar(&cfg.clusterAddr, "cluster-addr", "", "advertised client-reachable address (default: -addr with a loopback host; needs -node-id)")
+	flag.StringVar(&cfg.peers, "peers", "", "cluster nodes as id=host:port, comma-separated (needs -node-id)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -125,12 +119,9 @@ func main() {
 func run(cfg config) error {
 	var peers map[string]string
 	clusterAddr := ""
-	if cfg.cluster {
-		if cfg.nodeID == "" {
-			return errors.New("-cluster requires -node-id")
-		}
+	if cfg.nodeID != "" {
 		if cfg.follow != "" {
-			return errors.New("-cluster and -follow are mutually exclusive (a cluster node leads its own slots)")
+			return errors.New("-node-id and -follow are mutually exclusive (a cluster node leads its own slots)")
 		}
 		var err error
 		if peers, err = parsePeers(cfg.peers); err != nil {
@@ -139,8 +130,8 @@ func run(cfg config) error {
 		if clusterAddr, err = advertisedAddr(cfg.clusterAddr, cfg.addr); err != nil {
 			return err
 		}
-	} else if cfg.nodeID != "" || cfg.peers != "" || cfg.clusterAddr != "" {
-		return errors.New("-node-id, -peers and -cluster-addr need -cluster")
+	} else if cfg.peers != "" || cfg.clusterAddr != "" {
+		return errors.New("-peers and -cluster-addr need -node-id")
 	}
 
 	stOpts := store.Options{SyncWrites: cfg.sync}
@@ -164,7 +155,6 @@ func run(cfg config) error {
 	spa, err := core.New(core.Options{
 		DataDir: cfg.data,
 		Store:   stOpts,
-		Shards:  cfg.shards,
 	})
 	if err != nil {
 		return err
@@ -184,22 +174,6 @@ func run(cfg config) error {
 		Addr:              cfg.addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	var streamLn net.Listener
-	if cfg.streamAddr != "" {
-		var err error
-		streamLn, err = net.Listen("tcp", cfg.streamAddr)
-		if err != nil {
-			spa.Close()
-			return fmt.Errorf("stream listener: %w", err)
-		}
-		go func() {
-			if err := srv.ServeStream(streamLn); err != nil {
-				log.Printf("spad: stream listener: %v", err)
-			}
-		}()
-		log.Printf("spad: streamed ingest on raw tcp %s", streamLn.Addr())
 	}
 
 	var debugSrv *http.Server
@@ -222,11 +196,11 @@ func run(cfg config) error {
 		if cfg.follow != "" {
 			role = " follower-of=" + cfg.follow
 		}
-		if cfg.cluster {
+		if cfg.nodeID != "" {
 			role = fmt.Sprintf(" cluster-node=%s advertised=%s peers=%d", cfg.nodeID, clusterAddr, len(peers))
 		}
-		log.Printf("spad: serving on %s (data=%q shards=%d sync=%v%s, %d users loaded)",
-			cfg.addr, cfg.data, cfg.shards, cfg.sync, role, spa.Users())
+		log.Printf("spad: serving on %s (data=%q sync=%v%s, %d users loaded)",
+			cfg.addr, cfg.data, cfg.sync, role, spa.Users())
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -236,9 +210,6 @@ func run(cfg config) error {
 	case sig := <-sigCh:
 		log.Printf("spad: %v — draining", sig)
 	case err := <-errCh:
-		if streamLn != nil {
-			streamLn.Close()
-		}
 		srv.Close()
 		spa.Close()
 		return err
@@ -246,18 +217,14 @@ func run(cfg config) error {
 
 	// Shutdown order matters: flip /readyz to "draining" so load balancers
 	// route away while the listener still answers, stop accepting
-	// connections and finish in-flight handlers, stop accepting raw stream
-	// connections, then drain stream sessions and the coalescer (srv.Close
-	// — handlers and stream readers already enqueued are waiting on it),
-	// then flush and close the store.
+	// connections and finish in-flight handlers, then drain stream
+	// sessions and the coalescer (srv.Close — handlers and stream readers
+	// already enqueued are waiting on it), then flush and close the store.
 	srv.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("spad: http shutdown: %v", err)
-	}
-	if streamLn != nil {
-		streamLn.Close()
 	}
 	srv.Close()
 	if debugSrv != nil {
@@ -270,7 +237,9 @@ func run(cfg config) error {
 	return nil
 }
 
-// parsePeers splits "-peers a=host:port,b=host:port" into a map.
+// parsePeers splits "-peers a=host:port,b=host:port" into a map. A
+// repeated id is refused: keeping either address would let two nodes given
+// the same pairs in a different order disagree on the epoch-1 slot map.
 func parsePeers(s string) (map[string]string, error) {
 	if s == "" {
 		return nil, nil
@@ -283,6 +252,9 @@ func parsePeers(s string) (map[string]string, error) {
 		}
 		if _, _, err := net.SplitHostPort(addr); err != nil {
 			return nil, fmt.Errorf("-peers entry %q: %w", pair, err)
+		}
+		if _, dup := peers[id]; dup {
+			return nil, fmt.Errorf("-peers names node %q twice", id)
 		}
 		peers[id] = addr
 	}

@@ -14,12 +14,12 @@
 // graceful drain — spoken to through the internal/spaclient Go client.
 // The ingest hot path additionally negotiates a binary framing
 // (Content-Type: application/x-spa-binary) and a persistent streamed
-// transport (HTTP upgrade on /v1/ingest/stream, or raw TCP via
-// spad -stream-addr) with credit-based flow control and drain-safe
-// shutdown. A daemon can follow another (spad -follow) over WAL-shipping
-// replication, or join a cluster (spad -cluster) that partitions users
-// across nodes by keyspace slot, with topology-aware routing in
-// spaclient and live slot handoff between nodes by WAL replay.
+// transport (an HTTP upgrade on /v1/ingest/stream) with credit-based flow
+// control and drain-safe shutdown. A daemon can follow another
+// (spad -follow) over WAL-shipping replication, or join a cluster
+// (spad -node-id) that partitions users across nodes by keyspace slot,
+// with topology-aware routing in spaclient and live slot handoff between
+// nodes by WAL replay.
 // See DESIGN.md for the architecture.
 //
 // Observability is built in (internal/obs): per-stage and per-endpoint
@@ -32,6 +32,7 @@
 // The paper's evaluation artifacts are regenerated by cmd/spa,
 // cmd/spabench and the benchmarks in bench_test.go; running cmd/spabench
 // prints the paper-vs-measured tables (add -json for machine-readable
-// records, or -loadgen to drive a live spad). The serving stack's
-// end-to-end benchmark is bench/ (go run ./bench).
+// records). The serving stack's end-to-end benchmark is bench/
+// (go run ./bench); `go test ./cmd/spad -e2e` drives the built daemon
+// over real sockets.
 package repro

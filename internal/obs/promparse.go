@@ -12,7 +12,7 @@ import (
 
 // A minimal validating parser for the text exposition format — just enough
 // to make "the endpoint emits parseable Prometheus" a testable claim (the
-// golden test in the server package and spabench -check-metrics both run
+// golden test in the server package and the spad end-to-end test both run
 // scrapes through it). It checks what a real scraper relies on: every
 // sample belongs to a family with HELP and TYPE declared first, values
 // parse, no series repeats, and histogram series are le-sorted, cumulative

@@ -1,12 +1,11 @@
-// Package scalebench holds the client-side workloads behind spabench:
-// fixed-size multi-user event bursts over disjoint user ranges, pushed
-// through the in-process facade with a worker pool (RunWorkers, for
-// BenchmarkShardedIngest) or through a live spad over the wire
-// (RunLoadgen, loadgen.go — spabench -loadgen); the zipf + diurnal scenario
-// replay of the [S9] cluster section (RunScenario, scenario.go); and the
-// /metrics scrape and format cross-check (metrics.go — spabench
-// -check-metrics). The end-to-end serving benchmark is bench/, which
-// generates its own traffic.
+// Package scalebench holds the client-side workloads behind spabench and
+// the root benchmarks: fixed-size multi-user event bursts over disjoint
+// user ranges, pushed through the in-process facade with a worker pool
+// (MakeBursts + RunWorkers, for BenchmarkShardedIngest), and the zipf +
+// diurnal scenario replay of the [S9] cluster section (RunScenario,
+// scenario.go). The end-to-end serving benchmark is bench/, which
+// generates its own traffic; the built daemon is exercised end to end by
+// cmd/spad's -e2e test.
 package scalebench
 
 import (
@@ -32,35 +31,11 @@ const EventsPerBurst = BurstSize * PerUser
 // MakeBursts builds the canonical burst set: Users/BurstSize bursts, each
 // covering a disjoint user range with per-user ascending timestamps.
 func MakeBursts() [][]lifelog.Event {
-	return MakeBurstsFor(0)
-}
-
-// MakeBurstsFor builds the canonical burst set over a shifted user range
-// [offset+1, offset+Users]. The loadgen gives every concurrent client
-// its own offset, so clients never interleave events of a shared user and
-// per-user order is preserved no matter how their requests coalesce.
-func MakeBurstsFor(offset uint64) [][]lifelog.Event {
-	return MakeBurstsSpan(offset, Users, BurstSize)
-}
-
-// MakeBurstsSpan is MakeBurstsFor over a custom population width and burst
-// width: span users from offset+1, split into span/usersPerBurst bursts of
-// usersPerBurst users × PerUser events. The loadgen sends narrow bursts —
-// a network request carries one device's recent events, not a 64-user
-// mega-batch — and the streamed loadgen splits one client's Users-wide
-// range into per-lane sub-ranges.
-func MakeBurstsSpan(offset uint64, span, usersPerBurst int) [][]lifelog.Event {
-	if span <= 0 || span > Users {
-		span = Users
-	}
-	if usersPerBurst <= 0 || usersPerBurst > span {
-		usersPerBurst = min(BurstSize, span)
-	}
 	base := clock.Epoch.Add(-24 * time.Hour)
-	bursts := make([][]lifelog.Event, span/usersPerBurst)
+	bursts := make([][]lifelog.Event, Users/BurstSize)
 	for g := range bursts {
-		for u := 0; u < usersPerBurst; u++ {
-			id := offset + uint64(g*usersPerBurst+u+1)
+		for u := 0; u < BurstSize; u++ {
+			id := uint64(g*BurstSize + u + 1)
 			for i := 0; i < PerUser; i++ {
 				bursts[g] = append(bursts[g], lifelog.Event{
 					UserID: id,

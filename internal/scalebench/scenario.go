@@ -17,10 +17,8 @@ import (
 	"repro/internal/synth"
 )
 
-// The scenario replay behind spabench [S9]. Where the loadgen drives
-// uniform, ingest-only bursts, this replays the traffic shape a deployed
-// SPA system would actually see, per the
-// paper's warehousing framing: a zipf-skewed user population (a handful
+// The scenario replay behind spabench [S9]: the traffic shape a deployed
+// SPA system would actually see, per the paper's warehousing framing: a zipf-skewed user population (a handful
 // of heavy users dominate the stream), diurnal traffic waves (session
 // volume swells toward a peak hour and ebbs overnight — compressed here
 // into per-session burst sizing rather than wall-clock pacing), and
@@ -384,6 +382,15 @@ func registerPopulation(clients []*spaclient.Client, n int) error {
 	wg.Wait()
 	close(errCh)
 	return <-errCh
+}
+
+// percentile reads the p-quantile from an ascending latency slice.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(p * float64(len(sorted)-1))
+	return sorted[idx]
 }
 
 // isStatus reports whether err is an API error with the given status.

@@ -526,7 +526,7 @@ outer:
 // handleTopology serves the versioned slot map.
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
-		s.writeError(w, http.StatusNotImplemented, errors.New("not a cluster node (spad -cluster)"))
+		s.writeError(w, http.StatusNotImplemented, errors.New("not a cluster node (spad -node-id)"))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.cluster.topology())

@@ -67,7 +67,7 @@ func (s *Server) flushCoalescer() error {
 func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.HandoffSubscribe) {
 	c := s.cluster
 	if c == nil {
-		sess.sendError(http.StatusNotImplemented, errors.New("not a cluster node (spad -cluster)"))
+		sess.sendError(http.StatusNotImplemented, errors.New("not a cluster node (spad -node-id)"))
 		return
 	}
 	if hs.NodeID == c.nodeID {
@@ -177,7 +177,7 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	if c == nil {
-		s.writeError(w, http.StatusNotImplemented, errors.New("not a cluster node (spad -cluster)"))
+		s.writeError(w, http.StatusNotImplemented, errors.New("not a cluster node (spad -node-id)"))
 		return
 	}
 	if _, durable := s.spa.AppliedLSN(); !durable {

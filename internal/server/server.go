@@ -10,8 +10,8 @@
 // queue as admission control — when it is full the server answers
 // 503 + Retry-After instead of queueing unboundedly. Ingest is also
 // reachable as a persistent binary stream (stream.go): an HTTP upgrade on
-// /v1/ingest/stream or a raw TCP listener (ServeStream), flow-controlled
-// by server-granted credit instead of 503s, feeding the same coalescer.
+// /v1/ingest/stream, flow-controlled by server-granted credit instead of
+// 503s, feeding the same coalescer.
 // Close drains stream sessions and then the coalescer, so accepted
 // requests are never dropped by a shutdown.
 package server
@@ -83,7 +83,7 @@ type Options struct {
 	// ClusterNodeID makes this server a cluster node (cluster.go): it
 	// serves only the keyspace slots it owns, bounces the rest with
 	// 421 + X-SPA-Owner, exposes the slot map on /v1/topology, and takes
-	// part in shard handoffs (spad -cluster). Mutually exclusive with
+	// part in shard handoffs (spad -node-id). Mutually exclusive with
 	// FollowerOf: a node is either a partition owner or a read replica.
 	ClusterNodeID string
 	// ClusterAddr is this node's advertised host:port — the address peers
@@ -844,7 +844,7 @@ func (s *Server) snapshotMetrics() wire.Metrics {
 		m.ReplSnapshotBytes = rst.SnapshotBytes
 	}
 	// The cluster series render on every node — zeros outside cluster mode
-	// — so dashboards and the -check-metrics stable map never see the key
+	// — so dashboards and the metrics cross-check's stable map never see the key
 	// set change with deployment shape.
 	if s.cluster != nil {
 		m.ClusterEpoch = s.cluster.epochNow()

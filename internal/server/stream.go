@@ -2,12 +2,10 @@ package server
 
 // Streamed binary ingest: one long-lived connection carrying a sequence of
 // SPAB ingest-request frames (internal/wire stream.go), each answered by an
-// in-order response or error frame. The transport is reached two ways —
-// an HTTP upgrade on /v1/ingest/stream (the daemon's existing port) or a
-// raw TCP listener (ServeStream, spad -stream-addr) — and both feed the
-// same per-connection loop, which in turn feeds the same coalescer the
-// per-request handlers use, so streamed and HTTP traffic merge into the
-// same group commits.
+// in-order response or error frame. The transport is an HTTP upgrade on
+// /v1/ingest/stream (the daemon's existing port); the per-connection loop
+// feeds the same coalescer the per-request handlers use, so streamed and
+// HTTP traffic merge into the same group commits.
 //
 // Flow control is credit-based instead of 503-based: the hello frame
 // grants the client a send window, and one credit is returned with each
@@ -120,39 +118,6 @@ func (sess *streamSession) initiateDrain(deadline time.Time) {
 		sess.conn.SetDeadline(deadline)
 		sess.writeFrames(wire.EncodeStreamDrain())
 	})
-}
-
-// ServeStream accepts raw-TCP streamed-ingest connections from ln until
-// the listener closes — the spad -stream-addr transport, the same protocol
-// the HTTP upgrade negotiates minus the handshake. Transient accept
-// failures (fd exhaustion, a connection aborted before accept) are retried
-// with the same backoff net/http's Serve uses, so a brief resource spike
-// cannot permanently kill the endpoint while the daemon keeps running.
-func (s *Server) ServeStream(ln net.Listener) error {
-	var delay time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if ne, ok := err.(net.Error); ok && ne.Temporary() {
-				if delay == 0 {
-					delay = 5 * time.Millisecond
-				} else {
-					delay *= 2
-				}
-				if delay > time.Second {
-					delay = time.Second
-				}
-				time.Sleep(delay)
-				continue
-			}
-			return err
-		}
-		delay = 0
-		go s.serveStream(conn, bufio.NewReader(conn), bufio.NewWriter(conn))
-	}
 }
 
 // handleIngestStream upgrades an HTTP request into a stream session.

@@ -107,32 +107,8 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamRawTCP: the same protocol over spad -stream-addr's raw
-// listener, no HTTP handshake.
-func TestStreamRawTCP(t *testing.T) {
-	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
-	if err := spa.Register(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	srv := spaFromTS(t, ts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go srv.ServeStream(ln)
-
-	si := streamClient(t, ts.URL, spaclient.StreamOptions{Addr: ln.Addr().String()})
-	for r := 0; r < 3; r++ {
-		resp, err := si.Ingest([]lifelog.Event{evAt(1, r+1)})
-		if err != nil || resp.Processed != 1 {
-			t.Fatalf("round %d: %+v %v", r, resp, err)
-		}
-	}
-}
-
 // spaFromTS reaches the *Server under a httptest server so tests can use
-// ServeStream and the metrics directly.
+// its internals and metrics directly.
 func spaFromTS(t *testing.T, ts *httptest.Server) *Server {
 	t.Helper()
 	srv, ok := ts.Config.Handler.(*Server)
@@ -247,20 +223,7 @@ func TestStreamBadFrameTerminal(t *testing.T) {
 	if err := spa.Register(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := spaFromTS(t, ts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go srv.ServeStream(ln)
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	conn, br := dialStreamUpgrade(t, ts)
 	if _, err := readHello(br); err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +258,73 @@ func TestStreamBadFrameTerminal(t *testing.T) {
 	if !sawError {
 		t.Fatal("no terminal error frame before close")
 	}
+}
+
+// dialStreamUpgrade opens a raw connection to a test server and performs
+// the spa-stream/1 upgrade by hand, leaving the reader at the hello frame.
+func dialStreamUpgrade(t *testing.T, ts *httptest.Server) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := io.WriteString(conn, "GET "+wire.StreamPath+" HTTP/1.1\r\nHost: spad\r\n"+
+		"Connection: Upgrade\r\nUpgrade: "+wire.StreamProtocol+"\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, &http.Request{Method: "GET"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade answered %s", resp.Status)
+	}
+	return conn, br
+}
+
+// fakeStreamServer serves a stand-in stream endpoint on loopback: every
+// connection gets the 101 upgrade answer, then handle owns it. It returns
+// the base URL; the listener and every accepted connection close with the
+// test.
+func fakeStreamServer(t *testing.T, handle func(net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			go func() {
+				if _, err := http.ReadRequest(bufio.NewReader(conn)); err != nil {
+					conn.Close()
+					return
+				}
+				io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: "+
+					wire.StreamProtocol+"\r\nConnection: Upgrade\r\n\r\n")
+				handle(conn)
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String()
 }
 
 func readHello(br *bufio.Reader) (wire.StreamHello, error) {
@@ -480,20 +510,7 @@ func TestStreamDecodeErrorPerFrame(t *testing.T) {
 	if err := spa.Register(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := spaFromTS(t, ts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go srv.ServeStream(ln)
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	conn, br := dialStreamUpgrade(t, ts)
 	if _, err := readHello(br); err != nil {
 		t.Fatal(err)
 	}
@@ -628,19 +645,7 @@ func TestStreamCreditViolationTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := spaFromTS(t, ts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go srv.ServeStream(ln)
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	conn, br := dialStreamUpgrade(t, ts)
 	hello, err := readHello(br)
 	if err != nil {
 		t.Fatal(err)
@@ -726,27 +731,15 @@ func TestStreamCreditViolationTerminal(t *testing.T) {
 // must break the connection within the budget instead of parking every
 // concurrent caller (and Close) behind wmu forever.
 func TestStreamClientWriteDeadline(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
+	base := fakeStreamServer(t, func(conn net.Conn) {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetReadBuffer(4 << 10) // shrink the pipe the write must fill
 		}
 		// Grant credit, then never read another byte.
 		wire.WriteStreamFrame(conn, wire.EncodeStreamHello(wire.StreamHello{Credit: 4}))
-		accepted <- conn
-	}()
-
-	c := spaclient.New("http://stream.invalid", spaclient.Options{})
-	si := c.Stream(spaclient.StreamOptions{Addr: ln.Addr().String(), Timeout: 500 * time.Millisecond})
+	})
+	c := spaclient.New(base, spaclient.Options{})
+	si := c.Stream(spaclient.StreamOptions{Timeout: 500 * time.Millisecond})
 	t.Cleanup(func() { si.Close() })
 
 	// A batch whose frame dwarfs any kernel socket buffering, so the write
@@ -756,16 +749,13 @@ func TestStreamClientWriteDeadline(t *testing.T) {
 		big[i] = evAt(1, i+1)
 	}
 	start := time.Now()
-	_, err = si.Ingest(big)
+	_, err := si.Ingest(big)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("ingest into a non-reading server succeeded")
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("ingest returned after %v; write deadline did not fire", elapsed)
-	}
-	if conn := <-accepted; conn != nil {
-		conn.Close()
 	}
 }
 
@@ -774,34 +764,10 @@ func TestStreamClientWriteDeadline(t *testing.T) {
 // and must not park Close for that long, since Close only needs the state
 // mutex, not the dial.
 func TestStreamClosePromptDuringDial(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	var connMu sync.Mutex
-	var conns []net.Conn
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			connMu.Lock()
-			conns = append(conns, conn) // hold open, never send the hello
-			connMu.Unlock()
-		}
-	}()
-	t.Cleanup(func() {
-		connMu.Lock()
-		defer connMu.Unlock()
-		for _, conn := range conns {
-			conn.Close()
-		}
-	})
-
-	c := spaclient.New("http://stream.invalid", spaclient.Options{})
-	si := c.Stream(spaclient.StreamOptions{Addr: ln.Addr().String(), DialTimeout: 10 * time.Second})
+	// Upgrade, then hold the connection open without ever sending the hello.
+	base := fakeStreamServer(t, func(net.Conn) {})
+	c := spaclient.New(base, spaclient.Options{})
+	si := c.Stream(spaclient.StreamOptions{DialTimeout: 10 * time.Second})
 	go si.Ingest([]lifelog.Event{evAt(1, 1)}) // parks in the hello read
 	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
@@ -852,47 +818,27 @@ func TestStreamIngestCloseRace(t *testing.T) {
 	}
 }
 
-// TestStreamRawTCPDisabledFallsBack: a raw TCP listener that refuses
-// in-protocol with a 501 error frame instead of a hello fails the call with
-// that status as an *APIError; the client does not fall back to
-// per-request HTTP.
-func TestStreamRawTCPDisabledFallsBack(t *testing.T) {
-	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
-	if err := spa.Register(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wire.WriteStreamFrame(conn, wire.EncodeStreamError(http.StatusNotImplemented,
-				"streamed ingest disabled; use per-request /v1/ingest"))
-			conn.Close()
-		}
-	}()
+// TestStreamErrorFrameInPlaceOfHello: a server that completes the upgrade
+// but refuses in-protocol with a 501 error frame instead of a hello fails
+// the call with that status as an *APIError; the client does not fall back
+// to per-request HTTP (which would reach the fake as a second connection).
+func TestStreamErrorFrameInPlaceOfHello(t *testing.T) {
+	var conns atomic.Int32
+	base := fakeStreamServer(t, func(conn net.Conn) {
+		conns.Add(1)
+		wire.WriteStreamFrame(conn, wire.EncodeStreamError(http.StatusNotImplemented,
+			"streamed ingest disabled; use per-request /v1/ingest"))
+		conn.Close()
+	})
 
-	si := streamClient(t, ts.URL, spaclient.StreamOptions{Addr: ln.Addr().String()})
-	_, err = si.Ingest([]lifelog.Event{evAt(1, 1)})
+	si := streamClient(t, base, spaclient.StreamOptions{})
+	_, err := si.Ingest([]lifelog.Event{evAt(1, 1)})
 	var apiErr *spaclient.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotImplemented {
 		t.Fatalf("refused stream: got %v, want an *APIError with status 501", err)
 	}
-	var m wire.Metrics
-	if code, _ := doJSON(t, "GET", ts.URL+"/metrics", nil, &m); code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
-	}
-	if m.StreamFrames != 0 || m.StreamConns != 0 {
-		t.Fatalf("disabled raw listener served a stream: %+v", m)
-	}
-	if m.IngestRequests != 0 {
-		t.Fatalf("refused stream fell back to per-request HTTP: %+v", m)
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("refused stream made %d requests, want the one upgrade", n)
 	}
 }
 

@@ -1,14 +1,13 @@
 package spaclient
 
 // StreamIngester speaks the streamed binary ingest protocol of
-// internal/wire stream.go: one long-lived connection (HTTP upgrade on
-// /v1/ingest/stream, or a raw TCP endpoint via StreamOptions.Addr)
-// carrying SPAB ingest frames, answered in order, flow-controlled by
-// server-granted credit. Concurrent Ingest calls multiplex onto the one
-// connection — each takes a credit token, writes its frame, and waits for
-// its in-order answer — which is what makes a stream cheaper than
-// per-request HTTP: N calls pipeline on one connection with no per-call
-// header cycle.
+// internal/wire stream.go: one long-lived connection (an HTTP upgrade on
+// /v1/ingest/stream) carrying SPAB ingest frames, answered in order,
+// flow-controlled by server-granted credit. Concurrent Ingest calls
+// multiplex onto the one connection — each takes a credit token, writes
+// its frame, and waits for its in-order answer — which is what makes a
+// stream cheaper than per-request HTTP: N calls pipeline on one connection
+// with no per-call header cycle.
 //
 // Failure semantics are deliberately conservative: a call whose frame may
 // have reached the server is NEVER retried (a retry could double-ingest);
@@ -35,9 +34,6 @@ import (
 
 // StreamOptions tune a StreamIngester.
 type StreamOptions struct {
-	// Addr dials a raw TCP stream endpoint (spad -stream-addr) instead of
-	// upgrading the client's base URL.
-	Addr string
 	// DialTimeout bounds connect + handshake (default 10 s).
 	DialTimeout time.Duration
 	// Timeout bounds one Ingest call end to end: credit wait plus response
@@ -61,8 +57,7 @@ type StreamIngester struct {
 
 	// Cluster mode (topology.go): a routed parent never dials itself — it
 	// splits each batch by owning node and multiplexes the groups over one
-	// pinned child stream per node. An explicit StreamOptions.Addr opts
-	// out: the caller named a socket, so every frame goes there.
+	// pinned child stream per node.
 	routed  bool
 	childMu sync.Mutex
 	// children maps base URL → pinned stream; nil after Close, which is
@@ -95,7 +90,7 @@ func (c *Client) Stream(opts StreamOptions) *StreamIngester {
 		}
 	}
 	si := &StreamIngester{c: c, opts: opts}
-	if c.cluster != nil && opts.Addr == "" {
+	if c.cluster != nil {
 		si.routed = true
 		si.children = make(map[string]*StreamIngester)
 	}
@@ -320,31 +315,25 @@ func (si *StreamIngester) dropState(st *streamState) {
 	si.mu.Unlock()
 }
 
-// dial connects and completes the handshake: optional HTTP upgrade, then
-// the server's hello. Called under dialMu (NOT si.mu), which serializes
+// dial connects and completes the handshake: the HTTP upgrade, then the
+// server's hello. Called under dialMu (NOT si.mu), which serializes
 // redials without blocking Close.
 func (si *StreamIngester) dial() (*streamState, error) {
-	addr := si.opts.Addr
-	host := addr
-	upgrade := addr == ""
-	if upgrade {
-		base := si.base
-		if base == "" {
-			base = si.c.base
-		}
-		u, err := url.Parse(base)
-		if err != nil {
-			return nil, fmt.Errorf("spaclient: parsing base URL: %w", err)
-		}
-		if u.Scheme != "http" {
-			// TLS upgrades are not implemented.
-			return nil, fmt.Errorf("spaclient: streamed ingest needs an http:// base URL, not %q", base)
-		}
-		host = u.Host
-		addr = u.Host
-		if _, _, err := net.SplitHostPort(addr); err != nil {
-			addr = net.JoinHostPort(addr, "80")
-		}
+	base := si.base
+	if base == "" {
+		base = si.c.base
+	}
+	u, err := url.Parse(base)
+	if err != nil {
+		return nil, fmt.Errorf("spaclient: parsing base URL: %w", err)
+	}
+	if u.Scheme != "http" {
+		// TLS upgrades are not implemented.
+		return nil, fmt.Errorf("spaclient: streamed ingest needs an http:// base URL, not %q", base)
+	}
+	addr := u.Host
+	if _, _, err := net.SplitHostPort(addr); err != nil {
+		addr = net.JoinHostPort(addr, "80")
 	}
 	conn, err := net.DialTimeout("tcp", addr, si.opts.DialTimeout)
 	if err != nil {
@@ -352,24 +341,22 @@ func (si *StreamIngester) dial() (*streamState, error) {
 	}
 	conn.SetDeadline(time.Now().Add(si.opts.DialTimeout))
 	br := bufio.NewReader(conn)
-	if upgrade {
-		req := "GET " + wire.StreamPath + " HTTP/1.1\r\nHost: " + host +
-			"\r\nConnection: Upgrade\r\nUpgrade: " + wire.StreamProtocol + "\r\n\r\n"
-		if _, err := io.WriteString(conn, req); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		resp, err := http.ReadResponse(br, &http.Request{Method: "GET"})
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusSwitchingProtocols {
-			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-			resp.Body.Close()
-			conn.Close()
-			return nil, apiError(resp, raw)
-		}
+	req := "GET " + wire.StreamPath + " HTTP/1.1\r\nHost: " + u.Host +
+		"\r\nConnection: Upgrade\r\nUpgrade: " + wire.StreamProtocol + "\r\n\r\n"
+	if _, err := io.WriteString(conn, req); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	resp, err := http.ReadResponse(br, &http.Request{Method: "GET"})
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+		conn.Close()
+		return nil, apiError(resp, raw)
 	}
 	// The hello is the server's first frame on every stream.
 	frame, err := wire.ReadStreamFrame(br, 1<<20)

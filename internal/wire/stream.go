@@ -45,8 +45,8 @@ import (
 )
 
 // StreamProtocol names the protocol in the HTTP upgrade handshake on
-// StreamPath (Upgrade: spa-stream/1). The same byte stream runs over a raw
-// TCP connection (spad -stream-addr) without the handshake.
+// StreamPath (Upgrade: spa-stream/1); the framed byte stream starts right
+// after the 101 answer.
 const StreamProtocol = "spa-stream/1"
 
 // StreamPath is the HTTP upgrade endpoint for streamed ingest.
