@@ -88,19 +88,11 @@ func main() {
 	features := x.Finish()
 
 	// Show the five most active users' digests.
-	type uf struct {
-		id uint64
-		fv lifelog.FeatureVector
-	}
-	all := make([]uf, 0, len(features))
-	for id, fv := range features {
-		all = append(all, uf{id, fv})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].fv.Events > all[j].fv.Events })
+	sort.SliceStable(features, func(i, j int) bool { return features[i].Events > features[j].Events })
 	fmt.Println("\ntop-5 most active users:")
 	fmt.Println("  user   events  sessions  transactions  mean-sess-min")
-	for _, u := range all[:5] {
+	for _, fv := range features[:5] {
 		fmt.Printf("  %4d   %6d  %8d  %12d  %13.1f\n",
-			u.id, u.fv.Events, u.fv.Sessions, u.fv.Transactions, u.fv.MeanSessionMinutes)
+			fv.UserID, fv.Events, fv.Sessions, fv.Transactions, fv.MeanSessionMinutes)
 	}
 }

@@ -194,8 +194,8 @@ func (pl *Pipeline) IngestWebLogs(weeks int, seed uint64) (events int, err error
 	if err != nil {
 		return n, err
 	}
-	for id, fv := range x.Finish() {
-		pl.Profiles[id-1].Subjective = fv.Dense()
+	for _, fv := range x.Finish() {
+		pl.Profiles[fv.UserID-1].Subjective = fv.Dense()
 	}
 	pl.Advance(time.Duration(weeks) * 7 * 24 * time.Hour)
 	return n, nil

@@ -106,6 +106,11 @@ func (s *SPA) ApplyHandoffWaves(recs []store.LogRecord) error {
 			return errors.New("core: empty handoff wave")
 		}
 		b := new(store.WriteBatch)
+		size := len(r.Annotation)
+		for _, e := range r.Entries {
+			size += len(e.Key) + len(e.Value)
+		}
+		b.Grow(len(r.Entries), size)
 		b.SetAnnotation(r.Annotation)
 		for _, e := range r.Entries {
 			if e.Tombstone {

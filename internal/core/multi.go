@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,35 +70,26 @@ func (s *SPA) BatchIngest(events []lifelog.Event) (processed, skippedUnknown int
 func (s *SPA) PrepareMulti(batches [][]lifelog.Event) *PreparedMulti {
 	pm := &PreparedMulti{s: s, out: make([]IngestOutcome, len(batches))}
 	groups, now := s.groupByShard(batches)
-	if len(groups) == 0 {
-		return pm
+	pm.groups = groups
+	prepare := func(g *preparedGroup) {
+		sh := s.shards[g.shardIdx]
+		sh.mu.RLock()
+		s.prepareShardLocked(g, now)
+		sh.mu.RUnlock()
 	}
-	if len(groups) == 1 {
-		for _, g := range groups {
-			sh := s.shards[g.shardIdx]
-			sh.mu.RLock()
-			s.prepareShardLocked(g, len(batches), now)
-			sh.mu.RUnlock()
-			pm.groups = append(pm.groups, g)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, g := range groups {
-			wg.Add(1)
-			go func(g *preparedGroup) {
-				defer wg.Done()
-				sh := s.shards[g.shardIdx]
-				sh.mu.RLock()
-				s.prepareShardLocked(g, len(batches), now)
-				sh.mu.RUnlock()
-			}(g)
-			pm.groups = append(pm.groups, g)
-		}
-		wg.Wait()
+	// The first group is prepared on this goroutine, the others beside it.
+	var wg sync.WaitGroup
+	for i := 1; i < len(groups); i++ {
+		wg.Add(1)
+		go func(g *preparedGroup) {
+			defer wg.Done()
+			prepare(g)
+		}(&groups[i])
 	}
-	// Deterministic shard order: Commit acquires the write locks in this
-	// order, so concurrent Commits can never deadlock against each other.
-	sort.Slice(pm.groups, func(i, j int) bool { return pm.groups[i].shardIdx < pm.groups[j].shardIdx })
+	if len(groups) > 0 {
+		prepare(&groups[0])
+	}
+	wg.Wait()
 	return pm
 }
 
@@ -106,9 +97,11 @@ func (s *SPA) PrepareMulti(batches [][]lifelog.Event) *PreparedMulti {
 // attribution plus every shard's pending profile updates. Nothing is
 // visible — in shard memory or in the store — until Commit.
 type PreparedMulti struct {
-	s         *SPA
-	out       []IngestOutcome
-	groups    []*preparedGroup // sorted by shard index
+	s   *SPA
+	out []IngestOutcome
+	// groups are in ascending shard index: Commit write-locks the shards
+	// in this order, so concurrent Commits can never deadlock.
+	groups    []preparedGroup
 	committed bool
 	wave      uint64
 }
@@ -149,12 +142,12 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 	if len(pm.groups) == 0 {
 		return pm.out
 	}
-	for _, g := range pm.groups {
-		s.shards[g.shardIdx].mu.Lock()
+	for i := range pm.groups {
+		s.shards[pm.groups[i].shardIdx].mu.Lock()
 	}
 	if s.db == nil {
-		for _, g := range pm.groups {
-			s.installShardLocked(g)
+		for i := range pm.groups {
+			s.installShardLocked(&pm.groups[i])
 		}
 	} else {
 		pm.persistAndInstallLocked()
@@ -172,31 +165,34 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 func (pm *PreparedMulti) persistAndInstallLocked() {
 	s := pm.s
 	seq := make([]*store.WriteBatch, 0, len(pm.groups))
-	contributing := make([]*preparedGroup, 0, len(pm.groups))
-	for _, g := range pm.groups {
-		batch, err := s.buildShardBatchLocked(g)
-		if err != nil {
+	var scratch []byte
+	for i := range pm.groups {
+		g := &pm.groups[i]
+		var err error
+		if scratch, err = s.buildShardBatchLocked(g, scratch); err != nil {
 			// A profile that fails validation charges its own shard group
 			// and drops it from the wave; the other shards still commit.
-			g.res.failStore(g.excluded, err)
+			g.failStore(err)
+			g.batch.Reset()
 			continue
 		}
-		if batch.Len() > 0 {
-			seq = append(seq, batch)
-			contributing = append(contributing, g)
+		if g.batch.Len() > 0 {
+			seq = append(seq, &g.batch)
 			continue
 		}
 		// Nothing to persist (all events skipped): install immediately.
 		s.installShardLocked(g)
 	}
-	if err := s.db.ApplyAllTagged(seq, pm.wave); err != nil {
-		for _, g := range contributing {
-			g.res.failStore(g.excluded, err)
+	err := s.db.ApplyAllTagged(seq, pm.wave)
+	for i := range pm.groups {
+		g := &pm.groups[i]
+		switch {
+		case g.batch.Len() == 0:
+		case err != nil:
+			g.failStore(err)
+		default:
+			s.installShardLocked(g)
 		}
-		return
-	}
-	for _, g := range contributing {
-		s.installShardLocked(g)
 	}
 }
 
@@ -219,12 +215,14 @@ type taggedEvent struct {
 	batch int
 }
 
-// multiResult is one shard group's per-batch accounting.
-type multiResult struct {
-	processed    []int
-	skipped      []int
-	errs         []error
-	interactions bool
+// batchTally is one shard group's accounting for one input batch.
+type batchTally struct {
+	processed int
+	skipped   int
+	err       error
+	// excluded marks a batch whose events broke the merged stream: none of
+	// them is applied in this group.
+	excluded bool
 }
 
 // preparedGroup is one shard's slice of a merged wave: the events, and —
@@ -232,20 +230,34 @@ type multiResult struct {
 type preparedGroup struct {
 	shardIdx int
 	events   []taggedEvent
+	// users bounds the group's distinct users: the runs of one user's
+	// consecutive events.
+	users int
 
-	res      multiResult
-	excluded []bool
-	// vectors holds the staged subjective digests (user → dense vector);
-	// they replace the profiles' Subjective blocks only at install time.
-	vectors map[uint64][]float64
+	tally []batchTally // by batch index; the wave's groups share one array
+	// recorded is set at install when the group folded interaction rows.
+	recorded bool
+	// digests are the staged subjective vectors; they replace the
+	// profiles' Subjective blocks only at install time.
+	digests []digest
 	// interactions are the non-excluded known-user events to fold into the
 	// shard's CF counts at install time.
 	interactions []taggedEvent
+	// batch is the group's store record, built by Commit.
+	batch store.WriteBatch
+}
+
+// digest is one user's staged subjective vector.
+type digest struct {
+	id  uint64
+	vec []float64
 }
 
 // groupByShard tags every event with its batch index and partitions the
-// merged stream by owning shard, preserving order.
-func (s *SPA) groupByShard(batches [][]lifelog.Event) (map[int]*preparedGroup, time.Time) {
+// merged stream by owning shard, preserving order. It is a counting sort:
+// one pass counts each shard's events, one places them, so every group's
+// events are a window of one array and the groups come out in shard order.
+func (s *SPA) groupByShard(batches [][]lifelog.Event) ([]preparedGroup, time.Time) {
 	total := 0
 	for _, b := range batches {
 		total += len(b)
@@ -253,16 +265,43 @@ func (s *SPA) groupByShard(batches [][]lifelog.Event) (map[int]*preparedGroup, t
 	if total == 0 {
 		return nil, time.Time{}
 	}
-	groups := make(map[int]*preparedGroup, len(s.shards))
+	next := make([]int, len(s.shards)) // each shard's count, then its cursor
+	for _, evs := range batches {
+		for _, e := range evs {
+			next[s.shardIndexFor(e.UserID)]++
+		}
+	}
+	ngroups := 0
+	for _, n := range next {
+		if n > 0 {
+			ngroups++
+		}
+	}
+	all := make([]taggedEvent, total)
+	tallies := make([]batchTally, ngroups*len(batches))
+	groups := make([]preparedGroup, 0, ngroups)
+	start := 0
+	for idx, n := range next {
+		if n > 0 {
+			tally := tallies[len(groups)*len(batches) : (len(groups)+1)*len(batches)]
+			groups = append(groups, preparedGroup{shardIdx: idx, events: all[start : start+n : start+n], tally: tally})
+		}
+		next[idx] = start
+		start += n
+	}
 	for b, evs := range batches {
 		for _, e := range evs {
 			idx := s.shardIndexFor(e.UserID)
-			g := groups[idx]
-			if g == nil {
-				g = &preparedGroup{shardIdx: idx}
-				groups[idx] = g
+			all[next[idx]] = taggedEvent{Event: e, batch: b}
+			next[idx]++
+		}
+	}
+	for i := range groups {
+		g := &groups[i]
+		for j, te := range g.events {
+			if j == 0 || te.UserID != g.events[j-1].UserID {
+				g.users++
 			}
-			g.events = append(g.events, taggedEvent{Event: e, batch: b})
 		}
 	}
 	return groups, s.clk.Now()
@@ -276,86 +315,104 @@ func (s *SPA) groupByShard(batches [][]lifelog.Event) (map[int]*preparedGroup, t
 // ever shrinks and terminates after at most one retry per batch. The caller
 // holds the shard's lock (read suffices: only snapshot membership is
 // consulted, and no publish can land while the lock is held).
-func (s *SPA) prepareShardLocked(g *preparedGroup, nbatches int, now time.Time) {
+func (s *SPA) prepareShardLocked(g *preparedGroup, now time.Time) {
 	sh := s.shards[g.shardIdx]
-	g.res = multiResult{
-		processed: make([]int, nbatches),
-		skipped:   make([]int, nbatches),
-		errs:      make([]error, nbatches),
-	}
-	g.excluded = make([]bool, nbatches)
-	var x *lifelog.Extractor
+	x := lifelog.NewExtractor(30*time.Minute, now)
+	x.Grow(g.users)
 	for {
-		x = lifelog.NewExtractor(30*time.Minute, now)
 		failed := -1
 		for _, te := range g.events {
-			if g.excluded[te.batch] {
+			t := &g.tally[te.batch]
+			if t.excluded {
 				continue
 			}
 			if s.residentLocked(sh, te.UserID) == nil {
-				g.res.skipped[te.batch]++
+				t.skipped++
 				continue
 			}
 			if err := x.Feed(te.Event); err != nil {
 				failed = te.batch
-				g.res.errs[te.batch] = fmt.Errorf("%w: %w", ErrBadStream, err)
+				t.err = fmt.Errorf("%w: %w", ErrBadStream, err)
 				break
 			}
-			g.res.processed[te.batch]++
+			t.processed++
 		}
 		if failed < 0 {
 			break
 		}
-		g.excluded[failed] = true
-		for b := range nbatches {
-			if !g.excluded[b] {
-				g.res.processed[b], g.res.skipped[b] = 0, 0
-			}
+		g.tally[failed].excluded = true
+		for b := range g.tally {
+			g.tally[b].processed, g.tally[b].skipped = 0, 0
 		}
-		g.res.processed[failed], g.res.skipped[failed] = 0, 0
+		x.Reset()
 	}
+	// The interactions are filtered out of the group's own events, in
+	// place: nothing reads the events after this.
+	g.interactions = g.events[:0]
 	for _, te := range g.events {
-		if g.excluded[te.batch] {
-			continue
-		}
-		if s.residentLocked(sh, te.UserID) != nil {
+		if !g.tally[te.batch].excluded && s.residentLocked(sh, te.UserID) != nil {
 			g.interactions = append(g.interactions, te)
 		}
 	}
+	g.events = nil
 	fvs := x.Finish()
-	g.vectors = make(map[uint64][]float64, len(fvs))
-	for id, fv := range fvs {
-		g.vectors[id] = fv.Dense()
+	g.digests = make([]digest, len(fvs))
+	for i := range fvs {
+		g.digests[i] = digest{id: fvs[i].UserID, vec: fvs[i].Dense()}
 	}
 }
 
-// buildShardBatchLocked encodes the staged profile states into one store
-// WriteBatch without touching the snapshot: each record is the profile as
-// it will look after install. The caller holds the shard's write lock,
-// which it keeps until after the batch is applied — nothing can move under
-// the encoded bytes.
-func (s *SPA) buildShardBatchLocked(g *preparedGroup) (*store.WriteBatch, error) {
+// buildShardBatchLocked encodes the staged profile states into the group's
+// store WriteBatch without touching the snapshot: each record is the
+// profile as it will look after install. A first pass sizes the batch, so
+// its arena is allocated once; the values are encoded through scratch,
+// which is returned for the next group to reuse. The caller holds the
+// shard's write lock, which it keeps until after the batch is applied —
+// nothing can move under the encoded bytes.
+func (s *SPA) buildShardBatchLocked(g *preparedGroup, scratch []byte) ([]byte, error) {
 	sh := s.shards[g.shardIdx]
-	var batch store.WriteBatch
-	for id, vec := range g.vectors {
-		p := s.residentLocked(sh, id)
+	n, size, largest := 0, 0, 0
+	for _, d := range g.digests {
+		p := s.residentLocked(sh, d.id)
 		if p == nil {
 			continue
 		}
 		cp := *p
-		cp.Subjective = vec
+		cp.Subjective = d.vec
 		if err := cp.Validate(); err != nil {
-			return nil, err
+			return scratch, err
 		}
-		batch.Put(sum.Key(id), sum.Encode(&cp))
+		n++
+		l := sum.EncodedLen(&cp)
+		size += sum.KeyLen + l
+		largest = max(largest, l)
+	}
+	if n == 0 {
+		return scratch, nil
 	}
 	// The wave's interaction events ride the record's annotation: opaque to
 	// the store and to replay, but a follower applying this record needs
 	// them to rebuild the CF matrix (replicate.go).
-	if batch.Len() > 0 && len(g.interactions) > 0 {
-		batch.SetAnnotation(encodeWaveAnnotation(g.interactions))
+	var annotation []byte
+	if len(g.interactions) > 0 {
+		scratch = appendWaveAnnotation(scratch[:0], g.interactions)
+		annotation = scratch
 	}
-	return &batch, nil
+	g.batch.Grow(n, size+len(annotation))
+	g.batch.SetAnnotation(annotation)
+	scratch = slices.Grow(scratch[:0], largest)
+	var key [sum.KeyLen]byte
+	for _, d := range g.digests {
+		p := s.residentLocked(sh, d.id)
+		if p == nil {
+			continue
+		}
+		cp := *p
+		cp.Subjective = d.vec
+		scratch = sum.AppendEncode(scratch[:0], &cp)
+		g.batch.Put(sum.AppendKey(key[:0], d.id), scratch)
+	}
+	return scratch, nil
 }
 
 // installShardLocked makes the staged updates live: each updated profile
@@ -365,36 +422,36 @@ func (s *SPA) buildShardBatchLocked(g *preparedGroup) (*store.WriteBatch, error)
 // (or runs non-durably).
 func (s *SPA) installShardLocked(g *preparedGroup) {
 	sh := s.shards[g.shardIdx]
-	changes := make([]profChange, 0, len(g.vectors))
-	for id, vec := range g.vectors {
-		if p := s.residentLocked(sh, id); p != nil {
+	changes := make([]profChange, 0, len(g.digests))
+	for _, d := range g.digests {
+		if p := s.residentLocked(sh, d.id); p != nil {
 			cp := *p
-			cp.Subjective = vec
-			changes = append(changes, profChange{id: id, p: &cp})
+			cp.Subjective = d.vec
+			changes = append(changes, profChange{id: d.id, p: &cp})
 		}
 	}
 	if s.publishShardLocked(sh, changes, g.interactions) > 0 {
-		g.res.interactions = true
+		g.recorded = true
 	}
 }
 
 // finishMulti folds the shard groups' accounting into the per-batch
 // outcomes and, if any group recorded interactions, bumps the recommend
 // generation (lock-free) so no cached ranking outlives the new rows.
-func (s *SPA) finishMulti(out []IngestOutcome, groups []*preparedGroup) {
+func (s *SPA) finishMulti(out []IngestOutcome, groups []preparedGroup) {
 	newRows := false
-	for _, g := range groups {
-		newRows = newRows || g.res.interactions
+	for i := range groups {
+		newRows = newRows || groups[i].recorded
 	}
 	if newRows {
 		s.invalidateRecommender()
 	}
-	for _, g := range groups {
-		for b := range out {
-			out[b].Processed += g.res.processed[b]
-			out[b].SkippedUnknown += g.res.skipped[b]
-			if out[b].Err == nil && g.res.errs[b] != nil {
-				out[b].Err = g.res.errs[b]
+	for i := range groups {
+		for b, t := range groups[i].tally {
+			out[b].Processed += t.processed
+			out[b].SkippedUnknown += t.skipped
+			if out[b].Err == nil && t.err != nil {
+				out[b].Err = t.err
 			}
 		}
 	}
@@ -402,10 +459,10 @@ func (s *SPA) finishMulti(out []IngestOutcome, groups []*preparedGroup) {
 
 // failStore charges a persistence failure to every surviving batch that
 // contributed applied events to this shard group.
-func (r *multiResult) failStore(excluded []bool, err error) {
-	for b := range r.errs {
-		if !excluded[b] && r.processed[b] > 0 && r.errs[b] == nil {
-			r.errs[b] = err
+func (g *preparedGroup) failStore(err error) {
+	for b := range g.tally {
+		if t := &g.tally[b]; !t.excluded && t.processed > 0 && t.err == nil {
+			t.err = err
 		}
 	}
 }

@@ -40,7 +40,11 @@ const waveAnnotationVersion = 0x01
 // per event uvarint user id, one type byte, uvarint action. Only the fields
 // the CF fold (publishShardLocked) consumes travel.
 func encodeWaveAnnotation(events []taggedEvent) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64+len(events)*(binary.MaxVarintLen64+1+binary.MaxVarintLen32))
+	return appendWaveAnnotation(make([]byte, 0, 1+binary.MaxVarintLen64+len(events)*(binary.MaxVarintLen64+1+binary.MaxVarintLen32)), events)
+}
+
+// appendWaveAnnotation appends the annotation encoding of events to buf.
+func appendWaveAnnotation(buf []byte, events []taggedEvent) []byte {
 	buf = append(buf, waveAnnotationVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(events)))
 	for _, te := range events {

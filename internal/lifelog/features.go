@@ -1,7 +1,9 @@
 package lifelog
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -44,14 +46,22 @@ func ActionBucket(action uint32) int {
 	return int(action) * NumActionBuckets / ActionUniverse
 }
 
-// Extractor accumulates per-user features from a stream. It embeds a
-// Sessionizer so session statistics are computed on the fly — this is the
-// online half of the LifeLogs Pre-processor Agent.
+// Extractor accumulates per-user features from a stream — the online half
+// of the LifeLogs Pre-processor Agent. It cuts each user's events into
+// sessions exactly as a Sessionizer with the same idle gap would, but
+// keeps only what the features need of the open session (its start, last
+// event and length), not its events.
 type Extractor struct {
-	sz      *Sessionizer
-	byUser  map[uint64]*acc
+	idleGap time.Duration
 	horizon time.Time
+	accs    []acc // in first-seen order
+	// byUser indexes accs once there are more than linearUsers of them;
+	// below that a scan is cheaper than a map.
+	byUser map[uint64]int
 }
+
+// linearUsers is how many users an Extractor finds by scanning.
+const linearUsers = 16
 
 type acc struct {
 	fv            FeatureVector
@@ -62,31 +72,75 @@ type acc struct {
 	msgOpens      int
 	msgClicks     int
 	lastEvent     time.Time
+	// The open session, if open: it began at sessStart, and its last
+	// event is lastEvent. Finish closes it.
+	open      bool
+	sessStart time.Time
+	sessLen   int
 }
 
 // NewExtractor creates an extractor; horizon is the "now" used for recency
-// (typically the campaign send time).
+// (typically the campaign send time). A zero idleGap means 30 minutes.
 func NewExtractor(idleGap time.Duration, horizon time.Time) *Extractor {
-	return &Extractor{
-		sz:      NewSessionizer(idleGap),
-		byUser:  make(map[uint64]*acc),
-		horizon: horizon,
+	if idleGap <= 0 {
+		idleGap = 30 * time.Minute
 	}
+	return &Extractor{idleGap: idleGap, horizon: horizon}
 }
 
-// Feed consumes one event.
+// Grow reserves room for n more users.
+func (x *Extractor) Grow(n int) { x.accs = slices.Grow(x.accs, n) }
+
+// Reset forgets every user, keeping the allocated room.
+func (x *Extractor) Reset() {
+	x.accs = x.accs[:0]
+	x.byUser = nil
+}
+
+// user returns the accumulator of id, adding it on its first event.
+func (x *Extractor) user(id uint64) *acc {
+	if x.byUser != nil {
+		if i, ok := x.byUser[id]; ok {
+			return &x.accs[i]
+		}
+	} else {
+		for i := range x.accs {
+			if x.accs[i].fv.UserID == id {
+				return &x.accs[i]
+			}
+		}
+	}
+	x.accs = append(x.accs, acc{fv: FeatureVector{UserID: id}})
+	switch {
+	case x.byUser != nil:
+		x.byUser[id] = len(x.accs) - 1
+	case len(x.accs) > linearUsers:
+		x.byUser = make(map[uint64]int, 2*len(x.accs))
+		for i := range x.accs {
+			x.byUser[x.accs[i].fv.UserID] = i
+		}
+	}
+	return &x.accs[len(x.accs)-1]
+}
+
+// Feed consumes one event. Events must arrive in non-decreasing time order
+// per user within a session; a violation returns the Sessionizer's
+// out-of-order error and leaves the extractor as it was.
 func (x *Extractor) Feed(e Event) error {
-	done, err := x.sz.Feed(e)
-	if err != nil {
+	if err := e.Validate(); err != nil {
 		return err
 	}
-	a := x.byUser[e.UserID]
-	if a == nil {
-		a = &acc{fv: FeatureVector{UserID: e.UserID}}
-		x.byUser[e.UserID] = a
-	}
-	if done != nil {
-		x.closeSession(done)
+	a := x.user(e.UserID)
+	switch {
+	case !a.open:
+		a.openSession(e.Time)
+	case e.Time.Before(a.lastEvent):
+		return fmt.Errorf("lifelog: out-of-order event for user %d: %v before %v", e.UserID, e.Time, a.lastEvent)
+	case e.Time.Sub(a.lastEvent) > x.idleGap:
+		a.closeSession()
+		a.openSession(e.Time)
+	default:
+		a.sessLen++
 	}
 	a.fv.Events++
 	a.lastEvent = e.Time
@@ -111,24 +165,31 @@ func (x *Extractor) Feed(e Event) error {
 	return nil
 }
 
-func (x *Extractor) closeSession(s *Session) {
-	a := x.byUser[s.UserID]
-	if a == nil {
-		return
-	}
-	a.sessions++
-	a.sessionMins += s.Duration().Minutes()
-	a.sessionEvents += len(s.Events)
+func (a *acc) openSession(at time.Time) {
+	a.open = true
+	a.sessStart = at
+	a.sessLen = 1
 }
 
-// Finish closes open sessions and returns the per-user feature vectors.
-func (x *Extractor) Finish() map[uint64]FeatureVector {
-	for _, s := range x.sz.FlushAll() {
-		x.closeSession(s)
-	}
-	out := make(map[uint64]FeatureVector, len(x.byUser))
-	for id, a := range x.byUser {
-		fv := a.fv
+func (a *acc) closeSession() {
+	a.open = false
+	a.sessions++
+	a.sessionMins += a.lastEvent.Sub(a.sessStart).Minutes()
+	a.sessionEvents += a.sessLen
+}
+
+// Finish closes open sessions and returns the per-user feature vectors in
+// the order the users first appeared. Feeding may continue afterwards: a
+// user's next event opens a new session.
+func (x *Extractor) Finish() []FeatureVector {
+	out := make([]FeatureVector, len(x.accs))
+	for i := range x.accs {
+		a := &x.accs[i]
+		if a.open {
+			a.closeSession()
+		}
+		fv := &out[i]
+		*fv = a.fv
 		fv.Sessions = a.sessions
 		if a.sessions > 0 {
 			fv.MeanSessionMinutes = a.sessionMins / float64(a.sessions)
@@ -152,7 +213,6 @@ func (x *Extractor) Finish() map[uint64]FeatureVector {
 				fv.RecencyDays = 0
 			}
 		}
-		out[id] = fv
 	}
 	return out
 }

@@ -315,7 +315,7 @@ func TestExtractorBasics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fvs := x.Finish()
+	fvs := featuresByUser(x.Finish())
 	u1 := fvs[1]
 	if u1.Events != 5 || u1.Sessions != 2 || u1.Enrollments != 1 || u1.Ratings != 1 {
 		t.Fatalf("u1 = %+v", u1)
@@ -340,7 +340,7 @@ func TestExtractorActionHistogram(t *testing.T) {
 	x := NewExtractor(0, t0.Add(time.Hour))
 	x.Feed(ev(1, t0, EventClick, 0))
 	x.Feed(ev(1, t0.Add(time.Second), EventClick, ActionUniverse-1))
-	fv := x.Finish()[1]
+	fv := featuresByUser(x.Finish())[1]
 	if fv.ActionHistogram[0] != 1 {
 		t.Fatalf("bucket 0 = %v", fv.ActionHistogram[0])
 	}

@@ -1,0 +1,87 @@
+//go:build !race
+
+package server
+
+import (
+	"bufio"
+	"encoding/binary"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/core"
+	"repro/internal/lifelog"
+	"repro/internal/store"
+	"repro/internal/wire"
+)
+
+// TestStreamFrameAllocCeiling gates the stream session's per-frame server
+// path: one 8-user × 4-event ingest frame read off the connection,
+// decoded, coalesced, prepared and committed on a durable, unsynced store,
+// and answered with its response and credit frames. The client side
+// writes a pre-encoded frame and reads the answers into a reused buffer,
+// so the count is the server's. The ceiling is the measured count (go1.24,
+// amd64); the race detector changes allocation counts, so the file builds
+// only without it.
+func TestStreamFrameAllocCeiling(t *testing.T) {
+	spa, err := core.New(core.Options{DataDir: t.TempDir(), Store: store.Options{DisableAutoCompaction: true},
+		Shards: 16, Clock: clock.NewSimulated(t0.Add(time.Hour))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { spa.Close() })
+	var events []lifelog.Event
+	for id := uint64(1); id <= 8; id++ {
+		if err := spa.Register(id, []float64{float64(id), 1}); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 4; e++ {
+			events = append(events, lifelog.Event{UserID: id, Time: t0.Add(time.Duration(e) * time.Minute),
+				Type: lifelog.EventClick, Action: uint32(int(id)*7 + e)})
+		}
+	}
+	s := New(spa, Options{})
+	t.Cleanup(s.Close)
+	srvConn, cliConn := net.Pipe()
+	t.Cleanup(func() { cliConn.Close() })
+	go s.serveStream(srvConn, bufio.NewReader(srvConn), bufio.NewWriter(srvConn))
+
+	br := bufio.NewReader(cliConn)
+	buf := make([]byte, 256)
+	readKind := func() byte {
+		n, err := binary.ReadUvarint(br)
+		if err != nil || n < 6 || n > uint64(len(buf)) {
+			t.Fatalf("reading a frame: length %d, %v", n, err)
+		}
+		if _, err := io.ReadFull(br, buf[:n]); err != nil {
+			t.Fatal(err)
+		}
+		return buf[5]
+	}
+	if k := readKind(); k != wire.KindStreamHello {
+		t.Fatalf("first frame kind %#x, want hello", k)
+	}
+	frame := wire.EncodeIngestRequest(wire.FromEvents(events))
+	msg := append(binary.AppendUvarint(nil, uint64(len(frame))), frame...)
+	send := func() {
+		if _, err := cliConn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if k := readKind(); k != wire.KindIngestResponse {
+			t.Fatalf("answer kind %#x, want an ingest response", k)
+		}
+		if k := readKind(); k != wire.KindStreamCredit {
+			t.Fatalf("second frame kind %#x, want credit", k)
+		}
+	}
+	send() // the users' CF rows reach their steady size
+
+	const ceiling = 148
+	if got := testing.AllocsPerRun(100, send); got > ceiling {
+		t.Errorf("stream frame: %.1f allocs, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("stream frame: %.1f allocs, ceiling %d", got, ceiling)
+	}
+}

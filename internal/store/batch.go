@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // WriteBatch accumulates puts and deletes that commit atomically: Apply
@@ -11,29 +12,65 @@ import (
 // the whole batch on replay — readers never observe a partially applied
 // batch, before or after recovery.
 //
+// Put, Delete and SetAnnotation copy their arguments into the batch's
+// arena, so the caller may reuse its slices at once. Apply encodes the
+// arena's contents into the WAL record, and the memtable keeps slices of
+// that record, not of the arena: after Apply returns, nothing the store
+// holds refers to the batch.
+//
 // A WriteBatch is not safe for concurrent use; build it on one goroutine
 // and hand it to Apply. It may be reused after Reset.
 type WriteBatch struct {
 	entries    []walEntry
 	annotation []byte
 	size       int
+	// arena holds the copies; its unused capacity is the room left. A full
+	// arena is replaced, never regrown in place, so queued entries keep
+	// their bytes.
+	arena []byte
+}
+
+// Grow reserves room for entries more operations and bytes more bytes of
+// keys, values and annotation, so a caller that knows the batch's size
+// fills it with two allocations.
+func (b *WriteBatch) Grow(entries, bytes int) {
+	b.entries = slices.Grow(b.entries, entries)
+	if cap(b.arena)-len(b.arena) < bytes {
+		b.arena = make([]byte, 0, bytes)
+	}
+}
+
+// reserve makes room for n more arena bytes. A full arena is replaced,
+// sized from the bytes queued so far (so the sizes double), or to n alone
+// when n is larger.
+func (b *WriteBatch) reserve(n int) {
+	if cap(b.arena)-len(b.arena) < n {
+		b.arena = make([]byte, 0, max(n, b.size))
+	}
+}
+
+// copyIn appends p to the arena, which has room for it, and returns the
+// copy, capped so an append to it can never reach a neighbour.
+func (b *WriteBatch) copyIn(p []byte) []byte {
+	if len(p) == 0 {
+		return nil
+	}
+	start := len(b.arena)
+	b.arena = append(b.arena, p...)
+	return b.arena[start:len(b.arena):len(b.arena)]
 }
 
 // Put queues a key/value pair. Both slices are copied immediately.
 func (b *WriteBatch) Put(key, value []byte) {
-	b.entries = append(b.entries, walEntry{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
+	b.reserve(len(key) + len(value))
+	b.entries = append(b.entries, walEntry{key: b.copyIn(key), value: b.copyIn(value)})
 	b.size += len(key) + len(value)
 }
 
 // Delete queues a tombstone for key. The slice is copied immediately.
 func (b *WriteBatch) Delete(key []byte) {
-	b.entries = append(b.entries, walEntry{
-		key:       append([]byte(nil), key...),
-		tombstone: true,
-	})
+	b.reserve(len(key))
+	b.entries = append(b.entries, walEntry{key: b.copyIn(key), tombstone: true})
 	b.size += len(key)
 }
 
@@ -44,7 +81,8 @@ func (b *WriteBatch) Delete(key []byte) {
 // events) alongside the key updates so a replica can rebuild what the
 // key/value entries alone cannot express. The slice is copied.
 func (b *WriteBatch) SetAnnotation(data []byte) {
-	b.annotation = append([]byte(nil), data...)
+	b.reserve(len(data))
+	b.annotation = b.copyIn(data)
 }
 
 // Len returns the number of queued operations.
@@ -54,11 +92,13 @@ func (b *WriteBatch) Len() int { return len(b.entries) }
 // how much WAL and memtable space Apply will consume.
 func (b *WriteBatch) Size() int { return b.size }
 
-// Reset clears the batch for reuse, keeping allocated capacity.
+// Reset clears the batch for reuse, keeping allocated capacity. Rewinding
+// the arena is safe because nothing the store holds refers to it.
 func (b *WriteBatch) Reset() {
 	b.entries = b.entries[:0]
 	b.annotation = nil
 	b.size = 0
+	b.arena = b.arena[:0]
 }
 
 // Apply commits the batch: ApplyAll of a one-batch sequence. Either every
@@ -183,8 +223,8 @@ func (db *DB) commitGroupLocked(group []groupRecord, wave uint64) error {
 			return err
 		}
 	}
-	for _, r := range group {
-		db.installLocked(r.entries)
+	for _, r := range db.activeRecs[committed:] {
+		db.installLocked(r.payload)
 	}
 	db.lastLSN = group[len(group)-1].lsn
 	db.notifyTailLocked()
@@ -194,14 +234,17 @@ func (db *DB) commitGroupLocked(group []groupRecord, wave uint64) error {
 	return nil
 }
 
-// installLocked applies one record's entries to the memtable; the caller
-// holds db.mu and has already made the record durable.
-func (db *DB) installLocked(entries []walEntry) {
-	for _, e := range entries {
-		if e.tombstone {
-			db.mem.delete(e.key)
-		} else {
-			db.mem.put(e.key, e.value)
-		}
+// installLocked applies one committed record's entries to the memtable,
+// which keeps slices of payload rather than copies: payload must be a
+// record the active-log mirror (activeRecs) holds, so it lives until the
+// flush that retires the memtable. The caller holds db.mu and has made
+// the record durable; payload is well formed (the store encoded it, or
+// replay decoded it).
+func (db *DB) installLocked(payload []byte) {
+	_, _, count, rest, _ := decodeWALHeader(payload)
+	for ; count > 0; count-- {
+		var e walEntry
+		e, rest, _ = decodeWALSubEntry(rest)
+		db.mem.upsert(e.key, e.value, e.tombstone)
 	}
 }

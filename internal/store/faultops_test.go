@@ -270,7 +270,7 @@ func writeSegmentV1(t *testing.T, path string, entries []entry) {
 	var ibuf []byte
 	var icount uint32
 	for i, e := range entries {
-		rec := encodeRecord(e)
+		rec := appendRecord(nil, e)
 		if i%indexStride == 0 {
 			icount++
 			ibuf = binary.AppendUvarint(ibuf, uint64(len(e.key)))

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -311,7 +312,9 @@ func (t *LogTail) Next() (LogRecord, error) {
 				// LSN): the first record of a position wins.
 				continue
 			}
-			rec, err := decodeWALRecord(raw.payload)
+			// The record the caller gets owns its bytes: a private copy of
+			// the payload, whose active-log original the memtable shares.
+			rec, err := decodeWALRecord(bytes.Clone(raw.payload))
 			if err != nil {
 				return LogRecord{}, err
 			}
@@ -449,10 +452,8 @@ func (db *DB) RestoreSnapshot(pairs []LogEntry, snapshotLSN uint64) error {
 			return err
 		}
 		recs = append(recs, logRec{lsn: snapshotLSN, payload: payload})
-		for _, e := range chunk {
-			db.mem.put(e.key, e.value)
-		}
-		chunk, chunkBytes = nil, 0
+		db.installLocked(payload)
+		chunk, chunkBytes = chunk[:0], 0
 		return nil
 	}
 	for _, p := range pairs {

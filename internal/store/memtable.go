@@ -7,11 +7,27 @@ import "bytes"
 //
 // A skiplist (rather than Go's map) keeps keys ordered, which Scan and
 // segment flushing need, without a sort on every flush.
+//
+// Ownership: the memtable never copies a key or value. Every slice it holds
+// is a slice of a committed WAL record's payload (installLocked), and the
+// store keeps each of those payloads in its active-log mirror (activeRecs)
+// until the flush that retires this memtable, so the bytes outlive every
+// node that points at them. Payloads are immutable, so an update re-points
+// the node at the new record's value instead of writing over the old one.
+// Nodes and their towers come from slabs the memtable owns; a flush drops
+// the memtable and its slabs together.
 const (
 	maxHeight = 16
 	// pBranch is the branching probability expressed as a threshold over a
 	// 32-bit draw: ~1/4 keeps towers short and cache-friendly.
 	pBranch = 1 << 30
+
+	// nodeSlab and towerSlab size the chunks nodes and towers are carved
+	// from: one allocation per 128 new keys instead of two per key. A
+	// tower averages 4/3 pointers, so the tower chunk outlasts the node
+	// chunk.
+	nodeSlab  = 128
+	towerSlab = 256
 )
 
 type skipNode struct {
@@ -27,6 +43,9 @@ type memtable struct {
 	count   int
 	bytes   int
 	rndSeed uint64
+
+	nodes  []skipNode  // unused tail of the current node chunk
+	towers []*skipNode // unused tail of the current tower chunk
 }
 
 func newMemtable() *memtable {
@@ -69,15 +88,32 @@ func (m *memtable) findGreaterOrEqual(key []byte, prev []*skipNode) *skipNode {
 	return x.next[0]
 }
 
+// newNode carves a node with an h-level tower from the slabs.
+func (m *memtable) newNode(h int) *skipNode {
+	if len(m.nodes) == 0 {
+		m.nodes = make([]skipNode, nodeSlab)
+	}
+	n := &m.nodes[0]
+	m.nodes = m.nodes[1:]
+	if len(m.towers) < h {
+		m.towers = make([]*skipNode, max(towerSlab, h))
+	}
+	n.next = m.towers[:h:h]
+	m.towers = m.towers[h:]
+	return n
+}
+
+// upsert installs key → value (or a tombstone), keeping both slices: they
+// must be immutable and outlive the memtable (see the ownership note).
 func (m *memtable) upsert(key, value []byte, tombstone bool) {
-	prev := make([]*skipNode, maxHeight)
+	var prev [maxHeight]*skipNode
 	for i := range prev {
 		prev[i] = m.head
 	}
-	n := m.findGreaterOrEqual(key, prev)
+	n := m.findGreaterOrEqual(key, prev[:])
 	if n != nil && bytes.Equal(n.key, key) {
 		m.bytes += len(value) - len(n.value)
-		n.value = append(n.value[:0], value...)
+		n.value = value
 		n.tombstone = tombstone
 		return
 	}
@@ -85,12 +121,8 @@ func (m *memtable) upsert(key, value []byte, tombstone bool) {
 	if h > m.height {
 		m.height = h
 	}
-	node := &skipNode{
-		key:       append([]byte(nil), key...),
-		value:     append([]byte(nil), value...),
-		tombstone: tombstone,
-		next:      make([]*skipNode, h),
-	}
+	node := m.newNode(h)
+	node.key, node.value, node.tombstone = key, value, tombstone
 	for level := 0; level < h; level++ {
 		node.next[level] = prev[level].next[level]
 		prev[level].next[level] = node
@@ -98,10 +130,6 @@ func (m *memtable) upsert(key, value []byte, tombstone bool) {
 	m.count++
 	m.bytes += len(key) + len(value) + 32
 }
-
-func (m *memtable) put(key, value []byte) { m.upsert(key, value, false) }
-
-func (m *memtable) delete(key []byte) { m.upsert(key, nil, true) }
 
 func (m *memtable) get(key []byte) (value []byte, tombstone, ok bool) {
 	n := m.findGreaterOrEqual(key, nil)

@@ -73,8 +73,9 @@ func writeSegment(fops FileOps, path string, entries []entry) error {
 	}
 	var (
 		offset  int64 // into record block
-		index   []indexEntry
+		index   = make([]indexEntry, 0, (len(entries)+indexStride-1)/indexStride)
 		prevKey []byte
+		rec     []byte // one record's encoding, reused
 	)
 	filter := newBloomFilter(len(entries), bloomBitsPerKey)
 	for i, e := range entries {
@@ -85,9 +86,9 @@ func writeSegment(fops FileOps, path string, entries []entry) error {
 		prevKey = e.key
 		filter.add(e.key)
 		if i%indexStride == 0 {
-			index = append(index, indexEntry{key: append([]byte(nil), e.key...), offset: offset})
+			index = append(index, indexEntry{key: e.key, offset: offset})
 		}
-		rec := encodeRecord(e)
+		rec = appendRecord(rec[:0], e)
 		if _, err := w.Write(rec); err != nil {
 			f.Close()
 			return err
@@ -95,18 +96,23 @@ func writeSegment(fops FileOps, path string, entries []entry) error {
 		offset += int64(len(rec))
 	}
 	indexOffset := offset
-	var ibuf []byte
-	ibuf = binary.LittleEndian.AppendUint32(ibuf, uint32(len(index)))
-	for _, ie := range index {
-		ibuf = binary.AppendUvarint(ibuf, uint64(len(ie.key)))
-		ibuf = append(ibuf, ie.key...)
-		ibuf = binary.LittleEndian.AppendUint64(ibuf, uint64(ie.offset))
-	}
-	if _, err := w.Write(ibuf); err != nil {
+	rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(len(index)))
+	if _, err := w.Write(rec); err != nil {
 		f.Close()
 		return err
 	}
-	bloomOffset := indexOffset + int64(len(ibuf))
+	offset += int64(len(rec))
+	for _, ie := range index {
+		rec = binary.AppendUvarint(rec[:0], uint64(len(ie.key)))
+		rec = append(rec, ie.key...)
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(ie.offset))
+		if _, err := w.Write(rec); err != nil {
+			f.Close()
+			return err
+		}
+		offset += int64(len(rec))
+	}
+	bloomOffset := offset
 	if _, err := w.Write(filter.marshal()); err != nil {
 		f.Close()
 		return err
@@ -139,20 +145,18 @@ func writeSegment(fops FileOps, path string, entries []entry) error {
 	return fops.Rename(tmp, path)
 }
 
-func encodeRecord(e entry) []byte {
-	var buf []byte
+// appendRecord appends e's segment record encoding to buf.
+func appendRecord(buf []byte, e entry) []byte {
 	if e.tombstone {
 		buf = append(buf, opDelete)
 		buf = binary.AppendUvarint(buf, uint64(len(e.key)))
-		buf = append(buf, e.key...)
-		return buf
+		return append(buf, e.key...)
 	}
 	buf = append(buf, opPut)
 	buf = binary.AppendUvarint(buf, uint64(len(e.key)))
 	buf = append(buf, e.key...)
 	buf = binary.AppendUvarint(buf, uint64(len(e.value)))
-	buf = append(buf, e.value...)
-	return buf
+	return append(buf, e.value...)
 }
 
 func openSegment(path string, id uint64) (*segment, error) {
@@ -347,17 +351,21 @@ func (it *segIter) next() (entry, bool) {
 // (newest wins). Tombstones are dropped only when dropTombstones is set —
 // legal solely when segs includes the oldest segment of the store, since a
 // dropped tombstone can no longer shadow anything beneath the merged run.
+// The entries are slices of the segments' record blocks, which are
+// immutable and stay in memory while the result is referenced.
 func mergeSegments(segs []*segment, dropTombstones bool) ([]entry, error) {
 	sources := make([]iterator, 0, len(segs))
+	total := 0
 	for i := len(segs) - 1; i >= 0; i-- { // newest first
 		it, err := segs[i].iter(nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		sources = append(sources, it)
+		total += segs[i].count
 	}
 	mi := newMergeIter(sources)
-	var out []entry
+	out := make([]entry, 0, total)
 	for {
 		e, ok := mi.next()
 		if !ok {
@@ -366,10 +374,6 @@ func mergeSegments(segs []*segment, dropTombstones bool) ([]entry, error) {
 		if e.tombstone && dropTombstones {
 			continue
 		}
-		out = append(out, entry{
-			key:       append([]byte(nil), e.key...),
-			value:     append([]byte(nil), e.value...),
-			tombstone: e.tombstone,
-		})
+		out = append(out, e)
 	}
 }

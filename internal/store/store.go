@@ -185,7 +185,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 	for _, rec := range recs {
-		db.installLocked(rec.entries)
+		db.installLocked(rec.payload)
 		db.activeRecs = append(db.activeRecs, logRec{lsn: rec.lsn, payload: rec.payload})
 		db.lastLSN = max(db.lastLSN, rec.lsn)
 	}
@@ -574,14 +574,22 @@ type iterator interface {
 
 // mergeIter merges already-sorted iterators; on duplicate keys the iterator
 // that appears earliest in sources wins (sources must therefore be ordered
-// newest first).
+// newest first). Every source's entries must stay valid after its next
+// call: the memtable's (under the store lock) and the segments' (immutable
+// record blocks) do, so the merge copies nothing.
 type mergeIter struct {
 	sources []iterator
-	heads   []*entry
+	heads   []mergeHead
+}
+
+// mergeHead is one source's current entry; ok is false once it is drained.
+type mergeHead struct {
+	e  entry
+	ok bool
 }
 
 func newMergeIter(sources []iterator) *mergeIter {
-	m := &mergeIter{sources: sources, heads: make([]*entry, len(sources))}
+	m := &mergeIter{sources: sources, heads: make([]mergeHead, len(sources))}
 	for i := range sources {
 		m.advance(i)
 	}
@@ -589,32 +597,26 @@ func newMergeIter(sources []iterator) *mergeIter {
 }
 
 func (m *mergeIter) advance(i int) {
-	e, ok := m.sources[i].next()
-	if ok {
-		m.heads[i] = &e
-	} else {
-		m.heads[i] = nil
-	}
+	m.heads[i].e, m.heads[i].ok = m.sources[i].next()
 }
 
 func (m *mergeIter) next() (entry, bool) {
 	best := -1
-	for i, h := range m.heads {
-		if h == nil {
+	for i := range m.heads {
+		if !m.heads[i].ok {
 			continue
 		}
-		if best == -1 || bytes.Compare(h.key, m.heads[best].key) < 0 {
+		if best == -1 || bytes.Compare(m.heads[i].e.key, m.heads[best].e.key) < 0 {
 			best = i
 		}
 	}
 	if best == -1 {
 		return entry{}, false
 	}
-	out := *m.heads[best]
+	out := m.heads[best].e
 	// Consume the winner and every older duplicate of the same key.
-	key := append([]byte(nil), out.key...)
 	for i := range m.heads {
-		for m.heads[i] != nil && bytes.Equal(m.heads[i].key, key) {
+		for m.heads[i].ok && bytes.Equal(m.heads[i].e.key, out.key) {
 			m.advance(i)
 		}
 	}

@@ -161,38 +161,13 @@ func replayWAL(f WALFile) ([]walRec, int64, int64, error) {
 }
 
 // decodeWALRecord decodes one framed payload. A pre-LSN record yields
-// ErrLegacyWAL; any other malformed payload a plain error.
+// ErrLegacyWAL; any other malformed payload a plain error. The annotation
+// and the entries' keys and values are slices of p.
 func decodeWALRecord(p []byte) (walRec, error) {
-	if len(p) < 1 {
-		return walRec{}, errors.New("store: short wal payload")
+	lsn, annotation, count, rest, err := decodeWALHeader(p)
+	if err != nil {
+		return walRec{}, err
 	}
-	if p[0] < opBatchLSN {
-		return walRec{}, ErrLegacyWAL
-	}
-	if p[0] != opBatchLSN {
-		return walRec{}, fmt.Errorf("store: unknown wal record op %d", p[0])
-	}
-	rest := p[1:]
-	lsn, n := binary.Uvarint(rest)
-	if n <= 0 || lsn == 0 {
-		return walRec{}, errors.New("store: bad wal record lsn")
-	}
-	rest = rest[n:]
-	alen, n := binary.Uvarint(rest)
-	if n <= 0 || alen > uint64(len(rest)-n) {
-		return walRec{}, errors.New("store: bad wal annotation length")
-	}
-	rest = rest[n:]
-	var annotation []byte
-	if alen > 0 {
-		annotation = append([]byte(nil), rest[:alen]...)
-	}
-	rest = rest[alen:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > uint64(len(rest)) {
-		return walRec{}, errors.New("store: bad wal entry count")
-	}
-	rest = rest[n:]
 	entries := make([]walEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		e, next, err := decodeWALSubEntry(rest)
@@ -206,6 +181,41 @@ func decodeWALRecord(p []byte) (walRec, error) {
 		return walRec{}, errors.New("store: trailing bytes in wal record")
 	}
 	return walRec{lsn: lsn, annotation: annotation, entries: entries, payload: p}, nil
+}
+
+// decodeWALHeader decodes a payload's framing up to its entries: the LSN,
+// the annotation (a slice of p, nil when empty), the entry count, and the
+// bytes holding the entries.
+func decodeWALHeader(p []byte) (lsn uint64, annotation []byte, count uint64, rest []byte, err error) {
+	if len(p) < 1 {
+		return 0, nil, 0, nil, errors.New("store: short wal payload")
+	}
+	if p[0] < opBatchLSN {
+		return 0, nil, 0, nil, ErrLegacyWAL
+	}
+	if p[0] != opBatchLSN {
+		return 0, nil, 0, nil, fmt.Errorf("store: unknown wal record op %d", p[0])
+	}
+	rest = p[1:]
+	lsn, n := binary.Uvarint(rest)
+	if n <= 0 || lsn == 0 {
+		return 0, nil, 0, nil, errors.New("store: bad wal record lsn")
+	}
+	rest = rest[n:]
+	alen, n := binary.Uvarint(rest)
+	if n <= 0 || alen > uint64(len(rest)-n) {
+		return 0, nil, 0, nil, errors.New("store: bad wal annotation length")
+	}
+	rest = rest[n:]
+	if alen > 0 {
+		annotation = rest[:alen:alen]
+	}
+	rest = rest[alen:]
+	count, n = binary.Uvarint(rest)
+	if n <= 0 || count > uint64(len(rest)) {
+		return 0, nil, 0, nil, errors.New("store: bad wal entry count")
+	}
+	return lsn, annotation, count, rest[n:], nil
 }
 
 // encodeLSNRecord frames entries (and the annotation) as one payload
@@ -237,7 +247,7 @@ func walLSNRecordBound(annotation []byte, entries []walEntry) int {
 }
 
 // decodeWALSubEntry decodes one op+key[+value] unit and returns the
-// remaining bytes.
+// remaining bytes. The key and value are capped slices of p.
 func decodeWALSubEntry(p []byte) (walEntry, []byte, error) {
 	if len(p) < 1 {
 		return walEntry{}, nil, errors.New("store: short wal entry")
@@ -249,7 +259,7 @@ func decodeWALSubEntry(p []byte) (walEntry, []byte, error) {
 		return walEntry{}, nil, errors.New("store: bad wal key length")
 	}
 	rest = rest[n:]
-	key := append([]byte(nil), rest[:klen]...)
+	key := rest[:klen:klen]
 	rest = rest[klen:]
 	switch op {
 	case opDelete:
@@ -260,8 +270,7 @@ func decodeWALSubEntry(p []byte) (walEntry, []byte, error) {
 			return walEntry{}, nil, errors.New("store: bad wal value length")
 		}
 		rest = rest[n:]
-		value := append([]byte(nil), rest[:vlen]...)
-		return walEntry{key: key, value: value}, rest[vlen:], nil
+		return walEntry{key: key, value: rest[:vlen:vlen]}, rest[vlen:], nil
 	default:
 		return walEntry{}, nil, fmt.Errorf("store: unknown wal op %d", op)
 	}
@@ -304,10 +313,10 @@ func (w *wal) writeRecordNoSync(buf []byte) error {
 	if len(buf) > maxWALRecord {
 		return fmt.Errorf("store: wal record %d bytes exceeds %d-byte cap", len(buf), maxWALRecord)
 	}
-	var header [8]byte
-	binary.LittleEndian.PutUint32(header[0:4], crc32.Checksum(buf, castagnoli))
-	binary.LittleEndian.PutUint32(header[4:8], uint32(len(buf)))
-	if _, err := w.w.Write(header[:]); err != nil {
+	// The header goes into the writer's spare buffer: no allocation.
+	header := binary.LittleEndian.AppendUint32(w.w.AvailableBuffer(), crc32.Checksum(buf, castagnoli))
+	header = binary.LittleEndian.AppendUint32(header, uint32(len(buf)))
+	if _, err := w.w.Write(header); err != nil {
 		w.err = err
 		return err
 	}

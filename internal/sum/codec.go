@@ -31,8 +31,16 @@ var ErrBadProfile = errors.New("sum: malformed profile record")
 
 // Encode serializes the profile.
 func Encode(p *Profile) []byte {
-	size := 8 + 8 + 8 + 4 + emotion.NumAttributes*20 + 4 + len(p.Objective)*8 + 4 + len(p.Subjective)*8
-	buf := make([]byte, 0, size)
+	return AppendEncode(make([]byte, 0, EncodedLen(p)), p)
+}
+
+// EncodedLen is the length of p's encoding.
+func EncodedLen(p *Profile) int {
+	return 8 + 8 + 8 + 4 + emotion.NumAttributes*20 + 4 + len(p.Objective)*8 + 4 + len(p.Subjective)*8
+}
+
+// AppendEncode appends p's encoding to buf.
+func AppendEncode(buf []byte, p *Profile) []byte {
 	buf = append(buf, profileMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, p.UserID)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.UpdatedAt.UnixNano()))
@@ -128,10 +136,16 @@ func (r *reader) u32() uint32 {
 
 // Key returns the store key for a user's profile.
 func Key(userID uint64) []byte {
-	key := make([]byte, 0, 12)
-	key = append(key, "sum/"...)
-	key = binary.BigEndian.AppendUint64(key, userID) // big-endian: ordered scans by user id
-	return key
+	return AppendKey(make([]byte, 0, KeyLen), userID)
+}
+
+// KeyLen is the length of every profile key.
+const KeyLen = 12
+
+// AppendKey appends userID's profile key to buf.
+func AppendKey(buf []byte, userID uint64) []byte {
+	buf = append(buf, "sum/"...)
+	return binary.BigEndian.AppendUint64(buf, userID) // big-endian: ordered scans by user id
 }
 
 // Save persists the profile to the store.
