@@ -306,15 +306,16 @@ func checkMetricsFormats(t *testing.T, base string) {
 		t.Fatalf("snapshot_epoch %d, want >= 1 on a live core", m.SnapshotEpoch)
 	}
 	stable := map[string]float64{
-		"spad_users":                   float64(m.Users),
-		"spad_ingest_commits_total":    float64(m.IngestCommits),
-		"spad_ingest_events_total":     float64(m.IngestEvents),
-		"spad_ingest_requests_total":   float64(m.IngestRequests),
-		"spad_snapshot_epoch":          float64(m.SnapshotEpoch),
-		"spad_read_cache_hits_total":   float64(m.ReadCacheHits),
-		"spad_knn_rebuilds_total":      float64(m.KNNRebuilds),
-		"spad_read_cache_misses_total": float64(m.ReadCacheMisses),
-		"spad_repl_applied_lsn":        float64(m.ReplAppliedLSN),
+		"spad_users":                    float64(m.Users),
+		"spad_ingest_commits_total":     float64(m.IngestCommits),
+		"spad_ingest_events_total":      float64(m.IngestEvents),
+		"spad_ingest_requests_total":    float64(m.IngestRequests),
+		"spad_snapshot_epoch":           float64(m.SnapshotEpoch),
+		"spad_read_cache_hits_total":    float64(m.ReadCacheHits),
+		"spad_knn_rebuilds_total":       float64(m.KNNRebuilds),
+		"spad_read_cache_misses_total":  float64(m.ReadCacheMisses),
+		"spad_repl_applied_lsn":         float64(m.ReplAppliedLSN),
+		"spad_repl_apply_records_total": float64(m.ReplApplyRecords),
 		// The cluster series render on every daemon (zeros outside cluster
 		// mode), so their presence is part of the stable contract.
 		"spad_cluster_epoch":         float64(m.ClusterEpoch),
@@ -619,9 +620,15 @@ func testReplication(t *testing.T) {
 	// Both /metrics formats cross-check, with the replication series set
 	// and the apply stage observed.
 	checkMetricsFormats(t, follower.url())
-	if m := metrics(t, follower.url()); m.ReplRole != "follower" || m.ReplAppliedLSN < 1 {
+	m := metrics(t, follower.url())
+	if m.ReplRole != "follower" || m.ReplAppliedLSN < 1 {
 		t.Fatalf("follower metrics: repl_role %q repl_applied_lsn %d", m.ReplRole, m.ReplAppliedLSN)
 	}
+	// Every apply run holds at least one record.
+	if runs := m.Stages["repl_apply"].Count; runs < 1 || m.ReplApplyRecords < runs {
+		t.Fatalf("follower metrics: %d records over %d repl_apply runs", m.ReplApplyRecords, runs)
+	}
+	t.Logf("follower: %d records over %d apply runs", m.ReplApplyRecords, m.Stages["repl_apply"].Count)
 	if !strings.Contains(prometheus(t, follower.url()), `spad_stage_duration_seconds_count{stage="repl_apply"}`) {
 		t.Fatal("follower exposition has no repl_apply stage")
 	}

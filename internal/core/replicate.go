@@ -58,8 +58,27 @@ func appendWaveAnnotation(buf []byte, events []taggedEvent) []byte {
 // decodeWaveAnnotation unpacks an annotation blob. An empty blob is a wave
 // with no interaction events (e.g. a Register or EIT-answer record).
 func decodeWaveAnnotation(blob []byte) ([]taggedEvent, error) {
+	return appendWaveEvents(nil, blob)
+}
+
+// waveEventCount reports the event count an annotation blob declares (0
+// for an empty or malformed one: appendWaveEvents reports the error), so a
+// run's events can decode into one buffer sized up front.
+func waveEventCount(blob []byte) int {
 	if len(blob) == 0 {
-		return nil, nil
+		return 0
+	}
+	count, n := binary.Uvarint(blob[1:])
+	if n <= 0 || count > uint64(len(blob))/3 {
+		return 0
+	}
+	return int(count)
+}
+
+// appendWaveEvents decodes an annotation blob, appending its events to dst.
+func appendWaveEvents(dst []taggedEvent, blob []byte) ([]taggedEvent, error) {
+	if len(blob) == 0 {
+		return dst, nil
 	}
 	if blob[0] != waveAnnotationVersion {
 		return nil, fmt.Errorf("core: unknown wave annotation version %d", blob[0])
@@ -74,7 +93,7 @@ func decodeWaveAnnotation(blob []byte) ([]taggedEvent, error) {
 	if maxPossible := uint64(len(p)) / 3; count > maxPossible {
 		return nil, fmt.Errorf("core: wave annotation declares %d events, at most %d fit", count, maxPossible)
 	}
-	events := make([]taggedEvent, 0, count)
+	dst = slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
 		var te taggedEvent
 		id, n := binary.Uvarint(p)
@@ -97,12 +116,12 @@ func decodeWaveAnnotation(blob []byte) ([]taggedEvent, error) {
 		}
 		p = p[n:]
 		te.Action = uint32(action)
-		events = append(events, te)
+		dst = append(dst, te)
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes in wave annotation", len(p))
 	}
-	return events, nil
+	return dst, nil
 }
 
 // sumKeyUser parses a profile store key ("sum/" + big-endian user id).
@@ -221,21 +240,17 @@ type shardWork struct {
 // single-shard run costs no per-shard allocation. Keys outside the profile
 // key space are skipped, or refused when strict.
 func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]shardWork, error) {
-	n := 0
+	n, nev := 0, 0
 	for _, r := range recs {
 		n += len(r.Entries)
+		nev += waveEventCount(r.Annotation)
 	}
 	changes := make([]profChange, 0, n)
-	var events []taggedEvent
+	events := make([]taggedEvent, 0, nev)
 	for _, r := range recs {
-		evs, err := decodeWaveAnnotation(r.Annotation)
-		if err != nil {
+		var err error
+		if events, err = appendWaveEvents(events, r.Annotation); err != nil {
 			return nil, fmt.Errorf("wave %d: %w", r.LSN, err)
-		}
-		if events == nil {
-			events = evs
-		} else {
-			events = append(events, evs...)
 		}
 		for _, e := range r.Entries {
 			id, ok := sumKeyUser(e.Key)
@@ -264,7 +279,7 @@ func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]shardWork, er
 	slices.SortStableFunc(events, func(a, b taggedEvent) int {
 		return cmp.Compare(s.shardIndexFor(a.UserID), s.shardIndexFor(b.UserID))
 	})
-	var work []shardWork
+	work := make([]shardWork, 0, min(len(s.shards), len(changes)+len(events)))
 	for ci, ei := 0, 0; ci < len(changes) || ei < len(events); {
 		idx := len(s.shards)
 		if ci < len(changes) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/lifelog"
 	"repro/internal/store"
+	"repro/internal/sum"
 )
 
 // TestWriteAllocCeilings gates the ingest path's allocation count: one
@@ -66,6 +67,57 @@ func TestWriteAllocCeilings(t *testing.T) {
 			t.Errorf("%s: %.1f allocs, ceiling %.0f", c.name, got, c.ceiling)
 		} else {
 			t.Logf("%s: %.1f allocs, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// TestGroupShippedAllocs gates the follower's decode of a shipped run:
+// each profile entry costs sum.Decode's three allocations (the Profile and
+// its two float vectors), a record costs nothing more — its annotation's
+// events decode into the run's one event buffer — and the run pays a
+// constant on top, whatever its length.
+func TestGroupShippedAllocs(t *testing.T) {
+	s, err := New(Options{Shards: 16, Clock: clock.NewSimulated(t0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	run := func(records, profiles int) []store.LogRecord {
+		recs := make([]store.LogRecord, records)
+		id := uint64(1)
+		for i := range recs {
+			var entries []store.LogEntry
+			var events []taggedEvent
+			for j := 0; j < profiles; j++ {
+				p := sum.NewProfile(id, t0)
+				p.Objective, p.Subjective = []float64{30, 1}, []float64{0.5, 2, 3}
+				entries = append(entries, store.LogEntry{Key: sum.Key(id), Value: sum.Encode(p)})
+				for e := 0; e < 4; e++ {
+					events = append(events, taggedEvent{Event: clickAt(id, t0, uint32(e))})
+				}
+				id++
+			}
+			recs[i] = store.LogRecord{LSN: uint64(i + 1), Annotation: encodeWaveAnnotation(events), Entries: entries}
+		}
+		return recs
+	}
+	const (
+		perRun     = 3
+		perRecord  = 0
+		perProfile = 3
+	)
+	for _, shape := range []struct{ records, profiles int }{{1, 1}, {16, 1}, {16, 4}} {
+		recs := run(shape.records, shape.profiles)
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := s.groupShipped(recs, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ceiling := float64(perRun + perRecord*shape.records + perProfile*shape.records*shape.profiles)
+		if got > ceiling {
+			t.Errorf("groupShipped, %d records × %d profiles: %.1f allocs, ceiling %.0f", shape.records, shape.profiles, got, ceiling)
+		} else {
+			t.Logf("groupShipped, %d records × %d profiles: %.1f allocs, ceiling %.0f", shape.records, shape.profiles, got, ceiling)
 		}
 	}
 }

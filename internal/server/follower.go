@@ -291,13 +291,14 @@ func (s *Server) consume(rr *replReader, peer *peerPosition, apply func([]store.
 }
 
 // applyRun applies one run of shipped records, timed as the repl_apply
-// stage.
+// stage and counted, record by record, in replApplyRecords.
 func (s *Server) applyRun(apply func([]store.LogRecord) error, recs []store.LogRecord) error {
 	start := time.Now()
 	if err := apply(recs); err != nil {
 		return err
 	}
 	s.met.obs().stage("repl_apply", time.Since(start))
+	s.met.replApplyRecords.Add(uint64(len(recs)))
 	return nil
 }
 
@@ -331,9 +332,11 @@ type replReader struct {
 
 	// The current run, reused across runs: an apply keeps no reference to
 	// either slice (entries point into each wave's own frame, fresh per
-	// read). ackBuf is the reused ack frame.
+	// read). decoded is the reused scratch one frame's entries decode
+	// into; ackBuf is the reused ack frame.
 	recs    []store.LogRecord
 	entries []store.LogEntry
+	decoded []wire.ReplEntry
 	ackBuf  []byte
 }
 
@@ -367,10 +370,11 @@ func (rr *replReader) ack(lsn uint64) error {
 func (rr *replReader) waveRun(frame []byte) ([]store.LogRecord, error) {
 	rr.recs, rr.entries = rr.recs[:0], rr.entries[:0]
 	for size := 0; ; {
-		wv, err := wire.DecodeReplWave(frame)
+		wv, err := wire.DecodeReplWaveInto(frame, rr.decoded)
 		if err != nil {
 			return nil, err
 		}
+		rr.decoded = wv.Entries
 		start := len(rr.entries)
 		for _, e := range wv.Entries {
 			rr.entries = append(rr.entries, store.LogEntry(e))
@@ -482,7 +486,7 @@ func dialRepl(peerAddr string, opening []byte, timeout time.Duration) (*replRead
 		}
 	}()
 	conn.SetDeadline(time.Now().Add(replDialTimeout))
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, replBufBytes)
 	req := "GET " + wire.ReplPath + " HTTP/1.1\r\nHost: " + addr +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + wire.StreamProtocol + "\r\n\r\n"
 	if _, err := io.WriteString(conn, req); err != nil {

@@ -111,6 +111,10 @@ func (s *Server) serveHandoff(sess *replSession, br *bufio.Reader, hs wire.Hando
 		}
 	}
 
+	if s.beforeHandoffFence != nil {
+		s.beforeHandoffFence(sess.pos)
+	}
+
 	// Phase 2: fence the moving slots, wait out admitted writers (the
 	// guard barrier), flush the coalescer's queue, and ship the final
 	// delta. From here until the flip, writes to the moving slots answer

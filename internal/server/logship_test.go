@@ -130,8 +130,12 @@ func TestClusterHandoffShipsWavesUnderLiveWrites(t *testing.T) {
 
 	// A round's target applies one snapshot chunk (the moving users fit in
 	// one) plus one apply per wave run, so more than one apply means waves
-	// shipped. Whether a write lands between snapshot and fence is up to the
-	// scheduler, so rounds repeat, alternating direction, until one does.
+	// shipped. Left to the scheduler, a round's window between snapshot and
+	// fence can pass without a commit, so each source holds the fence back
+	// until a writer's commit lands past what the catch-up shipped.
+	for _, n := range nodes {
+		n.srv.beforeHandoffFence = func(shipped uint64) { awaitCommitPast(t, n.spa, shipped) }
+	}
 	slots := slotSet.Slots()
 	from, to := a, b
 	sawWaves := false
@@ -175,6 +179,23 @@ func TestClusterHandoffShipsWavesUnderLiveWrites(t *testing.T) {
 		}
 	}
 	t.Logf("%d acked writes across the handoffs", total)
+}
+
+// awaitCommitPast blocks until spa's log holds a record past lsn, failing
+// the test if none commits within 10 s.
+func awaitCommitPast(t *testing.T, spa *core.SPA, lsn uint64) {
+	tail, err := spa.TailLog(lsn + 1)
+	if err != nil {
+		t.Errorf("tailing past %d: %v", lsn, err)
+		return
+	}
+	timer := time.AfterFunc(10*time.Second, func() { tail.Close() })
+	if _, err := tail.Next(); err != nil {
+		t.Errorf("no commit past %d: %v", lsn, err)
+	}
+	if timer.Stop() {
+		tail.Close()
+	}
 }
 
 // TestFollowerStallsWhenLeaderOffersSnapshot: a follower started without

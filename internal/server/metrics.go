@@ -58,6 +58,10 @@ type metrics struct {
 	// leader, or the restored bootstrap size on a follower (seeded from
 	// Options.FollowerBootstrapBytes).
 	replSnapshotBytes atomic.Int64
+	// replApplyRecords counts the shipped records applied through the
+	// repl_apply stage (a snapshot chunk counts as one), so records per
+	// apply run is this over the stage's count.
+	replApplyRecords atomic.Uint64
 
 	// Stage-latency histograms and the wave-trace ring, built lazily so a
 	// zero-value metrics (tests construct these directly) works without a

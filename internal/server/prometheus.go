@@ -93,6 +93,8 @@ func writePromMetrics(w io.Writer, m wire.Metrics) error {
 			Samples: []obs.PromSample{{Value: float64(m.ReplFollowers)}}},
 		{Name: "spad_repl_snapshot_bytes_total", Help: "Snapshot bytes moved for replication (shipped on a leader, restored on a follower).", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(m.ReplSnapshotBytes)}}},
+		{Name: "spad_repl_apply_records_total", Help: "Shipped records applied through the repl_apply stage (a snapshot chunk counts as one); over its count, records per run.", Type: "counter",
+			Samples: []obs.PromSample{{Value: float64(m.ReplApplyRecords)}}},
 		{Name: "spad_cluster_epoch", Help: "Topology epoch this node serves under (0 outside cluster mode).", Type: "gauge",
 			Samples: []obs.PromSample{{Value: float64(m.ClusterEpoch)}}},
 		{Name: "spad_cluster_slots_owned", Help: "Keyspace slots this node currently owns (0 outside cluster mode).", Type: "gauge",

@@ -16,7 +16,7 @@ package server
 //   - shipThrough turns each tailed record into a wave frame, projected onto
 //     the slot set when the session has one, blocking on the consumer-
 //     granted window — a slow consumer exerts backpressure by withholding
-//     acks, never by growing a queue;
+//     acks, never by growing a queue — and flushes once per ready batch;
 //   - the ack reader consumes cumulative acks (reopening the window and
 //     driving the lag accounting) and treats EOF or a drain frame as the
 //     consumer hanging up;
@@ -62,6 +62,10 @@ const (
 	// replAckFrameMax bounds frames read back from the consumer — acks,
 	// heartbeat-sized control traffic only.
 	replAckFrameMax = 4 << 10
+	// replBufBytes sizes the producer's write buffer and the consumer's
+	// read buffer: a ready batch of wave frames leaves in one write, and
+	// one read takes it in, so a consumer's apply run can span the batch.
+	replBufBytes = 64 << 10
 )
 
 // replInflight is one shipped, unacknowledged wave: its position and its
@@ -100,11 +104,13 @@ type replSession struct {
 	inflightBytes int64
 
 	// The wave writer's own state: the slots a handoff ships (nil ships
-	// every record whole), the tail position it has read through, and the
-	// entry buffer each wave frame is encoded from.
+	// every record whole), the tail position it has read through, the
+	// entry buffer each wave frame is encoded from, and the frame buffer
+	// it is encoded into.
 	slots *keyspace.SlotSet
 	pos   uint64
 	wave  []wire.ReplEntry
+	frame []byte
 
 	mu     sync.Mutex
 	tail   *store.LogTail
@@ -159,11 +165,40 @@ func writeFlushed(conn net.Conn, bw *bufio.Writer, frame []byte) error {
 	return nil
 }
 
-// writeFrame writes one frame under the session's write lock.
+// writeFrame writes one frame under the session's write lock, flushing it
+// together with any wave frames buffered ahead of it.
 func (sess *replSession) writeFrame(frame []byte) error {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
 	return writeFlushed(sess.conn, sess.bw, frame)
+}
+
+// bufferFrame writes one wave frame under the session's write lock without
+// flushing it; flushFrames sends the batch. The write deadline is armed
+// when a frame enters an empty buffer and cleared by the flush, so it
+// bounds every socket write the batch makes, including bufio's own flushes
+// of a full buffer.
+func (sess *replSession) bufferFrame(frame []byte) error {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	if sess.bw.Buffered() == 0 {
+		sess.conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
+	}
+	return wire.WriteStreamFrame(sess.bw, frame)
+}
+
+// flushFrames sends the wave frames bufferFrame has buffered, if any.
+func (sess *replSession) flushFrames() error {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	if sess.bw.Buffered() == 0 {
+		return nil
+	}
+	if err := sess.bw.Flush(); err != nil {
+		return err
+	}
+	sess.conn.SetWriteDeadline(time.Time{})
+	return nil
 }
 
 // sendError ships a terminal stream error frame (best effort).
@@ -261,7 +296,9 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if conn, buf, ok := s.upgradeStream(w, r); ok {
-		s.serveRepl(conn, buf.Reader, buf.Writer)
+		// upgradeStream flushed the hijacked writer; the session writes
+		// through its own, larger one.
+		s.serveRepl(conn, buf.Reader, bufio.NewWriterSize(conn, replBufBytes))
 	}
 }
 
@@ -388,8 +425,23 @@ func (sess *replSession) open(br *bufio.Reader, from uint64, window int, slots *
 // position without a frame: the target stamps its own LSNs, so it checks
 // no contiguity. Tail failures end the session with an error frame, except
 // a closing session or store, which just unwinds.
-func (sess *replSession) shipThrough(until uint64) error {
+//
+// Frames go out one flush per ready batch: they are buffered while the
+// tail holds records from its last refill and flushed before Next may
+// block on an empty tail, before the credit wait (the consumer acks only
+// what it has received), and on return (a handoff fences right after).
+func (sess *replSession) shipThrough(until uint64) (err error) {
+	defer func() {
+		if ferr := sess.flushFrames(); err == nil {
+			err = ferr
+		}
+	}()
 	for sess.pos < until {
+		if sess.tail.Buffered() == 0 {
+			if err := sess.flushFrames(); err != nil {
+				return err
+			}
+		}
 		rec, err := sess.tail.Next()
 		if err != nil {
 			switch {
@@ -423,16 +475,23 @@ func (sess *replSession) shipThrough(until uint64) error {
 		}
 		select {
 		case <-sess.credit:
-		case <-sess.closedCh:
-			return errSessionClosed
+		default:
+			if err := sess.flushFrames(); err != nil {
+				return err
+			}
+			select {
+			case <-sess.credit:
+			case <-sess.closedCh:
+				return errSessionClosed
+			}
 		}
 		sess.wave = sess.wave[:0]
 		for _, e := range entries {
 			sess.wave = append(sess.wave, wire.ReplEntry(e))
 		}
-		frame := wire.EncodeReplWave(wire.ReplWave{LSN: rec.LSN, Annotation: ann, Entries: sess.wave})
-		sess.noteSent(rec.LSN, len(frame))
-		if err := sess.writeFrame(frame); err != nil {
+		sess.frame = wire.AppendReplWave(sess.frame[:0], wire.ReplWave{LSN: rec.LSN, Annotation: ann, Entries: sess.wave})
+		sess.noteSent(rec.LSN, len(sess.frame))
+		if err := sess.bufferFrame(sess.frame); err != nil {
 			return err
 		}
 	}

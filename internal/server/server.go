@@ -134,6 +134,10 @@ type Server struct {
 	// Cluster mode (cluster.go): slot ownership, topology, write fence.
 	// nil on standalone and follower servers.
 	cluster *cluster
+	// beforeHandoffFence, nil outside tests, runs on a handoff source once
+	// the catch-up has shipped through position shipped, just before the
+	// fence: a test seam that puts commits into the final delta.
+	beforeHandoffFence func(shipped uint64)
 }
 
 // New wires the handler around an opened SPA. The caller keeps ownership of
@@ -852,6 +856,7 @@ func (s *Server) snapshotMetrics() wire.Metrics {
 	}
 	m.ClusterBounces = s.met.clusterBounces.Load()
 	m.SlotMoves = s.met.slotMoves.Load()
+	m.ReplApplyRecords = s.met.replApplyRecords.Load()
 	ob := s.met.obs()
 	m.StageBoundsNanos = obs.BoundsNanos()
 	m.Stages = make(map[string]wire.Histogram, len(stageNames))

@@ -4,6 +4,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
@@ -83,5 +84,43 @@ func TestStreamFrameAllocCeiling(t *testing.T) {
 		t.Errorf("stream frame: %.1f allocs, ceiling %d", got, ceiling)
 	} else {
 		t.Logf("stream frame: %.1f allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestWaveRunAllocs gates the follower's frame loop: gathering a run of
+// wave frames costs one allocation per frame — the frame read off the
+// connection, which the run's entries alias — and nothing per entry or per
+// run, since every frame decodes into the reader's reused slices.
+func TestWaveRunAllocs(t *testing.T) {
+	value := make([]byte, 600)
+	var wire16 []byte
+	for lsn := uint64(1); lsn <= 16; lsn++ {
+		frame := wire.EncodeReplWave(wire.ReplWave{LSN: lsn, Annotation: make([]byte, 20), Entries: []wire.ReplEntry{
+			{Key: []byte("sum/00000001"), Value: value},
+			{Key: []byte("sum/00000002"), Value: value},
+		}})
+		wire16 = binary.AppendUvarint(wire16, uint64(len(frame)))
+		wire16 = append(wire16, frame...)
+	}
+	src := bytes.NewReader(wire16)
+	rr := &replReader{br: bufio.NewReaderSize(src, replBufBytes), maxFrame: 1 << 20}
+	run := func() {
+		src.Reset(wire16)
+		rr.br.Reset(src)
+		first, err := wire.ReadStreamFrame(rr.br, rr.maxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := rr.waveRun(first)
+		if err != nil || len(recs) != 16 {
+			t.Fatalf("run of %d records, %v", len(recs), err)
+		}
+	}
+	run() // the reader's slices reach their steady size
+	const ceiling = 16
+	if got := testing.AllocsPerRun(100, run); got > ceiling {
+		t.Errorf("waveRun, 16 frames × 2 entries: %.1f allocs, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("waveRun, 16 frames × 2 entries: %.1f allocs, ceiling %d", got, ceiling)
 	}
 }

@@ -300,20 +300,29 @@ func TestWALBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.lsn != 42 || !bytes.Equal(rec.annotation, annotation) {
-		t.Fatalf("decoded lsn %d annotation %q", rec.lsn, rec.annotation)
+	if rec.LSN != 42 || !bytes.Equal(rec.Annotation, annotation) {
+		t.Fatalf("decoded lsn %d annotation %q", rec.LSN, rec.Annotation)
 	}
-	got := rec.entries
+	got := rec.Entries
 	if len(got) != len(entries) {
 		t.Fatalf("decoded %d entries", len(got))
 	}
 	for i := range entries {
-		if !bytes.Equal(got[i].key, entries[i].key) ||
-			!bytes.Equal(got[i].value, entries[i].value) ||
-			got[i].tombstone != entries[i].tombstone {
+		if !bytes.Equal(got[i].Key, entries[i].key) ||
+			!bytes.Equal(got[i].Value, entries[i].value) ||
+			got[i].Tombstone != entries[i].tombstone {
 			t.Fatalf("entry %d mismatch: %+v vs %+v", i, got[i], entries[i])
 		}
 	}
+}
+
+// walEntries converts a decoded record's entries back to the encoder's form.
+func walEntries(rec LogRecord) []walEntry {
+	out := make([]walEntry, len(rec.Entries))
+	for i, e := range rec.Entries {
+		out[i] = walEntry{key: e.Key, value: e.Value, tombstone: e.Tombstone}
+	}
+	return out
 }
 
 // FuzzDecodeWALRecord: decodeWALRecord never panics on an arbitrary
@@ -334,19 +343,19 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeWALRecord(encodeLSNRecord(rec.lsn, rec.annotation, rec.entries))
+		again, err := decodeWALRecord(encodeLSNRecord(rec.LSN, rec.Annotation, walEntries(rec)))
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
-		if again.lsn != rec.lsn || !bytes.Equal(again.annotation, rec.annotation) {
-			t.Fatalf("round trip changed lsn/annotation: %d %q -> %d %q", rec.lsn, rec.annotation, again.lsn, again.annotation)
+		if again.LSN != rec.LSN || !bytes.Equal(again.Annotation, rec.Annotation) {
+			t.Fatalf("round trip changed lsn/annotation: %d %q -> %d %q", rec.LSN, rec.Annotation, again.LSN, again.Annotation)
 		}
-		if len(again.entries) != len(rec.entries) {
-			t.Fatalf("round trip changed entry count: %d -> %d", len(rec.entries), len(again.entries))
+		if len(again.Entries) != len(rec.Entries) {
+			t.Fatalf("round trip changed entry count: %d -> %d", len(rec.Entries), len(again.Entries))
 		}
-		for i, e := range rec.entries {
-			g := again.entries[i]
-			if !bytes.Equal(g.key, e.key) || !bytes.Equal(g.value, e.value) || g.tombstone != e.tombstone {
+		for i, e := range rec.Entries {
+			g := again.Entries[i]
+			if !bytes.Equal(g.Key, e.Key) || !bytes.Equal(g.Value, e.Value) || g.Tombstone != e.Tombstone {
 				t.Fatalf("round trip changed entry %d: %+v -> %+v", i, e, g)
 			}
 		}

@@ -141,8 +141,8 @@ func readSealedRecords(path string, fromLSN uint64) ([]logRec, error) {
 		if err != nil {
 			return recs, nil
 		}
-		if rec.lsn >= fromLSN {
-			recs = append(recs, logRec{lsn: rec.lsn, payload: payload})
+		if rec.LSN >= fromLSN {
+			recs = append(recs, logRec{lsn: rec.LSN, payload: payload})
 		}
 	}
 }
@@ -264,8 +264,11 @@ func (db *DB) pruneSealedLocked() {
 // TailLog. Next blocks until a record at or past the requested position is
 // committed; Close unblocks it. A LogTail is safe for one consumer.
 type LogTail struct {
-	db      *DB
-	next    uint64
+	db   *DB
+	next uint64
+	// buf is the refill not yet handed out: a capped window of the active
+	// log mirror (its elements are never rewritten; appends land past the
+	// cap) or the records of one sealed file.
 	buf     []logRec
 	closeCh chan struct{}
 	closed  bool
@@ -298,10 +301,19 @@ func (t *LogTail) Close() error {
 	return nil
 }
 
+// Buffered reports how many records the tail holds from its last refill,
+// which Next serves without taking the store's lock. A consumer batching
+// its output flushes when it reaches zero, before Next may block.
+func (t *LogTail) Buffered() int { return len(t.buf) }
+
 // Next returns the next committed record, blocking until one is available.
 // It returns ErrTailClosed after Close, ErrClosed once the store closes,
 // and ErrLogCompacted if retention overtook the tail's position (a consumer
 // too slow for the history budget must re-bootstrap from a snapshot).
+//
+// The caller owns the record: its payload bytes are a private copy (the
+// active-log original is shared with the memtable) and its Entries slice
+// is fresh per call, so a consumer may hold records across calls.
 func (t *LogTail) Next() (LogRecord, error) {
 	for {
 		if len(t.buf) > 0 {
@@ -312,18 +324,12 @@ func (t *LogTail) Next() (LogRecord, error) {
 				// LSN): the first record of a position wins.
 				continue
 			}
-			// The record the caller gets owns its bytes: a private copy of
-			// the payload, whose active-log original the memtable shares.
 			rec, err := decodeWALRecord(bytes.Clone(raw.payload))
 			if err != nil {
 				return LogRecord{}, err
 			}
 			t.next = raw.lsn + 1
-			out := LogRecord{LSN: raw.lsn, Annotation: rec.annotation, Entries: make([]LogEntry, len(rec.entries))}
-			for i, e := range rec.entries {
-				out.Entries[i] = LogEntry{Key: e.key, Value: e.value, Tombstone: e.tombstone}
-			}
-			return out, nil
+			return rec, nil
 		}
 		select {
 		case <-t.closeCh:
@@ -344,20 +350,21 @@ func (t *LogTail) Next() (LogRecord, error) {
 			db.mu.RUnlock()
 			return LogRecord{}, fmt.Errorf("%w: tail at %d, floor %d", ErrLogCompacted, t.next, floor)
 		}
-		for _, s := range db.sealed {
-			if t.next <= s.last {
-				sealedPath = s.path
-				break
-			}
-		}
-		if sealedPath == "" {
-			for _, r := range db.activeRecs {
-				if r.lsn >= t.next {
-					t.buf = append(t.buf, r)
-				}
-			}
-			if len(t.buf) == 0 {
-				wait = db.tailCh
+		if i := sort.Search(len(db.sealed), func(i int) bool { return db.sealed[i].last >= t.next }); i < len(db.sealed) {
+			sealedPath = db.sealed[i].path
+		} else {
+			// The mirror is in non-decreasing LSN order: commits append in
+			// LSN order, restored records share one LSN at or past the last,
+			// and a failed commit cuts back only records no refill has seen.
+			// So the position is a binary search, and the suffix a capped
+			// window no later append or cut-back can write into.
+			recs := db.activeRecs
+			n := len(recs)
+			i := sort.Search(n, func(i int) bool { return recs[i].lsn >= t.next })
+			if i < n {
+				t.buf = recs[i:n:n]
+			} else {
+				t.buf, wait = nil, db.tailCh
 			}
 		}
 		db.mu.RUnlock()

@@ -186,7 +186,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	for _, rec := range recs {
 		db.installLocked(rec.payload)
-		db.activeRecs = append(db.activeRecs, logRec{lsn: rec.lsn, payload: rec.payload})
+		db.activeRecs = append(db.activeRecs, rec)
 		db.lastLSN = max(db.lastLSN, rec.lsn)
 	}
 	if !opts.DisableAutoCompaction {

@@ -79,20 +79,11 @@ const (
 // pre-LSN framing. The log is left byte-for-byte as it was.
 var ErrLegacyWAL = errors.New("store: wal holds pre-LSN records this build does not read")
 
-// walRec is one decoded log record: its sequence number, annotation,
-// entries, and the exact payload bytes.
-type walRec struct {
-	lsn        uint64
-	annotation []byte
-	entries    []walEntry
-	payload    []byte
-}
-
 // openWAL opens the log at path, replaying existing records. A truncated or
 // corrupt tail is truncated away; discarded reports how many tail bytes
 // that dropped (satelliting the silent-discard fix: a follower diverging on
 // a torn leader log must be diagnosable).
-func openWAL(fops FileOps, path string) (*wal, []walRec, int64, error) {
+func openWAL(fops FileOps, path string) (*wal, []logRec, int64, error) {
 	f, err := fops.OpenWAL(path)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: opening wal: %w", err)
@@ -114,7 +105,7 @@ func openWAL(fops FileOps, path string) (*wal, []walRec, int64, error) {
 	return &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), path: path}, recs, discarded, nil
 }
 
-func replayWAL(f WALFile) ([]walRec, int64, int64, error) {
+func replayWAL(f WALFile) ([]logRec, int64, int64, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, 0, 0, err
@@ -123,7 +114,7 @@ func replayWAL(f WALFile) ([]walRec, int64, int64, error) {
 		return nil, 0, 0, err
 	}
 	r := bufio.NewReaderSize(f, 64<<10)
-	var recs []walRec
+	var recs []logRec
 	var offset int64
 	var header [8]byte
 	for {
@@ -155,32 +146,32 @@ func replayWAL(f WALFile) ([]walRec, int64, int64, error) {
 		if err != nil {
 			return recs, offset, size - offset, nil
 		}
-		recs = append(recs, rec)
+		recs = append(recs, logRec{lsn: rec.LSN, payload: payload})
 		offset += int64(8 + plen)
 	}
 }
 
-// decodeWALRecord decodes one framed payload. A pre-LSN record yields
-// ErrLegacyWAL; any other malformed payload a plain error. The annotation
-// and the entries' keys and values are slices of p.
-func decodeWALRecord(p []byte) (walRec, error) {
+// decodeWALRecord decodes one framed payload into a LogRecord: one
+// Entries allocation, and the annotation and every key and value a slice
+// of p. A pre-LSN record yields ErrLegacyWAL; any other malformed payload
+// a plain error.
+func decodeWALRecord(p []byte) (LogRecord, error) {
 	lsn, annotation, count, rest, err := decodeWALHeader(p)
 	if err != nil {
-		return walRec{}, err
+		return LogRecord{}, err
 	}
-	entries := make([]walEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		e, next, err := decodeWALSubEntry(rest)
-		if err != nil {
-			return walRec{}, err
+	entries := make([]LogEntry, count)
+	for i := range entries {
+		var e walEntry
+		if e, rest, err = decodeWALSubEntry(rest); err != nil {
+			return LogRecord{}, err
 		}
-		entries = append(entries, e)
-		rest = next
+		entries[i] = LogEntry{Key: e.key, Value: e.value, Tombstone: e.tombstone}
 	}
 	if len(rest) != 0 {
-		return walRec{}, errors.New("store: trailing bytes in wal record")
+		return LogRecord{}, errors.New("store: trailing bytes in wal record")
 	}
-	return walRec{lsn: lsn, annotation: annotation, entries: entries, payload: p}, nil
+	return LogRecord{LSN: lsn, Annotation: annotation, Entries: entries}, nil
 }
 
 // decodeWALHeader decodes a payload's framing up to its entries: the LSN,

@@ -9,11 +9,11 @@ import (
 )
 
 // The write path's exact allocation ceilings: the memtable, segment writes
-// and merges, and a reused WriteBatch's Apply. The ceilings are the
-// measured counts (go1.24, amd64); a change that brings back a per-key or
-// per-record allocation fails here. testing.AllocsPerRun rounds down, so
-// a slab refill every 128 keys counts as zero. The race detector changes
-// allocation counts, so the file builds only without it.
+// and merges, a reused WriteBatch's Apply, and the log tail's Next. The
+// ceilings are the measured counts (go1.24, amd64); a change that brings
+// back a per-key or per-record allocation fails here. testing.AllocsPerRun
+// rounds down, so a slab refill every 128 keys counts as zero. The race
+// detector changes allocation counts, so the file builds only without it.
 
 func TestMemtablePutAllocs(t *testing.T) {
 	const runs = 200
@@ -140,5 +140,44 @@ func TestApplyAllocs(t *testing.T) {
 		t.Errorf("Apply, reused 8-entry batch: %.1f allocs, ceiling %d", got, ceiling)
 	} else {
 		t.Logf("Apply, reused 8-entry batch: %.1f allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestTailNextAllocs pins one LogTail.Next at two allocations: the
+// caller-owned payload copy and the record's Entries. The refill that
+// positions the tail in the active log is a capped window of it, not a
+// copy, so it allocates nothing.
+func TestTailNextAllocs(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{DisableAutoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	const runs = 200
+	var b WriteBatch
+	for i := 0; i <= runs; i++ {
+		b.Reset()
+		b.Put([]byte(fmt.Sprintf("sum/user%04d", i)), make([]byte, 600))
+		b.Put([]byte(fmt.Sprintf("aux/user%04d", i)), []byte("x"))
+		b.SetAnnotation([]byte("events"))
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail, err := db.TailLog(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	next := func() {
+		if rec, err := tail.Next(); err != nil || len(rec.Entries) != 2 {
+			t.Fatalf("Next: %d entries, %v", len(rec.Entries), err)
+		}
+	}
+	const ceiling = 2
+	if got := testing.AllocsPerRun(runs, next); got > ceiling {
+		t.Errorf("LogTail.Next, 2-entry record: %.1f allocs, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("LogTail.Next, 2-entry record: %.1f allocs, ceiling %d", got, ceiling)
 	}
 }

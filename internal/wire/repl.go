@@ -41,6 +41,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Replication frame kinds, continuing the 0x01-0x06 vocabulary of
@@ -145,7 +146,9 @@ func (r *binReader) replEntry() (ReplEntry, error) {
 	return e, nil
 }
 
-func (r *binReader) replEntries(what string) ([]ReplEntry, error) {
+// replEntries decodes a counted run of entries, appending them to entries
+// (which it grows once, to the declared count, when it lacks room).
+func (r *binReader) replEntries(entries []ReplEntry, what string) ([]ReplEntry, error) {
 	count, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -155,7 +158,7 @@ func (r *binReader) replEntries(what string) ([]ReplEntry, error) {
 		return nil, fmt.Errorf("%w: %d %s entries declared, at most %d fit in %d bytes",
 			ErrBadFrame, count, what, maxPossible, len(r.p))
 	}
-	entries := make([]ReplEntry, 0, count)
+	entries = slices.Grow(entries, int(count))
 	for i := uint64(0); i < count; i++ {
 		e, err := r.replEntry()
 		if err != nil {
@@ -207,7 +210,12 @@ func EncodeReplWave(w ReplWave) []byte {
 	for _, e := range w.Entries {
 		size += 1 + 2*binary.MaxVarintLen64 + len(e.Key) + len(e.Value)
 	}
-	buf := make([]byte, 0, size)
+	return AppendReplWave(make([]byte, 0, size), w)
+}
+
+// AppendReplWave is EncodeReplWave appending to buf, for a producer that
+// reuses one buffer across frames.
+func AppendReplWave(buf []byte, w ReplWave) []byte {
 	buf = appendBinaryHeader(buf, KindReplWave)
 	buf = binary.AppendUvarint(buf, w.LSN)
 	buf = binary.AppendUvarint(buf, uint64(len(w.Annotation)))
@@ -221,6 +229,15 @@ func EncodeReplWave(w ReplWave) []byte {
 
 // DecodeReplWave parses a wave frame. The returned slices alias the frame.
 func DecodeReplWave(frame []byte) (ReplWave, error) {
+	return DecodeReplWaveInto(frame, nil)
+}
+
+// DecodeReplWaveInto is DecodeReplWave decoding the entries into entries'
+// storage (from entries[:0], overwriting what an earlier decode left
+// there), allocating only when the wave holds more entries than
+// cap(entries) — for a consumer that reuses one slice across frames. The
+// returned wave's Entries is that slice.
+func DecodeReplWaveInto(frame []byte, entries []ReplEntry) (ReplWave, error) {
 	payload, err := checkBinaryHeader(frame, KindReplWave)
 	if err != nil {
 		return ReplWave{}, err
@@ -242,7 +259,7 @@ func DecodeReplWave(frame []byte) (ReplWave, error) {
 	}
 	w.Annotation = r.p[:alen:alen]
 	r.p = r.p[alen:]
-	if w.Entries, err = r.replEntries("wave"); err != nil {
+	if w.Entries, err = r.replEntries(entries[:0], "wave"); err != nil {
 		return ReplWave{}, err
 	}
 	if len(w.Entries) == 0 {
@@ -306,7 +323,7 @@ func DecodeReplSnapshotChunk(frame []byte) ([]ReplEntry, error) {
 		return nil, err
 	}
 	r := binReader{p: payload}
-	pairs, err := r.replEntries("snapshot")
+	pairs, err := r.replEntries(nil, "snapshot")
 	if err != nil {
 		return nil, err
 	}

@@ -179,6 +179,24 @@ func FuzzDecodeReplFrame(f *testing.F) {
 	f.Add(EncodeHandoffCommit(HandoffCommit{LSN: 12, Epoch: 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeAnyReplFrame(data)
+		// The decode-into variant, over a scratch slice dirty from an
+		// earlier wave, agrees with DecodeReplWave entry for entry and
+		// error for error.
+		want, werr := DecodeReplWave(data)
+		scratch := append(make([]ReplEntry, 0, 2), ReplEntry{Key: []byte("stale")}, ReplEntry{Key: []byte("old"), Tombstone: true})
+		got, gerr := DecodeReplWaveInto(data, scratch)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("errors differ: DecodeReplWave %v, DecodeReplWaveInto %v", werr, gerr)
+		}
+		if got.LSN != want.LSN || !bytes.Equal(got.Annotation, want.Annotation) || len(got.Entries) != len(want.Entries) {
+			t.Fatalf("waves differ: %+v vs %+v", got, want)
+		}
+		for i, e := range want.Entries {
+			g := got.Entries[i]
+			if !bytes.Equal(g.Key, e.Key) || !bytes.Equal(g.Value, e.Value) || g.Tombstone != e.Tombstone {
+				t.Fatalf("entry %d: %+v, want %+v", i, g, e)
+			}
+		}
 	})
 }
 

@@ -340,12 +340,15 @@ type Metrics struct {
 	// position; ReplLagWaves is the worst follower lag seen from a leader,
 	// or this follower's own lag behind the last reported leader position.
 	// ReplSnapshotBytes counts snapshot bytes shipped (leader) or restored
-	// at bootstrap (follower).
+	// at bootstrap (follower). ReplApplyRecords counts the shipped records
+	// a follower or handoff target applied (a snapshot chunk counts as
+	// one); over the repl_apply stage count it is the records per run.
 	ReplRole          string `json:"repl_role,omitempty"`
 	ReplAppliedLSN    uint64 `json:"repl_applied_lsn"`
 	ReplLagWaves      uint64 `json:"repl_lag_waves"`
 	ReplFollowers     int    `json:"repl_followers"`
 	ReplSnapshotBytes int64  `json:"repl_snapshot_bytes"`
+	ReplApplyRecords  uint64 `json:"repl_apply_records"`
 
 	// Cluster mode (DESIGN.md §10). All four stay zero on a non-cluster
 	// node, so the series are always present. ClusterEpoch is the current
