@@ -56,6 +56,11 @@ const (
 	waitPoll  = 20 * time.Millisecond
 )
 
+// drainBound caps SIGTERM → exit with a stream client attached. It sits
+// well under the server's 5 s stream drain deadline, so a client that
+// stops acking the drain frame fails it.
+const drainBound = 2 * time.Second
+
 // syncBuffer collects a daemon's log output from its pipe goroutine.
 type syncBuffer struct {
 	mu  sync.Mutex
@@ -139,9 +144,11 @@ func (d *daemon) restart() *daemon {
 }
 
 // stop sends SIGTERM and requires a clean drain: exit status 0 and the
-// final "drained and closed" log line.
-func (d *daemon) stop() {
+// final "drained and closed" log line. It returns the time from the
+// signal to the exit.
+func (d *daemon) stop() time.Duration {
 	d.t.Helper()
+	start := time.Now()
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		d.t.Fatalf("%s: SIGTERM: %v", d.name, err)
 	}
@@ -156,6 +163,7 @@ func (d *daemon) stop() {
 	if !strings.Contains(d.log.String(), "spad: drained and closed") {
 		d.t.Fatalf("%s exited without a clean drain", d.name)
 	}
+	return time.Since(start)
 }
 
 // freeAddrs reserves n loopback ports by binding them together, then
@@ -562,7 +570,9 @@ func testServe(t *testing.T) {
 	// and exits cleanly, and the stream ends in an error rather than a
 	// hang.
 	waitFor(t, "two acks on the drain probe", func() bool { return probe.acked.Load() >= 2 })
-	d.stop()
+	if took := d.stop(); took > drainBound {
+		t.Fatalf("SIGTERM → exit took %v with a stream client attached, want ≤ %v", took, drainBound)
+	}
 	<-probe.done
 	if probe.err == nil {
 		t.Fatal("the drain probe never saw the daemon drain")

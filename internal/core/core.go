@@ -166,7 +166,7 @@ func New(opts Options) (*SPA, error) {
 		}
 		// Nothing else can see s yet, so the shards need no locking.
 		for i, sh := range s.shards {
-			s.publishShardLocked(sh, loaded[i], nil)
+			s.publishShardLocked(sh, loaded[i], nil, nil)
 		}
 	}
 	// The replay's publishes do not count: a fresh process starts at 1.
@@ -234,7 +234,7 @@ func (s *SPA) persistAndPublishLocked(sh *shard, p *sum.Profile) error {
 			return err
 		}
 	}
-	s.publishShardLocked(sh, []profChange{{id: p.UserID, p: p}}, nil)
+	s.publishShardLocked(sh, []profChange{{id: p.UserID, p: p}}, nil, nil)
 	return nil
 }
 

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lifelog"
@@ -71,26 +73,39 @@ func (s *SPA) PrepareMulti(batches [][]lifelog.Event) *PreparedMulti {
 	pm := &PreparedMulti{s: s, out: make([]IngestOutcome, len(batches))}
 	groups, now := s.groupByShard(batches)
 	pm.groups = groups
-	prepare := func(g *preparedGroup) {
-		sh := s.shards[g.shardIdx]
-		sh.mu.RLock()
-		s.prepareShardLocked(g, now)
-		sh.mu.RUnlock()
+	if len(groups) == 0 {
+		return pm
 	}
-	// The first group is prepared on this goroutine, the others beside it.
+	// At most one worker per CPU, this goroutine among them; the workers
+	// claim groups off a shared counter.
+	var next atomic.Int32
 	var wg sync.WaitGroup
-	for i := 1; i < len(groups); i++ {
-		wg.Add(1)
-		go func(g *preparedGroup) {
+	workers := min(len(groups), runtime.GOMAXPROCS(0))
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
 			defer wg.Done()
-			prepare(g)
-		}(&groups[i])
+			s.prepareGroups(groups, &next, now)
+		}()
 	}
-	if len(groups) > 0 {
-		prepare(&groups[0])
-	}
+	s.prepareGroups(groups, &next, now)
 	wg.Wait()
 	return pm
+}
+
+// prepareGroups is one prepare worker: it claims the wave's groups one at a
+// time until none is left, reusing one Extractor and one feature-vector
+// buffer across them. Both die with the wave.
+func (s *SPA) prepareGroups(groups []preparedGroup, next *atomic.Int32, now time.Time) {
+	x := lifelog.NewExtractor(30*time.Minute, now)
+	var fvs []lifelog.FeatureVector
+	for i := int(next.Add(1)) - 1; i < len(groups); i = int(next.Add(1)) - 1 {
+		g := &groups[i]
+		sh := s.shards[g.shardIdx]
+		sh.mu.RLock()
+		fvs = s.prepareShardLocked(g, x, fvs)
+		sh.mu.RUnlock()
+	}
 }
 
 // PreparedMulti is the staged, uncommitted result of PrepareMulti: per-batch
@@ -142,15 +157,25 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 	if len(pm.groups) == 0 {
 		return pm.out
 	}
+	// One CF delta buffer, sized for the largest group, serves every
+	// group's publish in turn and dies with the wave.
+	most := 0
+	for i := range pm.groups {
+		most = max(most, len(pm.groups[i].interactions))
+	}
+	var deltas []rowDelta
+	if most > 0 {
+		deltas = make([]rowDelta, 0, most)
+	}
 	for i := range pm.groups {
 		s.shards[pm.groups[i].shardIdx].mu.Lock()
 	}
 	if s.db == nil {
 		for i := range pm.groups {
-			s.installShardLocked(&pm.groups[i])
+			s.installShardLocked(&pm.groups[i], deltas)
 		}
 	} else {
-		pm.persistAndInstallLocked()
+		pm.persistAndInstallLocked(deltas)
 	}
 	for i := len(pm.groups) - 1; i >= 0; i-- {
 		s.shards[pm.groups[i].shardIdx].mu.Unlock()
@@ -162,7 +187,7 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 // persistAndInstallLocked is Commit's durable half: one store sequence for
 // the wave, then the install. The caller holds every touched shard's write
 // lock.
-func (pm *PreparedMulti) persistAndInstallLocked() {
+func (pm *PreparedMulti) persistAndInstallLocked(deltas []rowDelta) {
 	s := pm.s
 	seq := make([]*store.WriteBatch, 0, len(pm.groups))
 	var scratch []byte
@@ -181,7 +206,7 @@ func (pm *PreparedMulti) persistAndInstallLocked() {
 			continue
 		}
 		// Nothing to persist (all events skipped): install immediately.
-		s.installShardLocked(g)
+		s.installShardLocked(g, deltas)
 	}
 	err := s.db.ApplyAllTagged(seq, pm.wave)
 	for i := range pm.groups {
@@ -191,7 +216,7 @@ func (pm *PreparedMulti) persistAndInstallLocked() {
 		case err != nil:
 			g.failStore(err)
 		default:
-			s.installShardLocked(g)
+			s.installShardLocked(g, deltas)
 		}
 	}
 }
@@ -237,9 +262,11 @@ type preparedGroup struct {
 	tally []batchTally // by batch index; the wave's groups share one array
 	// recorded is set at install when the group folded interaction rows.
 	recorded bool
-	// digests are the staged subjective vectors; they replace the
-	// profiles' Subjective blocks only at install time.
-	digests []digest
+	// digests are the staged profile updates, one per fed user, in a
+	// window of the wave's one digest array. Each p is a stagedProfile
+	// whose Subjective already holds the new vector; install fills in the
+	// rest from the resident profile and publishes it.
+	digests []profChange
 	// interactions are the non-excluded known-user events to fold into the
 	// shard's CF counts at install time.
 	interactions []taggedEvent
@@ -247,16 +274,19 @@ type preparedGroup struct {
 	batch store.WriteBatch
 }
 
-// digest is one user's staged subjective vector.
-type digest struct {
-	id  uint64
-	vec []float64
+// stagedProfile is one user's next profile and its subjective vector in a
+// single allocation: Subjective points into vec.
+type stagedProfile struct {
+	p   sum.Profile
+	vec [lifelog.DenseLen]float64
 }
 
 // groupByShard tags every event with its batch index and partitions the
 // merged stream by owning shard, preserving order. It is a counting sort:
 // one pass counts each shard's events, one places them, so every group's
 // events are a window of one array and the groups come out in shard order.
+// The groups' digests are capped windows of one more array, sized by the
+// wave's users; both arrays die with the wave.
 func (s *SPA) groupByShard(batches [][]lifelog.Event) ([]preparedGroup, time.Time) {
 	total := 0
 	for _, b := range batches {
@@ -296,6 +326,7 @@ func (s *SPA) groupByShard(batches [][]lifelog.Event) ([]preparedGroup, time.Tim
 			next[idx]++
 		}
 	}
+	users := 0
 	for i := range groups {
 		g := &groups[i]
 		for j, te := range g.events {
@@ -303,6 +334,12 @@ func (s *SPA) groupByShard(batches [][]lifelog.Event) ([]preparedGroup, time.Tim
 				g.users++
 			}
 		}
+		users += g.users
+	}
+	digests := make([]profChange, users)
+	for i := range groups {
+		g := &groups[i]
+		g.digests, digests = digests[:0:g.users], digests[g.users:]
 	}
 	return groups, s.clk.Now()
 }
@@ -314,10 +351,12 @@ func (s *SPA) groupByShard(batches [][]lifelog.Event) ([]preparedGroup, time.Tim
 // per-user ordering violation between the remaining ones, so the loop only
 // ever shrinks and terminates after at most one retry per batch. The caller
 // holds the shard's lock (read suffices: only snapshot membership is
-// consulted, and no publish can land while the lock is held).
-func (s *SPA) prepareShardLocked(g *preparedGroup, now time.Time) {
+// consulted, and no publish can land while the lock is held). x and fvs are
+// the worker's: x is reset here, and fvs, returned for the next group, is
+// overwritten.
+func (s *SPA) prepareShardLocked(g *preparedGroup, x *lifelog.Extractor, fvs []lifelog.FeatureVector) []lifelog.FeatureVector {
 	sh := s.shards[g.shardIdx]
-	x := lifelog.NewExtractor(30*time.Minute, now)
+	x.Reset()
 	x.Grow(g.users)
 	for {
 		failed := -1
@@ -355,11 +394,13 @@ func (s *SPA) prepareShardLocked(g *preparedGroup, now time.Time) {
 		}
 	}
 	g.events = nil
-	fvs := x.Finish()
-	g.digests = make([]digest, len(fvs))
+	fvs = x.FinishInto(fvs)
 	for i := range fvs {
-		g.digests[i] = digest{id: fvs[i].UserID, vec: fvs[i].Dense()}
+		st := &stagedProfile{}
+		st.p.Subjective = fvs[i].AppendDense(st.vec[:0])
+		g.digests = append(g.digests, profChange{id: fvs[i].UserID, p: &st.p})
 	}
+	return fvs
 }
 
 // buildShardBatchLocked encodes the staged profile states into the group's
@@ -378,7 +419,7 @@ func (s *SPA) buildShardBatchLocked(g *preparedGroup, scratch []byte) ([]byte, e
 			continue
 		}
 		cp := *p
-		cp.Subjective = d.vec
+		cp.Subjective = d.p.Subjective
 		if err := cp.Validate(); err != nil {
 			return scratch, err
 		}
@@ -408,29 +449,33 @@ func (s *SPA) buildShardBatchLocked(g *preparedGroup, scratch []byte) ([]byte, e
 			continue
 		}
 		cp := *p
-		cp.Subjective = d.vec
+		cp.Subjective = d.p.Subjective
 		scratch = sum.AppendEncode(scratch[:0], &cp)
 		g.batch.Put(sum.AppendKey(key[:0], d.id), scratch)
 	}
 	return scratch, nil
 }
 
-// installShardLocked makes the staged updates live: each updated profile
-// is installed as a modified copy in the shard's next read snapshot — the
-// epoch installation point of the commit stage (DESIGN.md §8). The caller
-// holds the shard's write lock and has already made the updates durable
-// (or runs non-durably).
-func (s *SPA) installShardLocked(g *preparedGroup) {
+// installShardLocked makes the staged updates live: each staged profile
+// becomes a copy of the resident one carrying its new Subjective and is
+// installed in the shard's next read snapshot — the epoch installation
+// point of the commit stage (DESIGN.md §8). The digests are filtered in
+// place into the publish's changes; deltas is the wave's CF buffer. The
+// caller holds the shard's write lock and has already made the updates
+// durable (or runs non-durably).
+func (s *SPA) installShardLocked(g *preparedGroup, deltas []rowDelta) {
 	sh := s.shards[g.shardIdx]
-	changes := make([]profChange, 0, len(g.digests))
+	changes := g.digests[:0]
 	for _, d := range g.digests {
 		if p := s.residentLocked(sh, d.id); p != nil {
-			cp := *p
-			cp.Subjective = d.vec
-			changes = append(changes, profChange{id: d.id, p: &cp})
+			sub := d.p.Subjective
+			*d.p = *p
+			d.p.Subjective = sub
+			changes = append(changes, d)
 		}
 	}
-	if s.publishShardLocked(sh, changes, g.interactions) > 0 {
+	g.digests = nil
+	if s.publishShardLocked(sh, changes, g.interactions, deltas) > 0 {
 		g.recorded = true
 	}
 }

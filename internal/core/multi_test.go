@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/lifelog"
+	"repro/internal/store"
 	"repro/internal/sum"
 )
 
@@ -243,4 +247,90 @@ func TestMultiIngestDurable(t *testing.T) {
 			t.Fatalf("user %d: merged ingest not persisted", u)
 		}
 	}
+}
+
+// TestPublishedProfileOwnership: a published profile is immutable. Each
+// wave stages a user's next profile in an allocation of its own, while
+// one prepare worker reuses its Extractor and feature-vector buffer for
+// every group it claims. With GOMAXPROCS 1 a single worker prepares every
+// group, so a wave for other users runs through the very buffers that
+// filled the held profiles; the held profiles must keep their bytes across
+// that wave and across later waves for their own users.
+func TestPublishedProfileOwnership(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, err := New(Options{DataDir: t.TempDir(), Store: store.Options{DisableAutoCompaction: true},
+		Shards: 16, Clock: clock.NewSimulated(t0.Add(time.Hour))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for id := uint64(1); id <= 32; id++ {
+		if err := s.Register(id, []float64{float64(id), 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minute := 0
+	wave := func(ids ...uint64) {
+		t.Helper()
+		var frame []lifelog.Event
+		for _, id := range ids {
+			for e := 0; e < 3; e++ {
+				frame = append(frame, clickAt(id, t0.Add(time.Duration(minute)*time.Minute), uint32(int(id)*11+minute)))
+				minute++
+			}
+		}
+		if out := s.PrepareMulti([][]lifelog.Event{frame}).Commit()[0]; out.Err != nil || out.Processed != len(frame) {
+			t.Fatalf("wave %v: %+v", ids, out)
+		}
+	}
+	type held struct {
+		p        *sum.Profile
+		sub, obj []uint64
+	}
+	hold := func(id uint64) held {
+		p, err := s.viewProfile(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return held{p, float64Bits(p.Subjective), float64Bits(p.Objective)}
+	}
+	check := func(when string, hs map[uint64]held) {
+		t.Helper()
+		for id, h := range hs {
+			if got := float64Bits(h.p.Subjective); !slices.Equal(got, h.sub) {
+				t.Fatalf("%s: user %d's held Subjective changed:\n got %x\nwant %x", when, id, got, h.sub)
+			}
+			if got := float64Bits(h.p.Objective); !slices.Equal(got, h.obj) {
+				t.Fatalf("%s: user %d's held Objective changed:\n got %x\nwant %x", when, id, got, h.obj)
+			}
+		}
+	}
+
+	wave(1)
+	first := map[uint64]held{1: hold(1)}
+	wave(1)
+	wave(1, 2)
+	if cur := hold(1); slices.Equal(cur.sub, first[1].sub) {
+		t.Fatal("user 1's later waves left its Subjective unchanged; the test shows nothing")
+	}
+	check("after two more waves for user 1", first)
+
+	others := []uint64{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	wave(others...)
+	last := map[uint64]held{}
+	for _, id := range others {
+		last[id] = hold(id)
+	}
+	wave(append([]uint64{1, 2}, others[:4]...)...)
+	wave(17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32)
+	check("after waves for other users", first)
+	check("after waves for other users", last)
+}
+
+func float64Bits(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
 }

@@ -100,6 +100,11 @@ type recCache struct {
 	entries map[uint64]recEntry
 }
 
+// emptyRecCache is the cache every shard starts from and every publish
+// resets to. It matches no snapshot, so it is never read as a hit, and it
+// is never written: an insert always CASes in a fresh recCache.
+var emptyRecCache = &recCache{}
+
 // recEntry is one cached ranking, keyed by the n it was computed for.
 type recEntry struct {
 	n    int

@@ -207,6 +207,16 @@ func (s *SPA) applyShipped(recs []store.LogRecord, strict bool, write func() err
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	// One CF delta buffer, sized for the largest shard's events, serves
+	// the run's publishes in turn.
+	most := 0
+	for _, w := range work {
+		most = max(most, len(w.events))
+	}
+	var deltas []rowDelta
+	if most > 0 {
+		deltas = make([]rowDelta, 0, most)
+	}
 	for _, w := range work {
 		s.shards[w.idx].mu.Lock()
 	}
@@ -214,7 +224,7 @@ func (s *SPA) applyShipped(recs []store.LogRecord, strict bool, write func() err
 	recorded := 0
 	if err == nil {
 		for _, w := range work {
-			recorded += s.publishShardLocked(s.shards[w.idx], w.changes, w.events)
+			recorded += s.publishShardLocked(s.shards[w.idx], w.changes, w.events, deltas)
 		}
 	}
 	for i := len(work) - 1; i >= 0; i-- {

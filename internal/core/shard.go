@@ -28,14 +28,15 @@ type shard struct {
 	snap atomic.Pointer[shardSnap]
 	// cache is the per-shard recommend cache (recommend.go); entries are
 	// valid only for the exact (snapshot, recommend generation) pair they
-	// were computed under. Never nil after newShard.
+	// were computed under. Never nil after newShard: a fresh shard and
+	// every publish reset it to the shared emptyRecCache sentinel.
 	cache atomic.Pointer[recCache]
 }
 
 func newShard(nbuckets int) *shard {
 	sh := &shard{}
 	sh.snap.Store(newShardSnap(nbuckets))
-	sh.cache.Store(&recCache{})
+	sh.cache.Store(emptyRecCache)
 	return sh
 }
 

@@ -157,24 +157,27 @@ func cmpCell(a, b cell) int {
 // given profile changes applied and the given interaction events folded
 // into the CF rows. Only the pages the changes and events fall into are
 // rebuilt; every other page and bucket is shared. A later change to the
-// same user wins over an earlier one. changes is reordered in place. The
-// caller holds sh.mu for writing. Returns how many interaction events were
-// recorded (zero-weight and out-of-universe events don't count), so ingest
-// can invalidate the recommender once per wave.
-func (s *SPA) publishShardLocked(sh *shard, changes []profChange, events []taggedEvent) int {
+// same user wins over an earlier one. changes is reordered in place.
+// deltas is the caller's scratch for the events' CF deltas, overwritten
+// here: a buffer that outlives one publish (a wave's or a shipped run's),
+// or nil to allocate one when needed. The caller holds sh.mu for writing.
+// Returns how many interaction events were recorded (zero-weight and
+// out-of-universe events don't count), so ingest can invalidate the
+// recommender once per wave.
+func (s *SPA) publishShardLocked(sh *shard, changes []profChange, events []taggedEvent, deltas []rowDelta) int {
 	for i := range changes {
 		_, changes[i].at = s.place(changes[i].id)
 	}
 	slices.SortStableFunc(changes, func(a, b profChange) int {
 		return cmp.Or(cmpCell(a.at, b.at), cmp.Compare(a.id, b.id))
 	})
-	var deltas []rowDelta
+	deltas = deltas[:0]
 	for _, te := range events {
 		w := interactionWeight(te.Type)
 		if w == 0 || int(te.Action) >= lifelog.ActionUniverse {
 			continue
 		}
-		if deltas == nil {
+		if cap(deltas) == 0 {
 			deltas = make([]rowDelta, 0, len(events))
 		}
 		_, at := s.place(te.UserID)
@@ -227,11 +230,12 @@ func (s *SPA) publishShardLocked(sh *shard, changes []profChange, events []tagge
 
 // installSnapLocked makes next the shard's read snapshot and bumps the
 // epoch. The per-shard recommend cache keys its validity to the snapshot
-// pointer, so dropping it here is an optimization (free the entries), not a
-// correctness requirement.
+// pointer, so resetting it to the shared empty sentinel here only frees
+// the old entries; it is not a correctness requirement, and it allocates
+// nothing.
 func (s *SPA) installSnapLocked(sh *shard, next *shardSnap) {
 	sh.snap.Store(next)
-	sh.cache.Store(&recCache{})
+	sh.cache.Store(emptyRecCache)
 	s.epoch.Add(1)
 }
 

@@ -16,9 +16,17 @@ import (
 // streamed-frame-shaped wave (8 users × 4 events, PrepareMulti + Commit)
 // on a durable, unsynced store, and one Extractor.Feed. The ceilings are
 // the measured counts (go1.24, amd64), so a change that brings back a
-// per-user map, a per-group slice or a per-key store copy fails here. The
-// race detector changes allocation counts, so the file builds only
-// without it.
+// per-user map, a per-group slice or a per-key store copy fails here.
+// A second pair of waves prices a shard group: the same shape on 8 users
+// of one shard, then on 8 users of 8 shards, each user in a bucket of its
+// own so both waves touch the same pages. The difference is 7 groups'
+// residue — the shard snapshot and its bucket-array clone, and the
+// group's store WriteBatch (entries, arena) and WAL record — less 3 that
+// the one-shard wave spends growing the annotation scratch for its one
+// larger record, so a per-group goroutine, slice or cache allocation
+// coming back fails here. AllocsPerRun measures with
+// GOMAXPROCS 1, so the prepare runs on the caller alone. The race detector
+// changes allocation counts, so the file builds only without it.
 func TestWriteAllocCeilings(t *testing.T) {
 	s, err := New(Options{DataDir: t.TempDir(), Store: store.Options{DisableAutoCompaction: true},
 		Shards: 16, Clock: clock.NewSimulated(t0.Add(time.Hour))})
@@ -60,7 +68,7 @@ func TestWriteAllocCeilings(t *testing.T) {
 		f       func()
 		ceiling float64
 	}{
-		{"PrepareMulti+Commit, 8 users × 4 events", wave, 137},
+		{"PrepareMulti+Commit, 8 users × 4 events", wave, 89},
 		{"Extractor.Feed, known user", feed, 0},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got > c.ceiling {
@@ -68,6 +76,49 @@ func TestWriteAllocCeilings(t *testing.T) {
 		} else {
 			t.Logf("%s: %.1f allocs, ceiling %.0f", c.name, got, c.ceiling)
 		}
+	}
+
+	// Two more user sets, registered past the first: one shard's, and one
+	// per shard. No two users of either set share a bucket.
+	var oneShard, spread []uint64
+	shards, buckets := map[int]bool{}, map[int]bool{}
+	for id := uint64(1000); len(oneShard) < 8 || len(spread) < 8; id++ {
+		idx, c := s.place(id)
+		switch {
+		case idx == 0 && len(oneShard) < 8 && !buckets[c.bucket]:
+			buckets[c.bucket] = true
+			oneShard = append(oneShard, id)
+		case idx != 0 && len(spread) < 8 && !shards[idx]:
+			shards[idx] = true
+			spread = append(spread, id)
+		}
+	}
+	waveOf := func(ids []uint64) func() {
+		frame := make([]lifelog.Event, 0, 32)
+		for _, id := range ids {
+			if err := s.Register(id, []float64{float64(id), 1}); err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < 4; e++ {
+				frame = append(frame, clickAt(id, t0.Add(time.Duration(e)*time.Minute), uint32(int(id%97)*7+e)))
+			}
+		}
+		batches := [][]lifelog.Event{frame}
+		f := func() {
+			if out := s.PrepareMulti(batches).Commit()[0]; out.Err != nil || out.Processed != len(frame) {
+				t.Fatalf("wave: %+v", out)
+			}
+		}
+		f()
+		return f
+	}
+	waveOne, waveSpread := waveOf(oneShard), waveOf(spread)
+	const perGroup = 5 // snapshot, bucket-array clone, WriteBatch entries and arena, WAL record
+	one, many := testing.AllocsPerRun(100, waveOne), testing.AllocsPerRun(100, waveSpread)
+	if got := many - one; got > 7*perGroup {
+		t.Errorf("8 users on 8 shards: %.1f allocs more than on 1 shard (%.1f), ceiling %d", got, one, 7*perGroup)
+	} else {
+		t.Logf("8 users on 8 shards: %.1f allocs more than on 1 shard (%.1f), ceiling %d", got, one, 7*perGroup)
 	}
 }
 

@@ -153,13 +153,19 @@ func errText(err error) string {
 // can repeat a timestamp, land exactly on the gap or one nanosecond past
 // it, or go backwards, an event kind (an invalid one included), and a
 // payload; a first byte of 240 or more calls Finish mid-stream instead, so a second
-// Finish and events after a Finish are covered too.
+// Finish and events after a Finish are covered too. Mid-stream finishes go
+// through FinishInto over one reused buffer that starts longer than any
+// run's user count and full of stale values, and the last Finish is
+// repeated over a fresh dirty buffer: FinishInto must overwrite every field
+// it returns. Each final vector's AppendDense behind a dirty prefix must
+// append exactly Dense.
 func FuzzExtractorMatchesSessionizer(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 0, 1, 5, 0, 1, 1, 9, 0, 2, 3, 7})
 	f.Add([]byte{0, 0, 1, 4, 0, 0, 2, 4, 0, 0, 2, 3, 0, 0, 15, 0, 0, 0, 15, 0})
 	f.Add([]byte{3, 1, 3, 1, 1, 1, 3, 1, 1, 1, 3, 5, 2, 1, 3, 6, 3, 1, 1, 2, 9})
 	f.Add([]byte{30, 0, 5, 2, 4, 1, 6, 5, 200, 2, 4, 6, 100, 0, 15, 0, 0, 3, 7, 8, 0})
+	f.Add([]byte{5, 1, 0, 1, 5, 2, 4, 2, 9, 240, 0, 0, 0, 2, 1, 1, 7, 241, 0, 0, 0, 1, 2, 6, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -173,9 +179,11 @@ func FuzzExtractorMatchesSessionizer(f *testing.F) {
 		x := NewExtractor(idleGap, horizon)
 		ref := newRefExtractor(idleGap, horizon)
 		clock := map[uint64]time.Time{}
+		buf := dirtyVectors(24)
 		for step, p := 0, data[1:]; len(p) >= 4; step, p = step+1, p[4:] {
 			if p[0]>>4 == 15 {
-				sameFeatures(t, step, x.Finish(), ref.Finish())
+				buf = x.FinishInto(buf)
+				sameFeatures(t, step, buf, ref.Finish())
 				continue
 			}
 			id := uint64(p[0]%20) + 1
@@ -207,7 +215,39 @@ func FuzzExtractorMatchesSessionizer(f *testing.F) {
 		got, want := x.Finish(), ref.Finish()
 		sameFeatures(t, -1, got, want)
 		sameFeatures(t, -2, x.Finish(), want)
+		sameFeatures(t, -3, x.FinishInto(dirtyVectors(len(want)+3)), want)
+		prefix := []float64{math.NaN(), -1}
+		for i, fv := range want {
+			dense := fv.AppendDense(slices.Clip(prefix))
+			if !slices.Equal(float64Bits(dense[:len(prefix)]), float64Bits(prefix)) ||
+				!slices.Equal(float64Bits(dense[len(prefix):]), float64Bits(fv.Dense())) {
+				t.Fatalf("vector %d: AppendDense %v, Dense %v", i, dense, fv.Dense())
+			}
+		}
 	})
+}
+
+// dirtyVectors returns n vectors with every field set to a stale value.
+func dirtyVectors(n int) []FeatureVector {
+	out := make([]FeatureVector, n)
+	for i := range out {
+		fv := &out[i]
+		*fv = FeatureVector{UserID: 99, Events: 7, Sessions: 7, Transactions: 7, Enrollments: 7,
+			Ratings: 7, EITAnswers: 7, MeanSessionMinutes: 7, MeanEventsPerSess: 7,
+			TransactionRate: 7, MeanRating: 7, MessageOpenRate: 7, MessageClickThrough: 7, RecencyDays: 7}
+		for b := range fv.ActionHistogram {
+			fv.ActionHistogram[b] = 7
+		}
+	}
+	return out
+}
+
+func float64Bits(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
 }
 
 func TestExtractorReset(t *testing.T) {

@@ -181,8 +181,14 @@ func (a *acc) closeSession() {
 // Finish closes open sessions and returns the per-user feature vectors in
 // the order the users first appeared. Feeding may continue afterwards: a
 // user's next event opens a new session.
-func (x *Extractor) Finish() []FeatureVector {
-	out := make([]FeatureVector, len(x.accs))
+func (x *Extractor) Finish() []FeatureVector { return x.FinishInto(nil) }
+
+// FinishInto is Finish writing into dst's storage: it returns dst resized
+// to one vector per user, every element overwritten, growing it only when
+// it is too short. The caller owns the result until its next FinishInto
+// over the same buffer.
+func (x *Extractor) FinishInto(dst []FeatureVector) []FeatureVector {
+	out := slices.Grow(dst[:0], len(x.accs))[:len(x.accs)]
 	for i := range x.accs {
 		a := &x.accs[i]
 		if a.open {
@@ -223,8 +229,13 @@ func (x *Extractor) Finish() []FeatureVector {
 // the linear learners downstream converge far better on the compressed
 // scale.
 func (fv FeatureVector) Dense() []float64 {
-	out := make([]float64, 0, 11+NumActionBuckets)
-	out = append(out,
+	return fv.AppendDense(make([]float64, 0, DenseLen))
+}
+
+// AppendDense appends the Dense layout to dst and returns the extended
+// slice; with DenseLen spare capacity it allocates nothing.
+func (fv FeatureVector) AppendDense(dst []float64) []float64 {
+	out := append(dst,
 		log1p(float64(fv.Events)),
 		log1p(float64(fv.Sessions)),
 		log1p(float64(fv.Transactions)),

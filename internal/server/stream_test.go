@@ -456,6 +456,107 @@ func TestStreamDrainMixedTraffic(t *testing.T) {
 	}
 }
 
+// TestStreamCloseWithAckingClient: a StreamIngester answers the server's
+// drain frame with its own once its frames in flight are answered, so
+// Server.Close ends in well under its drain deadline (the default 5 s
+// here) — with an idle client attached, and with clients mid-stream. No
+// accepted frame is lost, and a call caught by the drain fails cleanly
+// (the draining server refuses the fresh connection) instead of seeing a
+// broken stream.
+func TestStreamCloseWithAckingClient(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("busy=%v", busy), func(t *testing.T) {
+			spa, err := core.New(core.Options{DataDir: t.TempDir(), Shards: 4,
+				Clock: clock.NewSimulated(t0.Add(24 * time.Hour))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer spa.Close()
+			srv := New(spa, Options{})
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			const lanes = 4
+			for u := uint64(1); u <= lanes; u++ {
+				if err := spa.Register(u, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			si := spaclient.New(ts.URL, spaclient.Options{Timeout: 10 * time.Second}).Stream(spaclient.StreamOptions{})
+			defer si.Close()
+			var acked atomic.Int64
+			if _, err := si.Ingest([]lifelog.Event{evAt(1, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			acked.Add(1)
+
+			var wg sync.WaitGroup
+			errs := make(chan error, lanes)
+			if busy {
+				for u := uint64(1); u <= lanes; u++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for seq := 2; ; seq++ {
+							if _, err := si.Ingest([]lifelog.Event{evAt(u, seq)}); err != nil {
+								errs <- err
+								return
+							}
+							acked.Add(1)
+						}
+					}()
+				}
+				for acked.Load() < 50 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			start := time.Now()
+			srv.Close()
+			took := time.Since(start)
+			wg.Wait()
+			close(errs)
+			if took > 100*time.Millisecond {
+				t.Errorf("Server.Close took %v with an acking stream client attached", took)
+			}
+			for err := range errs {
+				var apiErr *spaclient.APIError
+				if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+					t.Errorf("call caught by the drain: %v, want the draining server's 503", err)
+				}
+			}
+			if committed := srv.met.ingestEvents.Load(); committed < uint64(acked.Load()) {
+				t.Fatalf("committed %d < acknowledged %d", committed, acked.Load())
+			}
+		})
+	}
+}
+
+// TestStreamDrainDeadlineWithoutAck: a client that never acks the drain
+// still lets Close finish, at the drain deadline — the default one unless
+// Options.StreamDrainWait sets another (here a short one).
+func TestStreamDrainDeadlineWithoutAck(t *testing.T) {
+	spa, err := core.New(core.Options{Shards: 2, Clock: clock.NewSimulated(t0.Add(24 * time.Hour))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spa.Close()
+	if got := New(spa, Options{}).streamDrainWait; got != defaultStreamDrainWait {
+		t.Fatalf("default drain wait %v, want %v", got, defaultStreamDrainWait)
+	}
+	const wait = 300 * time.Millisecond
+	srv := New(spa, Options{StreamDrainWait: wait})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	_, br := dialStreamUpgrade(t, ts)
+	if _, err := readHello(br); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	srv.Close()
+	if took := time.Since(start); took < wait || took > wait+2*time.Second {
+		t.Fatalf("Server.Close took %v with a client that never acks; want the %v drain deadline", took, wait)
+	}
+}
+
 // TestStreamBackpressureByCredit: with a tiny window and queue, a burst of
 // concurrent senders cannot overrun the server — calls serialize behind
 // credit instead of failing, and every batch still commits exactly once.

@@ -79,7 +79,7 @@ func TestStreamFrameAllocCeiling(t *testing.T) {
 	}
 	send() // the users' CF rows reach their steady size
 
-	const ceiling = 148
+	const ceiling = 100
 	if got := testing.AllocsPerRun(100, send); got > ceiling {
 		t.Errorf("stream frame: %.1f allocs, ceiling %d", got, ceiling)
 	} else {

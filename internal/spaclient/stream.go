@@ -121,12 +121,16 @@ type streamState struct {
 	// FIFO order always equals wire order.
 	wmu sync.Mutex
 
-	mu         sync.Mutex
-	calls      []*streamCall
-	broken     bool
-	brokenErr  error
-	brokenCh   chan struct{}
+	mu        sync.Mutex
+	calls     []*streamCall
+	broken    bool
+	brokenErr error
+	brokenCh  chan struct{}
+	// draining stops new frames: set by Close, or by the server's drain
+	// frame. drainSent records that this side's drain frame went out, so
+	// Close and the reader's ack never both send one.
 	draining   bool
+	drainSent  bool
 	readerDone chan struct{}
 }
 
@@ -241,12 +245,11 @@ func (si *StreamIngester) Close() error {
 	// bytes-unsent and resolves to ErrIngesterClosed on its retry.
 	st.mu.Lock()
 	st.draining = true
+	send := !st.drainSent
+	st.drainSent = true
 	st.mu.Unlock()
-	// Bounded like every other write: drain is best-effort and must not
-	// park Close behind a peer that stopped reading.
-	st.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteStreamFrame(st.bw, wire.EncodeStreamDrain()); err == nil {
-		st.bw.Flush()
+	if send {
+		st.writeDrainLocked()
 	}
 	st.wmu.Unlock()
 	// The server flushes every outstanding answer, sends its drain ack and
@@ -298,7 +301,7 @@ func (si *StreamIngester) liveState() (st *streamState, err error, ok bool) {
 	if si.closed {
 		return nil, ErrIngesterClosed, true
 	}
-	if si.st != nil && !si.st.isBroken() {
+	if si.st != nil && si.st.usable() {
 		return si.st, nil, true
 	}
 	return nil, nil, false
@@ -397,10 +400,42 @@ func (si *StreamIngester) dial() (*streamState, error) {
 	return st, nil
 }
 
-func (st *streamState) isBroken() bool {
+// writeDrainLocked writes this side's drain frame: nothing follows it on
+// the connection. Bounded like every other write — drain is best-effort
+// and must not park its caller behind a peer that stopped reading. The
+// caller holds wmu.
+func (st *streamState) writeDrainLocked() {
+	st.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteStreamFrame(st.bw, wire.EncodeStreamDrain()); err == nil {
+		st.bw.Flush()
+	}
+}
+
+// ackDrainIfIdleLocked reports whether the server's drain is now owed its
+// ack: the server asked, every frame sent has been answered, and no drain
+// frame went out yet. A true result claims the ack for the caller. The
+// caller holds mu.
+func (st *streamState) ackDrainIfIdleLocked() bool {
+	if !st.draining || st.drainSent || len(st.calls) > 0 || st.broken {
+		return false
+	}
+	st.drainSent = true
+	return true
+}
+
+// ackDrain writes the drain ack the reader claimed: the server's reader
+// exits on it at once instead of at its drain deadline.
+func (st *streamState) ackDrain() {
+	st.wmu.Lock()
+	st.writeDrainLocked()
+	st.wmu.Unlock()
+}
+
+// usable reports whether new frames may go out on this connection.
+func (st *streamState) usable() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.broken
+	return !st.broken && !st.draining
 }
 
 // fail breaks the connection once: every outstanding call gets err, new
@@ -423,16 +458,18 @@ func (st *streamState) fail(err error) {
 	st.conn.Close()
 }
 
-// pop removes the FIFO head — the call the next answer frame belongs to.
-func (st *streamState) pop() *streamCall {
+// pop removes the FIFO head — the call the next answer frame belongs to —
+// and reports whether that answer was the last one a server drain waited
+// for, so the caller owes the drain ack.
+func (st *streamState) pop() (c *streamCall, ack bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if len(st.calls) == 0 {
-		return nil
+		return nil, false
 	}
-	c := st.calls[0]
+	c = st.calls[0]
 	st.calls = st.calls[1:]
-	return c
+	return c, st.ackDrainIfIdleLocked()
 }
 
 // roundTrip runs one frame through the stream. retry reports that nothing
@@ -531,7 +568,7 @@ func (st *streamState) readLoop() {
 		}
 		switch kind {
 		case wire.KindIngestResponse:
-			call := st.pop()
+			call, ack := st.pop()
 			if call == nil {
 				st.fail(errors.New("response frame with no request outstanding"))
 				return
@@ -543,6 +580,9 @@ func (st *streamState) readLoop() {
 				return
 			}
 			call.done <- streamReply{resp: resp}
+			if ack {
+				st.ackDrain()
+			}
 		case wire.KindStreamError:
 			se, err := wire.DecodeStreamError(frame)
 			if err != nil {
@@ -550,9 +590,12 @@ func (st *streamState) readLoop() {
 				return
 			}
 			apiErr := &APIError{Status: se.Status, Message: se.Message}
-			if call := st.pop(); call != nil {
+			if call, ack := st.pop(); call != nil {
 				// In-order per-request failure; the stream stays up.
 				call.done <- streamReply{err: apiErr}
+				if ack {
+					st.ackDrain()
+				}
 				continue
 			}
 			// Terminal refusal with nothing outstanding.
@@ -571,11 +614,17 @@ func (st *streamState) readLoop() {
 				}
 			}
 		case wire.KindStreamDrain:
-			// Stop sending; outstanding answers still arrive, then the
-			// server closes and the read above returns.
+			// Stop sending. Outstanding answers still arrive; once the
+			// last one is in (now, if none is outstanding) the reader
+			// acks, the server closes, and the read above returns. New
+			// ingests go to a fresh connection.
 			st.mu.Lock()
 			st.draining = true
+			ack := st.ackDrainIfIdleLocked()
 			st.mu.Unlock()
+			if ack {
+				st.ackDrain()
+			}
 		default:
 			st.fail(fmt.Errorf("unexpected frame kind %#x", kind))
 			return
