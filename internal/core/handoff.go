@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 
 	"repro/internal/keyspace"
 	"repro/internal/store"
@@ -153,7 +152,7 @@ func (s *SPA) DropSlotUsers(slots *keyspace.SlotSet) int {
 				continue
 			}
 			if next == nil {
-				next = &shardSnap{buckets: slices.Clone(prev.buckets)}
+				next = prev.clone()
 			}
 			n := prev.buckets[b].residents()
 			dropped += n

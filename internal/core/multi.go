@@ -431,6 +431,8 @@ func (s *SPA) buildShardBatchLocked(g *preparedGroup, scratch []byte) ([]byte, e
 	if n == 0 {
 		return scratch, nil
 	}
+	// scratch grows once, to fit both the annotation and the largest value.
+	scratch = slices.Grow(scratch[:0], max(largest, waveAnnotationBound(len(g.interactions))))
 	// The wave's interaction events ride the record's annotation: opaque to
 	// the store and to replay, but a follower applying this record needs
 	// them to rebuild the CF matrix (replicate.go).
@@ -441,7 +443,6 @@ func (s *SPA) buildShardBatchLocked(g *preparedGroup, scratch []byte) ([]byte, e
 	}
 	g.batch.Grow(n, size+len(annotation))
 	g.batch.SetAnnotation(annotation)
-	scratch = slices.Grow(scratch[:0], largest)
 	var key [sum.KeyLen]byte
 	for _, d := range g.digests {
 		p := s.residentLocked(sh, d.id)

@@ -40,11 +40,18 @@ const waveAnnotationVersion = 0x01
 // per event uvarint user id, one type byte, uvarint action. Only the fields
 // the CF fold (publishShardLocked) consumes travel.
 func encodeWaveAnnotation(events []taggedEvent) []byte {
-	return appendWaveAnnotation(make([]byte, 0, 1+binary.MaxVarintLen64+len(events)*(binary.MaxVarintLen64+1+binary.MaxVarintLen32)), events)
+	return appendWaveAnnotation(nil, events)
 }
 
-// appendWaveAnnotation appends the annotation encoding of events to buf.
+// waveAnnotationBound is the longest annotation encoding of n events.
+func waveAnnotationBound(n int) int {
+	return 1 + binary.MaxVarintLen64 + n*(binary.MaxVarintLen64+1+binary.MaxVarintLen32)
+}
+
+// appendWaveAnnotation appends the annotation encoding of events to buf,
+// growing it at most once, to the encoding's bound.
 func appendWaveAnnotation(buf []byte, events []taggedEvent) []byte {
+	buf = slices.Grow(buf, waveAnnotationBound(len(events)))
 	buf = append(buf, waveAnnotationVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(events)))
 	for _, te := range events {
@@ -236,6 +243,17 @@ func (s *SPA) applyShipped(recs []store.LogRecord, strict bool, write func() err
 	return err
 }
 
+// shippedProfile is one decoded shipped profile and the floats its two
+// vectors are carved from (sum.DecodeInto): one allocation per profile
+// whenever the vectors fit — up to 8 objective features (the synthetic
+// population's count) beside a dense subjective vector — and one more per
+// vector that does not. It is never reused: the profile it holds is
+// published, and published profiles are immutable.
+type shippedProfile struct {
+	p      sum.Profile
+	floats [8 + lifelog.DenseLen]float64
+}
+
 // shardWork is one shipped run's effect on one shard.
 type shardWork struct {
 	idx     int
@@ -273,7 +291,9 @@ func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]shardWork, er
 			}
 			var p *sum.Profile
 			if !e.Tombstone {
-				if p, err = sum.Decode(e.Value); err != nil {
+				sp := new(shippedProfile)
+				p = &sp.p
+				if err = sum.DecodeInto(p, e.Value, sp.floats[:]); err != nil {
 					return nil, fmt.Errorf("wave %d: profile %d: %w", r.LSN, id, err)
 				}
 				if p.UserID != id {

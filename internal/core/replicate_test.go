@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -363,4 +364,115 @@ func TestWaveAnnotationRoundTrip(t *testing.T) {
 	if _, err := decodeWaveAnnotation([]byte{0x02, 0x00}); err == nil {
 		t.Fatal("unknown version accepted")
 	}
+}
+
+// TestShippedProfileOwnership is TestPublishedProfileOwnership on a
+// follower: each shipped profile decodes into an allocation of its own
+// (the Profile and the floats its vectors are carved from), so a profile
+// held after ApplyReplicatedWaves keeps its bytes while later runs — for
+// its own user and for others, several records per run — install new
+// ones.
+func TestShippedProfileOwnership(t *testing.T) {
+	clk := clock.NewSimulated(t0)
+	opts := func() Options {
+		return Options{DataDir: t.TempDir(), Store: store.Options{DisableAutoCompaction: true}, Shards: 16, Clock: clk}
+	}
+	leader, err := New(opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	follower, err := New(opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	users := replUsers(24)
+	for _, id := range users {
+		if err := leader.Register(id, []float64{float64(id), 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minute := 0
+	wave := func(ids ...uint64) {
+		t.Helper()
+		var frame []lifelog.Event
+		for _, id := range ids {
+			for e := 0; e < 3; e++ {
+				frame = append(frame, lifelog.Event{UserID: id, Time: t0.Add(time.Duration(minute-10000) * time.Minute),
+					Type: lifelog.EventClick, Action: uint32((int(id)*11 + minute) % lifelog.ActionUniverse)})
+				minute++
+			}
+		}
+		ingestWave(t, leader, [][]lifelog.Event{frame})
+	}
+	// ship applies everything the follower lacks as one run.
+	ship := func() {
+		t.Helper()
+		from, _ := follower.AppliedLSN()
+		to, _ := leader.AppliedLSN()
+		tail, err := leader.TailLog(from + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		var recs []store.LogRecord
+		for lsn := from; lsn < to; {
+			rec, err := tail.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+			lsn = rec.LSN
+		}
+		if err := follower.ApplyReplicatedWaves(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type held struct {
+		p   *sum.Profile
+		enc []byte
+	}
+	hold := func(id uint64) held {
+		p, err := follower.viewProfile(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return held{p, sum.Encode(p)}
+	}
+	check := func(when string, hs map[uint64]held) {
+		t.Helper()
+		for id, h := range hs {
+			if got := sum.Encode(h.p); !bytes.Equal(got, h.enc) {
+				t.Fatalf("%s: user %d's held profile changed", when, id)
+			}
+		}
+	}
+
+	wave(1)
+	wave(1, 2)
+	ship()
+	first := map[uint64]held{1: hold(1), 2: hold(2)}
+	wave(1)
+	wave(1, 2, 3)
+	ship()
+	if cur := hold(1); bytes.Equal(cur.enc, first[1].enc) {
+		t.Fatal("user 1's later waves left its profile unchanged; the test shows nothing")
+	}
+	check("after a run for the same users", first)
+
+	others := users[3:16]
+	wave(others...)
+	wave(users[16:]...)
+	ship()
+	last := map[uint64]held{}
+	for _, id := range others {
+		last[id] = hold(id)
+	}
+	wave(append([]uint64{1, 2}, others[:4]...)...)
+	wave(users[16:]...)
+	wave(others...)
+	ship()
+	check("after runs for other users", first)
+	check("after runs for other users", last)
 }

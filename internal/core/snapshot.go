@@ -41,9 +41,18 @@ import (
 // shared until touched.
 const bucketPages = 16
 
-// shardSnap is one shard's immutable read snapshot.
+// inlineBuckets is how many buckets a snapshot holds inside its own
+// allocation: a shard's whole share of the keyspace at 16 shards (the
+// default) or more.
+const inlineBuckets = 16
+
+// shardSnap is one shard's immutable read snapshot. buckets points into
+// inline whenever the shard holds at most inlineBuckets buckets, so a
+// publish allocates one header, not a header and a bucket array; a
+// shardSnap is therefore never copied by value.
 type shardSnap struct {
 	buckets []*bucket
+	inline  [inlineBuckets]*bucket
 }
 
 // bucket is one keyspace slot's share of a shard: its resident profiles and
@@ -77,12 +86,27 @@ type actionWeight struct {
 // emptyBucket is shared by every bucket that holds nothing.
 var emptyBucket = &bucket{}
 
+// newShardSnap returns an empty shard's snapshot: nbuckets empty buckets.
 func newShardSnap(nbuckets int) *shardSnap {
-	sn := &shardSnap{buckets: make([]*bucket, nbuckets)}
+	sn := (&shardSnap{buckets: make([]*bucket, nbuckets)}).clone()
 	for i := range sn.buckets {
 		sn.buckets[i] = emptyBucket
 	}
 	return sn
+}
+
+// clone returns the next snapshot's starting point: a new header sharing
+// every bucket with sn, which the caller swaps buckets of before it
+// publishes.
+func (sn *shardSnap) clone() *shardSnap {
+	next := &shardSnap{}
+	if n := len(sn.buckets); n <= inlineBuckets {
+		next.buckets = next.inline[:n:n]
+	} else {
+		next.buckets = make([]*bucket, n)
+	}
+	copy(next.buckets, sn.buckets)
+	return next
 }
 
 // cell addresses one page of one bucket in a shard snapshot.
@@ -190,7 +214,7 @@ func (s *SPA) publishShardLocked(sh *shard, changes []profChange, events []tagge
 	})
 
 	prev := sh.snap.Load()
-	next := &shardSnap{buckets: slices.Clone(prev.buckets)}
+	next := prev.clone()
 	added := 0
 	for ci, di := 0, 0; ci < len(changes) || di < len(deltas); {
 		at := cell{bucket: keyspace.NumSlots}

@@ -19,12 +19,11 @@ import (
 // per-user map, a per-group slice or a per-key store copy fails here.
 // A second pair of waves prices a shard group: the same shape on 8 users
 // of one shard, then on 8 users of 8 shards, each user in a bucket of its
-// own so both waves touch the same pages. The difference is 7 groups'
-// residue — the shard snapshot and its bucket-array clone, and the
-// group's store WriteBatch (entries, arena) and WAL record — less 3 that
-// the one-shard wave spends growing the annotation scratch for its one
-// larger record, so a per-group goroutine, slice or cache allocation
-// coming back fails here. AllocsPerRun measures with
+// own so both waves touch the same pages. The difference is exactly 7
+// groups' residue — the shard snapshot (its bucket array is inline), and
+// the group's store WriteBatch (entries, arena) and WAL record; the
+// wave's encode scratch grows once, whatever its groups — so a per-group
+// goroutine, slice or cache allocation coming back fails here. AllocsPerRun measures with
 // GOMAXPROCS 1, so the prepare runs on the caller alone. The race detector
 // changes allocation counts, so the file builds only without it.
 func TestWriteAllocCeilings(t *testing.T) {
@@ -68,7 +67,7 @@ func TestWriteAllocCeilings(t *testing.T) {
 		f       func()
 		ceiling float64
 	}{
-		{"PrepareMulti+Commit, 8 users × 4 events", wave, 89},
+		{"PrepareMulti+Commit, 8 users × 4 events", wave, 81},
 		{"Extractor.Feed, known user", feed, 0},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got > c.ceiling {
@@ -113,7 +112,7 @@ func TestWriteAllocCeilings(t *testing.T) {
 		return f
 	}
 	waveOne, waveSpread := waveOf(oneShard), waveOf(spread)
-	const perGroup = 5 // snapshot, bucket-array clone, WriteBatch entries and arena, WAL record
+	const perGroup = 4 // snapshot, WriteBatch entries and arena, WAL record
 	one, many := testing.AllocsPerRun(100, waveOne), testing.AllocsPerRun(100, waveSpread)
 	if got := many - one; got > 7*perGroup {
 		t.Errorf("8 users on 8 shards: %.1f allocs more than on 1 shard (%.1f), ceiling %d", got, one, 7*perGroup)
@@ -123,10 +122,10 @@ func TestWriteAllocCeilings(t *testing.T) {
 }
 
 // TestGroupShippedAllocs gates the follower's decode of a shipped run:
-// each profile entry costs sum.Decode's three allocations (the Profile and
-// its two float vectors), a record costs nothing more — its annotation's
-// events decode into the run's one event buffer — and the run pays a
-// constant on top, whatever its length.
+// each profile entry costs one allocation (a shippedProfile: the Profile
+// and the floats its two vectors are carved from), a record costs nothing
+// more — its annotation's events decode into the run's one event buffer —
+// and the run pays a constant on top, whatever its length.
 func TestGroupShippedAllocs(t *testing.T) {
 	s, err := New(Options{Shards: 16, Clock: clock.NewSimulated(t0)})
 	if err != nil {
@@ -155,7 +154,7 @@ func TestGroupShippedAllocs(t *testing.T) {
 	const (
 		perRun     = 3
 		perRecord  = 0
-		perProfile = 3
+		perProfile = 1
 	)
 	for _, shape := range []struct{ records, profiles int }{{1, 1}, {16, 1}, {16, 4}} {
 		recs := run(shape.records, shape.profiles)

@@ -552,11 +552,13 @@ func (sess *replSession) sendSnapshot() (uint64, error) {
 // three end the session.
 func (sess *replSession) readAcks(br *bufio.Reader) {
 	defer sess.shutdown()
+	var buf []byte // every ack is read into it; DecodeReplAck keeps nothing
 	for {
-		frame, err := wire.ReadStreamFrame(br, replAckFrameMax)
+		frame, err := wire.ReadStreamFrameInto(br, replAckFrameMax, buf)
 		if err != nil {
 			return
 		}
+		buf = frame
 		// Any frame but an ack — a drain frame or a protocol violation —
 		// fails to decode and ends the session.
 		lsn, err := wire.DecodeReplAck(frame)

@@ -497,12 +497,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		wevents, err := wire.DecodeIngestRequest(raw)
-		if err != nil {
+		var err error
+		if events, err = wire.DecodeIngestRequestEvents(nil, raw); err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
-		events = wire.ToEvents(wevents)
 		s.met.ingestBinary.Add(1)
 	} else {
 		var req wire.IngestRequest

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lifelog"
 	"repro/internal/wire"
 )
 
@@ -52,11 +53,38 @@ const (
 	defaultStreamDrainWait = 5 * time.Second
 )
 
-// streamPending is one awaited answer in a session's FIFO: a coalescer job
-// whose outcome becomes a response frame, or a pre-built error frame for a
+// maxKeptStreamBuf and maxKeptStreamEvents bound the frame bytes and the
+// decoded events a session keeps for reuse between frames: a rare huge
+// frame must not pin its buffers for the connection's life.
+const (
+	maxKeptStreamBuf    = 64 << 10
+	maxKeptStreamEvents = 1 << 10
+)
+
+// streamSlot is the reusable storage of one request frame in flight: its
+// decoded events and the coalescer job that carries them (job.events
+// aliases events; job.done is buffered, made on first use). A session
+// owns streamWindow slots and hands them out round-robin, one per request
+// frame.
+//
+// Why a slot is free again when its turn comes round: the reader takes
+// slot k mod window for request frame k only after its credit check
+// admitted frame k, which means at most window frames — k among them — are
+// unanswered, so frame k−window, the slot's previous user, is answered; and
+// respond decrements outstanding only after its last touch of the slot.
+// The coalescer is done with the job too: its send on job.done
+// (commitWave) is its last touch of the job and of the job's events —
+// PrepareMulti copied the events into the wave before that.
+type streamSlot struct {
+	events []lifelog.Event
+	job    ingestJob
+}
+
+// streamPending is one awaited answer in a session's FIFO: a slot whose
+// job's outcome becomes a response frame, or a pre-built error frame for a
 // request that never reached the coalescer.
 type streamPending struct {
-	job   *ingestJob
+	slot  *streamSlot
 	frame []byte
 }
 
@@ -73,6 +101,10 @@ type streamSession struct {
 
 	pending chan streamPending
 	done    chan struct{} // closed when serve returns; Close waits on it
+
+	// slots is the ring of request-frame storage, one slot per frame the
+	// credit window lets be in flight (streamSlot).
+	slots []streamSlot
 
 	// outstanding counts request frames read but not yet answered. It
 	// enforces the advertised credit window: the reader increments per
@@ -179,6 +211,7 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 		bw:      bw,
 		pending: make(chan streamPending, s.streamWindow),
 		done:    make(chan struct{}),
+		slots:   make([]streamSlot, s.streamWindow),
 	}
 	if !s.registerStream(sess) {
 		s.met.requestErrors.Add(1)
@@ -208,9 +241,17 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 	// terminal, when set, is a stream-level refusal written after every
 	// outstanding request has been answered — answers never reorder.
 	var terminal []byte
+	// buf holds each frame only until it is decoded: the events are copies
+	// and every error message is a string of its own.
+	var buf []byte
+	next := 0 // the next request frame's slot
 loop:
 	for {
-		frame, err := wire.ReadStreamFrame(br, s.maxBody)
+		if cap(buf) > maxKeptStreamBuf {
+			buf = nil
+		}
+		frame, err := wire.ReadStreamFrameInto(br, s.maxBody, buf)
+		buf = frame
 		if err != nil {
 			// EOF at a frame boundary is the client hanging up (its
 			// enqueued frames still commit; nobody reads the answers).
@@ -236,11 +277,16 @@ loop:
 					fmt.Sprintf("credit window exceeded: more than %d request frames outstanding", s.streamWindow))
 				break loop
 			}
+			slot := &sess.slots[next]
+			next = (next + 1) % len(sess.slots)
 			s.met.requests.Add(1)
 			s.met.ingestRequests.Add(1)
 			s.met.streamFrames.Add(1)
 			decodeStart := time.Now()
-			wevents, err := wire.DecodeIngestRequest(frame)
+			if cap(slot.events) > maxKeptStreamEvents {
+				slot.events = nil
+			}
+			events, err := wire.DecodeIngestRequestEvents(slot.events, frame)
 			if err != nil {
 				// The frame boundary was sound, so only this request is
 				// poisoned: answer it in order and keep reading.
@@ -248,7 +294,7 @@ loop:
 					http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))}
 				continue
 			}
-			events := wire.ToEvents(wevents)
+			slot.events = events
 			s.met.obs().stage("decode", time.Since(decodeStart))
 			// Cluster ownership check. Unlike the HTTP path the guard is
 			// released after ENQUEUE, not commit — the responder, not this
@@ -261,15 +307,18 @@ loop:
 				sess.pending <- streamPending{frame: refuse}
 				continue
 			}
-			job := &ingestJob{events: events, done: make(chan ingestDone, 1)}
-			if err := s.co.enqueueWait(context.Background(), job); err != nil {
+			if slot.job.done == nil {
+				slot.job.done = make(chan ingestDone, 1)
+			}
+			slot.job.events = events
+			if err := s.co.enqueueWait(context.Background(), &slot.job); err != nil {
 				release()
 				sess.pending <- streamPending{frame: wire.EncodeStreamError(
 					http.StatusServiceUnavailable, err.Error())}
 				continue
 			}
 			release()
-			sess.pending <- streamPending{job: job}
+			sess.pending <- streamPending{slot: slot}
 		case wire.KindStreamDrain:
 			// Client is done sending; answer what we have and close.
 			break loop
@@ -309,32 +358,41 @@ loop:
 // FIFO head-first, so answers carry exactly the arrival order of their
 // requests, and returns one credit with each answer. Write failures do not
 // stop the loop — the jobs behind a dead connection still hold committed
-// outcomes that must be consumed.
+// outcomes that must be consumed. A success answer and its credit are
+// encoded into one reused scratch buffer.
 func (sess *streamSession) respond(done chan struct{}) {
 	defer close(done)
+	var scratch []byte
 	for p := range sess.pending {
-		frame := p.frame
-		if p.job != nil {
-			d := <-p.job.done
-			if err := d.outcome.Err; err != nil {
-				frame = wire.EncodeStreamError(domainStatus(err), err.Error())
-			} else {
-				frame = wire.EncodeIngestResponse(wire.IngestResponse{
-					Processed:      d.outcome.Processed,
-					SkippedUnknown: d.outcome.SkippedUnknown,
-					CoalescedWith:  d.merged,
-				})
-			}
+		scratch = scratch[:0]
+		// The receive on the slot's job is the responder's last touch of
+		// the slot.
+		if p.slot == nil {
+			scratch = append(scratch, p.frame...)
+		} else if d := <-p.slot.job.done; d.outcome.Err != nil {
+			err := d.outcome.Err
+			scratch = append(scratch, wire.EncodeStreamError(domainStatus(err), err.Error())...)
+		} else {
+			scratch = wire.AppendIngestResponse(scratch, wire.IngestResponse{
+				Processed:      d.outcome.Processed,
+				SkippedUnknown: d.outcome.SkippedUnknown,
+				CoalescedWith:  d.merged,
+			})
 		}
-		if kind, err := wire.FrameKind(frame); err == nil && kind == wire.KindStreamError {
+		if kind, err := wire.FrameKind(scratch); err == nil && kind == wire.KindStreamError {
 			sess.srv.met.requestErrors.Add(1)
 		}
+		n := len(scratch)
+		scratch = wire.AppendStreamCredit(scratch, 1)
 		// Decrement before the credit goes on the wire: a compliant client
 		// sends its next frame only after reading this credit, so the
 		// reader's window check can never trip on a frame this credit paid
-		// for.
+		// for. It also hands the slot back to the reader.
 		sess.outstanding.Add(-1)
-		sess.writeFrames(frame, wire.EncodeStreamCredit(1))
+		sess.writeFrames(scratch[:n], scratch[n:])
+		if cap(scratch) > maxKeptStreamBuf {
+			scratch = nil
+		}
 	}
 }
 

@@ -1103,3 +1103,103 @@ func streamTortureRound(t *testing.T, seed int64) {
 			u, acked[u], plan, fo.Fired())
 	}
 }
+
+// TestStreamSlotRingMatchesTwin streams 8 windows' worth of frames, each
+// of distinct users, from concurrent senders through a 4-slot ring, so
+// every slot is reused many times while other frames are in flight. Every
+// frame must be answered with its own count, and every profile — and the
+// store's bytes — must equal a twin core fed the same frames as one
+// PrepareMulti wave: a slot reused before its frame was answered would
+// hand the coalescer another frame's events.
+func TestStreamSlotRingMatchesTwin(t *testing.T) {
+	const (
+		window    = 4
+		frames    = 8 * window
+		perFrame  = 3 // users
+		perUser   = 4 // events
+		senders   = 8
+		userCount = frames * perFrame
+	)
+	clk := func() *clock.Simulated { return clock.NewSimulated(t0.Add(24 * time.Hour)) }
+	ts, spa := testServer(t, core.Options{Shards: 4, DataDir: t.TempDir(), Clock: clk()}, Options{StreamWindow: window})
+	twin, err := core.New(core.Options{Shards: 4, DataDir: t.TempDir(), Clock: clk()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { twin.Close() })
+	for u := uint64(1); u <= userCount; u++ {
+		for _, s := range []*core.SPA{spa, twin} {
+			if err := s.Register(u, []float64{float64(u), 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batches := make([][]lifelog.Event, frames)
+	for f := range batches {
+		for k := 1; k <= perFrame; k++ {
+			u := uint64(f*perFrame + k)
+			for e := 0; e < perUser; e++ {
+				batches[f] = append(batches[f], lifelog.Event{UserID: u, Time: t0.Add(time.Duration(e) * time.Minute),
+					Type: lifelog.EventClick, Action: uint32(int(u)*7+e) % lifelog.ActionUniverse})
+			}
+		}
+	}
+
+	si := streamClient(t, ts.URL, spaclient.StreamOptions{})
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := g; f < frames; f += senders {
+				resp, err := si.Ingest(batches[f])
+				if err != nil {
+					t.Errorf("frame %d: %v", f, err)
+					return
+				}
+				if resp.Processed != len(batches[f]) || resp.SkippedUnknown != 0 {
+					t.Errorf("frame %d: %+v, want %d processed", f, resp, len(batches[f]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, out := range twin.PrepareMulti(batches).Commit() {
+		if out.Err != nil || out.Processed != len(batches[i]) {
+			t.Fatalf("twin batch %d: %+v", i, out)
+		}
+	}
+
+	for u := uint64(1); u <= userCount; u++ {
+		got, err := spa.Profile(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Profile(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sum.Encode(&got), sum.Encode(&want)) {
+			t.Fatalf("user %d: streamed profile differs from the twin's", u)
+		}
+	}
+	gotKV, _, err := spa.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKV, _, err := twin.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotKV) != len(wantKV) {
+		t.Fatalf("store holds %d keys, twin %d", len(gotKV), len(wantKV))
+	}
+	for i := range gotKV {
+		if !bytes.Equal(gotKV[i].Key, wantKV[i].Key) || !bytes.Equal(gotKV[i].Value, wantKV[i].Value) {
+			t.Fatalf("store entry %d (%q) differs from the twin's (%q)", i, gotKV[i].Key, wantKV[i].Key)
+		}
+	}
+}

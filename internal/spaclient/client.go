@@ -245,7 +245,7 @@ func (c *Client) Ingest(events []lifelog.Event) (wire.IngestResponse, error) {
 // ingestAt runs one binary-framed ingest round-trip against an explicit
 // base.
 func (c *Client) ingestAt(base string, events []lifelog.Event) (wire.IngestResponse, error) {
-	frame := wire.EncodeIngestRequest(wire.FromEvents(events))
+	frame := wire.AppendIngestRequestEvents(nil, events)
 	req, err := http.NewRequest("POST", base+"/v1/ingest", bytes.NewReader(frame))
 	if err != nil {
 		return wire.IngestResponse{}, err

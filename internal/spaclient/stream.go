@@ -100,8 +100,20 @@ func (c *Client) Stream(opts StreamOptions) *StreamIngester {
 // streamCall is one in-flight frame awaiting its in-order answer. done is
 // buffered so the reader never blocks delivering to a caller that timed
 // out and walked away.
+//
+// A call is recycled through its connection's free list, so a frame costs
+// no call, channel, timer or frame buffer of its own. The rule that makes
+// reuse safe: a call goes back on the list only when nothing else can
+// still touch it — after its caller received its one answer (the reader
+// and fail each deliver exactly one, and never touch the call again), or
+// when it failed before it was registered in the FIFO. A call whose
+// caller timed out waiting for its answer is abandoned, never recycled:
+// it stays in the FIFO, keeping in-order matching intact, and its buffered
+// done absorbs the late answer.
 type streamCall struct {
-	done chan streamReply
+	done  chan streamReply
+	timer *time.Timer // bounds the call end to end; Reset per use
+	frame []byte      // the encoded request, reused across uses
 }
 
 type streamReply struct {
@@ -121,8 +133,13 @@ type streamState struct {
 	// FIFO order always equals wire order.
 	wmu sync.Mutex
 
-	mu        sync.Mutex
-	calls     []*streamCall
+	mu sync.Mutex
+	// calls[head:] is the FIFO of registered calls awaiting answers, in
+	// wire order; pop advances head, and push reuses the popped front.
+	calls []*streamCall
+	head  int
+	// free holds recycled calls, at most the credit window of them.
+	free      []*streamCall
 	broken    bool
 	brokenErr error
 	brokenCh  chan struct{}
@@ -416,7 +433,7 @@ func (st *streamState) writeDrainLocked() {
 // frame went out yet. A true result claims the ack for the caller. The
 // caller holds mu.
 func (st *streamState) ackDrainIfIdleLocked() bool {
-	if !st.draining || st.drainSent || len(st.calls) > 0 || st.broken {
+	if !st.draining || st.drainSent || st.head < len(st.calls) || st.broken {
 		return false
 	}
 	st.drainSent = true
@@ -448,8 +465,8 @@ func (st *streamState) fail(err error) {
 	}
 	st.broken = true
 	st.brokenErr = err
-	calls := st.calls
-	st.calls = nil
+	calls := st.calls[st.head:]
+	st.calls, st.head = nil, 0
 	close(st.brokenCh)
 	st.mu.Unlock()
 	for _, c := range calls {
@@ -464,30 +481,87 @@ func (st *streamState) fail(err error) {
 func (st *streamState) pop() (c *streamCall, ack bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.calls) == 0 {
+	if st.head == len(st.calls) {
 		return nil, false
 	}
-	c = st.calls[0]
-	st.calls = st.calls[1:]
+	c = st.calls[st.head]
+	st.calls[st.head] = nil
+	st.head++
+	if st.head == len(st.calls) {
+		st.calls, st.head = st.calls[:0], 0
+	}
 	return c, st.ackDrainIfIdleLocked()
+}
+
+// pushLocked registers c at the FIFO's tail. A full FIFO first slides its
+// live calls down over the popped front, so the FIFO's storage stays as
+// large as the most calls ever in flight at once. The caller holds mu.
+func (st *streamState) pushLocked(c *streamCall) {
+	if len(st.calls) == cap(st.calls) && st.head > 0 {
+		n := copy(st.calls, st.calls[st.head:])
+		clear(st.calls[n:])
+		st.calls, st.head = st.calls[:n], 0
+	}
+	st.calls = append(st.calls, c)
+}
+
+// getCall takes a recycled call, or makes one: its done chan holds the one
+// answer, and its timer starts stopped.
+func (st *streamState) getCall() *streamCall {
+	st.mu.Lock()
+	if n := len(st.free); n > 0 {
+		c := st.free[n-1]
+		st.free[n-1] = nil
+		st.free = st.free[:n-1]
+		st.mu.Unlock()
+		return c
+	}
+	st.mu.Unlock()
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &streamCall{done: make(chan streamReply, 1), timer: t}
+}
+
+// maxKeptFrame bounds the frame buffer a recycled call keeps: a rare huge
+// batch must not pin its buffer for the connection's life.
+const maxKeptFrame = 64 << 10
+
+// putCall recycles a call that nothing else can touch any more (see
+// streamCall): its answer was received, or it was never registered. The
+// list keeps at most the credit window's worth; the rest are dropped.
+func (st *streamState) putCall(c *streamCall) {
+	c.timer.Stop()
+	if cap(c.frame) > maxKeptFrame {
+		c.frame = nil
+	}
+	st.mu.Lock()
+	if len(st.free) < cap(st.credit) {
+		st.free = append(st.free, c)
+	}
+	st.mu.Unlock()
 }
 
 // roundTrip runs one frame through the stream. retry reports that nothing
 // was sent for this call, so the caller may redial and try again without
 // double-ingest risk.
 func (st *streamState) roundTrip(events []lifelog.Event, timeout time.Duration) (resp wire.IngestResponse, err error, retry bool) {
-	frame := wire.EncodeIngestRequest(wire.FromEvents(events))
-	if st.maxFrame > 0 && int64(len(frame)) > st.maxFrame {
-		return resp, fmt.Errorf("spaclient: %d-byte frame exceeds server limit %d", len(frame), st.maxFrame), false
+	call := st.getCall()
+	call.frame = wire.AppendIngestRequestEvents(call.frame[:0], events)
+	if st.maxFrame > 0 && int64(len(call.frame)) > st.maxFrame {
+		err := fmt.Errorf("spaclient: %d-byte frame exceeds server limit %d", len(call.frame), st.maxFrame)
+		st.putCall(call)
+		return resp, err, false
 	}
 	deadline := time.Now().Add(timeout)
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	t := call.timer
+	t.Reset(timeout)
 	select {
 	case <-st.credit:
 	case <-st.brokenCh:
+		st.putCall(call)
 		return resp, st.brokenErr, true
 	case <-t.C:
+		st.putCall(call)
 		return resp, errors.New("spaclient: timed out waiting for stream credit"), false
 	}
 	if time.Until(deadline) <= 0 {
@@ -503,23 +577,25 @@ func (st *streamState) roundTrip(events []lifelog.Event, timeout time.Duration) 
 		case st.credit <- struct{}{}:
 		default:
 		}
+		st.putCall(call)
 		return resp, errors.New("spaclient: timed out waiting for stream credit"), false
 	}
-	call := &streamCall{done: make(chan streamReply, 1)}
 	st.wmu.Lock()
 	st.mu.Lock()
 	if st.broken {
 		err := st.brokenErr
 		st.mu.Unlock()
 		st.wmu.Unlock()
+		st.putCall(call)
 		return resp, err, true
 	}
 	if st.draining {
 		st.mu.Unlock()
 		st.wmu.Unlock()
+		st.putCall(call)
 		return resp, errStreamDraining, true
 	}
-	st.calls = append(st.calls, call)
+	st.pushLocked(call)
 	st.mu.Unlock()
 	// The write gets the call's remaining budget as a deadline: Timeout
 	// bounds the Ingest end to end, and a server that stopped reading must
@@ -527,7 +603,7 @@ func (st *streamState) roundTrip(events []lifelog.Event, timeout time.Duration) 
 	// Ingest calls and Close all serialize behind wmu — indefinitely.
 	werr := st.conn.SetWriteDeadline(deadline)
 	if werr == nil {
-		werr = wire.WriteStreamFrame(st.bw, frame)
+		werr = wire.WriteStreamFrame(st.bw, call.frame)
 	}
 	if werr == nil {
 		werr = st.bw.Flush()
@@ -543,10 +619,12 @@ func (st *streamState) roundTrip(events []lifelog.Event, timeout time.Duration) 
 	}
 	select {
 	case r := <-call.done:
+		st.putCall(call)
 		return r.resp, r.err, false
 	case <-t.C:
-		// The slot stays registered so in-order matching survives; the
-		// buffered done chan absorbs the late answer.
+		// Abandoned, never recycled: the call stays registered so
+		// in-order matching survives, and its buffered done chan absorbs
+		// the late answer.
 		return resp, errors.New("spaclient: timed out waiting for stream response"), false
 	}
 }
@@ -555,8 +633,12 @@ func (st *streamState) roundTrip(events []lifelog.Event, timeout time.Duration) 
 // the calls FIFO, banks credit grants, and observes drain.
 func (st *streamState) readLoop() {
 	defer close(st.readerDone)
+	// Every frame is read into buf, which the next read overwrites: each
+	// decoded answer below copies what it keeps out of it.
+	var buf []byte
 	for {
-		frame, err := wire.ReadStreamFrame(st.br, st.maxFrame)
+		frame, err := wire.ReadStreamFrameInto(st.br, st.maxFrame, buf)
+		buf = frame
 		if err != nil {
 			st.fail(err)
 			return

@@ -61,14 +61,28 @@ func AppendEncode(buf []byte, p *Profile) []byte {
 	return buf
 }
 
-// Decode parses a profile record.
+// Decode parses a profile record into a fresh Profile whose two float
+// vectors are allocations of their own.
 func Decode(raw []byte) (*Profile, error) {
+	p := &Profile{}
+	if err := DecodeInto(p, raw, nil); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto parses a profile record into p, overwriting every field.
+// Objective, then Subjective, is carved out of what floats has left when it
+// fits there, else allocated; a carved vector's capacity is capped at its
+// length, so appending to one reallocates instead of writing into the
+// other. p then aliases floats: the caller must not reuse floats while p is
+// in use. On error p's contents are unspecified.
+func DecodeInto(p *Profile, raw []byte, floats []float64) error {
 	r := reader{buf: raw}
 	magic := r.bytes(8)
 	if magic == nil || string(magic) != profileMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadProfile)
+		return fmt.Errorf("%w: bad magic", ErrBadProfile)
 	}
-	p := &Profile{}
 	p.UserID = r.u64()
 	p.UpdatedAt = time.Unix(0, int64(r.u64())).UTC()
 	p.AnsweredItems = int(r.u32())
@@ -80,27 +94,37 @@ func Decode(raw []byte) (*Profile, error) {
 	}
 	nObj := int(r.u32())
 	if r.failed || nObj < 0 || nObj > 1<<20 {
-		return nil, fmt.Errorf("%w: objective length", ErrBadProfile)
+		return fmt.Errorf("%w: objective length", ErrBadProfile)
 	}
-	p.Objective = make([]float64, nObj)
+	p.Objective, floats = carve(floats, nObj)
 	for i := range p.Objective {
 		p.Objective[i] = math.Float64frombits(r.u64())
 	}
 	nSub := int(r.u32())
 	if r.failed || nSub < 0 || nSub > 1<<20 {
-		return nil, fmt.Errorf("%w: subjective length", ErrBadProfile)
+		return fmt.Errorf("%w: subjective length", ErrBadProfile)
 	}
-	p.Subjective = make([]float64, nSub)
+	p.Subjective, _ = carve(floats, nSub)
 	for i := range p.Subjective {
 		p.Subjective[i] = math.Float64frombits(r.u64())
 	}
 	if r.failed {
-		return nil, fmt.Errorf("%w: truncated", ErrBadProfile)
+		return fmt.Errorf("%w: truncated", ErrBadProfile)
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
+		return fmt.Errorf("%w: %v", ErrBadProfile, err)
 	}
-	return p, nil
+	return nil
+}
+
+// carve returns an n-float vector with its capacity capped at n — the
+// front of floats when it has room, else a fresh allocation — and what is
+// left of floats. A nil floats always allocates, as Decode always has.
+func carve(floats []float64, n int) (vec, rest []float64) {
+	if floats == nil || n > len(floats) {
+		return make([]float64, n), floats
+	}
+	return floats[:n:n], floats[n:]
 }
 
 type reader struct {

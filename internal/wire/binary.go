@@ -47,7 +47,10 @@ import (
 	"fmt"
 	"math"
 	"mime"
+	"slices"
 	"strings"
+
+	"repro/internal/lifelog"
 )
 
 // ContentTypeBinary selects the binary ingest framing, which the server
@@ -170,27 +173,67 @@ func EncodeIngestRequest(events []Event) []byte {
 	// ~17 bytes/record for realistic ids and nano timestamps; one alloc
 	// for typical batches.
 	buf := make([]byte, 0, binaryHeaderLen+binary.MaxVarintLen64+len(events)*20)
-	buf = appendBinaryHeader(buf, KindIngestRequest)
-	buf = binary.AppendUvarint(buf, uint64(len(events)))
-	var rec [maxRecordLen]byte
+	buf = appendIngestHeader(buf, len(events))
 	for _, e := range events {
-		r := rec[:0]
-		r = binary.AppendUvarint(r, e.UserID)
-		r = binary.AppendVarint(r, e.TimeUnixNano)
-		r = append(r, e.Type)
-		r = binary.AppendUvarint(r, uint64(e.Action))
-		r = binary.AppendUvarint(r, uint64(math.Float32bits(e.Value)))
-		r = binary.AppendUvarint(r, uint64(e.Campaign))
-		buf = binary.AppendUvarint(buf, uint64(len(r)))
-		buf = append(buf, r...)
+		buf = appendIngestRecord(buf, e)
 	}
 	return buf
+}
+
+// AppendIngestRequestEvents appends the ingest request frame of a batch of
+// domain events to buf: EncodeIngestRequest(FromEvents(events)) without
+// the wire batch, growing buf at most once — for a sender that reuses one
+// frame buffer.
+func AppendIngestRequestEvents(buf []byte, events []lifelog.Event) []byte {
+	buf = slices.Grow(buf, binaryHeaderLen+binary.MaxVarintLen64+len(events)*(1+maxEncodedRecordLen))
+	buf = appendIngestHeader(buf, len(events))
+	for _, e := range events {
+		buf = appendIngestRecord(buf, FromEvent(e))
+	}
+	return buf
+}
+
+// maxEncodedRecordLen is the longest v1 record: every varint at its widest.
+const maxEncodedRecordLen = 2*binary.MaxVarintLen64 + 1 + 3*binary.MaxVarintLen32
+
+func appendIngestHeader(buf []byte, count int) []byte {
+	buf = appendBinaryHeader(buf, KindIngestRequest)
+	return binary.AppendUvarint(buf, uint64(count))
+}
+
+// appendIngestRecord appends one length-prefixed event record.
+func appendIngestRecord(buf []byte, e Event) []byte {
+	var rec [maxEncodedRecordLen]byte
+	r := rec[:0]
+	r = binary.AppendUvarint(r, e.UserID)
+	r = binary.AppendVarint(r, e.TimeUnixNano)
+	r = append(r, e.Type)
+	r = binary.AppendUvarint(r, uint64(e.Action))
+	r = binary.AppendUvarint(r, uint64(math.Float32bits(e.Value)))
+	r = binary.AppendUvarint(r, uint64(e.Campaign))
+	buf = binary.AppendUvarint(buf, uint64(len(r)))
+	return append(buf, r...)
 }
 
 // DecodeIngestRequest parses a framed event batch. The declared record
 // count is never trusted for allocation beyond what the remaining bytes
 // could actually hold.
 func DecodeIngestRequest(data []byte) ([]Event, error) {
+	return decodeIngestRequest(nil, data, func(e Event) Event { return e })
+}
+
+// DecodeIngestRequestEvents is DecodeIngestRequest decoding straight to
+// domain events in dst's storage (from dst[:0], overwriting what an
+// earlier decode left there), allocating only when the frame holds more
+// events than cap(dst) — for a receiver that reuses one slice across
+// frames. The returned slice is that storage.
+func DecodeIngestRequestEvents(dst []lifelog.Event, data []byte) ([]lifelog.Event, error) {
+	return decodeIngestRequest(dst[:0], data, Event.Lifelog)
+}
+
+// decodeIngestRequest appends the frame's events, each converted by conv,
+// to dst.
+func decodeIngestRequest[T any](dst []T, data []byte, conv func(Event) T) ([]T, error) {
 	payload, err := checkBinaryHeader(data, KindIngestRequest)
 	if err != nil {
 		return nil, err
@@ -205,7 +248,7 @@ func DecodeIngestRequest(data []byte) ([]Event, error) {
 		return nil, fmt.Errorf("%w: %d records declared, at most %d fit in %d bytes",
 			ErrBadFrame, count, maxPossible, len(r.p))
 	}
-	events := make([]Event, 0, count)
+	dst = slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
 		recLen, err := r.uvarint()
 		if err != nil {
@@ -247,17 +290,21 @@ func DecodeIngestRequest(data []byte) ([]Event, error) {
 		if len(rec.p) != 0 {
 			return nil, fmt.Errorf("%w: record %d has %d trailing bytes", ErrBadFrame, i, len(rec.p))
 		}
-		events = append(events, e)
+		dst = append(dst, conv(e))
 	}
 	if len(r.p) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after %d records", ErrBadFrame, len(r.p), count)
 	}
-	return events, nil
+	return dst, nil
 }
 
 // EncodeIngestResponse frames one ingest outcome.
 func EncodeIngestResponse(resp IngestResponse) []byte {
-	buf := make([]byte, 0, binaryHeaderLen+3*binary.MaxVarintLen64)
+	return AppendIngestResponse(make([]byte, 0, binaryHeaderLen+3*binary.MaxVarintLen64), resp)
+}
+
+// AppendIngestResponse appends the frame of one ingest outcome to buf.
+func AppendIngestResponse(buf []byte, resp IngestResponse) []byte {
 	buf = appendBinaryHeader(buf, KindIngestResponse)
 	buf = binary.AppendVarint(buf, int64(resp.Processed))
 	buf = binary.AppendVarint(buf, int64(resp.SkippedUnknown))

@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/lifelog"
 )
 
 func sampleEvents() []Event {
@@ -155,11 +158,34 @@ func FuzzDecodeIngestRequest(f *testing.F) {
 	f.Add(EncodeIngestResponse(IngestResponse{Processed: 3, CoalescedWith: 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := DecodeIngestRequest(data)
+		// The domain-event decoder, over a dirty reused slice, agrees with
+		// DecodeIngestRequest+ToEvents event for event and error for error.
+		stale := []lifelog.Event{{UserID: 99, Action: 7}, {UserID: 98}, {UserID: 97}}
+		domain, derr := DecodeIngestRequestEvents(stale[:1], data)
+		if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
+			t.Fatalf("DecodeIngestRequestEvents error %v, DecodeIngestRequest error %v", derr, err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("non-ErrBadFrame error: %v", err)
 			}
 			return
+		}
+		if len(domain) != len(events) {
+			t.Fatalf("DecodeIngestRequestEvents: %d events, DecodeIngestRequest %d", len(domain), len(events))
+		}
+		for i, e := range ToEvents(events) {
+			if d := domain[i]; d.UserID != e.UserID || !d.Time.Equal(e.Time) || d.Type != e.Type ||
+				d.Action != e.Action || d.Campaign != e.Campaign || math.Float32bits(d.Value) != math.Float32bits(e.Value) {
+				t.Fatalf("DecodeIngestRequestEvents event %d: %+v, want %+v", i, d, e)
+			}
+		}
+		// Encoding the domain events behind a prefix writes exactly
+		// EncodeIngestRequest's bytes after it.
+		prefix := []byte("keep")
+		appended := AppendIngestRequestEvents(prefix, domain)
+		if want := EncodeIngestRequest(events); !bytes.Equal(appended[len(prefix):], want) || string(appended[:len(prefix)]) != "keep" {
+			t.Fatalf("AppendIngestRequestEvents = %x, want keep+%x", appended, want)
 		}
 		again, err := DecodeIngestRequest(EncodeIngestRequest(events))
 		if err != nil {

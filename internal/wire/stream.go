@@ -110,11 +110,20 @@ func WriteStreamFrame(w io.Writer, frame []byte) error {
 	return err
 }
 
-// ReadStreamFrame reads one length-prefixed frame, refusing declared
-// lengths above maxLen (<= 0 selects the 8 MiB default) before allocating.
-// A clean close at a frame boundary surfaces as io.EOF; a connection cut
-// mid-frame as io.ErrUnexpectedEOF.
+// ReadStreamFrame reads one length-prefixed frame into a new slice of its
+// own, refusing declared lengths above maxLen (<= 0 selects the 8 MiB
+// default) before allocating. A clean close at a frame boundary surfaces
+// as io.EOF; a connection cut mid-frame as io.ErrUnexpectedEOF.
 func ReadStreamFrame(br *bufio.Reader, maxLen int64) ([]byte, error) {
+	return ReadStreamFrameInto(br, maxLen, nil)
+}
+
+// ReadStreamFrameInto is ReadStreamFrame reading into buf's storage,
+// allocating only when the frame is longer than cap(buf) — for a reader
+// that reuses one buffer across frames. The returned frame is that
+// storage: the next read overwrites it, so whatever a decoded frame must
+// keep is copied out first.
+func ReadStreamFrameInto(br *bufio.Reader, maxLen int64, buf []byte) ([]byte, error) {
 	if maxLen <= 0 {
 		maxLen = maxStreamFrameLen
 	}
@@ -133,7 +142,11 @@ func ReadStreamFrame(br *bufio.Reader, maxLen int64) ([]byte, error) {
 	if n > uint64(maxLen) {
 		return nil, fmt.Errorf("%w: %d-byte frame exceeds %d-byte limit", ErrBadFrame, n, maxLen)
 	}
-	frame := make([]byte, n)
+	frame := buf[:0]
+	if uint64(cap(frame)) < n {
+		frame = make([]byte, n)
+	}
+	frame = frame[:n]
 	if _, err := io.ReadFull(br, frame); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -185,7 +198,12 @@ func DecodeStreamHello(frame []byte) (StreamHello, error) {
 
 // EncodeStreamCredit frames a grant of n more request frames.
 func EncodeStreamCredit(n int) []byte {
-	buf := make([]byte, 0, binaryHeaderLen+binary.MaxVarintLen64)
+	return AppendStreamCredit(make([]byte, 0, binaryHeaderLen+binary.MaxVarintLen64), n)
+}
+
+// AppendStreamCredit appends the frame of a grant of n more request frames
+// to buf.
+func AppendStreamCredit(buf []byte, n int) []byte {
 	buf = appendBinaryHeader(buf, KindStreamCredit)
 	return binary.AppendUvarint(buf, uint64(n))
 }

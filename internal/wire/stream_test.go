@@ -36,9 +36,11 @@ func TestStreamFrameReadWrite(t *testing.T) {
 		EncodeStreamCredit(1),
 		EncodeStreamDrain(),
 	}
-	for _, f := range frames {
-		if err := WriteStreamFrame(&buf, f); err != nil {
-			t.Fatal(err)
+	for range 2 {
+		for _, f := range frames {
+			if err := WriteStreamFrame(&buf, f); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	br := bufio.NewReader(&buf)
@@ -50,6 +52,22 @@ func TestStreamFrameReadWrite(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: %x != %x", i, got, want)
 		}
+	}
+	// The second copy reads into one reused buffer, too small at first: it
+	// grows for the ingest request, and every later frame reuses it.
+	reused := make([]byte, 3, 8)
+	for i, want := range frames {
+		got, err := ReadStreamFrameInto(br, 1<<20, reused)
+		if err != nil {
+			t.Fatalf("reused buffer, frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reused buffer, frame %d: %x != %x", i, got, want)
+		}
+		if i > 1 && &got[0] != &reused[:1][0] {
+			t.Fatalf("reused buffer, frame %d: read into new storage", i)
+		}
+		reused = got
 	}
 	// Clean close at a frame boundary is io.EOF exactly.
 	if _, err := ReadStreamFrame(br, 1<<20); err != io.EOF {
