@@ -96,11 +96,10 @@ type SPA struct {
 	prop        atomic.Pointer[propIndex]
 	propBuildMu sync.Mutex
 
-	// Recommendation-function state (see recommend.go): the generation the
-	// recommend caches key on, bumped by every CF-row publish and tagger
-	// swap, and the action tagger.
-	recGen atomic.Uint64
+	// Recommendation-function state (see recommend.go): the action tagger
+	// and the recommend cache's stripes.
 	tagger atomic.Pointer[ActionTagger]
+	recs   [recStripes]atomic.Pointer[recStripe]
 
 	// Read-path counters (snapshot.go ReadStats).
 	readCacheHits   atomic.Uint64

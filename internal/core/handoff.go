@@ -141,7 +141,7 @@ func (s *SPA) DropSlotUsers(slots *keyspace.SlotSet) int {
 			byShard[idx] = append(byShard[idx], slot>>s.bucketShift)
 		}
 	}
-	dropped, changed := 0, false
+	dropped := 0
 	for idx, buckets := range byShard {
 		sh := s.shards[idx]
 		sh.mu.Lock()
@@ -161,12 +161,8 @@ func (s *SPA) DropSlotUsers(slots *keyspace.SlotSet) int {
 		}
 		if next != nil {
 			s.installSnapLocked(sh, next)
-			changed = true
 		}
 		sh.mu.Unlock()
-	}
-	if changed {
-		s.invalidateRecommender()
 	}
 	return dropped
 }

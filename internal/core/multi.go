@@ -260,8 +260,6 @@ type preparedGroup struct {
 	users int
 
 	tally []batchTally // by batch index; the wave's groups share one array
-	// recorded is set at install when the group folded interaction rows.
-	recorded bool
 	// digests are the staged profile updates, one per fed user, in a
 	// window of the wave's one digest array. Each p is a stagedProfile
 	// whose Subjective already holds the new vector; install fills in the
@@ -476,22 +474,12 @@ func (s *SPA) installShardLocked(g *preparedGroup, deltas []rowDelta) {
 		}
 	}
 	g.digests = nil
-	if s.publishShardLocked(sh, changes, g.interactions, deltas) > 0 {
-		g.recorded = true
-	}
+	s.publishShardLocked(sh, changes, g.interactions, deltas)
 }
 
 // finishMulti folds the shard groups' accounting into the per-batch
-// outcomes and, if any group recorded interactions, bumps the recommend
-// generation (lock-free) so no cached ranking outlives the new rows.
+// outcomes.
 func (s *SPA) finishMulti(out []IngestOutcome, groups []preparedGroup) {
-	newRows := false
-	for i := range groups {
-		newRows = newRows || groups[i].recorded
-	}
-	if newRows {
-		s.invalidateRecommender()
-	}
 	for i := range groups {
 		for b, t := range groups[i].tally {
 			out[b].Processed += t.processed

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/cf"
 	"repro/internal/emotion"
+	"repro/internal/keyspace"
 	"repro/internal/lifelog"
 	"repro/internal/sum"
 )
@@ -25,10 +27,9 @@ import (
 // its norm. A recommend ranks straight from the rows published at that
 // moment — one pass over them, no model to build, nothing stale, no lock —
 // and answers exactly what cf.KNN (k = neighbourK) built from the same
-// events would. On top of that, a small per-shard cache remembers finished
-// rankings, keyed to the exact (snapshot, generation) pair they were
-// computed under: any write to the shard, any CF-weighted write anywhere and
-// any tagger swap invalidate it wholesale.
+// events would. On top of that, one process-wide cache remembers finished
+// rankings, keyed on the (snapshot epoch, tagger) they were computed under:
+// any publish anywhere and any tagger swap retire every entry at once.
 
 // ErrNoInteractions is returned by RecommendActions before any interaction
 // has been ingested — there is nothing for collaborative filtering to rank
@@ -46,31 +47,15 @@ const neighbourK = 25
 type ActionTagger func(action uint32) []emotion.Attribute
 
 // SetActionTagger installs the tagger used by RecommendActions. Cached
-// rankings were computed with the previous tagger, so the generation is
-// bumped after the store: a ranking still running under the old tagger
-// loaded the generation before it, and its cache entry never matches again.
+// rankings are keyed on the tagger they were ranked with, so a ranking
+// still running under the previous one is cached under a key that never
+// matches again.
 func (s *SPA) SetActionTagger(t ActionTagger) {
 	if t == nil {
 		s.tagger.Store(nil)
 	} else {
 		s.tagger.Store(&t)
 	}
-	s.invalidateRecommender()
-}
-
-// actionTagger loads the installed tagger (nil when none).
-func (s *SPA) actionTagger() ActionTagger {
-	if p := s.tagger.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// invalidateRecommender bumps the recommend generation: every ranking
-// cached before it stops matching. Writers call it after publishing the CF
-// rows it covers.
-func (s *SPA) invalidateRecommender() {
-	s.recGen.Add(1)
 }
 
 // interactionWeight grades event types for the CF matrix: transactions are
@@ -90,20 +75,25 @@ func interactionWeight(t lifelog.EventType) float64 {
 	}
 }
 
-// recCache is one shard's recommend cache: finished rankings valid only
-// for the exact snapshot and generation they were computed under. The maps
-// are immutable after publish; inserts CAS a rebuilt cache in and simply
-// give up on contention (the cache is best-effort).
-type recCache struct {
-	snap    *shardSnap
-	gen     uint64
+// The recommend cache holds recStripes × recStripeCap finished rankings,
+// whatever the shard count: a user's entry lives in the stripe its mixed id
+// picks. A full stripe restarts from the inserted entry (generational
+// eviction — cheap, and the next publish retires it anyway), so an insert
+// copies at most recStripeCap-1 entries.
+const (
+	recStripes   = 16
+	recStripeCap = 128
+)
+
+// recStripe is one stripe of the recommend cache: finished rankings valid
+// only for the exact (epoch, tagger) they were computed under. The map is
+// immutable after publish; inserts CAS a rebuilt stripe in and simply give
+// up on contention (the cache is best-effort).
+type recStripe struct {
+	epoch   uint64
+	tagger  *ActionTagger
 	entries map[uint64]recEntry
 }
-
-// emptyRecCache is the cache every shard starts from and every publish
-// resets to. It matches no snapshot, so it is never read as a hit, and it
-// is never written: an insert always CASes in a fresh recCache.
-var emptyRecCache = &recCache{}
 
 // recEntry is one cached ranking, keyed by the n it was computed for.
 type recEntry struct {
@@ -111,18 +101,13 @@ type recEntry struct {
 	recs []cf.Recommendation
 }
 
-// recCacheCap bounds one shard's cache; a full cache restarts from the
-// inserted entry (generational eviction — cheap, and ingest clears it
-// anyway).
-const recCacheCap = 128
-
-// cacheInsert publishes a ranking into the shard cache, keyed to the
-// snapshot and generation it was computed under. Lock-free: lost CAS races
-// just skip the insert, and an entry under a superseded key is never read.
-func (sh *shard) cacheInsert(snap *shardSnap, gen uint64, userID uint64, n int, recs []cf.Recommendation) {
-	cur := sh.cache.Load()
-	next := &recCache{snap: snap, gen: gen}
-	if cur.snap == snap && cur.gen == gen && len(cur.entries) < recCacheCap {
+// cacheRanking publishes a ranking into the user's stripe st, keyed to the
+// epoch and tagger it was computed under. Lock-free: lost CAS races just
+// skip the insert, and an entry under a superseded key is never read.
+func cacheRanking(st *atomic.Pointer[recStripe], epoch uint64, tagger *ActionTagger, userID uint64, n int, recs []cf.Recommendation) {
+	cur := st.Load()
+	next := &recStripe{epoch: epoch, tagger: tagger}
+	if cur != nil && cur.epoch == epoch && cur.tagger == tagger && len(cur.entries) < recStripeCap {
 		next.entries = make(map[uint64]recEntry, len(cur.entries)+1)
 		for id, e := range cur.entries {
 			next.entries[id] = e
@@ -131,7 +116,7 @@ func (sh *shard) cacheInsert(snap *shardSnap, gen uint64, userID uint64, n int, 
 		next.entries = make(map[uint64]recEntry, 1)
 	}
 	next.entries[userID] = recEntry{n: n, recs: append([]cf.Recommendation(nil), recs...)}
-	sh.cache.CompareAndSwap(cur, next)
+	st.CompareAndSwap(cur, next)
 }
 
 // RecommendActions returns the top-n actions for the user: the CF ranking
@@ -142,10 +127,12 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	if n < 1 {
 		return nil, errors.New("core: n must be >= 1")
 	}
-	// Generation before snapshots and tagger: a publish or tagger swap that
-	// lands mid-ranking bumps it past gen, so the result is cached under a
-	// key no later read matches — never wrongly fresh.
-	gen := s.recGen.Load()
+	// Epoch before snapshots: every writer stores its snapshot and then
+	// bumps the epoch before it returns, so a ranking that straddles a
+	// publish is cached under an epoch no later read loads — never wrongly
+	// fresh. The tagger is loaded once and ranks under the key it names.
+	epoch := s.epoch.Load()
+	tagger := s.tagger.Load()
 	// Identity before CF state: an unknown user is ErrNoProfile even on a
 	// cold system where ranking would fail with ErrNoInteractions — callers
 	// (and the serving layer's 404-vs-409 mapping) must not see a
@@ -156,26 +143,26 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
 	}
-	if rc := sh.cache.Load(); rc.snap == snap && rc.gen == gen {
-		if e, hit := rc.entries[userID]; hit && e.n == n {
+	stripe := &s.recs[keyspace.Mix64(userID)&(recStripes-1)]
+	if st := stripe.Load(); st != nil && st.epoch == epoch && st.tagger == tagger {
+		if e, hit := st.entries[userID]; hit && e.n == n {
 			s.readCacheHits.Add(1)
 			return append([]cf.Recommendation(nil), e.recs...), nil
 		}
 	}
 	s.readCacheMisses.Add(1)
-	recs, err := s.rankActions(snap, c, p, userID, n)
+	recs, err := s.rankActions(snap, c, p, tagger, userID, n)
 	if err != nil {
 		return nil, err
 	}
-	sh.cacheInsert(snap, gen, userID, n, recs)
+	cacheRanking(stripe, epoch, tagger, userID, n, recs)
 	return recs, nil
 }
 
 // rankActions runs the CF ranking and the emotional re-weighting for one
-// frozen profile; snap is the user's shard snapshot at cell c.
-func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64, n int) ([]cf.Recommendation, error) {
-	tagger := s.actionTagger()
-
+// frozen profile under the given tagger (nil: none); snap is the user's
+// shard snapshot at cell c.
+func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, tagger *ActionTagger, userID uint64, n int) ([]cf.Recommendation, error) {
 	// Over-fetch so emotional re-ranking has candidates to promote.
 	fetch := max(n*3, 10)
 	recs, err := s.rankCF(snap, c, userID, fetch)
@@ -186,7 +173,7 @@ func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64
 		adv := s.model.Advise(p, "training")
 		for i := range recs {
 			boost := 0.0
-			for _, attr := range tagger(recs[i].Action) {
+			for _, attr := range (*tagger)(recs[i].Action) {
 				if int(attr) >= 0 && int(attr) < emotion.NumAttributes {
 					boost += adv.Excitation[attr]
 				}

@@ -390,6 +390,44 @@ func TestRecommendTaggerSwapDropsInFlightRanking(t *testing.T) {
 	}
 }
 
+// TestRecommendCacheIgnoresShardCount: the recommend cache's capacity is a
+// number of entries, not a number per shard — 512 warmed rankings all hit
+// on a second pass whatever the shard count.
+func TestRecommendCacheIgnoresShardCount(t *testing.T) {
+	const users = 512
+	events := zipfEvents(1, users, users*4, t0.Add(-100*time.Hour))
+	for _, shards := range []int{1, 4, 16, 64} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := New(Options{Shards: shards, Clock: clock.NewSimulated(t0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for id := uint64(1); id <= users; id++ {
+				if err := s.Register(id, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := s.IngestEvents(events); err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				before := s.ReadStats().ReadCacheHits
+				for id := uint64(1); id <= users; id++ {
+					if _, err := s.RecommendActions(id, 5); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if pass == 1 {
+					if hits := s.ReadStats().ReadCacheHits - before; hits != users {
+						t.Fatalf("second pass: %d hits, want %d", hits, users)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRecommendAfterWrite is the read that follows a write: each op, a
 // zipf-hot user ingests 12 events, then asks for 10 recommendations.
 func BenchmarkRecommendAfterWrite(b *testing.B) {
@@ -436,31 +474,42 @@ func BenchmarkRecommendAfterWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkRecommendActions: "hit" cycles 200 users, all cached after the
+// first pass; "miss" cycles a key set 8× the cache's capacity, so every
+// read ranks and inserts.
 func BenchmarkRecommendActions(b *testing.B) {
-	s, err := New(Options{Clock: clock.NewSimulated(t0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	var events []lifelog.Event
-	at := t0.Add(-100 * time.Hour)
-	for id := uint64(1); id <= 200; id++ {
-		s.Register(id, nil)
-		for k := 0; k < 20; k++ {
-			events = append(events, lifelog.Event{
-				UserID: id, Time: at, Type: lifelog.EventClick,
-				Action: uint32((int(id)*7 + k*13) % lifelog.ActionUniverse),
-			})
-			at = at.Add(time.Second)
-		}
-	}
-	if _, _, err := s.IngestEvents(events); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RecommendActions(uint64(i%200+1), 10); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		users int
+	}{{"hit", 200}, {"miss", 8 * recStripes * recStripeCap}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := New(Options{Clock: clock.NewSimulated(t0)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			var events []lifelog.Event
+			at := t0.Add(-100 * time.Hour)
+			for id := uint64(1); id <= uint64(bc.users); id++ {
+				s.Register(id, nil)
+				for k := 0; k < 20; k++ {
+					events = append(events, lifelog.Event{
+						UserID: id, Time: at, Type: lifelog.EventClick,
+						Action: uint32((int(id)*7 + k*13) % lifelog.ActionUniverse),
+					})
+					at = at.Add(time.Second)
+				}
+			}
+			if _, _, err := s.IngestEvents(events); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.RecommendActions(uint64(i%bc.users+1), 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

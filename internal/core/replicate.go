@@ -187,8 +187,8 @@ func (s *SPA) ApplyReplicatedWave(lsn uint64, annotation []byte, entries []store
 // LSNs with one WAL sync (store.ApplyReplicated refuses the whole run
 // unless it extends the applied position contiguously), then every
 // record's profile changes and annotation interaction events install into
-// shard memory under one pass of shard locks — the same install + publish +
-// invalidate sequence the leader's commit stage ran, so every snapshot read
+// shard memory under one pass of shard locks — the same install + publish
+// sequence the leader's commit stage ran, so every snapshot read
 // API (profile, recommend, propensity, select-top) converges to the
 // leader's results at the run's last LSN. A later record's change to a user
 // wins over an earlier one's, and CF events fold in LSN order, exactly as
@@ -228,17 +228,13 @@ func (s *SPA) applyShipped(recs []store.LogRecord, strict bool, write func() err
 		s.shards[w.idx].mu.Lock()
 	}
 	err = write()
-	recorded := 0
 	if err == nil {
 		for _, w := range work {
-			recorded += s.publishShardLocked(s.shards[w.idx], w.changes, w.events, deltas)
+			s.publishShardLocked(s.shards[w.idx], w.changes, w.events, deltas)
 		}
 	}
 	for i := len(work) - 1; i >= 0; i-- {
 		s.shards[work[i].idx].mu.Unlock()
-	}
-	if recorded > 0 {
-		s.invalidateRecommender()
 	}
 	return err
 }

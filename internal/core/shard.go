@@ -26,17 +26,11 @@ type shard struct {
 
 	// snap is the current immutable read snapshot; never nil after newShard.
 	snap atomic.Pointer[shardSnap]
-	// cache is the per-shard recommend cache (recommend.go); entries are
-	// valid only for the exact (snapshot, recommend generation) pair they
-	// were computed under. Never nil after newShard: a fresh shard and
-	// every publish reset it to the shared emptyRecCache sentinel.
-	cache atomic.Pointer[recCache]
 }
 
 func newShard(nbuckets int) *shard {
 	sh := &shard{}
 	sh.snap.Store(newShardSnap(nbuckets))
-	sh.cache.Store(emptyRecCache)
 	return sh
 }
 

@@ -185,10 +185,7 @@ func cmpCell(a, b cell) int {
 // deltas is the caller's scratch for the events' CF deltas, overwritten
 // here: a buffer that outlives one publish (a wave's or a shipped run's),
 // or nil to allocate one when needed. The caller holds sh.mu for writing.
-// Returns how many interaction events were recorded (zero-weight and
-// out-of-universe events don't count), so ingest can invalidate the
-// recommender once per wave.
-func (s *SPA) publishShardLocked(sh *shard, changes []profChange, events []taggedEvent, deltas []rowDelta) int {
+func (s *SPA) publishShardLocked(sh *shard, changes []profChange, events []taggedEvent, deltas []rowDelta) {
 	for i := range changes {
 		_, changes[i].at = s.place(changes[i].id)
 	}
@@ -249,17 +246,14 @@ func (s *SPA) publishShardLocked(sh *shard, changes []profChange, events []tagge
 	}
 	s.users.Add(int64(added))
 	s.installSnapLocked(sh, next)
-	return len(deltas)
 }
 
-// installSnapLocked makes next the shard's read snapshot and bumps the
-// epoch. The per-shard recommend cache keys its validity to the snapshot
-// pointer, so resetting it to the shared empty sentinel here only frees
-// the old entries; it is not a correctness requirement, and it allocates
-// nothing.
+// installSnapLocked makes next the shard's read snapshot and then bumps the
+// epoch, in that order: the recommend cache keys on the epoch a reader
+// loaded before its snapshots, so an entry cached under the new epoch was
+// ranked from this snapshot or a later one.
 func (s *SPA) installSnapLocked(sh *shard, next *shardSnap) {
 	sh.snap.Store(next)
-	sh.cache.Store(emptyRecCache)
 	s.epoch.Add(1)
 }
 
@@ -355,8 +349,8 @@ func (s *SPA) SnapshotEpoch() uint64 {
 type ReadStats struct {
 	// SnapshotEpoch is SnapshotEpoch().
 	SnapshotEpoch uint64
-	// ReadCacheHits / ReadCacheMisses count per-shard recommend-cache
-	// outcomes. Process-local, reset to zero on restart.
+	// ReadCacheHits / ReadCacheMisses count recommend-cache outcomes.
+	// Process-local, reset to zero on restart.
 	ReadCacheHits   uint64
 	ReadCacheMisses uint64
 }

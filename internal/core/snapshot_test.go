@@ -379,7 +379,8 @@ func TestSnapshotEpochAcrossReopen(t *testing.T) {
 
 // TestReadStatsCounters pins the read-path gauge hygiene: a fresh core
 // starts with zeroed cache counters, a repeated recommendation is a cache
-// hit, and an ingest invalidates the cache.
+// hit, and an ingest invalidates the cache — as does a Register of an
+// unrelated user in another shard: every publish retires every ranking.
 func TestReadStatsCounters(t *testing.T) {
 	s := newSPA(t, "")
 	rs := s.ReadStats()
@@ -415,5 +416,23 @@ func TestReadStatsCounters(t *testing.T) {
 	rs = s.ReadStats()
 	if rs.ReadCacheMisses != 2 || rs.ReadCacheHits != 1 {
 		t.Fatalf("ingest did not invalidate the cache: %+v", rs)
+	}
+
+	if _, err := s.RecommendActions(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	other := uint64(3)
+	for s.shardIndexFor(other) == s.shardIndexFor(1) {
+		other++
+	}
+	if err := s.Register(other, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RecommendActions(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	rs = s.ReadStats()
+	if rs.ReadCacheMisses != 3 || rs.ReadCacheHits != 2 {
+		t.Fatalf("a Register in another shard did not retire the ranking: %+v", rs)
 	}
 }

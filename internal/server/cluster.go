@@ -102,7 +102,9 @@ type cluster struct {
 
 // newCluster builds the node's initial topology: the deterministic epoch-1
 // map over the sorted node ids, superseded by a persisted map with a
-// higher epoch if one exists in dir.
+// higher epoch if one exists in dir. The core reloaded every durable
+// profile, those of slots handed away before a restart included, so the
+// resident users of every slot the node does not own are dropped.
 func newCluster(s *Server, nodeID, addr string, peers map[string]string, dir string) *cluster {
 	c := &cluster{
 		srv:    s,
@@ -132,6 +134,13 @@ func newCluster(s *Server, nodeID, addr string, peers map[string]string, dir str
 	} else if t != nil && t.Epoch > c.epoch {
 		c.adoptLocked(*t)
 	}
+	var foreign keyspace.SlotSet
+	for slot, owner := range c.slots {
+		if owner != nodeID {
+			foreign.Add(slot)
+		}
+	}
+	s.spa.DropSlotUsers(&foreign)
 	return c
 }
 
@@ -198,14 +207,25 @@ func (c *cluster) topology() wire.Topology {
 	return c.topologyLocked()
 }
 
-// adoptLocked installs a validated map with a higher epoch.
+// adoptLocked installs a validated map with a higher epoch and drops the
+// resident users of the slots it takes from this node — never of a slot
+// being pulled here, whose partial copy a target keeps until the flip.
 func (c *cluster) adoptLocked(t wire.Topology) {
+	var lost keyspace.SlotSet
+	for slot, owner := range t.Slots {
+		if c.slots[slot] == c.nodeID && owner != c.nodeID && c.incoming[slot] == 0 {
+			lost.Add(slot)
+		}
+	}
 	c.epoch = t.Epoch
 	for id, a := range t.Nodes {
 		c.nodes[id] = a
 	}
 	copy(c.slots[:], t.Slots)
 	c.persistLocked()
+	if lost.Count() > 0 {
+		c.srv.spa.DropSlotUsers(&lost)
+	}
 }
 
 // adopt installs t if it supersedes the current map; reports whether it did.

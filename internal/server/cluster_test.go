@@ -5,6 +5,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,6 +26,7 @@ import (
 type clusterNode struct {
 	id   string
 	addr string
+	dir  string // data and topology dir; "" when not durable
 	ts   *httptest.Server
 	spa  *core.SPA
 	srv  *Server
@@ -66,7 +70,7 @@ func startCluster(t *testing.T, ids []string, durable bool) map[string]*clusterN
 		ts.Listener.Close()
 		ts.Listener = listeners[id]
 		ts.Start()
-		nodes[id] = &clusterNode{id: id, addr: peers[id], ts: ts, spa: spa, srv: srv}
+		nodes[id] = &clusterNode{id: id, addr: peers[id], dir: copts.DataDir, ts: ts, spa: spa, srv: srv}
 		t.Cleanup(func() {
 			ts.Close()
 			srv.Close()
@@ -290,6 +294,95 @@ func TestClusterHandoffMovesSlotsOverHTTP(t *testing.T) {
 	if got := a.spa.Users(); got != 0 {
 		t.Fatalf("source still models %d users after full handoff", got)
 	}
+}
+
+// TestClusterHandoffSourceRestartDropsMovedUsers: core.New reloads every
+// durable profile, so a handoff source restarted on its data dir must drop
+// the users of the slots it handed away — whether its persisted map says so
+// at start or a gossiped map reveals it later — or its node-local reads
+// (Users, SelectTop) keep counting them.
+func TestClusterHandoffSourceRestartDropsMovedUsers(t *testing.T) {
+	nodes := startCluster(t, []string{"a", "b"}, true)
+	a, b := nodes["a"], nodes["b"]
+	moved := usersOwnedBy(fetchTopology(t, a.url()), "a", 1, 8)
+	for _, id := range moved {
+		registerAndIngest(t, a.url(), id)
+	}
+	if code, _ := doJSON(t, "POST", b.url()+wire.HandoffPath,
+		wire.HandoffRequest{FromNode: "a"}, nil); code != http.StatusOK {
+		t.Fatalf("handoff: %d", code)
+	}
+	// The moved users' features, from their new owner, train the model each
+	// restarted source ranks with.
+	var feats [][]float64
+	var labels []bool
+	for i, id := range moved {
+		fv, err := b.spa.FeatureVector(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feats = append(feats, fv)
+		labels = append(labels, i%2 == 0)
+	}
+	a.ts.Close()
+	a.srv.Close()
+	a.spa.Close()
+
+	restart := func(t *testing.T) (*core.SPA, *Server) {
+		t.Helper()
+		spa, err := core.New(core.Options{DataDir: a.dir, Shards: 4, Clock: clock.NewSimulated(t0.Add(24 * time.Hour))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(spa, Options{
+			ClusterNodeID: "a",
+			ClusterAddr:   a.addr,
+			ClusterPeers:  map[string]string{"a": a.addr, "b": b.addr},
+			ClusterDir:    a.dir,
+		})
+		t.Cleanup(func() {
+			srv.Close()
+			spa.Close()
+		})
+		return spa, srv
+	}
+	assertDropped := func(t *testing.T, spa *core.SPA) {
+		t.Helper()
+		if got := spa.Users(); got != 0 {
+			t.Fatalf("restarted source models %d users, want 0", got)
+		}
+		if err := spa.TrainPropensity(feats, labels); err != nil {
+			t.Fatal(err)
+		}
+		top, err := spa.SelectTop(len(moved))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range moved {
+			if slices.Contains(top, id) {
+				t.Fatalf("restarted source ranks moved user %d: %v", id, top)
+			}
+		}
+	}
+
+	t.Run("persisted", func(t *testing.T) {
+		spa, _ := restart(t)
+		assertDropped(t, spa)
+	})
+	t.Run("gossiped", func(t *testing.T) {
+		// Without its persisted map the source starts from the epoch-1
+		// default, which still gives it the moved slots; adopting the
+		// owner's map takes them away.
+		if err := os.Remove(filepath.Join(a.dir, topologyFile)); err != nil {
+			t.Fatal(err)
+		}
+		spa, srv := restart(t)
+		if got := spa.Users(); got != len(moved) {
+			t.Fatalf("source on the default map models %d users, want %d", got, len(moved))
+		}
+		srv.cluster.adopt(fetchTopology(t, b.url()))
+		assertDropped(t, spa)
+	})
 }
 
 // TestClusterMultiOwnerHandoffEpochsChain pins the epoch-coordination fix:

@@ -319,11 +319,10 @@ const replApplyRunBytes = 1 << 20
 // producer's frames, gathers runs of wave frames for grouped applies, and
 // writes the acks.
 type replReader struct {
-	conn     net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	maxFrame int64
-	timeout  time.Duration // per blocking frame read
+	conn    net.Conn
+	br      *bufio.Reader
+	bw      *bufio.Writer
+	timeout time.Duration // per blocking frame read
 
 	// held is the non-wave frame that ended the last run; next returns it
 	// before reading on.
@@ -347,7 +346,7 @@ func (rr *replReader) next() ([]byte, byte, error) {
 		return frame, rr.heldKind, nil
 	}
 	rr.conn.SetReadDeadline(time.Now().Add(rr.timeout))
-	frame, err := wire.ReadStreamFrame(rr.br, rr.maxFrame)
+	frame, err := wire.ReadStreamFrame(rr.br, replFrameMax)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -384,7 +383,7 @@ func (rr *replReader) waveRun(frame []byte) ([]store.LogRecord, error) {
 		if size += len(frame); size >= replApplyRunBytes || rr.br.Buffered() == 0 {
 			return rr.recs, nil
 		}
-		if frame, err = wire.ReadStreamFrame(rr.br, rr.maxFrame); err != nil {
+		if frame, err = wire.ReadStreamFrame(rr.br, replFrameMax); err != nil {
 			return nil, err
 		}
 		kind, err := wire.FrameKind(frame)
@@ -509,11 +508,10 @@ func dialRepl(peerAddr string, opening []byte, timeout time.Duration) (*replRead
 	if kind, kerr := wire.FrameKind(frame); kerr == nil && kind == wire.KindStreamError {
 		return nil, fmt.Errorf("server: %s: %w", addr, refusal(frame))
 	}
-	hello, err := wire.DecodeStreamHello(frame)
-	if err != nil {
+	if _, err := wire.DecodeStreamHello(frame); err != nil {
 		return nil, fmt.Errorf("server: decoding replication hello: %w", err)
 	}
-	rr := &replReader{conn: conn, br: br, bw: bufio.NewWriter(conn), maxFrame: hello.MaxFrameBytes, timeout: timeout}
+	rr := &replReader{conn: conn, br: br, bw: bufio.NewWriter(conn), timeout: timeout}
 	if err := writeFlushed(conn, rr.bw, opening); err != nil {
 		return nil, err
 	}

@@ -355,7 +355,7 @@ func TestReplReaderSnapshotChecks(t *testing.T) {
 				}
 				bw.Flush()
 			}()
-			rr := &replReader{conn: cons, br: bufio.NewReader(cons), maxFrame: 1 << 20, timeout: 5 * time.Second}
+			rr := &replReader{conn: cons, br: bufio.NewReader(cons), timeout: 5 * time.Second}
 			var keys []string
 			begin, err := rr.readSnapshot(wire.EncodeReplSnapshotBegin(wire.ReplSnapshotBegin{SnapshotLSN: 7, Pairs: tc.pairs}),
 				func(chunk []store.LogEntry) error {

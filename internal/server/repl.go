@@ -56,9 +56,16 @@ const (
 	// replWriteTimeout bounds any single frame write (and the subscribe
 	// read): a consumer that stopped reading must not park the session.
 	replWriteTimeout = 10 * time.Second
-	// replSnapshotChunkBytes targets one snapshot chunk frame's payload,
-	// far under the 8 MiB frame cap.
+	// replSnapshotChunkBytes targets one snapshot chunk frame's payload; a
+	// chunk holds more only when it is a single larger pair.
 	replSnapshotChunkBytes = 1 << 20
+	// replFrameMax bounds the frames a consumer reads from a producer,
+	// whatever either side's MaxBodyBytes (a cap on request bodies, not on
+	// what the store commits): a wave frame is one committed record — at
+	// most store.MaxRecordBytes, its leading op byte swapped for the frame
+	// header — and a snapshot chunk is at most replSnapshotChunkBytes of
+	// pairs or one pair, which some record once held.
+	replFrameMax = store.MaxRecordBytes + wire.FrameHeaderLen
 	// replAckFrameMax bounds frames read back from the consumer — acks,
 	// heartbeat-sized control traffic only.
 	replAckFrameMax = 4 << 10
@@ -327,7 +334,7 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 
 	if err := sess.writeFrame(wire.EncodeStreamHello(wire.StreamHello{
 		Credit:        s.streamWindow,
-		MaxFrameBytes: s.maxBody,
+		MaxFrameBytes: replAckFrameMax,
 	})); err != nil {
 		return
 	}
@@ -532,13 +539,13 @@ func (sess *replSession) sendSnapshot() (uint64, error) {
 		return sess.writeFrame(f)
 	}
 	for _, p := range pairs {
-		chunk = append(chunk, wire.ReplEntry{Key: p.Key, Value: p.Value})
-		chunkBytes += len(p.Key) + len(p.Value)
-		if chunkBytes >= replSnapshotChunkBytes {
+		if chunkBytes+len(p.Key)+len(p.Value) > replSnapshotChunkBytes {
 			if err := flush(); err != nil {
 				return 0, err
 			}
 		}
+		chunk = append(chunk, wire.ReplEntry{Key: p.Key, Value: p.Value})
+		chunkBytes += len(p.Key) + len(p.Value)
 	}
 	if err := flush(); err != nil {
 		return 0, err

@@ -208,6 +208,49 @@ func TestReplicationFollowerServesReads(t *testing.T) {
 	}
 }
 
+// TestReplicationShipsRecordLargerThanMaxBody: a consumer reads shipped
+// frames up to the store's record cap, not up to the producer's request-body
+// cap — a wave whose record outgrows the leader's MaxBodyBytes still
+// reaches the follower.
+func TestReplicationShipsRecordLargerThanMaxBody(t *testing.T) {
+	const maxBody = 1024
+	leaderTS, leaderSPA := testServer(t,
+		core.Options{DataDir: t.TempDir(), Shards: 1},
+		Options{MaxBodyBytes: maxBody})
+	var evs []lifelog.Event
+	for user := uint64(1); user <= 4; user++ {
+		if code, _ := doJSON(t, "POST", leaderTS.URL+"/v1/users",
+			wire.RegisterRequest{UserID: user, Objective: []float64{30, 1}}, nil); code != http.StatusCreated {
+			t.Fatalf("register %d: %d", user, code)
+		}
+		evs = append(evs, lifelog.Event{UserID: user, Time: t0, Type: lifelog.EventClick, Action: uint32(user)})
+	}
+	// One request, one shard: the four updated profiles commit as one record.
+	if code, _ := doJSON(t, "POST", leaderTS.URL+"/v1/ingest", wire.IngestRequest{Events: wire.FromEvents(evs)}, nil); code != http.StatusOK {
+		t.Fatalf("ingest: %d", code)
+	}
+	pairs, _, err := leaderSPA.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := 0
+	for _, p := range pairs {
+		size += len(p.Key) + len(p.Value)
+	}
+	if size <= maxBody {
+		t.Fatalf("the wave's profiles hold %d bytes, not more than the %d-byte body cap", size, maxBody)
+	}
+
+	leaderSt := replStatus(t, leaderTS.URL)
+	followerTS, _ := testServer(t,
+		core.Options{DataDir: t.TempDir(), Shards: 1},
+		Options{FollowerOf: leaderTS.URL, MaxBodyBytes: maxBody})
+	waitCaughtUp(t, followerTS.URL, leaderSt.AppliedLSN)
+	for user := 1; user <= 4; user++ {
+		readBoth(t, leaderTS.URL, followerTS.URL, fmt.Sprintf("/v1/users/%d/sensibilities", user))
+	}
+}
+
 // TestReplicationSnapshotBootstrap covers the catch-up path: a leader
 // whose history budget pruned the early log answers a fresh follower's
 // probe with a state snapshot; BootstrapFollower restores it at the store

@@ -861,14 +861,14 @@ func TestStreamClientWriteDeadline(t *testing.T) {
 }
 
 // TestStreamClosePromptDuringDial: a dial stuck against an endpoint that
-// accepts but never completes the handshake is bounded by DialTimeout —
+// accepts but never completes the handshake is bounded by the dial timeout —
 // and must not park Close for that long, since Close only needs the state
 // mutex, not the dial.
 func TestStreamClosePromptDuringDial(t *testing.T) {
 	// Upgrade, then hold the connection open without ever sending the hello.
 	base := fakeStreamServer(t, func(net.Conn) {})
 	c := spaclient.New(base, spaclient.Options{})
-	si := c.Stream(spaclient.StreamOptions{DialTimeout: 10 * time.Second})
+	si := c.Stream(spaclient.StreamOptions{})
 	go si.Ingest([]lifelog.Event{evAt(1, 1)}) // parks in the hello read
 	time.Sleep(100 * time.Millisecond)
 	start := time.Now()

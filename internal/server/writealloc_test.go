@@ -109,11 +109,11 @@ func TestWaveRunAllocs(t *testing.T) {
 		wire16 = append(wire16, frame...)
 	}
 	src := bytes.NewReader(wire16)
-	rr := &replReader{br: bufio.NewReaderSize(src, replBufBytes), maxFrame: 1 << 20}
+	rr := &replReader{br: bufio.NewReaderSize(src, replBufBytes)}
 	run := func() {
 		src.Reset(wire16)
 		rr.br.Reset(src)
-		first, err := wire.ReadStreamFrame(rr.br, rr.maxFrame)
+		first, err := wire.ReadStreamFrame(rr.br, replFrameMax)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,10 +32,11 @@ import (
 	"repro/internal/wire"
 )
 
+// streamDialTimeout bounds a stream's connect + handshake.
+const streamDialTimeout = 10 * time.Second
+
 // StreamOptions tune a StreamIngester.
 type StreamOptions struct {
-	// DialTimeout bounds connect + handshake (default 10 s).
-	DialTimeout time.Duration
 	// Timeout bounds one Ingest call end to end: credit wait plus response
 	// wait (default: the client's request timeout, else 30 s).
 	Timeout time.Duration
@@ -66,7 +67,7 @@ type StreamIngester struct {
 
 	// dialMu serializes (re)dials and is held across the connect +
 	// handshake. It is separate from mu so a slow dial — bounded only by
-	// DialTimeout — never parks Close, which needs mu only briefly.
+	// streamDialTimeout — never parks Close, which needs mu only briefly.
 	dialMu sync.Mutex
 
 	mu     sync.Mutex
@@ -79,9 +80,6 @@ type StreamIngester struct {
 // failures; Close it to release the connection. In cluster mode the
 // ingester keeps one stream per node and routes each batch by slot owner.
 func (c *Client) Stream(opts StreamOptions) *StreamIngester {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
-	}
 	if opts.Timeout <= 0 {
 		if t := c.hc.Timeout; t > 0 {
 			opts.Timeout = t
@@ -355,11 +353,11 @@ func (si *StreamIngester) dial() (*streamState, error) {
 	if _, _, err := net.SplitHostPort(addr); err != nil {
 		addr = net.JoinHostPort(addr, "80")
 	}
-	conn, err := net.DialTimeout("tcp", addr, si.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, streamDialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(si.opts.DialTimeout))
+	conn.SetDeadline(time.Now().Add(streamDialTimeout))
 	br := bufio.NewReader(conn)
 	req := "GET " + wire.StreamPath + " HTTP/1.1\r\nHost: " + u.Host +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + wire.StreamProtocol + "\r\n\r\n"

@@ -267,7 +267,7 @@ func TestApplyAllOversizeBatchRejectedUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	var huge WriteBatch
-	huge.Put([]byte("huge"), make([]byte, maxWALRecord))
+	huge.Put([]byte("huge"), make([]byte, MaxRecordBytes))
 	if err := db.ApplyAll([]*WriteBatch{mkBatch("small", "1"), &huge}); err == nil {
 		t.Fatal("oversize batch accepted")
 	}

@@ -188,8 +188,8 @@ func checkRecord(annotation []byte, entries []walEntry) error {
 			return errors.New("store: empty key in batch")
 		}
 	}
-	if bound := walLSNRecordBound(annotation, entries); bound > maxWALRecord {
-		return fmt.Errorf("store: batch record ~%d bytes exceeds %d-byte cap", bound, maxWALRecord)
+	if bound := walLSNRecordBound(annotation, entries); bound > MaxRecordBytes {
+		return fmt.Errorf("store: batch record ~%d bytes exceeds %d-byte cap", bound, MaxRecordBytes)
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ func (db *DB) compactOnce() bool {
 		return false
 	}
 	snapshot := append([]*segment(nil), db.segments...)
-	start := pickCompactRun(snapshot, db.opts.CompactMinRun, db.opts.CompactRatio)
+	start := pickCompactRun(snapshot, db.opts.CompactMinRun, compactRatio)
 	if start < 0 {
 		db.mu.Unlock()
 		return false
@@ -157,6 +157,11 @@ func (db *DB) setCompactErr(err error) {
 	db.compactErr = err
 	db.mu.Unlock()
 }
+
+// compactRatio bounds the size skew inside one tier: an older segment joins
+// the candidate run while its size is at most compactRatio times the bytes
+// of the newer run members combined.
+const compactRatio = 2.0
 
 // pickCompactRun returns the start index of the suffix run to merge, or -1.
 // Walking back from the newest segment, an older segment joins the run

@@ -231,7 +231,6 @@ func TestBackgroundCompactionPreservesMidListTombstones(t *testing.T) {
 	// Run one compaction cycle by hand: the 8 KiB oldest segment is far
 	// beyond ratio×(two tiny segments), so the run is the two newest ones.
 	db.opts.CompactMinRun = 2
-	db.opts.CompactRatio = 2.0
 	if !db.compactOnce() {
 		t.Fatal("compactOnce found nothing to merge")
 	}

@@ -127,7 +127,7 @@ func readSealedRecords(path string, fromLSN uint64) ([]logRec, error) {
 		}
 		wantCRC := binary.LittleEndian.Uint32(header[0:4])
 		plen := binary.LittleEndian.Uint32(header[4:8])
-		if plen == 0 || plen > maxWALRecord {
+		if plen == 0 || plen > MaxRecordBytes {
 			return recs, nil
 		}
 		payload := make([]byte, plen)
@@ -430,7 +430,7 @@ func (db *DB) ExportSnapshot() (pairs []LogEntry, snapshotLSN uint64, err error)
 }
 
 // restoreChunkBytes bounds one RestoreSnapshot record, keeping each framed
-// record far under maxWALRecord.
+// record far under MaxRecordBytes.
 const restoreChunkBytes = 2 << 20
 
 // RestoreSnapshot installs an exported snapshot into a (normally fresh)

@@ -49,10 +49,6 @@ type Options struct {
 	// CompactMinRun is how many similar-sized trailing segments trigger a
 	// background merge. Default 4.
 	CompactMinRun int
-	// CompactRatio bounds the size skew inside one tier: an older segment
-	// joins the candidate run while its size is at most CompactRatio times
-	// the bytes of the newer run members combined. Default 2.0.
-	CompactRatio float64
 	// CompactInterval is the idle poll period of the background compactor
 	// (flushes also wake it immediately). Default 500 ms.
 	CompactInterval time.Duration
@@ -76,9 +72,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactMinRun <= 1 {
 		o.CompactMinRun = 4
-	}
-	if o.CompactRatio <= 0 {
-		o.CompactRatio = 2.0
 	}
 	if o.CompactInterval <= 0 {
 		o.CompactInterval = 500 * time.Millisecond

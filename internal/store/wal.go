@@ -61,9 +61,10 @@ type walEntry struct {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// maxWALRecord bounds a single framed record (and therefore a WriteBatch):
-// replay treats larger lengths as a corrupt tail, so writes refuse them.
-const maxWALRecord = 64 << 20
+// MaxRecordBytes bounds a single framed record (and therefore a WriteBatch
+// and any value): replay treats larger lengths as a corrupt tail, so writes
+// refuse them. A log-shipping consumer sizes its frame limit from it.
+const MaxRecordBytes = 64 << 20
 
 const (
 	opPut    = 0
@@ -126,7 +127,7 @@ func replayWAL(f WALFile) ([]logRec, int64, int64, error) {
 		}
 		wantCRC := binary.LittleEndian.Uint32(header[0:4])
 		plen := binary.LittleEndian.Uint32(header[4:8])
-		if plen == 0 || plen > maxWALRecord {
+		if plen == 0 || plen > MaxRecordBytes {
 			return recs, offset, size - offset, nil // implausible length: corrupt tail
 		}
 		payload := make([]byte, plen)
@@ -225,7 +226,7 @@ func encodeLSNRecord(lsn uint64, annotation []byte, entries []walEntry) []byte {
 }
 
 // walLSNRecordBound is a conservative upper bound on the framed payload
-// encodeLSNRecord produces. A batch whose bound fits under maxWALRecord can
+// encodeLSNRecord produces. A batch whose bound fits under MaxRecordBytes can
 // never trip writeRecordNoSync's cap — which lets a group commit
 // (checkRecord) reject an oversize record BEFORE anything of the group
 // reaches the buffered writer.
@@ -301,8 +302,8 @@ func (w *wal) writeRecordNoSync(buf []byte) error {
 	}
 	// The cap is a validation error, rejected before any byte reaches the
 	// buffer: nothing in-doubt, so it is not sticky.
-	if len(buf) > maxWALRecord {
-		return fmt.Errorf("store: wal record %d bytes exceeds %d-byte cap", len(buf), maxWALRecord)
+	if len(buf) > MaxRecordBytes {
+		return fmt.Errorf("store: wal record %d bytes exceeds %d-byte cap", len(buf), MaxRecordBytes)
 	}
 	// The header goes into the writer's spare buffer: no allocation.
 	header := binary.LittleEndian.AppendUint32(w.w.AvailableBuffer(), crc32.Checksum(buf, castagnoli))

@@ -79,6 +79,9 @@ const (
 	binaryVersion = 0x01
 
 	binaryHeaderLen = 6
+	// FrameHeaderLen is binaryHeaderLen for other packages: the magic,
+	// version and kind bytes every SPAB frame opens with.
+	FrameHeaderLen = binaryHeaderLen
 
 	// minRecordLen is the smallest legal record (every field present,
 	// single-byte varints); maxRecordLen bounds the largest (worst-case
@@ -127,13 +130,19 @@ func checkBinaryHeader(data []byte, kind byte) ([]byte, error) {
 	return data[binaryHeaderLen:], nil
 }
 
-// binReader is a bounds-checked cursor over a frame payload.
+// binReader is a bounds-checked cursor over a frame payload. Its varints
+// must be minimal, as every encoder writes them: a padded one (a zero final
+// group after the first byte) is refused, so each frame decodes from
+// exactly one encoding.
 type binReader struct{ p []byte }
 
 func (r *binReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.p)
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: truncated uvarint", ErrBadFrame)
+	}
+	if n > 1 && r.p[n-1] == 0 {
+		return 0, fmt.Errorf("%w: overlong uvarint", ErrBadFrame)
 	}
 	r.p = r.p[n:]
 	return v, nil
@@ -143,6 +152,9 @@ func (r *binReader) varint() (int64, error) {
 	v, n := binary.Varint(r.p)
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: truncated varint", ErrBadFrame)
+	}
+	if n > 1 && r.p[n-1] == 0 {
+		return 0, fmt.Errorf("%w: overlong varint", ErrBadFrame)
 	}
 	r.p = r.p[n:]
 	return v, nil

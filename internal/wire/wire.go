@@ -310,8 +310,8 @@ type Metrics struct {
 
 	// Read path (core epoch snapshots, DESIGN.md §8). SnapshotEpoch is the
 	// current read-snapshot generation (1 after open, +1 per shard
-	// publish; process-local). ReadCacheHits/Misses count per-shard
-	// recommend-cache outcomes. KNNRebuilds is retired and always 0: the
+	// publish; process-local). ReadCacheHits/Misses count recommend-cache
+	// outcomes. KNNRebuilds is retired and always 0: the
 	// recommender ranks straight from the snapshot rows and has no model to
 	// rebuild. The field and its series stay so existing scrapers keep
 	// parsing.
