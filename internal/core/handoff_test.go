@@ -196,9 +196,8 @@ func TestFilterWaveForSlots(t *testing.T) {
 	}
 	ingestWave(t, s, [][]lifelog.Event{batch})
 
-	// The multi-shard commit path writes one record per shard group, so
-	// scan the whole log: the filter must keep exactly the in-slot user's
-	// data across all records.
+	// Scan the whole log, registrations included: the filter must keep
+	// exactly the in-slot user's data across all records.
 	lastLSN, _ := s.AppliedLSN()
 	tail, err := s.TailLog(1)
 	if err != nil {
@@ -241,5 +240,110 @@ func TestFilterWaveForSlots(t *testing.T) {
 	}
 	if totalEntries == 0 || totalEvents == 0 {
 		t.Fatalf("filter dropped the in-slot user: %d entries, %d events", totalEntries, totalEvents)
+	}
+}
+
+// TestFilterWaveForSlotsMultiShardRecord: a wave whose users fall in
+// several slots and shards is one log record. Projecting it onto one of
+// those slots keeps exactly that slot's entries and annotation events, in
+// record order; projecting it onto a slot the wave never touched yields
+// nothing, so a handoff stream skips it rather than ship an empty wave.
+func TestFilterWaveForSlotsMultiShardRecord(t *testing.T) {
+	clk := clock.NewSimulated(t0)
+	s, err := New(replTestOpts(t.TempDir(), clk, store.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A user in each of the 4 shards, so in 4 slots, and a second user in
+	// the first one's slot.
+	var ids []uint64
+	bySlot := map[int][]uint64{}
+	taken := map[int]bool{}
+	for id := uint64(1); len(ids) < 5; id++ {
+		slot, idx := keyspace.Partition(id), s.shardIndexFor(id)
+		if len(ids) < 4 && !taken[idx] || len(ids) == 4 && slot == keyspace.Partition(ids[0]) {
+			taken[idx] = true
+			bySlot[slot] = append(bySlot[slot], id)
+			ids = append(ids, id)
+		}
+	}
+	var batch []lifelog.Event
+	for _, id := range ids {
+		if err := s.Register(id, []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 2; e++ {
+			batch = append(batch, lifelog.Event{UserID: id, Time: t0.Add(time.Duration(e) * time.Minute), Type: lifelog.EventClick, Action: uint32(id) + uint32(e)})
+		}
+	}
+	from, _ := s.AppliedLSN()
+	pm := s.PrepareMulti([][]lifelog.Event{batch})
+	if pm.Shards() < 3 {
+		t.Fatalf("wave spans %d shards, want at least 3", pm.Shards())
+	}
+	for _, out := range pm.Commit() {
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	if to, _ := s.AppliedLSN(); to != from+1 {
+		t.Fatalf("wave took LSNs %d..%d, want one record", from+1, to)
+	}
+	tail, err := s.TailLog(from + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	rec, err := tail.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := decodeWaveAnnotation(rec.Annotation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, users := range bySlot {
+		var slots keyspace.SlotSet
+		slots.Add(slot)
+		ann, entries, err := FilterWaveForSlots(rec.Annotation, rec.Entries, &slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantEntries []store.LogEntry
+		for _, e := range rec.Entries {
+			if id, _ := sumKeyUser(e.Key); keyspace.Partition(id) == slot {
+				wantEntries = append(wantEntries, e)
+			}
+		}
+		var wantEvents []taggedEvent
+		for _, te := range events {
+			if keyspace.Partition(te.UserID) == slot {
+				wantEvents = append(wantEvents, te)
+			}
+		}
+		gotEvents, err := decodeWaveAnnotation(ann)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantEntries) != len(users) || len(wantEvents) != 2*len(users) {
+			t.Fatalf("slot %d: the record holds %d entries and %d events of its %d users", slot, len(wantEntries), len(wantEvents), len(users))
+		}
+		if !reflect.DeepEqual(entries, wantEntries) || !reflect.DeepEqual(gotEvents, wantEvents) {
+			t.Fatalf("slot %d: projection kept %d entries and events %v; want %d entries and %v", slot, len(entries), gotEvents, len(wantEntries), wantEvents)
+		}
+	}
+
+	var untouched keyspace.SlotSet
+	for slot := 0; untouched.Count() == 0; slot++ {
+		if _, ok := bySlot[slot]; !ok {
+			untouched.Add(slot)
+		}
+	}
+	// No entries is what a handoff stream (the server's shipThrough, and
+	// shipHandoff here) skips a record on.
+	ann, entries, err := FilterWaveForSlots(rec.Annotation, rec.Entries, &untouched)
+	if err != nil || ann != nil || len(entries) != 0 {
+		t.Fatalf("untouched slot: projection %d annotation bytes, %d entries, %v; want nothing", len(ann), len(entries), err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -26,8 +27,8 @@ var ErrBadStream = errors.New("core: malformed event stream")
 //   - PrepareMulti runs event validation, sessionization and feature
 //     extraction under shard READ locks, mutating nothing.
 //   - PreparedMulti.Commit persists every shard's staged updates as one
-//     ordered store.ApplyAll sequence (one WAL sync for the whole wave)
-//     and only then installs the staged state in shard memory.
+//     WAL record (one LSN, one WAL sync for the whole wave) and only then
+//     installs the staged state in shard memory.
 //
 // The next wave's prepare can run while this wave's commit waits on the
 // disk — fully so when the waves touch disjoint shards; a prepare needing a
@@ -40,7 +41,7 @@ var ErrBadStream = errors.New("core: malformed event stream")
 // BatchIngest is the high-throughput ingest facade: events are grouped by
 // owning shard (preserving per-user order, which sessionization requires),
 // the groups are prepared concurrently, and the whole batch commits as one
-// store sequence with one WAL sync.
+// WAL record with one WAL sync.
 //
 // Semantics match a sequential IngestEvents call: per-user results depend
 // only on that user's events, so the fan-out is invisible in the profiles
@@ -119,6 +120,7 @@ type PreparedMulti struct {
 	groups    []preparedGroup
 	committed bool
 	wave      uint64
+	batch     store.WriteBatch // the wave's store record, built by Commit
 }
 
 // SetWaveID tags the prepared wave for observability: Commit's store
@@ -133,14 +135,15 @@ func (pm *PreparedMulti) Shards() int { return len(pm.groups) }
 // Commit persists and installs the staged wave, returning the per-batch
 // outcomes.
 //
-// The durable path commits every shard's WriteBatch as one ordered
-// store.ApplyAll sequence: one WAL sync for the whole wave, with the
-// store guaranteeing the batches reach the log in shard order and that
-// crash replay recovers a prefix. All touched shards stay write-locked
-// across the sequence, so no other writer's store record can interleave
-// with the wave's and memory-vs-durable ordering per user is preserved.
-// A store failure fails the whole wave (every contributing batch is
-// charged); staged state is then discarded, leaving shard memory untouched.
+// The durable path commits the whole wave, every shard group of it, as one
+// WAL record with one sync, so crash replay recovers the wave whole or not
+// at all, in every shard; only a wave too large for one record
+// (store.MaxRecordBytes) is cut into a few, of which replay recovers a
+// prefix. All touched shards stay write-locked across the write, so no
+// other writer's store record can interleave with the wave's and
+// memory-vs-durable ordering per user is preserved. A store failure fails
+// the whole wave (every contributing batch is charged); staged state is
+// then discarded, leaving shard memory untouched.
 //
 // Callers that overlap several PreparedMulti instances must Commit them in
 // prepare order when their batches may share users — the coalescer does
@@ -184,41 +187,126 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 	return pm.out
 }
 
-// persistAndInstallLocked is Commit's durable half: one store sequence for
-// the wave, then the install. The caller holds every touched shard's write
-// lock.
+// persistAndInstallLocked is Commit's durable half: the wave's store record
+// (recordRun cuts a wave over the record cap into a few), then the install.
+// The caller holds every touched shard's write lock until the record is
+// applied — nothing can move under the encoded bytes.
 func (pm *PreparedMulti) persistAndInstallLocked(deltas []rowDelta) {
 	s := pm.s
-	seq := make([]*store.WriteBatch, 0, len(pm.groups))
-	var scratch []byte
 	for i := range pm.groups {
-		g := &pm.groups[i]
-		var err error
-		if scratch, err = s.buildShardBatchLocked(g, scratch); err != nil {
-			// A profile that fails validation charges its own shard group
-			// and drops it from the wave; the other shards still commit.
-			g.failStore(err)
-			g.batch.Reset()
-			continue
+		// A group that fails validation is charged and dropped; one with
+		// nothing to persist (all events skipped) installs at once.
+		if g := &pm.groups[i]; s.sizeGroupLocked(g) == nil && g.size.entries == 0 {
+			s.installShardLocked(g, deltas)
 		}
-		if g.batch.Len() > 0 {
-			seq = append(seq, &g.batch)
-			continue
+	}
+	seq := []*store.WriteBatch{&pm.batch} // and one more per record past the cap
+	var scratch []byte
+	for rest, n := pm.groups, 0; len(rest) > 0; rest = rest[n:] {
+		var sz recordSize
+		if n, sz = recordRun(rest, store.MaxRecordBytes); sz.entries > 0 {
+			if seq[len(seq)-1].Len() > 0 {
+				seq = append(seq, new(store.WriteBatch))
+			}
+			scratch = s.encodeRunLocked(seq[len(seq)-1], rest[:n], sz, scratch)
 		}
-		// Nothing to persist (all events skipped): install immediately.
-		s.installShardLocked(g, deltas)
 	}
 	err := s.db.ApplyAllTagged(seq, pm.wave)
 	for i := range pm.groups {
 		g := &pm.groups[i]
 		switch {
-		case g.batch.Len() == 0:
+		case g.size.entries == 0:
 		case err != nil:
 			g.failStore(err)
 		default:
 			s.installShardLocked(g, deltas)
 		}
 	}
+}
+
+// recordSize is a shard group's share of a wave record, or a run's total:
+// profile entries, their key and value bytes, longest value, and events.
+type recordSize struct{ entries, bytes, largest, events int }
+
+// recordRun reports how many of the leading groups one store record
+// carries under limit, and their total size: as many as fit by
+// store.RecordBound, and at least one — the store refuses a group over the
+// limit alone, failing the wave, while every group that fits alone commits.
+func recordRun(groups []preparedGroup, limit int) (int, recordSize) {
+	var run recordSize
+	for i := range groups {
+		sz := groups[i].size
+		next := recordSize{run.entries + sz.entries, run.bytes + sz.bytes, max(run.largest, sz.largest), run.events + sz.events}
+		if i > 0 && store.RecordBound(next.entries, next.bytes+waveAnnotationBound(next.events)) > limit {
+			return i, run
+		}
+		run = next
+	}
+	return len(groups), run
+}
+
+// sizeGroupLocked validates the group's staged profiles, each as it will
+// look after install, and sets g.size, zero when the group persists
+// nothing. A validation error is charged to the group, whose staged
+// profiles it drops. The caller holds the shard's write lock.
+func (s *SPA) sizeGroupLocked(g *preparedGroup) error {
+	sh := s.shards[g.shardIdx]
+	sz := recordSize{events: len(g.interactions)}
+	for _, d := range g.digests {
+		p := s.residentLocked(sh, d.id)
+		if p == nil {
+			continue
+		}
+		cp := *p
+		cp.Subjective = d.p.Subjective
+		if err := cp.Validate(); err != nil {
+			g.failStore(err)
+			g.digests = nil
+			return err
+		}
+		l := sum.EncodedLen(&cp)
+		sz.entries, sz.bytes, sz.largest = sz.entries+1, sz.bytes+sum.KeyLen+l, max(sz.largest, l)
+	}
+	if sz.entries > 0 {
+		g.size = sz
+	}
+	return nil
+}
+
+// encodeRunLocked encodes a run of groups, of total size sz, into b: an
+// annotation of the persisting groups' interactions, in shard order, for a
+// follower to rebuild the CF matrix from (replicate.go), and each staged
+// profile as it will look after install. scratch, grown once to fit the
+// annotation and the largest value, is returned for the next run.
+func (s *SPA) encodeRunLocked(b *store.WriteBatch, run []preparedGroup, sz recordSize, scratch []byte) []byte {
+	scratch = slices.Grow(scratch[:0], max(sz.largest, waveAnnotationBound(sz.events)))
+	if sz.events > 0 {
+		scratch = append(scratch, waveAnnotationVersion)
+		scratch = binary.AppendUvarint(scratch, uint64(sz.events))
+	}
+	for i := range run {
+		if run[i].size.entries == 0 {
+			continue // dropped, or installed already
+		}
+		for _, te := range run[i].interactions {
+			scratch = appendWaveEvent(scratch, te)
+		}
+	}
+	b.Grow(sz.entries, sz.bytes+len(scratch))
+	b.SetAnnotation(scratch)
+	var key [sum.KeyLen]byte
+	for i := range run {
+		sh := s.shards[run[i].shardIdx]
+		for _, d := range run[i].digests { // none in a dropped or installed group
+			if p := s.residentLocked(sh, d.id); p != nil {
+				cp := *p
+				cp.Subjective = d.p.Subjective
+				scratch = sum.AppendEncode(scratch[:0], &cp)
+				b.Put(sum.AppendKey(key[:0], d.id), scratch)
+			}
+		}
+	}
+	return scratch
 }
 
 // IngestOutcome is one batch's result from PreparedMulti.Commit.
@@ -268,8 +356,9 @@ type preparedGroup struct {
 	// interactions are the non-excluded known-user events to fold into the
 	// shard's CF counts at install time.
 	interactions []taggedEvent
-	// batch is the group's store record, built by Commit.
-	batch store.WriteBatch
+	// size is the group's share of the wave record, set by Commit; zero
+	// when the group persists nothing.
+	size recordSize
 }
 
 // stagedProfile is one user's next profile and its subjective vector in a
@@ -399,60 +488,6 @@ func (s *SPA) prepareShardLocked(g *preparedGroup, x *lifelog.Extractor, fvs []l
 		g.digests = append(g.digests, profChange{id: fvs[i].UserID, p: &st.p})
 	}
 	return fvs
-}
-
-// buildShardBatchLocked encodes the staged profile states into the group's
-// store WriteBatch without touching the snapshot: each record is the
-// profile as it will look after install. A first pass sizes the batch, so
-// its arena is allocated once; the values are encoded through scratch,
-// which is returned for the next group to reuse. The caller holds the
-// shard's write lock, which it keeps until after the batch is applied —
-// nothing can move under the encoded bytes.
-func (s *SPA) buildShardBatchLocked(g *preparedGroup, scratch []byte) ([]byte, error) {
-	sh := s.shards[g.shardIdx]
-	n, size, largest := 0, 0, 0
-	for _, d := range g.digests {
-		p := s.residentLocked(sh, d.id)
-		if p == nil {
-			continue
-		}
-		cp := *p
-		cp.Subjective = d.p.Subjective
-		if err := cp.Validate(); err != nil {
-			return scratch, err
-		}
-		n++
-		l := sum.EncodedLen(&cp)
-		size += sum.KeyLen + l
-		largest = max(largest, l)
-	}
-	if n == 0 {
-		return scratch, nil
-	}
-	// scratch grows once, to fit both the annotation and the largest value.
-	scratch = slices.Grow(scratch[:0], max(largest, waveAnnotationBound(len(g.interactions))))
-	// The wave's interaction events ride the record's annotation: opaque to
-	// the store and to replay, but a follower applying this record needs
-	// them to rebuild the CF matrix (replicate.go).
-	var annotation []byte
-	if len(g.interactions) > 0 {
-		scratch = appendWaveAnnotation(scratch[:0], g.interactions)
-		annotation = scratch
-	}
-	g.batch.Grow(n, size+len(annotation))
-	g.batch.SetAnnotation(annotation)
-	var key [sum.KeyLen]byte
-	for _, d := range g.digests {
-		p := s.residentLocked(sh, d.id)
-		if p == nil {
-			continue
-		}
-		cp := *p
-		cp.Subjective = d.p.Subjective
-		scratch = sum.AppendEncode(scratch[:0], &cp)
-		g.batch.Put(sum.AppendKey(key[:0], d.id), scratch)
-	}
-	return scratch, nil
 }
 
 // installShardLocked makes the staged updates live: each staged profile

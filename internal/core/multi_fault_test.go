@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -267,5 +268,128 @@ func TestSingleProfileWriteFailureLeavesReadStateUnchanged(t *testing.T) {
 		if !bytes.Equal(sum.Encode(&p), want) {
 			t.Fatalf("user %d: durable state differs from what reads showed", u)
 		}
+	}
+}
+
+// tearingFileOps is a KillableFileOps whose next WAL write can be torn:
+// once tear is set, that write lands only tear(len) of its bytes — what a
+// crash mid-append leaves on disk — fails, and kills the device.
+type tearingFileOps struct {
+	store.KillableFileOps
+	tear func(n int) int
+}
+
+func (f *tearingFileOps) OpenWAL(name string) (store.WALFile, error) {
+	w, err := f.KillableFileOps.OpenWAL(name)
+	if err != nil {
+		return nil, err
+	}
+	return &tearingWAL{WALFile: w, fs: f}, nil
+}
+
+type tearingWAL struct {
+	store.WALFile
+	fs *tearingFileOps
+}
+
+func (w *tearingWAL) Write(p []byte) (int, error) {
+	if w.fs.tear == nil {
+		return w.WALFile.Write(p)
+	}
+	n, _ := w.WALFile.Write(p[:w.fs.tear(len(p))])
+	w.fs.tear = nil
+	w.fs.Kill()
+	return n, errors.New("wal write torn (injected)")
+}
+
+// TestTornWaveRecoversWholeOrNothing: a crash that tears the append of a
+// wave spanning 8 shards — at the first byte, the middle or one byte short
+// of the end — recovers none of the wave in any shard, while every earlier
+// wave survives intact. The crash image is a copy of the data directory
+// taken right after the torn write.
+func TestTornWaveRecoversWholeOrNothing(t *testing.T) {
+	for _, cut := range []struct {
+		name string
+		keep func(n int) int
+	}{
+		{"first byte", func(int) int { return 1 }},
+		{"middle", func(n int) int { return n / 2 }},
+		{"one byte short", func(n int) int { return n - 1 }},
+	} {
+		t.Run(cut.name, func(t *testing.T) {
+			fo := &tearingFileOps{}
+			dir := t.TempDir()
+			opts := Options{DataDir: dir, Shards: 16, Clock: clock.NewSimulated(t0),
+				Store: store.Options{SyncWrites: true, DisableAutoCompaction: true, FileOps: fo}}
+			s, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				fo.Revive()
+				s.Close()
+			})
+			// Eight users, each in a shard of its own.
+			var ids []uint64
+			taken := map[int]bool{}
+			for id := uint64(1); len(ids) < 8; id++ {
+				if idx := s.shardIndexFor(id); !taken[idx] {
+					taken[idx] = true
+					ids = append(ids, id)
+					if err := s.Register(id, []float64{float64(id), 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			at := t0.Add(-time.Hour)
+			wave := func(r int) IngestOutcome {
+				var evs []lifelog.Event
+				for _, id := range ids {
+					evs = append(evs, clickAt(id, at.Add(time.Duration(r)*time.Minute), uint32(id)+uint32(r)))
+				}
+				pm := s.PrepareMulti([][]lifelog.Event{evs})
+				if pm.Shards() != len(ids) {
+					t.Fatalf("wave spans %d shards, want %d", pm.Shards(), len(ids))
+				}
+				return pm.Commit()[0]
+			}
+			for r := 0; r < 2; r++ {
+				if out := wave(r); out.Err != nil {
+					t.Fatal(out.Err)
+				}
+			}
+			before := map[uint64][]byte{}
+			for _, id := range ids {
+				p, err := s.Profile(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[id] = sum.Encode(&p)
+			}
+
+			fo.tear = cut.keep
+			if out := wave(2); out.Err == nil {
+				t.Fatal("torn wave reported applied")
+			}
+			crash := t.TempDir()
+			if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			opts.DataDir, opts.Store = crash, store.Options{}
+			s2, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			for _, id := range ids {
+				p, err := s2.Profile(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sum.Encode(&p), before[id]) {
+					t.Errorf("user %d (shard %d): recovered profile is not the one before the torn wave", id, s2.shardIndexFor(id))
+				}
+			}
+		})
 	}
 }

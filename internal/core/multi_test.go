@@ -334,3 +334,91 @@ func float64Bits(fs []float64) []uint64 {
 	}
 	return out
 }
+
+// TestRecordRunPacksWholeGroups drives the wave record packer with a small
+// cap: groups pack in order into as few records as fit, a record ends only
+// at a group boundary, a group that persists nothing rides along, and a
+// group over the cap stands alone, for the store to refuse.
+func TestRecordRunPacksWholeGroups(t *testing.T) {
+	group := func(entries, bytes, events int) preparedGroup {
+		return preparedGroup{size: recordSize{entries: entries, bytes: bytes, events: events}}
+	}
+	runs := func(groups []preparedGroup, limit int) []int {
+		var ns []int
+		for len(groups) > 0 {
+			n, sz := recordRun(groups, limit)
+			if bound := store.RecordBound(sz.entries, sz.bytes+waveAnnotationBound(sz.events)); n > 1 && bound > limit {
+				t.Fatalf("a run of %d groups bounds %d bytes, over the %d-byte cap", n, bound, limit)
+			}
+			ns, groups = append(ns, n), groups[n:]
+		}
+		return ns
+	}
+	// Exactly two one-entry groups of 100 bytes and 4 events fit.
+	limit := store.RecordBound(2, 200+waveAnnotationBound(8))
+	groups := []preparedGroup{
+		group(1, 100, 4), group(1, 100, 4), // full
+		group(1, 100, 4), group(0, 0, 0), group(1, 100, 4), // full, with an empty group
+		group(1, 100, 4), group(1, 101, 4), // one byte over
+		group(3, 300, 0), // over the cap alone
+		group(1, 1, 1),
+	}
+	if got := runs(groups, limit); !slices.Equal(got, []int{2, 3, 1, 1, 1, 1}) {
+		t.Fatalf("runs %v, want [2 3 1 1 1 1]", got)
+	}
+	if got := runs(groups, store.MaxRecordBytes); !slices.Equal(got, []int{len(groups)}) {
+		t.Fatalf("under the store's cap: runs %v, want one record", got)
+	}
+}
+
+// TestWaveIsOneRecord: a wave spanning many shards is one log record, and
+// the packer's size of it is the record's: its entries and their key and
+// value bytes exactly, its annotation within waveAnnotationBound.
+func TestWaveIsOneRecord(t *testing.T) {
+	s, err := New(Options{DataDir: t.TempDir(), Shards: 16, Clock: clock.NewSimulated(t0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var evs []lifelog.Event
+	for id := uint64(100); id <= 4000; id += 100 {
+		if err := s.Register(id, []float64{float64(id)}); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 3; e++ {
+			evs = append(evs, clickAt(id, t0.Add(time.Duration(e)*time.Minute), uint32(id/5)+uint32(e)))
+		}
+	}
+	from, _ := s.AppliedLSN()
+	pm := s.PrepareMulti([][]lifelog.Event{evs})
+	if out := pm.Commit()[0]; out.Err != nil || out.Processed != len(evs) {
+		t.Fatalf("wave: %+v", out)
+	}
+	if to, _ := s.AppliedLSN(); to != from+1 {
+		t.Fatalf("a %d-shard wave took LSNs %d..%d, want one record", pm.Shards(), from+1, to)
+	}
+	n, want := recordRun(pm.groups, store.MaxRecordBytes)
+	if n != len(pm.groups) || pm.Shards() < 8 {
+		t.Fatalf("%d shard groups packed into a run of %d", pm.Shards(), n)
+	}
+	tail, err := s.TailLog(from + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	rec, err := tail.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for _, e := range rec.Entries {
+		got += len(e.Key) + len(e.Value)
+	}
+	if len(rec.Entries) != want.entries || got != want.bytes || len(rec.Annotation) > waveAnnotationBound(want.events) {
+		t.Fatalf("record: %d entries, %d key/value bytes, %d-byte annotation; sized %d, %d, %d events",
+			len(rec.Entries), got, len(rec.Annotation), want.entries, want.bytes, want.events)
+	}
+	if events, err := decodeWaveAnnotation(rec.Annotation); err != nil || len(events) != len(evs) {
+		t.Fatalf("annotation: %d events, %v; want %d", len(events), err, len(evs))
+	}
+}

@@ -20,7 +20,7 @@ import (
 //   - The record's annotation carries what the entries cannot express: the
 //     wave's interaction events, which exist only in the shard snapshots'
 //     CF matrix (snapshot.go) and never reach the store. The leader's commit
-//     path attaches them (buildShardBatchLocked); replay ignores them; a
+//     path attaches them (encodeRunLocked); replay ignores them; a
 //     follower decodes them here and folds them through the same
 //     publishShardLocked path the leader used, so RecommendActions converges
 //     along with the profile reads.
@@ -40,7 +40,13 @@ const waveAnnotationVersion = 0x01
 // per event uvarint user id, one type byte, uvarint action. Only the fields
 // the CF fold (publishShardLocked) consumes travel.
 func encodeWaveAnnotation(events []taggedEvent) []byte {
-	return appendWaveAnnotation(nil, events)
+	buf := make([]byte, 0, waveAnnotationBound(len(events)))
+	buf = append(buf, waveAnnotationVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(events)))
+	for _, te := range events {
+		buf = appendWaveEvent(buf, te)
+	}
+	return buf
 }
 
 // waveAnnotationBound is the longest annotation encoding of n events.
@@ -48,18 +54,11 @@ func waveAnnotationBound(n int) int {
 	return 1 + binary.MaxVarintLen64 + n*(binary.MaxVarintLen64+1+binary.MaxVarintLen32)
 }
 
-// appendWaveAnnotation appends the annotation encoding of events to buf,
-// growing it at most once, to the encoding's bound.
-func appendWaveAnnotation(buf []byte, events []taggedEvent) []byte {
-	buf = slices.Grow(buf, waveAnnotationBound(len(events)))
-	buf = append(buf, waveAnnotationVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(events)))
-	for _, te := range events {
-		buf = binary.AppendUvarint(buf, te.UserID)
-		buf = append(buf, byte(te.Type))
-		buf = binary.AppendUvarint(buf, uint64(te.Action))
-	}
-	return buf
+// appendWaveEvent appends one event's annotation encoding to buf.
+func appendWaveEvent(buf []byte, te taggedEvent) []byte {
+	buf = binary.AppendUvarint(buf, te.UserID)
+	buf = append(buf, byte(te.Type))
+	return binary.AppendUvarint(buf, uint64(te.Action))
 }
 
 // decodeWaveAnnotation unpacks an annotation blob. An empty blob is a wave

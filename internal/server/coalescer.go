@@ -23,8 +23,8 @@ import (
 // The dispatcher has two stages. Stage 1 gathers a wave and runs the
 // CPU-bound prepare (validation, sessionization, extraction, per-batch
 // attribution) via core.PrepareMulti; stage 2 — a single committer
-// goroutine — persists the prepared wave (one ordered store.ApplyAll, one
-// WAL sync for the whole wave) and fans the outcomes back. Stage 1 of wave
+// goroutine — persists the prepared wave (one WAL record and one WAL sync
+// for the whole wave) and fans the outcomes back. Stage 1 of wave
 // N+1 runs concurrently with stage 2 of wave N; genuine CPU/disk overlap
 // materializes when the waves touch disjoint shards — a prepare that needs
 // a shard the commit holds write-locked waits at that shard's RLock (the
@@ -38,9 +38,8 @@ import (
 //     that waits for its response before sending the next request keeps its
 //     users' event streams ordered across commits. The single gatherer
 //     fixes wave order and the single committer commits in that order —
-//     and store.ApplyAll guarantees same-shard WriteBatches of successive
-//     waves reach the WAL in that order too (crash replay recovers a wave
-//     prefix).
+//     and each wave is one WAL record, so the waves reach the WAL in that
+//     order too (crash replay recovers a prefix of the waves, each whole).
 //   - No loss: every queued request is dispatched exactly once, including
 //     during shutdown drain.
 //   - Per-request status: outcomes are attributed per batch, so one

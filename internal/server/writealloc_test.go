@@ -85,7 +85,7 @@ func TestStreamFrameAllocCeiling(t *testing.T) {
 		send()
 	}
 
-	const ceiling = 84
+	const ceiling = 68
 	if got := testing.AllocsPerRun(100, send); got > ceiling {
 		t.Errorf("stream frame: %.1f allocs, ceiling %d", got, ceiling)
 	} else {

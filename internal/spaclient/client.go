@@ -41,8 +41,10 @@ type Options struct {
 	// request fails.
 	ReadFrom []string
 	// MaxStalenessWaves bounds how many waves behind the leader a
-	// follower may report and still serve this client's reads. Zero
-	// demands a follower that reported no lag at its last status poll.
+	// follower may report and still serve this client's reads: the lag is
+	// counted in log records (wire.ReplicationStatus.LagWaves), one per
+	// ingest wave and one per single-profile write. Zero demands a
+	// follower that reported no lag at its last status poll.
 	MaxStalenessWaves uint64
 	// Cluster enables topology-aware routing (topology.go): the client
 	// fetches the slot map from BaseURL's /v1/topology, routes user-keyed

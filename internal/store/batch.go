@@ -115,14 +115,14 @@ func (db *DB) Apply(b *WriteBatch) error {
 //     acquisition — no other writer's record interleaves, and two ApplyAll
 //     calls serialize wholesale. Crash replay therefore recovers a PREFIX
 //     of the sequence: batch i+1's effects are never durable without batch
-//     i's. This is the store-level ordering the coalescer's commit pipeline
-//     relies on for same-shard WriteBatches of successive waves.
+//     i's. An ingest wave too large for one record, a follower's shipped
+//     run and a handoff target's filtered waves all rely on it.
 //   - Atomicity per batch: each batch is its own CRC-framed replay record,
 //     exactly as Apply writes it — a torn tail discards whole batches,
 //     never partial ones.
 //   - One sync: with SyncWrites the whole sequence is fsynced once, after
-//     the last append — the group-commit economics that let a wave of K
-//     shard batches pay one device flush instead of K.
+//     the last append — the group-commit economics that let a run of K
+//     records pay one device flush instead of K.
 //   - All-or-nothing visibility: on any error nothing is installed in the
 //     memtable and the caller must treat every batch as not applied. (As
 //     with Apply, a sync failure cannot un-append: records already written

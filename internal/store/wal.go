@@ -225,17 +225,22 @@ func encodeLSNRecord(lsn uint64, annotation []byte, entries []walEntry) []byte {
 	return buf
 }
 
-// walLSNRecordBound is a conservative upper bound on the framed payload
-// encodeLSNRecord produces. A batch whose bound fits under MaxRecordBytes can
-// never trip writeRecordNoSync's cap — which lets a group commit
-// (checkRecord) reject an oversize record BEFORE anything of the group
-// reaches the buffered writer.
+// RecordBound bounds the framed payload of a record of entries operations
+// whose keys, values and annotation total bytes. A batch whose bound fits
+// under MaxRecordBytes can never trip writeRecordNoSync's cap — which lets
+// a group commit (checkRecord) reject an oversize record BEFORE anything
+// of the group reaches the buffered writer.
+func RecordBound(entries, bytes int) int {
+	return 1 + 3*binary.MaxVarintLen64 + bytes + entries*(1+2*binary.MaxVarintLen64)
+}
+
+// walLSNRecordBound is RecordBound of one record's annotation and entries.
 func walLSNRecordBound(annotation []byte, entries []walEntry) int {
-	size := 1 + 3*binary.MaxVarintLen64 + len(annotation)
+	bytes := len(annotation)
 	for _, e := range entries {
-		size += 1 + 2*binary.MaxVarintLen64 + len(e.key) + len(e.value)
+		bytes += len(e.key) + len(e.value)
 	}
-	return size
+	return RecordBound(len(entries), bytes)
 }
 
 // decodeWALSubEntry decodes one op+key[+value] unit and returns the

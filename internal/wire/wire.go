@@ -187,7 +187,8 @@ type Health struct {
 
 // ReplFollowerStatus is one live replication session seen from the
 // leader: the follower's cumulative acknowledged position and how far it
-// trails the leader's committed head.
+// trails the leader's committed head, in log records (LSNs): one per
+// ingest wave, and one per single-profile write.
 type ReplFollowerStatus struct {
 	AckedLSN uint64 `json:"acked_lsn"`
 	LagWaves uint64 `json:"lag_waves"`
@@ -207,8 +208,11 @@ type ReplicationStatus struct {
 	// below it bootstrap from a snapshot.
 	LogFloorLSN uint64 `json:"log_floor_lsn,omitempty"`
 	// LagWaves is the worst follower lag (leader) or this follower's own
-	// lag behind LeaderLSN (follower). LagBytes is the matching in-flight
-	// wave payload, known only on the leader.
+	// lag behind LeaderLSN (follower), counted in log records: an ingest
+	// wave is one record whatever shards it touched (a wave past
+	// store.MaxRecordBytes is a few), and a single-profile write is one.
+	// LagBytes is the matching in-flight wave payload, known only on the
+	// leader.
 	LagWaves uint64 `json:"lag_waves"`
 	LagBytes int64  `json:"lag_bytes,omitempty"`
 	// SnapshotBytes counts snapshot bytes shipped to bootstrapping
