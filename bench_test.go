@@ -188,7 +188,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 		}
 		b.ResetTimer()
 		err = scalebench.RunWorkers(int64(b.N), func(i int64) error {
-			_, _, err := spa.IngestEvents(bursts[i%int64(len(bursts))])
+			_, _, err := spa.BatchIngest(bursts[i%int64(len(bursts))])
 			return err
 		})
 		b.StopTimer()

@@ -39,7 +39,7 @@ func main() {
 		{UserID: userID, Time: t.Add(5 * time.Minute), Type: lifelog.EventSearch, Action: 3},
 		{UserID: userID, Time: t.Add(9 * time.Minute), Type: lifelog.EventInfoRequest, Action: 45},
 	}
-	processed, _, err := spa.IngestEvents(events)
+	processed, _, err := spa.BatchIngest(events)
 	if err != nil {
 		log.Fatal(err)
 	}

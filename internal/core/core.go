@@ -2,7 +2,7 @@
 // API a downstream application uses. It wires the four deployed components
 // of the paper's Fig. 3 around a persistent profile store:
 //
-//  1. LifeLogs Pre-processor Agent — IngestEvents/BatchIngest run raw events
+//  1. LifeLogs Pre-processor Agent — BatchIngest runs raw events
 //     through an elastic agent pool into session/feature extraction,
 //  2. Smart Component — TrainPropensity / Propensity wrap the calibrated
 //     linear SVM,
@@ -17,9 +17,9 @@
 // Profiles live in hash-partitioned shards, each guarded by its own
 // read-write mutex, so mutations of different users proceed in parallel
 // (see shard.go and DESIGN.md). Profiles are write-through: every mutation
-// is persisted to the embedded store — one WriteBatch per shard and one WAL
-// sync per wave on the ingest path — so a restarted process resumes with the
-// same Smart User Models.
+// is persisted to the embedded store — one WAL record and one WAL sync per
+// wave on the ingest path — so a restarted process resumes with the same
+// Smart User Models.
 package core
 
 import (
@@ -273,16 +273,6 @@ func (s *SPA) Profile(userID uint64) (sum.Profile, error) {
 	cp.Objective = append([]float64(nil), p.Objective...)
 	cp.Subjective = append([]float64(nil), p.Subjective...)
 	return cp, nil
-}
-
-// IngestEvents runs a batch of raw LifeLog events through the pre-processor
-// (sessionization + feature extraction) and folds the digests into the
-// profiles' subjective blocks. Events of unregistered users are counted and
-// skipped, mirroring the deployment's handling of anonymous traffic.
-// IngestEvents is BatchIngest: work is partitioned by shard and prepared
-// in parallel, then committed as one wave.
-func (s *SPA) IngestEvents(events []lifelog.Event) (processed, skippedUnknown int, err error) {
-	return s.BatchIngest(events)
 }
 
 // NextQuestion returns the user's next Gradual EIT item (cycling the bank

@@ -158,7 +158,7 @@ func TestIngestEvents(t *testing.T) {
 		{UserID: 1, Time: t0.Add(-110 * time.Minute), Type: lifelog.EventEnroll, Action: 10},
 		{UserID: 99, Time: t0.Add(-1 * time.Hour), Type: lifelog.EventClick, Action: 6},
 	}
-	processed, skipped, err := s.IngestEvents(events)
+	processed, skipped, err := s.BatchIngest(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestIngestEvents(t *testing.T) {
 		t.Fatalf("subjective events %v", p.Subjective[0])
 	}
 	// Empty batch is fine.
-	if _, _, err := s.IngestEvents(nil); err != nil {
+	if _, _, err := s.BatchIngest(nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,10 +24,11 @@ import (
 //     local LSN. The source's LSNs still flow back as stream acks — they
 //     are positions in the source's log, not the target's.
 //
-// ApplyHandoffWaves shares its decode, group and install half with
-// ApplyReplicatedWaves (applyShipped), under the same index-ascending shard
-// lock order, so it is deadlock-free against local commits and follower
-// applies alike; only the store write differs.
+// ApplyHandoffWaves shares its decode and group step with
+// ApplyReplicatedWaves (applyShipped) and commits through the routine local
+// waves use (commitGroups), under the same index-ascending shard lock
+// order, so it is deadlock-free against local commits and follower applies
+// alike; only the store write differs.
 
 // entrySlot resolves a store key to its keyspace slot; ok is false for
 // keys outside the profile key space.

@@ -51,7 +51,7 @@ func TestEndToEndMiniDeployment(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	processed, skipped, err := spa.IngestEvents(batch)
+	processed, skipped, err := spa.BatchIngest(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

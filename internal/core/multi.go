@@ -43,7 +43,7 @@ var ErrBadStream = errors.New("core: malformed event stream")
 // the groups are prepared concurrently, and the whole batch commits as one
 // WAL record with one WAL sync.
 //
-// Semantics match a sequential IngestEvents call: per-user results depend
+// Semantics match a sequential single-shard ingest: per-user results depend
 // only on that user's events, so the fan-out is invisible in the profiles
 // (see TestShardedMatchesSingleShard). A store failure applies nothing, in
 // any shard. Events of unregistered users are counted and skipped.
@@ -139,66 +139,81 @@ func (pm *PreparedMulti) Shards() int { return len(pm.groups) }
 // WAL record with one sync, so crash replay recovers the wave whole or not
 // at all, in every shard; only a wave too large for one record
 // (store.MaxRecordBytes) is cut into a few, of which replay recovers a
-// prefix. All touched shards stay write-locked across the write, so no
-// other writer's store record can interleave with the wave's and
-// memory-vs-durable ordering per user is preserved. A store failure fails
-// the whole wave (every contributing batch is charged); staged state is
-// then discarded, leaving shard memory untouched.
+// prefix. All touched shards stay write-locked across the write
+// (commitGroups), so no other writer's store record can interleave with
+// the wave's and memory-vs-durable ordering per user is preserved. A store
+// failure fails the whole wave (every contributing batch is charged);
+// staged state is then discarded, leaving shard memory untouched.
 //
 // Callers that overlap several PreparedMulti instances must Commit them in
 // prepare order when their batches may share users — the coalescer does
 // (single committer, FIFO waves). Independent callers (concurrent
 // BatchIngest) need no coordination: a staged digest depends only on its
-// own batch's events, and the install re-reads each resident profile under
-// the write lock. Commit must be called at most once.
+// own batch's events, and the write completes each staged profile from the
+// resident one under the write lock. Commit must be called at most once.
 func (pm *PreparedMulti) Commit() []IngestOutcome {
 	if pm.committed {
 		panic("core: PreparedMulti committed twice")
 	}
 	pm.committed = true
-	s := pm.s
 	if len(pm.groups) == 0 {
 		return pm.out
 	}
-	// One CF delta buffer, sized for the largest group, serves every
-	// group's publish in turn and dies with the wave.
+	if err := pm.s.commitGroups(pm.groups, pm.writeLocked); err != nil {
+		for i := range pm.groups {
+			pm.groups[i].failStore(err)
+		}
+	}
+	pm.s.finishMulti(pm.out, pm.groups)
+	return pm.out
+}
+
+// commitGroups is the one install routine of every multi-shard write — a
+// local wave, a follower's shipped run, a handoff target's run. It
+// write-locks the groups' shards once, in ascending index order (the
+// groups are sorted by shard), runs write, and only if write succeeded
+// publishes each group's profiles and events — a group with neither
+// publishes nothing, so its shard's snapshot and the epoch stay put. One
+// CF delta buffer, sized for the largest group, serves every publish in
+// turn and dies with the call.
+func (s *SPA) commitGroups(groups []preparedGroup, write func() error) error {
 	most := 0
-	for i := range pm.groups {
-		most = max(most, len(pm.groups[i].interactions))
+	for i := range groups {
+		most = max(most, len(groups[i].interactions))
 	}
 	var deltas []rowDelta
 	if most > 0 {
 		deltas = make([]rowDelta, 0, most)
 	}
-	for i := range pm.groups {
-		s.shards[pm.groups[i].shardIdx].mu.Lock()
+	for i := range groups {
+		s.shards[groups[i].shardIdx].mu.Lock()
 	}
-	if s.db == nil {
-		for i := range pm.groups {
-			s.installShardLocked(&pm.groups[i], deltas)
+	err := write()
+	if err == nil {
+		for i := range groups {
+			if g := &groups[i]; len(g.digests) > 0 || len(g.interactions) > 0 {
+				s.publishShardLocked(s.shards[g.shardIdx], g.digests, g.interactions, deltas)
+			}
 		}
-	} else {
-		pm.persistAndInstallLocked(deltas)
 	}
-	for i := len(pm.groups) - 1; i >= 0; i-- {
-		s.shards[pm.groups[i].shardIdx].mu.Unlock()
+	for i := len(groups) - 1; i >= 0; i-- {
+		s.shards[groups[i].shardIdx].mu.Unlock()
 	}
-	s.finishMulti(pm.out, pm.groups)
-	return pm.out
+	return err
 }
 
-// persistAndInstallLocked is Commit's durable half: the wave's store record
-// (recordRun cuts a wave over the record cap into a few), then the install.
-// The caller holds every touched shard's write lock until the record is
-// applied — nothing can move under the encoded bytes.
-func (pm *PreparedMulti) persistAndInstallLocked(deltas []rowDelta) {
+// writeLocked is Commit's write: it completes every group's staged
+// profiles, then, on a durable instance, writes the wave's store record
+// (recordRun cuts a wave over the record cap into a few). The caller
+// (commitGroups) holds every touched shard's write lock — nothing can move
+// under the encoded bytes.
+func (pm *PreparedMulti) writeLocked() error {
 	s := pm.s
 	for i := range pm.groups {
-		// A group that fails validation is charged and dropped; one with
-		// nothing to persist (all events skipped) installs at once.
-		if g := &pm.groups[i]; s.sizeGroupLocked(g) == nil && g.size.entries == 0 {
-			s.installShardLocked(g, deltas)
-		}
+		s.completeGroupLocked(&pm.groups[i])
+	}
+	if s.db == nil {
+		return nil
 	}
 	seq := []*store.WriteBatch{&pm.batch} // and one more per record past the cap
 	var scratch []byte
@@ -208,20 +223,10 @@ func (pm *PreparedMulti) persistAndInstallLocked(deltas []rowDelta) {
 			if seq[len(seq)-1].Len() > 0 {
 				seq = append(seq, new(store.WriteBatch))
 			}
-			scratch = s.encodeRunLocked(seq[len(seq)-1], rest[:n], sz, scratch)
+			scratch = encodeRun(seq[len(seq)-1], rest[:n], sz, scratch)
 		}
 	}
-	err := s.db.ApplyAllTagged(seq, pm.wave)
-	for i := range pm.groups {
-		g := &pm.groups[i]
-		switch {
-		case g.size.entries == 0:
-		case err != nil:
-			g.failStore(err)
-		default:
-			s.installShardLocked(g, deltas)
-		}
-	}
+	return s.db.ApplyAllTagged(seq, pm.wave)
 }
 
 // recordSize is a shard group's share of a wave record, or a run's total:
@@ -245,40 +250,48 @@ func recordRun(groups []preparedGroup, limit int) (int, recordSize) {
 	return len(groups), run
 }
 
-// sizeGroupLocked validates the group's staged profiles, each as it will
-// look after install, and sets g.size, zero when the group persists
-// nothing. A validation error is charged to the group, whose staged
-// profiles it drops. The caller holds the shard's write lock.
-func (s *SPA) sizeGroupLocked(g *preparedGroup) error {
+// completeGroupLocked turns each staged profile into the resident one
+// carrying its new Subjective, dropping users no longer resident. On a
+// durable instance it also validates each completed profile and sets
+// g.size, zero when the group persists nothing; a validation error is
+// charged to the group, whose staged profiles and events it drops. The
+// caller holds the shard's write lock.
+func (s *SPA) completeGroupLocked(g *preparedGroup) {
 	sh := s.shards[g.shardIdx]
 	sz := recordSize{events: len(g.interactions)}
+	changes := g.digests[:0]
 	for _, d := range g.digests {
 		p := s.residentLocked(sh, d.id)
 		if p == nil {
 			continue
 		}
-		cp := *p
-		cp.Subjective = d.p.Subjective
-		if err := cp.Validate(); err != nil {
-			g.failStore(err)
-			g.digests = nil
-			return err
+		sub := d.p.Subjective
+		*d.p = *p
+		d.p.Subjective = sub
+		changes = append(changes, d)
+		if s.db == nil {
+			continue
 		}
-		l := sum.EncodedLen(&cp)
+		if err := d.p.Validate(); err != nil {
+			g.failStore(err)
+			g.digests, g.interactions = nil, nil
+			return
+		}
+		l := sum.EncodedLen(d.p)
 		sz.entries, sz.bytes, sz.largest = sz.entries+1, sz.bytes+sum.KeyLen+l, max(sz.largest, l)
 	}
+	g.digests = changes
 	if sz.entries > 0 {
 		g.size = sz
 	}
-	return nil
 }
 
-// encodeRunLocked encodes a run of groups, of total size sz, into b: an
-// annotation of the persisting groups' interactions, in shard order, for a
-// follower to rebuild the CF matrix from (replicate.go), and each staged
-// profile as it will look after install. scratch, grown once to fit the
-// annotation and the largest value, is returned for the next run.
-func (s *SPA) encodeRunLocked(b *store.WriteBatch, run []preparedGroup, sz recordSize, scratch []byte) []byte {
+// encodeRun encodes a run of completed groups, of total size sz, into b:
+// an annotation of the persisting groups' interactions, in shard order, for
+// a follower to rebuild the CF matrix from (replicate.go), and each staged
+// profile. scratch, grown once to fit the annotation and the largest value,
+// is returned for the next run.
+func encodeRun(b *store.WriteBatch, run []preparedGroup, sz recordSize, scratch []byte) []byte {
 	scratch = slices.Grow(scratch[:0], max(sz.largest, waveAnnotationBound(sz.events)))
 	if sz.events > 0 {
 		scratch = append(scratch, waveAnnotationVersion)
@@ -286,7 +299,7 @@ func (s *SPA) encodeRunLocked(b *store.WriteBatch, run []preparedGroup, sz recor
 	}
 	for i := range run {
 		if run[i].size.entries == 0 {
-			continue // dropped, or installed already
+			continue // dropped, or nothing to persist
 		}
 		for _, te := range run[i].interactions {
 			scratch = appendWaveEvent(scratch, te)
@@ -296,14 +309,9 @@ func (s *SPA) encodeRunLocked(b *store.WriteBatch, run []preparedGroup, sz recor
 	b.SetAnnotation(scratch)
 	var key [sum.KeyLen]byte
 	for i := range run {
-		sh := s.shards[run[i].shardIdx]
-		for _, d := range run[i].digests { // none in a dropped or installed group
-			if p := s.residentLocked(sh, d.id); p != nil {
-				cp := *p
-				cp.Subjective = d.p.Subjective
-				scratch = sum.AppendEncode(scratch[:0], &cp)
-				b.Put(sum.AppendKey(key[:0], d.id), scratch)
-			}
+		for _, d := range run[i].digests { // none in a dropped group
+			scratch = sum.AppendEncode(scratch[:0], d.p)
+			b.Put(sum.AppendKey(key[:0], d.id), scratch)
 		}
 	}
 	return scratch
@@ -348,13 +356,15 @@ type preparedGroup struct {
 	users int
 
 	tally []batchTally // by batch index; the wave's groups share one array
-	// digests are the staged profile updates, one per fed user, in a
-	// window of the wave's one digest array. Each p is a stagedProfile
-	// whose Subjective already holds the new vector; install fills in the
-	// rest from the resident profile and publishes it.
+	// digests are the profiles to publish. On a local wave they are the
+	// staged updates, one per fed user, in a window of the wave's one
+	// digest array: each p is a stagedProfile whose Subjective already
+	// holds the new vector, and Commit's write fills in the rest from the
+	// resident profile. On a shipped run they are the decoded changes.
 	digests []profChange
-	// interactions are the non-excluded known-user events to fold into the
-	// shard's CF counts at install time.
+	// interactions are the events to fold into the shard's CF counts at
+	// publish: a local wave's non-excluded known-user events, or a shipped
+	// run's annotation events.
 	interactions []taggedEvent
 	// size is the group's share of the wave record, set by Commit; zero
 	// when the group persists nothing.
@@ -488,28 +498,6 @@ func (s *SPA) prepareShardLocked(g *preparedGroup, x *lifelog.Extractor, fvs []l
 		g.digests = append(g.digests, profChange{id: fvs[i].UserID, p: &st.p})
 	}
 	return fvs
-}
-
-// installShardLocked makes the staged updates live: each staged profile
-// becomes a copy of the resident one carrying its new Subjective and is
-// installed in the shard's next read snapshot — the epoch installation
-// point of the commit stage (DESIGN.md §8). The digests are filtered in
-// place into the publish's changes; deltas is the wave's CF buffer. The
-// caller holds the shard's write lock and has already made the updates
-// durable (or runs non-durably).
-func (s *SPA) installShardLocked(g *preparedGroup, deltas []rowDelta) {
-	sh := s.shards[g.shardIdx]
-	changes := g.digests[:0]
-	for _, d := range g.digests {
-		if p := s.residentLocked(sh, d.id); p != nil {
-			sub := d.p.Subjective
-			*d.p = *p
-			d.p.Subjective = sub
-			changes = append(changes, d)
-		}
-	}
-	g.digests = nil
-	s.publishShardLocked(sh, changes, g.interactions, deltas)
 }
 
 // finishMulti folds the shard groups' accounting into the per-batch

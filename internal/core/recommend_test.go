@@ -31,7 +31,7 @@ func ingestClicks(t *testing.T, s *SPA, rows map[uint64][]uint32) {
 			tm = tm.Add(time.Minute)
 		}
 	}
-	if _, _, err := s.IngestEvents(events); err != nil {
+	if _, _, err := s.BatchIngest(events); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,7 +140,7 @@ func TestRecommendActionsInvalidatedByNewIngest(t *testing.T) {
 		events = append(events, lifelog.Event{UserID: 2, Time: at, Type: lifelog.EventEnroll, Action: 21})
 		at = at.Add(time.Minute)
 	}
-	if _, _, err := s.IngestEvents(events); err != nil {
+	if _, _, err := s.BatchIngest(events); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := s.RecommendActions(1, 1)
@@ -280,7 +280,7 @@ func TestRecommendMatchesFrozenKNN(t *testing.T) {
 	assertMatchesKNN(t, leader, referenceKNN(t, events, kept), ids)
 }
 
-// TestRecommendReadsItsWrite: once IngestEvents returns on one goroutine, a
+// TestRecommendReadsItsWrite: once BatchIngest returns on one goroutine, a
 // RecommendActions on another reflects it, while concurrent readers keep
 // missing the cache.
 func TestRecommendReadsItsWrite(t *testing.T) {
@@ -315,7 +315,7 @@ func TestRecommendReadsItsWrite(t *testing.T) {
 		at := t0.Add(-time.Hour)
 		for a := uint32(100); a < 150; a++ {
 			ev := lifelog.Event{UserID: 2, Time: at.Add(time.Duration(a) * time.Second), Type: lifelog.EventEnroll, Action: a}
-			if _, _, err := s.IngestEvents([]lifelog.Event{ev}); err != nil {
+			if _, _, err := s.BatchIngest([]lifelog.Event{ev}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -408,7 +408,7 @@ func TestRecommendCacheIgnoresShardCount(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, _, err := s.IngestEvents(events); err != nil {
+			if _, _, err := s.BatchIngest(events); err != nil {
 				t.Fatal(err)
 			}
 			for pass := 0; pass < 2; pass++ {
@@ -446,7 +446,7 @@ func BenchmarkRecommendAfterWrite(b *testing.B) {
 			at := t0.Add(-200 * time.Hour)
 			evs := zipfEvents(1, shape.users, shape.users*shape.events, at)
 			for lo := 0; lo < len(evs); lo += 4096 {
-				if _, _, err := s.IngestEvents(evs[lo:min(lo+4096, len(evs))]); err != nil {
+				if _, _, err := s.BatchIngest(evs[lo:min(lo+4096, len(evs))]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -463,7 +463,7 @@ func BenchmarkRecommendAfterWrite(b *testing.B) {
 						Action: uint32(r.Intn(lifelog.ActionUniverse))}
 					next = next.Add(time.Second)
 				}
-				if _, _, err := s.IngestEvents(op); err != nil {
+				if _, _, err := s.BatchIngest(op); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := s.RecommendActions(u, 10); err != nil {
@@ -500,7 +500,7 @@ func BenchmarkRecommendActions(b *testing.B) {
 					at = at.Add(time.Second)
 				}
 			}
-			if _, _, err := s.IngestEvents(events); err != nil {
+			if _, _, err := s.BatchIngest(events); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

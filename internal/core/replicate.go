@@ -20,17 +20,17 @@ import (
 //   - The record's annotation carries what the entries cannot express: the
 //     wave's interaction events, which exist only in the shard snapshots'
 //     CF matrix (snapshot.go) and never reach the store. The leader's commit
-//     path attaches them (encodeRunLocked); replay ignores them; a
-//     follower decodes them here and folds them through the same
-//     publishShardLocked path the leader used, so RecommendActions converges
-//     along with the profile reads.
+//     path attaches them (encodeRun); replay ignores them; a follower
+//     decodes them here and folds them through the same publish the leader
+//     used, so RecommendActions converges along with the profile reads.
 //
-// ApplyReplicatedWaves is deliberately shaped like PreparedMulti.Commit's
-// install half: store write first (with the leader's LSNs, enforcing exact
-// log contiguity, one sync for the whole run), then per-shard install +
-// snapshot publish under the shard write locks, taken in index order — the
-// same ordering argument that makes concurrent local commits deadlock-free
-// makes the follower's apply loop safe next to its own read traffic.
+// ApplyReplicatedWaves commits through commitGroups, the routine
+// PreparedMulti.Commit uses: store write first (with the leader's LSNs,
+// enforcing exact log contiguity, one sync for the whole run), then
+// per-shard snapshot publish under the shard write locks, taken in index
+// order — the same ordering that makes concurrent local commits
+// deadlock-free makes the follower's apply loop safe next to its own read
+// traffic.
 
 // waveAnnotationVersion tags the interaction-event annotation codec.
 const waveAnnotationVersion = 0x01
@@ -199,43 +199,19 @@ func (s *SPA) ApplyReplicatedWaves(recs []store.LogRecord) error {
 	return s.applyShipped(recs, false, func() error { return s.db.ApplyReplicated(recs) })
 }
 
-// applyShipped is the half every shipped-record apply shares — the install
-// half PreparedMulti.Commit runs for a local wave. It groups the run's
-// changes and events by shard (groupShipped), write-locks the touched
-// shards once, in index order, runs the store write, and only if it
-// succeeded publishes every shard's changes. The write is the one thing
-// follower and handoff applies differ in.
+// applyShipped is what every shipped-record apply shares: it groups the
+// run's changes and events by shard (groupShipped) and commits them through
+// commitGroups, the routine a local wave commits through. The write is the
+// one thing follower and handoff applies differ in.
 func (s *SPA) applyShipped(recs []store.LogRecord, strict bool, write func() error) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	work, err := s.groupShipped(recs, strict)
+	groups, err := s.groupShipped(recs, strict)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	// One CF delta buffer, sized for the largest shard's events, serves
-	// the run's publishes in turn.
-	most := 0
-	for _, w := range work {
-		most = max(most, len(w.events))
-	}
-	var deltas []rowDelta
-	if most > 0 {
-		deltas = make([]rowDelta, 0, most)
-	}
-	for _, w := range work {
-		s.shards[w.idx].mu.Lock()
-	}
-	err = write()
-	if err == nil {
-		for _, w := range work {
-			s.publishShardLocked(s.shards[w.idx], w.changes, w.events, deltas)
-		}
-	}
-	for i := len(work) - 1; i >= 0; i-- {
-		s.shards[work[i].idx].mu.Unlock()
-	}
-	return err
+	return s.commitGroups(groups, write)
 }
 
 // shippedProfile is one decoded shipped profile and the floats its two
@@ -249,20 +225,13 @@ type shippedProfile struct {
 	floats [8 + lifelog.DenseLen]float64
 }
 
-// shardWork is one shipped run's effect on one shard.
-type shardWork struct {
-	idx     int
-	changes []profChange
-	events  []taggedEvent
-}
-
 // groupShipped decodes a run of shipped records — profile entries (puts and
 // tombstones) and annotation interaction events, concatenated in LSN order —
 // and groups both by owning shard, ascending. Groups are windows of stably
 // shard-sorted slices, so each shard keeps the run's order and a
 // single-shard run costs no per-shard allocation. Keys outside the profile
 // key space are skipped, or refused when strict.
-func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]shardWork, error) {
+func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]preparedGroup, error) {
 	n, nev := 0, 0
 	for _, r := range recs {
 		n += len(r.Entries)
@@ -304,7 +273,7 @@ func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]shardWork, er
 	slices.SortStableFunc(events, func(a, b taggedEvent) int {
 		return cmp.Compare(s.shardIndexFor(a.UserID), s.shardIndexFor(b.UserID))
 	})
-	work := make([]shardWork, 0, min(len(s.shards), len(changes)+len(events)))
+	groups := make([]preparedGroup, 0, min(len(s.shards), len(changes)+len(events)))
 	for ci, ei := 0, 0; ci < len(changes) || ei < len(events); {
 		idx := len(s.shards)
 		if ci < len(changes) {
@@ -320,8 +289,8 @@ func (s *SPA) groupShipped(recs []store.LogRecord, strict bool) ([]shardWork, er
 		for ee < len(events) && s.shardIndexFor(events[ee].UserID) == idx {
 			ee++
 		}
-		work = append(work, shardWork{idx: idx, changes: changes[ci:ce], events: events[ei:ee]})
+		groups = append(groups, preparedGroup{shardIdx: idx, digests: changes[ci:ce], interactions: events[ei:ee]})
 		ci, ei = ce, ee
 	}
-	return work, nil
+	return groups, nil
 }

@@ -366,6 +366,50 @@ func TestWaveAnnotationRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzWaveAnnotation feeds the annotation decoder the peer bytes a shipped
+// repl frame can carry: it must never panic, waveEventCount must size the
+// run's event buffer exactly for every blob that decodes, and a decoded
+// blob must re-encode (minimally) to one that decodes to the same events
+// and re-encodes to the same bytes.
+func FuzzWaveAnnotation(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{waveAnnotationVersion})
+	f.Add([]byte{waveAnnotationVersion, 0x00})
+	f.Add([]byte{0x02, 0x00})
+	f.Add(encodeWaveAnnotation([]taggedEvent{
+		{Event: lifelog.Event{UserID: 7, Type: lifelog.EventClick, Action: 3}},
+		{Event: lifelog.Event{UserID: 1 << 40, Type: lifelog.EventEnroll, Action: 1 << 31}},
+	}))
+	f.Add([]byte{waveAnnotationVersion, 0x01, 0x87, 0x00, 0x01, 0x05}) // overlong user id
+	f.Add([]byte{waveAnnotationVersion, 0x05, 0x01, 0x01, 0x01})       // count past the bytes
+	f.Add([]byte{waveAnnotationVersion, 0x01, 0x01, 0x01, 0x01, 0xff}) // trailing byte
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		events, err := decodeWaveAnnotation(blob)
+		if err != nil {
+			return
+		}
+		if n := waveEventCount(blob); n != len(events) {
+			t.Fatalf("waveEventCount = %d, decoded %d events", n, len(events))
+		}
+		enc := encodeWaveAnnotation(events)
+		again, err := decodeWaveAnnotation(enc)
+		if err != nil {
+			t.Fatalf("re-encoded annotation does not decode: %v", err)
+		}
+		if len(again) != len(events) {
+			t.Fatalf("round trip changed the event count: %d -> %d", len(events), len(again))
+		}
+		for i := range events {
+			if again[i] != events[i] {
+				t.Fatalf("round trip changed event %d: %+v -> %+v", i, events[i], again[i])
+			}
+		}
+		if re := encodeWaveAnnotation(again); !bytes.Equal(re, enc) {
+			t.Fatalf("re-encoding is not stable: %x -> %x", enc, re)
+		}
+	})
+}
+
 // TestShippedProfileOwnership is TestPublishedProfileOwnership on a
 // follower: each shipped profile decodes into an allocation of its own
 // (the Profile and the floats its vectors are carved from), so a profile

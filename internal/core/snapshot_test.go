@@ -197,7 +197,7 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 		events = append(events, lifelog.Event{UserID: 2, Time: at, Type: lifelog.EventEnroll, Action: 21})
 		at = at.Add(time.Minute)
 	}
-	if _, _, err := s.IngestEvents(events); err != nil {
+	if _, _, err := s.BatchIngest(events); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := s.RecommendActions(1, 1)
@@ -434,5 +434,50 @@ func TestReadStatsCounters(t *testing.T) {
 	rs = s.ReadStats()
 	if rs.ReadCacheMisses != 3 || rs.ReadCacheHits != 2 {
 		t.Fatalf("a Register in another shard did not retire the ranking: %+v", rs)
+	}
+}
+
+// TestUnknownUsersWavePublishesNothing: a wave whose events all belong to
+// unregistered users changes no profile and no CF row, so it publishes no
+// snapshot — the epoch stays put and a ranking cached before the wave is
+// still served from the cache, on a durable and an in-memory instance.
+func TestUnknownUsersWavePublishesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dir  string
+	}{{"durable", t.TempDir()}, {"in-memory", ""}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSPA(t, tc.dir)
+			s.Register(1, nil)
+			s.Register(2, nil)
+			ingestClicks(t, s, map[uint64][]uint32{1: {10}, 2: {10, 20}})
+			if _, err := s.RecommendActions(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			before := s.ReadStats()
+
+			var events []lifelog.Event
+			shards := map[int]bool{}
+			for id := uint64(1000); id < 1040; id++ {
+				shards[s.shardIndexFor(id)] = true
+				events = append(events, lifelog.Event{UserID: id, Time: t0.Add(-time.Hour), Type: lifelog.EventClick, Action: 7})
+			}
+			if len(shards) < 8 {
+				t.Fatalf("the unknown users span %d shards, want at least 8", len(shards))
+			}
+			processed, skipped, err := s.BatchIngest(events)
+			if err != nil || processed != 0 || skipped != len(events) {
+				t.Fatalf("unknown-user wave: processed %d, skipped %d, err %v", processed, skipped, err)
+			}
+			if got := s.SnapshotEpoch(); got != before.SnapshotEpoch {
+				t.Fatalf("unknown-user wave moved the epoch %d → %d", before.SnapshotEpoch, got)
+			}
+			if _, err := s.RecommendActions(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if rs := s.ReadStats(); rs.ReadCacheHits != before.ReadCacheHits+1 || rs.ReadCacheMisses != before.ReadCacheMisses {
+				t.Fatalf("ranking cached before the unknown-user wave was not a hit: before %+v, after %+v", before, rs)
+			}
+		})
 	}
 }

@@ -67,7 +67,7 @@ func TestS1Smoke(t *testing.T) {
 	bursts := MakeBursts()
 	const n = 8
 	if err := RunWorkers(n, func(i int64) error {
-		processed, skipped, err := spa.IngestEvents(bursts[i%int64(len(bursts))])
+		processed, skipped, err := spa.BatchIngest(bursts[i%int64(len(bursts))])
 		if err == nil && (processed != EventsPerBurst || skipped != 0) {
 			return errors.New("burst not fully processed")
 		}

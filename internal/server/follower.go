@@ -524,10 +524,13 @@ func dialRepl(peerAddr string, opening []byte, timeout time.Duration) (*replRead
 // opens: it subscribes to the leader from the directory's committed
 // position and, if the leader answers with a snapshot (the position
 // predates the retained log floor — always true for a fresh directory
-// against a pruned leader), restores it at the store level. The core then
-// opens on the restored state and the in-process follower loop resumes
-// from the snapshot position. Returns the restored snapshot bytes (zero
-// when the position was still retained and no snapshot was needed).
+// against a pruned leader), restores it at the store level. The restore is
+// all or nothing (store.RestoreSnapshot): on an error the directory keeps
+// its committed position and none of the snapshot, so a retried bootstrap
+// subscribes from the same place. The core then opens on the restored
+// state and the in-process follower loop resumes from the snapshot
+// position. Returns the restored snapshot bytes (zero when the position
+// was still retained and no snapshot was needed).
 func BootstrapFollower(dataDir, leaderAddr string, stOpts store.Options) (restored int64, err error) {
 	db, err := store.Open(dataDir, stOpts)
 	if err != nil {

@@ -452,7 +452,7 @@ func TestFollowerAppliesBacklogAsOneGroup(t *testing.T) {
 	for i := 0; i < waves; i++ {
 		ev := lifelog.Event{UserID: users[i%len(users)], Time: t0.Add(time.Duration(i) * time.Second),
 			Type: lifelog.EventClick, Action: uint32(i)}
-		if _, _, err := leaderSPA.IngestEvents([]lifelog.Event{ev}); err != nil {
+		if _, _, err := leaderSPA.BatchIngest([]lifelog.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}

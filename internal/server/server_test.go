@@ -279,37 +279,107 @@ func TestConcurrentClientsEndToEnd(t *testing.T) {
 	}
 }
 
+// gatedPreparer holds the first wave's commit until released, so a test
+// can fill the pending queue behind it at a known point instead of racing
+// the real core's commit speed.
+type gatedPreparer struct {
+	wavePreparer
+	release chan struct{}
+	first   sync.Once
+}
+
+func (p *gatedPreparer) PrepareWave(batches [][]lifelog.Event) waveCommit {
+	prepared := p.wavePreparer.PrepareWave(batches)
+	return commitFunc(func() []core.IngestOutcome {
+		p.first.Do(func() { <-p.release })
+		return prepared.Commit()
+	})
+}
+
 // TestIngestBackpressureHTTP: a full pending queue must surface as
-// 503 + Retry-After on the wire.
+// 503 + Retry-After on the wire, and the requests admitted before it
+// filled must still commit once the stalled wave completes.
 func TestIngestBackpressureHTTP(t *testing.T) {
-	ts, _ := testServer(t, core.Options{Shards: 1}, Options{QueueDepth: 1, MaxBatch: 1})
+	spa, err := core.New(core.Options{Shards: 1, Clock: clock.NewSimulated(t0.Add(24 * time.Hour))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(spa, Options{QueueDepth: 1, MaxBatch: 1})
+	// Swap in a coalescer whose first commit stalls before anything is
+	// served: with it held, at most a few requests can be admitted (the
+	// stalled wave, one prepared wave, one queued job), so the rest of the
+	// submitters must find the queue full.
+	gate := &gatedPreparer{wavePreparer: spaPreparer{spa: spa}, release: make(chan struct{})}
+	srv.co.close()
+	srv.co = newCoalescer(gate, &srv.met, 1, 1, 0, srv.logf)
+	ts := httptest.NewServer(srv)
+	released := false
+	releaseGate := func() {
+		if !released {
+			released = true
+			close(gate.release)
+		}
+	}
+	t.Cleanup(func() {
+		releaseGate()
+		ts.Close()
+		srv.Close()
+		spa.Close()
+	})
 
 	if code, _ := doJSON(t, "POST", ts.URL+"/v1/users", wire.RegisterRequest{UserID: 1}, nil); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}
 	const submitters = 24
+	type result struct {
+		code       int
+		retryAfter string
+	}
+	results := make(chan result, submitters)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	saw503 := false
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			events := []lifelog.Event{evAt(1, i+1)}
 			code, hdr := doJSON(t, "POST", ts.URL+"/v1/ingest", wire.IngestRequest{Events: wire.FromEvents(events)}, nil)
-			if code == http.StatusServiceUnavailable {
-				mu.Lock()
-				saw503 = true
-				mu.Unlock()
-				if hdr.Get("Retry-After") == "" {
-					t.Error("503 without Retry-After")
-				}
-			}
+			results <- result{code, hdr.Get("Retry-After")}
 		}(i)
 	}
+	// Admitted requests cannot answer while the gate holds, so the first
+	// answers to arrive are the rejections.
+	var first result
+	select {
+	case first = <-results:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no ingest answered within 10s with the commit stalled")
+	}
+	if first.code != http.StatusServiceUnavailable {
+		t.Fatalf("first answer with the commit stalled: %d, want 503", first.code)
+	}
+	releaseGate()
 	wg.Wait()
-	if !saw503 {
-		t.Skip("queue never filled on this machine — backpressure path not exercised")
+	close(results)
+	all := []result{first}
+	for r := range results {
+		all = append(all, r)
+	}
+	rejected, accepted := 0, 0
+	for _, r := range all {
+		switch r.code {
+		case http.StatusServiceUnavailable:
+			rejected++
+			if r.retryAfter == "" {
+				t.Error("503 without Retry-After")
+			}
+		case http.StatusOK:
+			accepted++
+		default:
+			t.Errorf("ingest answered %d", r.code)
+		}
+	}
+	if rejected == 0 || accepted == 0 || rejected+accepted != submitters {
+		t.Fatalf("accepted %d, rejected %d of %d submitters", accepted, rejected, submitters)
 	}
 }
 

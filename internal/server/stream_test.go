@@ -1080,7 +1080,7 @@ func streamTortureRound(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		for f := 0; f < acked[u]; f++ {
-			if _, _, err := shadow.IngestEvents(frameEvents(u, f)); err != nil {
+			if _, _, err := shadow.BatchIngest(frameEvents(u, f)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1092,7 +1092,7 @@ func streamTortureRound(t *testing.T, seed int64) {
 		// have committed before the fault fired — durable ahead of the
 		// ack is legal, a torn or reordered frame is not.
 		if failed[u] && acked[u] < frames {
-			if _, _, err := shadow.IngestEvents(frameEvents(u, acked[u])); err != nil {
+			if _, _, err := shadow.BatchIngest(frameEvents(u, acked[u])); err != nil {
 				t.Fatal(err)
 			}
 			if bytes.Equal(got, profile(shadow, u)) {

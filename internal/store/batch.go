@@ -194,13 +194,15 @@ func checkRecord(annotation []byte, entries []walEntry) error {
 	return nil
 }
 
-// commitGroupLocked is the group commit ApplyAll and ApplyReplicated share:
+// commitGroupLocked is the one group commit of the store — ApplyAll,
+// ApplyReplicated, Put/Delete and RestoreSnapshot all write through it:
 // append every record, pay one sync (under SyncWrites, tagged with wave),
 // and only then install the records' entries and publish the records to
 // the shippable history, in order — a tail never streams a record this
 // call reports as failed. On any error nothing is installed or published.
 // The caller holds db.mu, has checked every record (checkRecord), and has
-// stamped them with the LSNs that extend lastLSN contiguously.
+// stamped them with the LSNs that extend lastLSN contiguously — or, for a
+// restore, with the one snapshot LSN at or past it. group is not empty.
 func (db *DB) commitGroupLocked(group []groupRecord, wave uint64) error {
 	// Each record enters the active-log mirror as it is appended. Nothing
 	// reads the mirror before this returns — readers and tails take db.mu —

@@ -430,15 +430,40 @@ func (db *DB) ExportSnapshot() (pairs []LogEntry, snapshotLSN uint64, err error)
 }
 
 // restoreChunkBytes bounds one RestoreSnapshot record, keeping each framed
-// record far under MaxRecordBytes.
+// record far under MaxRecordBytes: a chunk is cut once its pairs reach it.
 const restoreChunkBytes = 2 << 20
 
 // RestoreSnapshot installs an exported snapshot into a (normally fresh)
 // store and fast-forwards the LSN sequence to snapshotLSN, so the next
 // ApplyReplicated run must start at snapshotLSN+1. The pairs are written as
-// ordinary WAL records (all stamped snapshotLSN) — a restored follower
-// recovers its state from its own log exactly like a leader does.
+// ordinary WAL records (chunks all stamped snapshotLSN) — a restored
+// follower recovers its state from its own log exactly like a leader does.
+//
+// The restore is one group commit (commitGroupLocked), all or nothing:
+// every pair is checked before anything is written, and on any error —
+// a bad pair, a WAL write or sync fault — nothing is installed and the
+// applied LSN stays where it was. An empty snapshot only moves the LSN.
 func (db *DB) RestoreSnapshot(pairs []LogEntry, snapshotLSN uint64) error {
+	entries := make([]walEntry, len(pairs))
+	var group []groupRecord
+	start, chunkBytes := 0, 0
+	for i, p := range pairs {
+		if len(p.Key) == 0 {
+			return errors.New("store: empty key in snapshot")
+		}
+		if p.Tombstone {
+			return errors.New("store: tombstone in snapshot")
+		}
+		entries[i] = walEntry{key: p.Key, value: p.Value}
+		if chunkBytes += len(p.Key) + len(p.Value); chunkBytes >= restoreChunkBytes || i == len(pairs)-1 {
+			r := groupRecord{lsn: snapshotLSN, entries: entries[start : i+1 : i+1]}
+			if err := checkRecord(nil, r.entries); err != nil {
+				return err
+			}
+			group = append(group, r)
+			start, chunkBytes = i+1, 0
+		}
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -447,52 +472,12 @@ func (db *DB) RestoreSnapshot(pairs []LogEntry, snapshotLSN uint64) error {
 	if snapshotLSN < db.lastLSN {
 		return fmt.Errorf("store: snapshot lsn %d behind applied %d", snapshotLSN, db.lastLSN)
 	}
-	var recs []logRec
-	var chunk []walEntry
-	var chunkBytes int
-	flushChunk := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		payload := encodeLSNRecord(snapshotLSN, nil, chunk)
-		if err := db.wal.writeRecordNoSync(payload); err != nil {
-			return err
-		}
-		recs = append(recs, logRec{lsn: snapshotLSN, payload: payload})
-		db.installLocked(payload)
-		chunk, chunkBytes = chunk[:0], 0
+	if len(group) == 0 {
+		db.lastLSN = snapshotLSN
+		db.notifyTailLocked()
 		return nil
 	}
-	for _, p := range pairs {
-		if len(p.Key) == 0 {
-			return errors.New("store: empty key in snapshot")
-		}
-		if p.Tombstone {
-			return errors.New("store: tombstone in snapshot")
-		}
-		chunk = append(chunk, walEntry{key: p.Key, value: p.Value})
-		chunkBytes += len(p.Key) + len(p.Value)
-		if chunkBytes >= restoreChunkBytes {
-			if err := flushChunk(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flushChunk(); err != nil {
-		return err
-	}
-	if db.opts.SyncWrites {
-		if err := db.wal.sync(); err != nil {
-			return err
-		}
-	}
-	db.activeRecs = append(db.activeRecs, recs...)
-	db.lastLSN = snapshotLSN
-	db.notifyTailLocked()
-	if db.mem.bytes >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
+	return db.commitGroupLocked(group, 0)
 }
 
 // ApplyReplicated commits a run of records shipped from a leader's log,

@@ -744,3 +744,82 @@ func TestRestoreSnapshotChunksLargeState(t *testing.T) {
 		}
 	}
 }
+
+// restorePairs is a snapshot of n 64 KiB values: 70 of them make three
+// restoreChunkBytes records, the first two over 2 MiB each.
+func restorePairs(n int) []LogEntry {
+	pairs := make([]LogEntry, n)
+	for i := range pairs {
+		pairs[i] = LogEntry{Key: []byte(fmt.Sprintf("big%03d", i)), Value: bytes.Repeat([]byte{byte(i)}, 64<<10)}
+	}
+	return pairs
+}
+
+// openFaultyWAL opens a fresh durable store whose WAL goes through a
+// faultOps.
+func openFaultyWAL(t *testing.T) (*DB, *faultOps) {
+	t.Helper()
+	fo := &faultOps{}
+	db, err := Open(t.TempDir(), Options{SyncWrites: true, DisableAutoCompaction: true, FileOps: fo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db, fo
+}
+
+// assertNothingRestored checks that no pair of a failed restore is
+// visible and the applied position has not moved.
+func assertNothingRestored(t *testing.T, db *DB, pairs []LogEntry, applied uint64) {
+	t.Helper()
+	for _, i := range []int{0, len(pairs) / 2, len(pairs) - 1} {
+		if _, err := db.Get(pairs[i].Key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("failed restore left %s visible: %v", pairs[i].Key, err)
+		}
+	}
+	if got := db.AppliedLSN(); got != applied {
+		t.Fatalf("failed restore moved AppliedLSN %d → %d", applied, got)
+	}
+}
+
+// TestRestoreSnapshotWALFaultNothingVisible: a restore is one group
+// commit, so a WAL fault anywhere in it — the second chunk's write, or the
+// sync after the last — fails the whole restore with nothing installed.
+func TestRestoreSnapshotWALFaultNothingVisible(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*faultOps)
+	}{
+		// The first chunk reaches the file in two writes — the buffer's
+		// flush, then the rest of its payload directly — so the third
+		// write is the second chunk's.
+		{"second chunk write", func(f *faultOps) { f.failWALWriteAt = f.walWrites + 3 }},
+		{"sync", func(f *faultOps) { f.failWALSyncAt = f.walSyncs + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, fo := openFaultyWAL(t)
+			pairs := restorePairs(70)
+			tc.arm(fo)
+			if err := db.RestoreSnapshot(pairs, 42); !errors.Is(err, errInjected) {
+				t.Fatalf("RestoreSnapshot = %v, want the injected fault", err)
+			}
+			assertNothingRestored(t, db, pairs, 0)
+		})
+	}
+}
+
+// TestRestoreSnapshotBadPairWritesNothing: every pair is checked before
+// anything is written, so an empty key past the first chunk fails the
+// restore without a byte reaching the WAL.
+func TestRestoreSnapshotBadPairWritesNothing(t *testing.T) {
+	db, fo := openFaultyWAL(t)
+	pairs := append(restorePairs(40), LogEntry{Value: []byte("v")})
+	before := fo.walWrites
+	if err := db.RestoreSnapshot(pairs, 42); err == nil {
+		t.Fatal("RestoreSnapshot accepted an empty key")
+	}
+	if fo.walWrites != before {
+		t.Fatalf("a refused restore made %d WAL writes", fo.walWrites-before)
+	}
+	assertNothingRestored(t, db, pairs[:len(pairs)-1], 0)
+}
