@@ -314,16 +314,19 @@ func checkMetricsFormats(t *testing.T, base string) {
 		t.Fatalf("snapshot_epoch %d, want >= 1 on a live core", m.SnapshotEpoch)
 	}
 	stable := map[string]float64{
-		"spad_users":                    float64(m.Users),
-		"spad_ingest_commits_total":     float64(m.IngestCommits),
-		"spad_ingest_events_total":      float64(m.IngestEvents),
-		"spad_ingest_requests_total":    float64(m.IngestRequests),
-		"spad_snapshot_epoch":           float64(m.SnapshotEpoch),
-		"spad_read_cache_hits_total":    float64(m.ReadCacheHits),
-		"spad_knn_rebuilds_total":       float64(m.KNNRebuilds),
-		"spad_read_cache_misses_total":  float64(m.ReadCacheMisses),
-		"spad_repl_applied_lsn":         float64(m.ReplAppliedLSN),
-		"spad_repl_apply_records_total": float64(m.ReplApplyRecords),
+		"spad_users":                        float64(m.Users),
+		"spad_ingest_commits_total":         float64(m.IngestCommits),
+		"spad_ingest_events_total":          float64(m.IngestEvents),
+		"spad_ingest_requests_total":        float64(m.IngestRequests),
+		"spad_snapshot_epoch":               float64(m.SnapshotEpoch),
+		"spad_read_cache_hits_total":        float64(m.ReadCacheHits),
+		"spad_knn_rebuilds_total":           float64(m.KNNRebuilds),
+		"spad_read_cache_misses_total":      float64(m.ReadCacheMisses),
+		"spad_recommend_index_hits_total":   float64(m.RecommendIndexHits),
+		"spad_recommend_index_misses_total": float64(m.RecommendIndexMisses),
+		"spad_recommend_index_builds_total": float64(m.RecommendIndexBuilds),
+		"spad_repl_applied_lsn":             float64(m.ReplAppliedLSN),
+		"spad_repl_apply_records_total":     float64(m.ReplApplyRecords),
 		// The cluster series render on every daemon (zeros outside cluster
 		// mode), so their presence is part of the stable contract.
 		"spad_cluster_epoch":         float64(m.ClusterEpoch),
@@ -561,9 +564,12 @@ func testServe(t *testing.T) {
 	if code != http.StatusConflict || json.Unmarshal(raw, &apiErr) != nil || apiErr.Error == "" {
 		t.Fatalf("select-top: %d %s, want 409 with an error", code, raw)
 	}
-	if m := metrics(t, d.url()); m.SnapshotEpoch < 1 || m.ReadCacheHits+m.ReadCacheMisses < 1 {
-		t.Fatalf("read path unaccounted: snapshot_epoch %d, cache %d+%d",
-			m.SnapshotEpoch, m.ReadCacheHits, m.ReadCacheMisses)
+	// User 1 has a row, so its ranking ranked every shard, by index or by
+	// scan.
+	if m := metrics(t, d.url()); m.SnapshotEpoch < 1 || m.ReadCacheHits+m.ReadCacheMisses < 1 ||
+		m.RecommendIndexHits+m.RecommendIndexMisses < 1 {
+		t.Fatalf("read path unaccounted: snapshot_epoch %d, cache %d+%d, shard rankings %d+%d",
+			m.SnapshotEpoch, m.ReadCacheHits, m.ReadCacheMisses, m.RecommendIndexHits, m.RecommendIndexMisses)
 	}
 
 	// SIGTERM mid-stream, once the stream has two acks: the daemon drains

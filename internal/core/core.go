@@ -104,6 +104,9 @@ type SPA struct {
 	// Read-path counters (snapshot.go ReadStats).
 	readCacheHits   atomic.Uint64
 	readCacheMisses atomic.Uint64
+	rankIndexHits   atomic.Uint64
+	rankIndexMisses atomic.Uint64
+	rankIndexBuilds atomic.Uint64
 }
 
 // ErrNoProfile is returned for operations on unregistered users.
@@ -351,9 +354,6 @@ func (s *SPA) AssignMessage(userID uint64, product messaging.Product) (messaging
 	}
 	return s.msgdb.Assign(product, s.model.Sensibilities(p), s.threshold, s.policy)
 }
-
-// MessageDB exposes the message database (priority configuration etc.).
-func (s *SPA) MessageDB() *messaging.DB { return s.msgdb }
 
 // StoreStats snapshots the embedded store's internals for health/metrics
 // reporting; ok is false on an in-memory-only instance.

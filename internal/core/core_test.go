@@ -341,16 +341,6 @@ func TestBadParamsRejected(t *testing.T) {
 	}
 }
 
-func TestMessageDBAccessible(t *testing.T) {
-	s := newSPA(t, "")
-	if s.MessageDB() == nil {
-		t.Fatal("nil message db")
-	}
-	if err := s.MessageDB().SetPriority(emotion.Lively, 9); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkFacadeSubmitAnswer(b *testing.B) {
 	s, err := New(Options{Clock: clock.NewSimulated(t0)})
 	if err != nil {

@@ -428,23 +428,81 @@ func TestRecommendCacheIgnoresShardCount(t *testing.T) {
 	}
 }
 
+// sessionMixEvents is bench's session_mix matrix after a long window:
+// perUser events per user, then sessions of 4-24 events for users drawn by
+// zipf(1.07) (user 1 the hottest). Actions follow zipf(1.05); 70 % clicks,
+// 20 % ratings (weightless), 10 % enrolments. Times rise one second per
+// event from at.
+func sessionMixEvents(seed int64, users, perUser, sessions int, at time.Time) []lifelog.Event {
+	r := rand.New(rand.NewSource(seed))
+	zu := rand.NewZipf(r, 1.07, 1, uint64(users-1))
+	za := rand.NewZipf(r, 1.05, 1, lifelog.ActionUniverse-1)
+	var evs []lifelog.Event
+	add := func(u uint64) {
+		typ := lifelog.EventClick
+		switch x := r.Float64(); {
+		case x >= 0.9:
+			typ = lifelog.EventEnroll
+		case x >= 0.7:
+			typ = lifelog.EventRating
+		}
+		evs = append(evs, lifelog.Event{UserID: u, Time: at.Add(time.Duration(len(evs)) * time.Second),
+			Type: typ, Action: uint32(za.Uint64())})
+	}
+	for u := uint64(1); u <= uint64(users); u++ {
+		for range perUser {
+			add(u)
+		}
+	}
+	for range sessions {
+		u := zu.Uint64() + 1
+		for range 4 + r.Intn(21) {
+			add(u)
+		}
+	}
+	return evs
+}
+
 // BenchmarkRecommendAfterWrite is the read that follows a write: each op, a
 // zipf-hot user ingests 12 events, then asks for 10 recommendations.
+//
+// "aged" is session_mix's matrix after 16,384 sessions (sessionMixEvents):
+// hot rows hold hundreds of actions. "spread" is the same matrix, but each
+// op's wave also clicks once for one random user of every shard, so no
+// ranking finds a shard snapshot an earlier ranking saw — the path of a
+// follower that reads once per shipped run.
 func BenchmarkRecommendAfterWrite(b *testing.B) {
-	for _, shape := range []struct{ users, events int }{{8192, 8}, {4096, 64}} {
-		b.Run(fmt.Sprintf("users=%d/events=%d", shape.users, shape.events), func(b *testing.B) {
+	for _, shape := range []struct {
+		name                    string
+		users, events, sessions int
+		spread                  bool
+	}{
+		{"users=8192/events=8", 8192, 8, 0, false},
+		{"users=4096/events=64", 4096, 64, 0, false},
+		{"aged", 8192, 8, 16384, false},
+		{"spread", 8192, 8, 16384, true},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
 			s, err := New(Options{Clock: clock.NewSimulated(t0)})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
+			byShard := make([][]uint64, len(s.shards))
 			for id := uint64(1); id <= uint64(shape.users); id++ {
 				if err := s.Register(id, nil); err != nil {
 					b.Fatal(err)
 				}
+				i, _ := s.place(id)
+				byShard[i] = append(byShard[i], id)
 			}
 			at := t0.Add(-200 * time.Hour)
-			evs := zipfEvents(1, shape.users, shape.users*shape.events, at)
+			var evs []lifelog.Event
+			if shape.sessions > 0 {
+				evs = sessionMixEvents(1, shape.users, shape.events, shape.sessions, at)
+			} else {
+				evs = zipfEvents(1, shape.users, shape.users*shape.events, at)
+			}
 			for lo := 0; lo < len(evs); lo += 4096 {
 				if _, _, err := s.BatchIngest(evs[lo:min(lo+4096, len(evs))]); err != nil {
 					b.Fatal(err)
@@ -453,15 +511,23 @@ func BenchmarkRecommendAfterWrite(b *testing.B) {
 			r := rand.New(rand.NewSource(2))
 			zu := rand.NewZipf(r, 1.07, 1, uint64(shape.users-1))
 			next := at.Add(time.Duration(len(evs)) * time.Second)
-			op := make([]lifelog.Event, 12)
+			op := make([]lifelog.Event, 12, 12+len(byShard))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u := zu.Uint64() + 1
+				op = op[:12]
 				for j := range op {
 					op[j] = lifelog.Event{UserID: u, Time: next, Type: lifelog.EventClick,
 						Action: uint32(r.Intn(lifelog.ActionUniverse))}
 					next = next.Add(time.Second)
+				}
+				if shape.spread {
+					for _, ids := range byShard {
+						op = append(op, lifelog.Event{UserID: ids[r.Intn(len(ids))], Time: next,
+							Type: lifelog.EventClick, Action: uint32(r.Intn(lifelog.ActionUniverse))})
+						next = next.Add(time.Second)
+					}
 				}
 				if _, _, err := s.BatchIngest(op); err != nil {
 					b.Fatal(err)

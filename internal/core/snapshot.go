@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/keyspace"
 	"repro/internal/lifelog"
@@ -17,9 +18,10 @@ import (
 // waves, slot drops — builds the shard's next snapshot from the
 // current one while holding the shard's write lock, and every read path
 // loads the current snapshot through an atomic pointer and never touches
-// sh.mu. A snapshot is immutable after publish, and so is every profile it
-// points to: writers change a profile by installing a modified copy, never
-// by mutating the published value.
+// sh.mu. A snapshot's user state is immutable after publish, and so is
+// every profile it points to: writers change a profile by installing a
+// modified copy, never by mutating the published value. Only the rank
+// index readers attach to it (recommend.go) changes after publish.
 //
 // A snapshot is a fixed array of copy-on-write buckets, one per keyspace
 // slot resident in the shard (256/S buckets for S ≤ 256 shards, one per
@@ -53,6 +55,13 @@ const inlineBuckets = 16
 type shardSnap struct {
 	buckets []*bucket
 	inline  [inlineBuckets]*bucket
+	// index is the rank index readers rank this shard from (recommend.go):
+	// inherited from the previous snapshot by clone, replaced by a reader's
+	// CAS when rankIndexFor rebuilds it. ranked records that a reader has
+	// ranked this snapshot. They are the only fields of a published
+	// snapshot that change, and only readers change them.
+	index  atomic.Pointer[rankIndex]
+	ranked atomic.Bool
 }
 
 // bucket is one keyspace slot's share of a shard: its resident profiles and
@@ -96,8 +105,8 @@ func newShardSnap(nbuckets int) *shardSnap {
 }
 
 // clone returns the next snapshot's starting point: a new header sharing
-// every bucket with sn, which the caller swaps buckets of before it
-// publishes.
+// every bucket and the rank index with sn, which the caller swaps buckets of
+// before it publishes.
 func (sn *shardSnap) clone() *shardSnap {
 	next := &shardSnap{}
 	if n := len(sn.buckets); n <= inlineBuckets {
@@ -106,6 +115,7 @@ func (sn *shardSnap) clone() *shardSnap {
 		next.buckets = make([]*bucket, n)
 	}
 	copy(next.buckets, sn.buckets)
+	next.index.Store(sn.index.Load())
 	return next
 }
 
@@ -353,6 +363,14 @@ type ReadStats struct {
 	// Process-local, reset to zero on restart.
 	ReadCacheHits   uint64
 	ReadCacheMisses uint64
+	// RankIndexHits / RankIndexMisses count shard rankings — one per shard
+	// per recommend-cache miss of a user with a CF row — served by the
+	// shard snapshot's rank index and by a scan of its rows;
+	// RankIndexBuilds counts rank index builds (recommend.go).
+	// Process-local.
+	RankIndexHits   uint64
+	RankIndexMisses uint64
+	RankIndexBuilds uint64
 }
 
 // ReadStats reports the read-path counters.
@@ -361,5 +379,8 @@ func (s *SPA) ReadStats() ReadStats {
 		SnapshotEpoch:   s.epoch.Load(),
 		ReadCacheHits:   s.readCacheHits.Load(),
 		ReadCacheMisses: s.readCacheMisses.Load(),
+		RankIndexHits:   s.rankIndexHits.Load(),
+		RankIndexMisses: s.rankIndexMisses.Load(),
+		RankIndexBuilds: s.rankIndexBuilds.Load(),
 	}
 }

@@ -67,6 +67,12 @@ func writePromMetrics(w io.Writer, m wire.Metrics) error {
 			Samples: []obs.PromSample{{Value: float64(m.ReadCacheHits)}}},
 		{Name: "spad_read_cache_misses_total", Help: "Recommend-cache misses on the lock-free read path.", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(m.ReadCacheMisses)}}},
+		{Name: "spad_recommend_index_hits_total", Help: "Shard rankings served by the shard snapshot's rank index.", Type: "counter",
+			Samples: []obs.PromSample{{Value: float64(m.RecommendIndexHits)}}},
+		{Name: "spad_recommend_index_misses_total", Help: "Shard rankings served by a scan of the shard's CF rows.", Type: "counter",
+			Samples: []obs.PromSample{{Value: float64(m.RecommendIndexMisses)}}},
+		{Name: "spad_recommend_index_builds_total", Help: "Rank index builds, one shard each.", Type: "counter",
+			Samples: []obs.PromSample{{Value: float64(m.RecommendIndexBuilds)}}},
 		{Name: "spad_knn_rebuilds_total", Help: "Retired, always 0: recommendations rank from the snapshot rows and no CF model is rebuilt.", Type: "counter",
 			Samples: []obs.PromSample{{Value: float64(m.KNNRebuilds)}}},
 		{Name: "spad_durable", Help: "1 when the core runs on a durable store.", Type: "gauge",

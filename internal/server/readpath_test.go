@@ -67,8 +67,10 @@ func TestSelectTopPartialAnswers200WithSkipped(t *testing.T) {
 
 // TestReadPathMetricsHygiene pins the read-path gauges across both
 // exposition formats: a fresh server starts at epoch >= 1 with zeroed
-// cache counters, the epoch rises monotonically with ingest, and the
-// Prometheus series always agree with the JSON snapshot.
+// cache and rank-index counters, the epoch rises monotonically with
+// ingest, a snapshot's first ranking scans every shard and its second
+// builds and reads the shards' rank indexes, and the Prometheus series
+// always agree with the JSON snapshot.
 func TestReadPathMetricsHygiene(t *testing.T) {
 	ts, spa := testServer(t, core.Options{Shards: 2}, Options{})
 	if err := spa.Register(1, nil); err != nil {
@@ -98,10 +100,13 @@ func TestReadPathMetricsHygiene(t *testing.T) {
 			return 0
 		}
 		checks := map[string]float64{
-			"spad_snapshot_epoch":          float64(m.SnapshotEpoch),
-			"spad_read_cache_hits_total":   float64(m.ReadCacheHits),
-			"spad_read_cache_misses_total": float64(m.ReadCacheMisses),
-			"spad_knn_rebuilds_total":      float64(m.KNNRebuilds),
+			"spad_snapshot_epoch":               float64(m.SnapshotEpoch),
+			"spad_read_cache_hits_total":        float64(m.ReadCacheHits),
+			"spad_read_cache_misses_total":      float64(m.ReadCacheMisses),
+			"spad_knn_rebuilds_total":           float64(m.KNNRebuilds),
+			"spad_recommend_index_hits_total":   float64(m.RecommendIndexHits),
+			"spad_recommend_index_misses_total": float64(m.RecommendIndexMisses),
+			"spad_recommend_index_builds_total": float64(m.RecommendIndexBuilds),
 		}
 		for series, want := range checks {
 			if got := get(series); got != want {
@@ -116,7 +121,8 @@ func TestReadPathMetricsHygiene(t *testing.T) {
 	if m0.SnapshotEpoch < 1 {
 		t.Fatalf("fresh snapshot_epoch %d, want >= 1", m0.SnapshotEpoch)
 	}
-	if m0.ReadCacheHits != 0 || m0.ReadCacheMisses != 0 || m0.KNNRebuilds != 0 {
+	if m0.ReadCacheHits != 0 || m0.ReadCacheMisses != 0 || m0.KNNRebuilds != 0 ||
+		m0.RecommendIndexHits != 0 || m0.RecommendIndexMisses != 0 || m0.RecommendIndexBuilds != 0 {
 		t.Fatalf("fresh read counters not zero: %+v", m0)
 	}
 	crossCheck(m0)
@@ -145,5 +151,22 @@ func TestReadPathMetricsHygiene(t *testing.T) {
 	if m1.ReadCacheMisses != 1 || m1.ReadCacheHits != 1 || m1.KNNRebuilds != 0 {
 		t.Fatalf("read counters after two pulls: %+v", m1)
 	}
+	// The one ranking was the first against both shard snapshots: both
+	// scanned, nothing built.
+	if m1.RecommendIndexHits != 0 || m1.RecommendIndexMisses != 2 || m1.RecommendIndexBuilds != 0 {
+		t.Fatalf("rank index counters after the first ranking: %+v", m1)
+	}
 	crossCheck(m1)
+
+	// Another n misses the cache and ranks the same snapshots again: the
+	// second reader builds each shard's index and ranks from it.
+	var rec wire.RecommendResponse
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/users/1/recommendations?n=2", nil, &rec); code != http.StatusOK {
+		t.Fatalf("recommend: %d", code)
+	}
+	m2 := snapshot()
+	if m2.ReadCacheMisses != 2 || m2.RecommendIndexHits != 2 || m2.RecommendIndexMisses != 2 || m2.RecommendIndexBuilds != 2 {
+		t.Fatalf("rank index counters after a second ranking: %+v", m2)
+	}
+	crossCheck(m2)
 }

@@ -215,10 +215,9 @@ func New(spa *core.SPA, opts Options) *Server {
 	return s
 }
 
-// IsFollower reports whether this server replicates from a leader; Leader
-// names it (host:port) when so.
-func (s *Server) IsFollower() bool { return s.followerOf != "" }
-func (s *Server) Leader() string   { return s.followerOf }
+// Leader names the leader (host:port) this server replicates from; empty
+// on a leader.
+func (s *Server) Leader() string { return s.followerOf }
 
 // rejectFollowerWrite answers a write on a follower: 421 Misdirected
 // Request plus an X-SPA-Leader header naming where writes belong. Returns
@@ -827,6 +826,9 @@ func (s *Server) snapshotMetrics() wire.Metrics {
 	m.SnapshotEpoch = rs.SnapshotEpoch
 	m.ReadCacheHits = rs.ReadCacheHits
 	m.ReadCacheMisses = rs.ReadCacheMisses
+	m.RecommendIndexHits = rs.RankIndexHits
+	m.RecommendIndexMisses = rs.RankIndexMisses
+	m.RecommendIndexBuilds = rs.RankIndexBuilds
 	if st, ok := s.spa.StoreStats(); ok {
 		m.Durable = true
 		m.StoreSegments = st.Segments

@@ -126,15 +126,6 @@ func (r AttributesRequest) ToAttributes() ([]emotion.Attribute, error) {
 	return out, nil
 }
 
-// AttributeNames is the inverse of AttributesRequest.ToAttributes.
-func AttributeNames(attrs []emotion.Attribute) []string {
-	out := make([]string, len(attrs))
-	for i, a := range attrs {
-		out[i] = a.String()
-	}
-	return out
-}
-
 // PropensityResponse is the calibrated response probability.
 type PropensityResponse struct {
 	Propensity float64 `json:"propensity"`
@@ -315,14 +306,20 @@ type Metrics struct {
 	// Read path (core epoch snapshots, DESIGN.md §8). SnapshotEpoch is the
 	// current read-snapshot generation (1 after open, +1 per shard
 	// publish; process-local). ReadCacheHits/Misses count recommend-cache
-	// outcomes. KNNRebuilds is retired and always 0: the
+	// outcomes. RecommendIndexHits/Misses count shard rankings served by a
+	// shard snapshot's rank index and by a scan of its rows, and
+	// RecommendIndexBuilds counts rank index builds (one shard each).
+	// KNNRebuilds is retired and always 0: the
 	// recommender ranks straight from the snapshot rows and has no model to
 	// rebuild. The field and its series stay so existing scrapers keep
 	// parsing.
-	SnapshotEpoch   uint64 `json:"snapshot_epoch"`
-	ReadCacheHits   uint64 `json:"read_cache_hits"`
-	ReadCacheMisses uint64 `json:"read_cache_misses"`
-	KNNRebuilds     uint64 `json:"knn_rebuilds"`
+	SnapshotEpoch        uint64 `json:"snapshot_epoch"`
+	ReadCacheHits        uint64 `json:"read_cache_hits"`
+	ReadCacheMisses      uint64 `json:"read_cache_misses"`
+	RecommendIndexHits   uint64 `json:"recommend_index_hits"`
+	RecommendIndexMisses uint64 `json:"recommend_index_misses"`
+	RecommendIndexBuilds uint64 `json:"recommend_index_builds"`
+	KNNRebuilds          uint64 `json:"knn_rebuilds"`
 
 	// Store internals; zero-valued with Durable=false.
 	Durable           bool   `json:"durable"`
