@@ -44,9 +44,12 @@
 // /v1/ingest/stream. The Go client (internal/spaclient) always sends the
 // binary framing, and a refused stream is an error to it, not a cue to
 // fall back. The ingest queue (256 requests; a full queue answers 503 +
-// Retry-After), the wave cap (64 requests per group commit) and the core's
-// 16 profile shards (a memory layout; the store's keys do not depend on
-// it) are fixed. SIGTERM drains streams too: live sessions get a drain
+// Retry-After), the wave cap (64 requests per group commit), the body cap
+// (8 MiB per request or stream frame; larger answers 413), the stream
+// credit window (32 frames in flight per stream), the drain wait (5 s for a
+// stream client to acknowledge the drain frame) and the core's 16 profile
+// shards (a memory layout; the store's keys do not depend on it) are
+// fixed. SIGTERM drains streams too: live sessions get a drain
 // frame, their in-flight frames commit and are answered, then the
 // coalescer and store close. /readyz flips to 503 "draining" the moment
 // the signal arrives — before the listener shuts — so load balancers

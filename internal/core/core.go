@@ -3,7 +3,8 @@
 // of the paper's Fig. 3 around a persistent profile store:
 //
 //  1. LifeLogs Pre-processor Agent — BatchIngest runs raw events
-//     through an elastic agent pool into session/feature extraction,
+//     through session/feature extraction, fanned out over at most
+//     GOMAXPROCS workers,
 //  2. Smart Component — TrainPropensity / Propensity wrap the calibrated
 //     linear SVM,
 //  3. Attributes Manager Agent — Sensibilities / DominantAttributes expose
@@ -62,6 +63,9 @@ type Options struct {
 	// Policy is the multi-match messaging rule (default BySensibility,
 	// the paper's case 3.c.ii).
 	Policy messaging.Policy
+	// ActionTagger tags actions with the emotional attributes
+	// RecommendActions re-weights them by; nil ranks by CF alone.
+	ActionTagger ActionTagger
 }
 
 // SPA is the Smart Prediction Assistant. All methods are safe for
@@ -74,6 +78,7 @@ type SPA struct {
 	clk       clock.Clock
 	threshold float64
 	policy    messaging.Policy
+	tagger    ActionTagger
 
 	shards []*shard
 	mask   uint64
@@ -96,10 +101,8 @@ type SPA struct {
 	prop        atomic.Pointer[propIndex]
 	propBuildMu sync.Mutex
 
-	// Recommendation-function state (see recommend.go): the action tagger
-	// and the recommend cache's stripes.
-	tagger atomic.Pointer[ActionTagger]
-	recs   [recStripes]atomic.Pointer[recStripe]
+	// The recommend cache's stripes (recommend.go).
+	recs [recStripes]atomic.Pointer[recStripe]
 
 	// Read-path counters (snapshot.go ReadStats).
 	readCacheHits   atomic.Uint64
@@ -143,6 +146,7 @@ func New(opts Options) (*SPA, error) {
 		clk:       clk,
 		threshold: threshold,
 		policy:    opts.Policy,
+		tagger:    opts.ActionTagger,
 	}
 	n := shardCount(opts.Shards)
 	s.mask = uint64(n - 1)
@@ -214,47 +218,56 @@ func (s *SPA) Register(userID uint64, objective []float64) error {
 	if userID == 0 {
 		return errors.New("core: zero user id")
 	}
-	sh, c := s.locate(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.snap.Load().profile(c, userID) != nil {
-		return fmt.Errorf("%w: %d", ErrAlreadyRegistered, userID)
-	}
-	p := sum.NewProfile(userID, s.clk.Now())
-	p.Objective = append([]float64(nil), objective...)
-	p.Subjective = make([]float64, lifelog.DenseLen)
-	return s.persistAndPublishLocked(sh, p)
-}
-
-// persistAndPublishLocked is the single-profile commit: write the new
-// profile through to the store, and only once that succeeded install it in
-// the shard's next snapshot — a failed write leaves the read state exactly
-// as it was. The caller holds sh.mu, which orders store writes for the user.
-func (s *SPA) persistAndPublishLocked(sh *shard, p *sum.Profile) error {
-	if s.db != nil {
-		if err := sum.Save(s.db, p); err != nil {
-			return err
+	return s.writeProfile(userID, func(cur *sum.Profile) (*sum.Profile, error) {
+		if cur != nil {
+			return nil, fmt.Errorf("%w: %d", ErrAlreadyRegistered, userID)
 		}
-	}
-	s.publishShardLocked(sh, []profChange{{id: p.UserID, p: p}}, nil, nil)
-	return nil
+		p := sum.NewProfile(userID, s.clk.Now())
+		p.Objective = append([]float64(nil), objective...)
+		p.Subjective = make([]float64, lifelog.DenseLen)
+		return p, nil
+	})
 }
 
 // updateProfile runs a single-profile mutation on a private copy of the
 // user's current profile, then persists and installs the copy.
 func (s *SPA) updateProfile(userID uint64, mutate func(p *sum.Profile) error) error {
-	sh, c := s.locate(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.snap.Load().profile(c, userID)
-	if cur == nil {
-		return fmt.Errorf("%w: %d", ErrNoProfile, userID)
-	}
-	p := *cur
-	if err := mutate(&p); err != nil {
-		return err
-	}
-	return s.persistAndPublishLocked(sh, &p)
+	return s.writeProfile(userID, func(cur *sum.Profile) (*sum.Profile, error) {
+		if cur == nil {
+			return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
+		}
+		p := *cur
+		if err := mutate(&p); err != nil {
+			return nil, err
+		}
+		return &p, nil
+	})
+}
+
+// writeProfile is the single-profile commit, one group through
+// commitGroups: under the shard's write lock, next derives the user's new
+// profile from the resident one (nil when absent); the new profile is
+// written through to the store and, only once that succeeded, installed in
+// the shard's next snapshot — a failed write leaves the read state exactly
+// as it was. The shard lock orders store writes for the user.
+func (s *SPA) writeProfile(userID uint64, next func(cur *sum.Profile) (*sum.Profile, error)) error {
+	i, c := s.place(userID)
+	var change [1]profChange
+	groups := [1]preparedGroup{{shardIdx: i}}
+	return s.commitGroups(groups[:], func() error {
+		p, err := next(s.shards[i].snap.Load().profile(c, userID))
+		if err != nil {
+			return err
+		}
+		if s.db != nil {
+			if err := sum.Save(s.db, p); err != nil {
+				return err
+			}
+		}
+		change[0] = profChange{id: userID, p: p}
+		groups[0].digests = change[:]
+		return nil
+	})
 }
 
 // Users returns the number of registered profiles. Lock-free by design:

@@ -168,14 +168,14 @@ func (pm *PreparedMulti) Commit() []IngestOutcome {
 	return pm.out
 }
 
-// commitGroups is the one install routine of every multi-shard write — a
-// local wave, a follower's shipped run, a handoff target's run. It
-// write-locks the groups' shards once, in ascending index order (the
-// groups are sorted by shard), runs write, and only if write succeeded
-// publishes each group's profiles and events — a group with neither
-// publishes nothing, so its shard's snapshot and the epoch stay put. One
-// CF delta buffer, sized for the largest group, serves every publish in
-// turn and dies with the call.
+// commitGroups is the one install routine of every write — a local wave,
+// a follower's shipped run, a handoff target's run, a single-profile write
+// (writeProfile). It write-locks the groups' shards once, in ascending
+// index order (the groups are sorted by shard), runs write, and only if
+// write succeeded publishes each group's profiles and events — a group
+// with neither publishes nothing, so its shard's snapshot and the epoch
+// stay put. One CF delta buffer, sized for the largest group, serves every
+// publish in turn and dies with the call.
 func (s *SPA) commitGroups(groups []preparedGroup, write func() error) error {
 	most := 0
 	for i := range groups {

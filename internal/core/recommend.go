@@ -33,9 +33,8 @@ import (
 // build once and later snapshots inherit) is ranked term at a time from
 // it, rescanning only the pages published since; any other shard is
 // scanned row by row. On top of that, one process-wide cache remembers
-// finished rankings, keyed on the (snapshot epoch, tagger) they were
-// computed under: any publish anywhere and any tagger swap retire every
-// entry at once.
+// finished rankings, keyed on the snapshot epoch they were computed under:
+// any publish anywhere retires every entry at once.
 
 // ErrNoInteractions is returned by RecommendActions before any interaction
 // has been ingested — there is nothing for collaborative filtering to rank
@@ -49,20 +48,9 @@ const neighbourK = 25
 
 // ActionTagger maps an action ordinal to the emotional attributes its
 // content exercises (e.g. a fast-paced bootcamp page → stimulated,
-// impatient). A nil tagger disables emotional re-weighting.
+// impatient). It is fixed at New (Options.ActionTagger); a nil tagger
+// disables emotional re-weighting.
 type ActionTagger func(action uint32) []emotion.Attribute
-
-// SetActionTagger installs the tagger used by RecommendActions. Cached
-// rankings are keyed on the tagger they were ranked with, so a ranking
-// still running under the previous one is cached under a key that never
-// matches again.
-func (s *SPA) SetActionTagger(t ActionTagger) {
-	if t == nil {
-		s.tagger.Store(nil)
-	} else {
-		s.tagger.Store(&t)
-	}
-}
 
 // interactionWeight grades event types for the CF matrix: transactions are
 // stronger preference evidence than clicks.
@@ -92,12 +80,11 @@ const (
 )
 
 // recStripe is one stripe of the recommend cache: finished rankings valid
-// only for the exact (epoch, tagger) they were computed under. The map is
+// only for the exact epoch they were computed under. The map is
 // immutable after publish; inserts CAS a rebuilt stripe in and simply give
 // up on contention (the cache is best-effort).
 type recStripe struct {
 	epoch   uint64
-	tagger  *ActionTagger
 	entries map[uint64]recEntry
 }
 
@@ -108,12 +95,12 @@ type recEntry struct {
 }
 
 // cacheRanking publishes a ranking into the user's stripe st, keyed to the
-// epoch and tagger it was computed under. Lock-free: lost CAS races just
-// skip the insert, and an entry under a superseded key is never read.
-func cacheRanking(st *atomic.Pointer[recStripe], epoch uint64, tagger *ActionTagger, userID uint64, n int, recs []cf.Recommendation) {
+// epoch it was computed under. Lock-free: lost CAS races just skip the
+// insert, and an entry under a superseded epoch is never read.
+func cacheRanking(st *atomic.Pointer[recStripe], epoch, userID uint64, n int, recs []cf.Recommendation) {
 	cur := st.Load()
-	next := &recStripe{epoch: epoch, tagger: tagger}
-	if cur != nil && cur.epoch == epoch && cur.tagger == tagger && len(cur.entries) < recStripeCap {
+	next := &recStripe{epoch: epoch}
+	if cur != nil && cur.epoch == epoch && len(cur.entries) < recStripeCap {
 		next.entries = make(map[uint64]recEntry, len(cur.entries)+1)
 		for id, e := range cur.entries {
 			next.entries[id] = e
@@ -136,9 +123,8 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 	// Epoch before snapshots: every writer stores its snapshot and then
 	// bumps the epoch before it returns, so a ranking that straddles a
 	// publish is cached under an epoch no later read loads — never wrongly
-	// fresh. The tagger is loaded once and ranks under the key it names.
+	// fresh.
 	epoch := s.epoch.Load()
-	tagger := s.tagger.Load()
 	// Identity before CF state: an unknown user is ErrNoProfile even on a
 	// cold system where ranking would fail with ErrNoInteractions — callers
 	// (and the serving layer's 404-vs-409 mapping) must not see a
@@ -150,36 +136,35 @@ func (s *SPA) RecommendActions(userID uint64, n int) ([]cf.Recommendation, error
 		return nil, fmt.Errorf("%w: %d", ErrNoProfile, userID)
 	}
 	stripe := &s.recs[keyspace.Mix64(userID)&(recStripes-1)]
-	if st := stripe.Load(); st != nil && st.epoch == epoch && st.tagger == tagger {
+	if st := stripe.Load(); st != nil && st.epoch == epoch {
 		if e, hit := st.entries[userID]; hit && e.n == n {
 			s.readCacheHits.Add(1)
 			return append([]cf.Recommendation(nil), e.recs...), nil
 		}
 	}
 	s.readCacheMisses.Add(1)
-	recs, err := s.rankActions(snap, c, p, tagger, userID, n)
+	recs, err := s.rankActions(snap, c, p, userID, n)
 	if err != nil {
 		return nil, err
 	}
-	cacheRanking(stripe, epoch, tagger, userID, n, recs)
+	cacheRanking(stripe, epoch, userID, n, recs)
 	return recs, nil
 }
 
 // rankActions runs the CF ranking and the emotional re-weighting for one
-// frozen profile under the given tagger (nil: none); snap is the user's
-// shard snapshot at cell c.
-func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, tagger *ActionTagger, userID uint64, n int) ([]cf.Recommendation, error) {
+// frozen profile; snap is the user's shard snapshot at cell c.
+func (s *SPA) rankActions(snap *shardSnap, c cell, p *sum.Profile, userID uint64, n int) ([]cf.Recommendation, error) {
 	// Over-fetch so emotional re-ranking has candidates to promote.
 	fetch := max(n*3, 10)
 	recs, err := s.rankCF(snap, c, userID, fetch)
 	if err != nil {
 		return nil, err
 	}
-	if tagger != nil {
+	if s.tagger != nil {
 		adv := s.model.Advise(p, "training")
 		for i := range recs {
 			boost := 0.0
-			for _, attr := range (*tagger)(recs[i].Action) {
+			for _, attr := range s.tagger(recs[i].Action) {
 				if int(attr) >= 0 && int(attr) < emotion.NumAttributes {
 					boost += adv.Excitation[attr]
 				}

@@ -79,18 +79,8 @@ func TestRecommendActionsErrors(t *testing.T) {
 }
 
 func TestRecommendActionsEmotionalReweighting(t *testing.T) {
-	s := newSPA(t, "")
-	for id := uint64(1); id <= 4; id++ {
-		s.Register(id, nil)
-	}
-	// User 1's neighbors expose two candidate actions equally: 100 and 200.
-	ingestClicks(t, s, map[uint64][]uint32{
-		1: {10, 11},
-		2: {10, 11, 100},
-		3: {10, 11, 200},
-	})
 	// Tag action 100 as "stimulated" content, 200 as "frightened" content.
-	s.SetActionTagger(func(a uint32) []emotion.Attribute {
+	s, err := New(Options{Clock: clock.NewSimulated(t0), ActionTagger: func(a uint32) []emotion.Attribute {
 		switch a {
 		case 100:
 			return []emotion.Attribute{emotion.Stimulated}
@@ -99,6 +89,19 @@ func TestRecommendActionsEmotionalReweighting(t *testing.T) {
 		default:
 			return nil
 		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for id := uint64(1); id <= 4; id++ {
+		s.Register(id, nil)
+	}
+	// User 1's neighbors expose two candidate actions equally: 100 and 200.
+	ingestClicks(t, s, map[uint64][]uint32{
+		1: {10, 11},
+		2: {10, 11, 100},
+		3: {10, 11, 200},
 	})
 	// Build strong positive sensibility for Stimulated on user 1.
 	for i := 0; i < 8; i++ {
@@ -334,59 +337,6 @@ func TestRecommendReadsItsWrite(t *testing.T) {
 		if !slices.ContainsFunc(recs, func(r cf.Recommendation) bool { return r.Action == a }) {
 			t.Fatalf("action %d acked but missing from %v", a, recs)
 		}
-	}
-}
-
-// TestRecommendTaggerSwapDropsInFlightRanking: a ranking still running under
-// a replaced tagger finishes after the swap; the next call must rank under
-// the new tagger, not be served the old ranking from the cache.
-func TestRecommendTaggerSwapDropsInFlightRanking(t *testing.T) {
-	s := newSPA(t, "")
-	for id := uint64(1); id <= 3; id++ {
-		s.Register(id, nil)
-	}
-	ingestClicks(t, s, map[uint64][]uint32{
-		1: {10, 11},
-		2: {10, 11, 100},
-		3: {10, 11, 200},
-	})
-	for i := 0; i < 8; i++ {
-		if err := s.Reward(1, []emotion.Attribute{emotion.Stimulated}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stimulating := func(action uint32) ActionTagger {
-		return func(a uint32) []emotion.Attribute {
-			if a == action {
-				return []emotion.Attribute{emotion.Stimulated}
-			}
-			return nil
-		}
-	}
-	started, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	old := stimulating(100)
-	s.SetActionTagger(func(a uint32) []emotion.Attribute {
-		once.Do(func() { close(started); <-release })
-		return old(a)
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.RecommendActions(1, 2)
-		done <- err
-	}()
-	<-started
-	s.SetActionTagger(stimulating(200))
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	recs, err := s.RecommendActions(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].Action != 200 {
-		t.Fatalf("served the replaced tagger's ranking: %v", recs)
 	}
 }
 

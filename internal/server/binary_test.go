@@ -84,7 +84,7 @@ func TestIngestBinaryJSONEquivalence(t *testing.T) {
 // oversized frames die on the shared body cap with 413, and a malformed
 // event stream inside a well-formed frame still gets the domain's 400.
 func TestIngestBinaryErrors(t *testing.T) {
-	ts, _ := testServer(t, core.Options{Shards: 1}, Options{MaxBodyBytes: 4096})
+	ts, _ := testServer(t, core.Options{Shards: 1}, Options{}, func(s *Server) { s.maxBody = 4096 })
 	if code, _ := doJSON(t, "POST", ts.URL+"/v1/users", wire.RegisterRequest{UserID: 1}, nil); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}

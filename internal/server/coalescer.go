@@ -111,12 +111,6 @@ type coalescer struct {
 }
 
 func newCoalescer(prep wavePreparer, met *metrics, queueDepth, maxBatch int, slowWave time.Duration, logf func(string, ...any)) *coalescer {
-	if queueDepth <= 0 {
-		queueDepth = 256
-	}
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
 	if logf == nil {
 		logf = log.Printf
 	}

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/emotion"
 	"repro/internal/lifelog"
+	"repro/internal/spaclient"
 	"repro/internal/wire"
 )
 
@@ -169,4 +171,66 @@ func TestReadPathMetricsHygiene(t *testing.T) {
 		t.Fatalf("rank index counters after a second ranking: %+v", m2)
 	}
 	crossCheck(m2)
+}
+
+// TestServedRecommendationsEmotionalReweighting: a core built with an
+// action tagger serves the paper's re-weighted ranking over the wire. User
+// 1's neighbours expose actions 100 and 200 with equal CF scores, so the
+// tie alone would rank 100 first; 200 is tagged with the attribute user 1
+// was rewarded toward, and must come first on the HTTP route and through
+// spaclient, both equal to core.RecommendActions.
+func TestServedRecommendationsEmotionalReweighting(t *testing.T) {
+	tagger := func(a uint32) []emotion.Attribute {
+		switch a {
+		case 100:
+			return []emotion.Attribute{emotion.Frightened}
+		case 200:
+			return []emotion.Attribute{emotion.Stimulated}
+		}
+		return nil
+	}
+	ts, spa := testServer(t, core.Options{Shards: 2, ActionTagger: tagger}, Options{})
+	c := spaclient.New(ts.URL, spaclient.Options{})
+	for id := uint64(1); id <= 3; id++ {
+		if err := c.Register(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var evs []lifelog.Event
+	for id, actions := range map[uint64][]uint32{1: {10, 11}, 2: {10, 11, 100}, 3: {10, 11, 200}} {
+		for i, a := range actions {
+			evs = append(evs, lifelog.Event{UserID: id, Time: t0.Add(time.Duration(i) * time.Minute), Type: lifelog.EventClick, Action: a})
+		}
+	}
+	if _, err := c.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	for range 8 {
+		if err := c.Reward(1, []string{emotion.Stimulated.String()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want, err := spa.RecommendActions(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served wire.RecommendResponse
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/users/1/recommendations?n=2", nil, &served); code != http.StatusOK {
+		t.Fatalf("recommend: %d", code)
+	}
+	viaClient, err := c.Recommend(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]wire.Recommendation{"http": served.Recommendations, "spaclient": viaClient} {
+		if len(got) != 2 || got[0].Action != 200 || got[0].Score <= got[1].Score {
+			t.Fatalf("%s: %v, want the rewarded attribute's action 200 first, boosted", name, got)
+		}
+		for i, r := range want {
+			if got[i] != (wire.Recommendation{Action: r.Action, Score: r.Score}) {
+				t.Fatalf("%s: %v, core.RecommendActions %v", name, got, want)
+			}
+		}
+	}
 }

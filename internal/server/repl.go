@@ -60,7 +60,7 @@ const (
 	// chunk holds more only when it is a single larger pair.
 	replSnapshotChunkBytes = 1 << 20
 	// replFrameMax bounds the frames a consumer reads from a producer,
-	// whatever either side's MaxBodyBytes (a cap on request bodies, not on
+	// whatever either side's body cap (maxBody: request bodies, not
 	// what the store commits): a wave frame is one committed record — at
 	// most store.MaxRecordBytes, its leading op byte swapped for the frame
 	// header — and a snapshot chunk is at most replSnapshotChunkBytes of

@@ -210,13 +210,13 @@ func TestReplicationFollowerServesReads(t *testing.T) {
 
 // TestReplicationShipsRecordLargerThanMaxBody: a consumer reads shipped
 // frames up to the store's record cap, not up to the producer's request-body
-// cap — a wave whose record outgrows the leader's MaxBodyBytes still
+// cap — a wave whose record outgrows the leader's body cap (maxBody) still
 // reaches the follower.
 func TestReplicationShipsRecordLargerThanMaxBody(t *testing.T) {
 	const maxBody = 1024
 	leaderTS, leaderSPA := testServer(t,
 		core.Options{DataDir: t.TempDir(), Shards: 1},
-		Options{MaxBodyBytes: maxBody})
+		Options{}, func(s *Server) { s.maxBody = maxBody })
 	var evs []lifelog.Event
 	for user := uint64(1); user <= 4; user++ {
 		if code, _ := doJSON(t, "POST", leaderTS.URL+"/v1/users",
@@ -244,7 +244,7 @@ func TestReplicationShipsRecordLargerThanMaxBody(t *testing.T) {
 	leaderSt := replStatus(t, leaderTS.URL)
 	followerTS, _ := testServer(t,
 		core.Options{DataDir: t.TempDir(), Shards: 1},
-		Options{FollowerOf: leaderTS.URL, MaxBodyBytes: maxBody})
+		Options{FollowerOf: leaderTS.URL}, func(s *Server) { s.maxBody = maxBody })
 	waitCaughtUp(t, followerTS.URL, leaderSt.AppliedLSN)
 	for user := 1; user <= 4; user++ {
 		readBoth(t, leaderTS.URL, followerTS.URL, fmt.Sprintf("/v1/users/%d/sensibilities", user))

@@ -38,26 +38,24 @@ import (
 	"repro/internal/wire"
 )
 
+// The serving layer's fixed limits. Tests that need smaller ones set the
+// Server's fields before serving, or build their own coalescer.
+const (
+	// defaultQueueDepth bounds the pending ingest queue; a full queue
+	// rejects with 503 + Retry-After.
+	defaultQueueDepth = 256
+	// defaultMaxBatch caps how many requests merge into one group commit.
+	defaultMaxBatch = 64
+	// defaultMaxBody caps one request body (and one stream frame); larger
+	// bodies answer 413 before any decoding buffers them.
+	defaultMaxBody = 8 << 20
+)
+
 // Options tune the serving layer. The zero value is a sensible production
-// default: 256-deep pending queue, waves of up to 64 requests.
+// default.
 type Options struct {
-	// QueueDepth bounds the pending ingest queue (default 256). A full
-	// queue rejects with 503 + Retry-After.
-	QueueDepth int
-	// MaxBatch caps how many requests merge into one group commit
-	// (default 64).
-	MaxBatch int
 	// Deprecated: ignored; the pipelined dispatcher is the only one (bench/ still sets it).
 	Pipeline bool
-	// MaxBodyBytes caps one request body (default 8 MiB); larger bodies
-	// answer 413 before any decoding buffers them.
-	MaxBodyBytes int64
-	// StreamWindow is the per-stream credit grant: ingest frames one
-	// stream client may have in flight (default 32).
-	StreamWindow int
-	// StreamDrainWait bounds how long Close waits for a stream client to
-	// acknowledge the drain frame (default 5s).
-	StreamDrainWait time.Duration
 	// SlowWave logs a line for every coalescer wave whose gather→commit
 	// total meets the threshold (spad -slow-wave); zero disables.
 	SlowWave time.Duration
@@ -143,31 +141,16 @@ type Server struct {
 // New wires the handler around an opened SPA. The caller keeps ownership of
 // the SPA: Close drains the serving layer but does not close the core.
 func New(spa *core.SPA, opts Options) *Server {
-	s := &Server{spa: spa, mux: http.NewServeMux(), start: time.Now()}
-	s.maxBody = opts.MaxBodyBytes
-	if s.maxBody <= 0 {
-		s.maxBody = 8 << 20
-	}
-	s.streamWindow = opts.StreamWindow
-	if s.streamWindow <= 0 {
-		s.streamWindow = defaultStreamWindow
-	}
-	if s.streamWindow > wire.MaxStreamCredit {
-		// The hello cannot advertise more — clients reject larger grants
-		// at the handshake, which would kill every stream before its
-		// first frame.
-		s.streamWindow = wire.MaxStreamCredit
-	}
-	s.streamDrainWait = opts.StreamDrainWait
-	if s.streamDrainWait <= 0 {
-		s.streamDrainWait = defaultStreamDrainWait
+	s := &Server{
+		spa: spa, mux: http.NewServeMux(), start: time.Now(),
+		maxBody: defaultMaxBody, streamWindow: defaultStreamWindow, streamDrainWait: defaultStreamDrainWait,
 	}
 	s.accessLog = opts.AccessLog
 	s.logf = opts.Logf
 	if s.logf == nil {
 		s.logf = log.Printf
 	}
-	s.co = newCoalescer(spaPreparer{spa: spa}, &s.met, opts.QueueDepth, opts.MaxBatch, opts.SlowWave, s.logf)
+	s.co = newCoalescer(spaPreparer{spa: spa}, &s.met, defaultQueueDepth, defaultMaxBatch, opts.SlowWave, s.logf)
 	// The store reports WAL-sync and compaction durations straight into the
 	// stage histograms (and tagged syncs into their wave's trace).
 	spa.SetStoreObserver(storeObserver{m: &s.met})

@@ -22,7 +22,9 @@ import (
 )
 
 // testServer boots a full HTTP server around a fresh in-memory core.
-func testServer(t *testing.T, copts core.Options, sopts Options) (*httptest.Server, *core.SPA) {
+// testServer serves a fresh core; each tune runs on the Server before it
+// serves (tests shrink its fixed limits that way).
+func testServer(t *testing.T, copts core.Options, sopts Options, tune ...func(*Server)) (*httptest.Server, *core.SPA) {
 	t.Helper()
 	if copts.Clock == nil {
 		copts.Clock = clock.NewSimulated(t0.Add(24 * time.Hour))
@@ -32,6 +34,9 @@ func testServer(t *testing.T, copts core.Options, sopts Options) (*httptest.Serv
 		t.Fatal(err)
 	}
 	srv := New(spa, sopts)
+	for _, f := range tune {
+		f(srv)
+	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -304,7 +309,7 @@ func TestIngestBackpressureHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(spa, Options{QueueDepth: 1, MaxBatch: 1})
+	srv := New(spa, Options{})
 	// Swap in a coalescer whose first commit stalls before anything is
 	// served: with it held, at most a few requests can be admitted (the
 	// stalled wave, one prepared wave, one queued job), so the rest of the

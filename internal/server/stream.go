@@ -53,6 +53,10 @@ const (
 	defaultStreamDrainWait = 5 * time.Second
 )
 
+// A hello cannot advertise more credit than wire.MaxStreamCredit — clients
+// reject larger grants at the handshake — so the window must fit under it.
+const _ = uint(wire.MaxStreamCredit - defaultStreamWindow)
+
 // maxKeptStreamBuf and maxKeptStreamEvents bound the frame bytes and the
 // decoded events a session keeps for reuse between frames: a rare huge
 // frame must not pin its buffers for the connection's life.

@@ -358,7 +358,8 @@ func TestStreamDrainMixedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(spa, Options{StreamDrainWait: 2 * time.Second})
+	srv := New(spa, Options{})
+	srv.streamDrainWait = 2 * time.Second
 	ts := httptest.NewServer(srv)
 
 	const (
@@ -532,7 +533,7 @@ func TestStreamCloseWithAckingClient(t *testing.T) {
 
 // TestStreamDrainDeadlineWithoutAck: a client that never acks the drain
 // still lets Close finish, at the drain deadline — the default one unless
-// Options.StreamDrainWait sets another (here a short one).
+// the server's streamDrainWait is set to another (here a short one).
 func TestStreamDrainDeadlineWithoutAck(t *testing.T) {
 	spa, err := core.New(core.Options{Shards: 2, Clock: clock.NewSimulated(t0.Add(24 * time.Hour))})
 	if err != nil {
@@ -543,7 +544,8 @@ func TestStreamDrainDeadlineWithoutAck(t *testing.T) {
 		t.Fatalf("default drain wait %v, want %v", got, defaultStreamDrainWait)
 	}
 	const wait = 300 * time.Millisecond
-	srv := New(spa, Options{StreamDrainWait: wait})
+	srv := New(spa, Options{})
+	srv.streamDrainWait = wait
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	_, br := dialStreamUpgrade(t, ts)
@@ -561,8 +563,11 @@ func TestStreamDrainDeadlineWithoutAck(t *testing.T) {
 // concurrent senders cannot overrun the server — calls serialize behind
 // credit instead of failing, and every batch still commits exactly once.
 func TestStreamBackpressureByCredit(t *testing.T) {
-	ts, spa := testServer(t, core.Options{Shards: 2},
-		Options{StreamWindow: 1, QueueDepth: 2, MaxBatch: 2})
+	ts, spa := testServer(t, core.Options{Shards: 2}, Options{}, func(s *Server) {
+		s.streamWindow = 1
+		s.co.close()
+		s.co = newCoalescer(spaPreparer{spa: s.spa}, &s.met, 2, 2, 0, s.logf)
+	})
 	if err := spa.Register(1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +746,7 @@ func TestStreamCreditViolationTerminal(t *testing.T) {
 	ts, spa := testServer(t,
 		core.Options{DataDir: t.TempDir(), Shards: 2,
 			Store: store.Options{SyncWrites: true, FileOps: fops}},
-		Options{StreamWindow: 2})
+		Options{}, func(s *Server) { s.streamWindow = 2 })
 	if err := spa.Register(1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -1121,7 +1126,7 @@ func TestStreamSlotRingMatchesTwin(t *testing.T) {
 		userCount = frames * perFrame
 	)
 	clk := func() *clock.Simulated { return clock.NewSimulated(t0.Add(24 * time.Hour)) }
-	ts, spa := testServer(t, core.Options{Shards: 4, DataDir: t.TempDir(), Clock: clk()}, Options{StreamWindow: window})
+	ts, spa := testServer(t, core.Options{Shards: 4, DataDir: t.TempDir(), Clock: clk()}, Options{}, func(s *Server) { s.streamWindow = window })
 	twin, err := core.New(core.Options{Shards: 4, DataDir: t.TempDir(), Clock: clk()})
 	if err != nil {
 		t.Fatal(err)

@@ -30,9 +30,6 @@ import (
 type Options struct {
 	// Timeout bounds one request round-trip (default 15 s).
 	Timeout time.Duration
-	// HTTPClient overrides the underlying client entirely (its own Timeout
-	// then wins); nil builds one with pooled keep-alive connections.
-	HTTPClient *http.Client
 	// ReadFrom lists follower base URLs to route read requests to
 	// (readroute.go). Empty keeps every request on the primary. Writes
 	// always go to the primary; reads round-robin across followers whose
@@ -73,27 +70,24 @@ type Client struct {
 // New creates a client for the daemon at baseURL (e.g.
 // "http://127.0.0.1:8372").
 func New(baseURL string, opts Options) *Client {
-	hc := opts.HTTPClient
-	if hc == nil {
-		timeout := opts.Timeout
-		if timeout == 0 {
-			timeout = 15 * time.Second
-		}
-		hc = &http.Client{
-			Timeout: timeout,
-			// Connection reuse across many small JSON calls is the whole
-			// game for loopback throughput; raise the per-host idle pool
-			// above the default 2 so K concurrent clients in one process
-			// (the loadgen) don't thrash dials.
-			Transport: &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-				// spad never compresses a response: offering gzip would
-				// only cost a header on every request and its parse.
-				DisableCompression: true,
-			},
-		}
+	timeout := opts.Timeout
+	if timeout == 0 {
+		timeout = 15 * time.Second
+	}
+	hc := &http.Client{
+		Timeout: timeout,
+		// Connection reuse across many small JSON calls is the whole
+		// game for loopback throughput; raise the per-host idle pool
+		// above the default 2 so K concurrent clients in one process
+		// (the loadgen) don't thrash dials.
+		Transport: &http.Transport{
+			MaxIdleConns:        64,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+			// spad never compresses a response: offering gzip would
+			// only cost a header on every request and its parse.
+			DisableCompression: true,
+		},
 	}
 	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, maxStale: opts.MaxStalenessWaves}
 	for _, base := range opts.ReadFrom {
